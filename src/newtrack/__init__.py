@@ -1,19 +1,18 @@
 """Decentralized consensus optimization toolkit.
 
-Implements a curvature-tracked second-order method in three equivalent
-formulations, first-order baselines (gradient tracking, extra, dlm),
-synthetic network topologies with Metropolis mixing, logistic and
+Implements a curvature-tracked second-order method ("Newton tracking")
+in its q-form, with a primal-dual form as an independent oracle,
+first-order baselines (gradient tracking, extra, dlm), synthetic
+network topologies with Metropolis mixing, logistic and
 quadratic objective families, a numerical linear-rate certificate, and
 an experiment harness with CLI entry points.
 """
 
-from .algorithms import (DirectionTrackingState, FirstOrderState,
+from .algorithms import (DlmState, ExtraState, GradientTrackingState,
                          NewtonTrackingState, PrimalDualState,
-                         centralized_reference, comm_cost,
-                         conservation_residual, dlm_init, dlm_step,
-                         extra_init, extra_step, gt_init, gt_step, nt_init,
-                         nt_step, pd_init, pd_step, sq_direction, sq_init,
-                         sq_step)
+                         centralized_reference, conservation_residual,
+                         dlm_init, dlm_step, extra_init, extra_step, gt_init,
+                         gt_step, nt_init, nt_step, pd_init, pd_step)
 from .analysis import (BoundReport, RateCertificate, RateFit,
                        approximation_error, best_certificate,
                        consensus_penalty_matrix, contraction_check,

@@ -8,11 +8,14 @@ W @ x.  Step functions are pure: they read (state, family, W) and return
 a fresh state, which keeps runs replayable and lets tests compare
 formulations trajectory against trajectory.
 
-Three equivalent formulations of the curvature-tracked method are
-provided: the canonical two-recursion form (nt_*), a primal-dual form
-that needs the global square root of I - W and therefore serves as an
-analysis oracle (pd_*), and a tracked-direction form (sq_*).  First-order
-baselines (gradient tracking, extra, dlm) share one state type.
+The curvature-tracked method comes in two formulations: the q-form
+(nt_*), gradient tracking applied to a curvature-weighted direction, and
+a primal-dual form that needs the global square root of I - W and
+therefore serves as an independent analysis oracle (pd_*).  The paper's
+canonical two-recursion form, which rebuilds q from the previous
+Hessian, lives on as the plain-loop oracle in the tests.  First-order
+baselines: gradient tracking, extra and dlm.  Every init returns the
+state at t = 0, x = 0, so every step is one communication round.
 """
 
 from __future__ import annotations
@@ -46,71 +49,65 @@ def _reg_hess(family, x: np.ndarray, eps: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Curvature-tracked method, canonical form.
+# Curvature-tracked method, q-form.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class NewtonTrackingState:
-    """Iterate pair (x, u) plus per-node caches reused by the next step.
+    """Iterate x, tracked direction q, its solve u, and the gradient at x.
 
-    `grad` and `hess` hold the local gradients and regularized Hessians
-    at the current x; `mixed` holds the neighbor average W @ x so each
-    step needs exactly one fresh exchange.  Treat arrays as read-only.
+    q sums gradient increments and disagreement corrections, so
+    sum_i q_i = sum_i grad_i at every iteration; u = (hess(x) + eps I)^{-1} q
+    per node is the step the next round takes.  Treat arrays as read-only.
     """
 
     x: np.ndarray
+    q: np.ndarray
     u: np.ndarray
     grad: np.ndarray
-    hess: np.ndarray
-    mixed: np.ndarray
     alpha: float
     eps: float
     t: int = 0
 
 
-def nt_init(family, w: np.ndarray, alpha: float, eps: float) -> NewtonTrackingState:
-    """Start at x = 0 with u solving (hess(0) + eps I) u = grad(0) per node.
-
-    This initialization makes the direction u a curvature-weighted tracker
-    of the network-average gradient: sum_i (hess_i + eps I) u_i equals
-    sum_i grad_i at every iteration.
-    """
+def nt_init(family, alpha: float, eps: float) -> NewtonTrackingState:
+    """Start at x = 0 with q = grad(0) and u solving (hess(0) + eps I) u = q."""
     if alpha <= 0 or eps <= 0:
         raise ValueError("alpha and eps must be positive")
     x = np.zeros((family.n, family.p))
     g = family.grad_stack(x)
-    h = _reg_hess(family, x, eps)
-    u = solve_spd_blocks(h, g)
-    return NewtonTrackingState(x=x, u=u, grad=g, hess=h, mixed=w @ x,
-                               alpha=alpha, eps=eps, t=0)
+    u = solve_spd_blocks(_reg_hess(family, x, eps), g)
+    return NewtonTrackingState(x=x, q=g, u=u, grad=g, alpha=alpha, eps=eps, t=0)
 
 
 def nt_step(state: NewtonTrackingState, family, w: np.ndarray) -> NewtonTrackingState:
     """One synchronous round of the curvature-tracked update.
 
-    x advances by -u; the new direction solves the regularized local
-    system against the previous curvature-weighted direction, the local
-    gradient increment, and a disagreement correction
-    alpha (I - W)(2 x_new - x_old).
+    x advances by -u; q absorbs the local gradient increment and the
+    disagreement correction alpha (I - W)(2 x_new - x_old), which is the
+    round's one exchange; the new direction solves the regularized local
+    system at x_new against q.
     """
     x1 = state.x - state.u
     g1 = family.grad_stack(x1)
-    h1 = _reg_hess(family, x1, state.eps)
-    mixed1 = w @ x1
     z = 2.0 * x1 - state.x
-    disagreement = state.alpha * (z - (2.0 * mixed1 - state.mixed))
-    rhs = np.einsum("npq,nq->np", state.hess, state.u) \
-        + (g1 - state.grad) + disagreement
-    u1 = solve_spd_blocks(h1, rhs)
-    return NewtonTrackingState(x=x1, u=u1, grad=g1, hess=h1, mixed=mixed1,
-                               alpha=state.alpha, eps=state.eps, t=state.t + 1)
+    q1 = state.q + (g1 - state.grad) + state.alpha * (z - w @ z)
+    u1 = solve_spd_blocks(_reg_hess(family, x1, state.eps), q1)
+    return NewtonTrackingState(x=x1, q=q1, u=u1, grad=g1, alpha=state.alpha,
+                               eps=state.eps, t=state.t + 1)
+
+
+# The benchmark's tracer wraps algorithms.sq_init and sq_step by name, so
+# the names stay as aliases of the one q-form recursion.
+sq_init = nt_init
+sq_step = nt_step
 
 
 def conservation_residual(state: NewtonTrackingState) -> float:
-    """Relative defect of sum_i (hess_i + eps I) u_i = sum_i grad_i."""
-    lhs = np.einsum("npq,nq->np", state.hess, state.u).sum(axis=0)
+    """Relative defect of sum_i q_i = sum_i grad_i."""
     rhs = state.grad.sum(axis=0)
-    return float(np.linalg.norm(lhs - rhs) / (np.linalg.norm(rhs) + 1.0))
+    return float(np.linalg.norm(state.q.sum(axis=0) - rhs)
+                 / (np.linalg.norm(rhs) + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -150,83 +147,31 @@ def pd_step(state: PrimalDualState, family, w: np.ndarray) -> PrimalDualState:
 
 
 # ---------------------------------------------------------------------------
-# Tracked-direction form: q accumulates gradient and disagreement increments.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DirectionTrackingState:
-    """Iterate x and the pre-solve direction q with the gradient cached."""
-
-    x: np.ndarray
-    q: np.ndarray
-    grad: np.ndarray
-    alpha: float
-    eps: float
-    t: int = 0
-
-
-def sq_init(family, alpha: float, eps: float) -> DirectionTrackingState:
-    if alpha <= 0 or eps <= 0:
-        raise ValueError("alpha and eps must be positive")
-    x = np.zeros((family.n, family.p))
-    g = family.grad_stack(x)
-    return DirectionTrackingState(x=x, q=g.copy(), grad=g, alpha=alpha,
-                                  eps=eps, t=0)
-
-
-def sq_direction(state: DirectionTrackingState, family) -> np.ndarray:
-    """Implied descent direction (hess(x) + eps I)^{-1} q."""
-    return solve_spd_blocks(_reg_hess(family, state.x, state.eps), state.q)
-
-
-def sq_step(state: DirectionTrackingState, family,
-            w: np.ndarray) -> DirectionTrackingState:
-    u = sq_direction(state, family)
-    x1 = state.x - u
-    g1 = family.grad_stack(x1)
-    z = 2.0 * x1 - state.x
-    q1 = state.q + (g1 - state.grad) + state.alpha * (z - w @ z)
-    return DirectionTrackingState(x=x1, q=q1, grad=g1, alpha=state.alpha,
-                                  eps=state.eps, t=state.t + 1)
-
-
-# ---------------------------------------------------------------------------
 # First-order baselines.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FirstOrderState:
-    """Shared state for the first-order baselines.
+class GradientTrackingState:
+    """Iterate x, tracker y of the average gradient, and the gradient at x."""
 
-    tag is one of {"gradient-tracking", "extra", "dlm"}.  Gradient
-    tracking keeps the tracker y; the two-step methods keep the previous
-    iterate and gradient.  dlm additionally carries the graph Laplacian
-    and its per-node diagonal scaling 1 / (2 alpha d_i + eps).
-    """
-
-    tag: str
     x: np.ndarray
+    y: np.ndarray
+    grad: np.ndarray
     alpha: float
-    x_prev: np.ndarray | None = None
-    y: np.ndarray | None = None
-    grad_prev: np.ndarray | None = None
-    eps: float | None = None
-    lap: np.ndarray | None = None
-    dscale: np.ndarray | None = None
     t: int = 0
 
 
-def gt_init(family, alpha: float) -> FirstOrderState:
+def gt_init(family, alpha: float) -> GradientTrackingState:
     """Gradient tracking from x = 0 with the tracker seeded at grad(0)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     x = np.zeros((family.n, family.p))
     g = family.grad_stack(x)
-    return FirstOrderState(tag="gradient-tracking", x=x, alpha=alpha,
-                           y=g, grad_prev=g, t=0)
+    return GradientTrackingState(x=x, y=g, grad=g, alpha=alpha, t=0)
 
 
-def gt_step(state: FirstOrderState, family, w: np.ndarray) -> FirstOrderState:
+def gt_step(state: GradientTrackingState, family,
+            w: np.ndarray) -> GradientTrackingState:
     """Mix-and-descend along the tracker, then refresh the tracker.
 
     Each round exchanges both x and y, so the payload is twice that of
@@ -235,75 +180,82 @@ def gt_step(state: FirstOrderState, family, w: np.ndarray) -> FirstOrderState:
     """
     x1 = w @ state.x - state.alpha * state.y
     g1 = family.grad_stack(x1)
-    y1 = w @ state.y + g1 - state.grad_prev
-    return FirstOrderState(tag=state.tag, x=x1, alpha=state.alpha,
-                           y=y1, grad_prev=g1, t=state.t + 1)
+    y1 = w @ state.y + g1 - state.grad
+    return GradientTrackingState(x=x1, y=y1, grad=g1, alpha=state.alpha,
+                                 t=state.t + 1)
 
 
-def extra_init(family, w: np.ndarray, alpha: float) -> FirstOrderState:
-    """Bootstrap step x^1 = W x^0 - alpha grad(x^0) from x^0 = 0.
+@dataclass(frozen=True)
+class ExtraState:
+    """Current and previous iterates and the gradient at the previous one."""
 
-    The returned state sits at t = 1; the bootstrap costs one round.
+    x: np.ndarray
+    x_prev: np.ndarray
+    grad_prev: np.ndarray
+    alpha: float
+    t: int = 0
+
+
+def extra_init(family, alpha: float) -> ExtraState:
+    """x = 0 with a zero history (x_prev = 0, grad_prev = 0).
+
+    The first ordinary step then is the bootstrap x^1 = W x^0 - alpha
+    grad(x^0), bit for bit, but only because x^0 = 0 makes W x^0 vanish.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    x0 = np.zeros((family.n, family.p))
-    g0 = family.grad_stack(x0)
-    x1 = w @ x0 - alpha * g0
-    return FirstOrderState(tag="extra", x=x1, alpha=alpha,
-                           x_prev=x0, grad_prev=g0, t=1)
+    zero = np.zeros((family.n, family.p))
+    return ExtraState(x=zero, x_prev=zero, grad_prev=zero, alpha=alpha, t=0)
 
 
-def extra_step(state: FirstOrderState, family, w: np.ndarray) -> FirstOrderState:
+def extra_step(state: ExtraState, family, w: np.ndarray) -> ExtraState:
     """Two-step recursion x2 = (I+W) x1 - (I+W)/2 x0 - alpha (g1 - g0)."""
     g = family.grad_stack(state.x)
     x2 = state.x + w @ state.x \
         - 0.5 * (state.x_prev + w @ state.x_prev) \
         - state.alpha * (g - state.grad_prev)
-    return FirstOrderState(tag=state.tag, x=x2, alpha=state.alpha,
-                           x_prev=state.x, grad_prev=g, t=state.t + 1)
+    return ExtraState(x=x2, x_prev=state.x, grad_prev=g, alpha=state.alpha,
+                      t=state.t + 1)
 
 
-def dlm_init(family, graph: Graph, alpha: float, eps: float) -> FirstOrderState:
-    """Bootstrap x^1 = (I - alpha D L) x^0 - D grad(x^0) from x^0 = 0.
+@dataclass(frozen=True)
+class DlmState:
+    """Two-step history plus the graph Laplacian L and the per-node
+    scaling D = diag(1 / (2 alpha d_i + eps)), d_i the node degree."""
 
-    D = diag(1 / (2 alpha d_i + eps)) with d_i the node degree and L the
-    standard graph Laplacian.  The returned state sits at t = 1.
+    x: np.ndarray
+    x_prev: np.ndarray
+    grad_prev: np.ndarray
+    alpha: float
+    lap: np.ndarray
+    dscale: np.ndarray
+    t: int = 0
+
+
+def dlm_init(family, graph: Graph, alpha: float, eps: float) -> DlmState:
+    """x = 0 with a zero history (x_prev = 0, grad_prev = 0).
+
+    The first ordinary step then is the bootstrap x^1 = (I - alpha D L)
+    x^0 - D grad(x^0), bit for bit, but only because x^0 = 0 makes
+    L x^0 vanish.
     """
     if alpha <= 0 or eps <= 0:
         raise ValueError("alpha and eps must be positive")
-    lap = laplacian(graph)
-    dscale = 1.0 / (2.0 * alpha * graph.degrees + eps)
-    x0 = np.zeros((family.n, family.p))
-    g0 = family.grad_stack(x0)
-    x1 = x0 - alpha * dscale[:, None] * (lap @ x0) - dscale[:, None] * g0
-    return FirstOrderState(tag="dlm", x=x1, alpha=alpha, x_prev=x0,
-                           grad_prev=g0, eps=eps, lap=lap, dscale=dscale, t=1)
+    zero = np.zeros((family.n, family.p))
+    return DlmState(x=zero, x_prev=zero, grad_prev=zero, alpha=alpha,
+                    lap=laplacian(graph),
+                    dscale=1.0 / (2.0 * alpha * graph.degrees + eps), t=0)
 
 
-def dlm_step(state: FirstOrderState, family) -> FirstOrderState:
-    """Two-step recursion driven by the Laplacian instead of W:
-    x2 = (I - alpha D L)(2 x1 - x0) - D (g1 - g0)."""
+def dlm_step(state: DlmState, family, w: np.ndarray) -> DlmState:
+    """Two-step recursion driven by the Laplacian instead of W (w is
+    unused): x2 = (I - alpha D L)(2 x1 - x0) - D (g1 - g0)."""
     g = family.grad_stack(state.x)
     z = 2.0 * state.x - state.x_prev
     x2 = z - state.alpha * state.dscale[:, None] * (state.lap @ z) \
         - state.dscale[:, None] * (g - state.grad_prev)
-    return FirstOrderState(tag=state.tag, x=x2, alpha=state.alpha,
-                           x_prev=state.x, grad_prev=g, eps=state.eps,
-                           lap=state.lap, dscale=state.dscale, t=state.t + 1)
-
-
-def comm_cost(tag: str, n: int, p: int) -> tuple[int, int]:
-    """(rounds, scalars) exchanged network-wide by one iteration.
-
-    Every method runs one synchronous round per iteration with an n*p
-    payload, except gradient tracking which ships x and y together.
-    """
-    if tag == "gt":
-        return 1, 2 * n * p
-    if tag in ("nt", "extra", "dlm"):
-        return 1, n * p
-    raise ValueError(f"unknown algorithm tag {tag!r}")
+    return DlmState(x=x2, x_prev=state.x, grad_prev=g, alpha=state.alpha,
+                    lap=state.lap, dscale=state.dscale, t=state.t + 1)
 
 
 def centralized_reference(family, tol: float = 1e-12,

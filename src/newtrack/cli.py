@@ -17,9 +17,9 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import analysis
-from .harness import (PRESET_NAMES, RunConfig, _build_network, _make_family,
-                      load_record, preset, run_checks, run_experiment,
-                      topology_sweep, write_outputs)
+from .harness import (PRESET_NAMES, RunConfig, _build_network, _cert_doc,
+                      _make_family, load_record, preset, run_checks,
+                      run_experiment, topology_sweep, write_outputs)
 from .objectives import ObjectiveBounds, convexity_bounds
 from .topology import (build_topology, metropolis_weights, spectral_stats,
                        topology_to_doc)
@@ -44,11 +44,22 @@ def _load_config(args) -> RunConfig:
     return config
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2)
+def _emit(doc: dict, out: str | None = None) -> None:
+    """Print doc as strict JSON (no NaN or Infinity), also to `out` if given."""
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n")
     print(text)
+
+
+def _summary(record) -> dict:
+    return {
+        "final_rel_error": {name: trace.rel_error[-1]
+                            for name, trace in record.traces.items()},
+        "iterations": {name: len(trace) - 1
+                       for name, trace in record.traces.items()},
+        "status": {name: trace.status for name, trace in record.traces.items()},
+    }
 
 
 def _cmd_spectra(args) -> int:
@@ -73,14 +84,11 @@ def _cmd_solve(args) -> int:
         "ref_residual": record.ref_residual,
         "spectra": record.spectra,
         "certificates": record.certificates,
-        "final_rel_error": {name: trace.rel_error[-1]
-                            for name, trace in record.traces.items()},
-        "iterations": {name: len(trace) - 1
-                       for name, trace in record.traces.items()},
+        **_summary(record),
     }
     if args.out:
         summary["files"] = write_outputs(record, args.out)
-    print(json.dumps(summary, indent=2))
+    _emit(summary)
     return 0
 
 
@@ -90,17 +98,11 @@ def _cmd_sweep(args) -> int:
     records = topology_sweep(config, kinds=kinds)
     summary = {}
     for kind, record in records.items():
-        entry = {
-            "spectra": record.spectra,
-            "final_rel_error": {name: trace.rel_error[-1]
-                                for name, trace in record.traces.items()},
-            "iterations": {name: len(trace) - 1
-                           for name, trace in record.traces.items()},
-        }
+        entry = {"spectra": record.spectra, **_summary(record)}
         if args.out:
             entry["files"] = write_outputs(record, Path(args.out) / kind)
         summary[kind] = entry
-    print(json.dumps(summary, indent=2))
+    _emit(summary)
     return 0
 
 
@@ -130,16 +132,14 @@ def _cmd_certify(args) -> int:
                                   lambda_min_nz=args.lambda_min_nz)
         cert = analysis.rate_certificate(bounds, spectra, args.alpha, args.eps,
                                          args.beta, args.phi)
-    doc = dataclasses.asdict(cert)
-    doc["contraction"] = cert.contraction if cert.feasible else None
-    _emit(doc, args.out)
+    _emit(_cert_doc(cert), args.out)
     return 0
 
 
 def _cmd_check(args) -> int:
     record = load_record(args.record)
     report = run_checks(record, window=args.window)
-    print(json.dumps(report.to_doc(), indent=2))
+    _emit(report.to_doc())
     if not report.passed:
         failed = [k for k, v in report.checks.items() if not v["passed"]]
         print(json.dumps({"error": "check_failed", "failed": failed}),

@@ -11,9 +11,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,6 +27,28 @@ from .topology import (Graph, MixingMatrix, build_topology, metropolis_weights,
                        spectral_stats, topology_from_doc, topology_to_doc)
 
 
+class Method(NamedTuple):
+    """How a run starts a method and what one of its rounds sends.
+
+    `init(family, graph, spec)` returns the state at t = 0; the step is
+    `algorithms.<name>_step`.  Both are looked up on the algorithms module
+    at call time, so wrappers installed there (a tracer's) see every call.
+    """
+
+    init: Callable
+    vectors: int  # (n, p) arrays exchanged per round
+    needs_eps: bool
+
+
+METHODS = {
+    "nt": Method(lambda fam, graph, s: alg.nt_init(fam, s.alpha, s.eps), 1, True),
+    "gt": Method(lambda fam, graph, s: alg.gt_init(fam, s.alpha), 2, False),
+    "extra": Method(lambda fam, graph, s: alg.extra_init(fam, s.alpha), 1, False),
+    "dlm": Method(lambda fam, graph, s: alg.dlm_init(fam, graph, s.alpha, s.eps),
+                  1, True),
+}
+
+
 @dataclass(frozen=True)
 class TopologySpec:
     kind: str
@@ -32,10 +56,6 @@ class TopologySpec:
     tau: float | None = None
     seed: int | None = None
     file: str | None = None  # pinned topology JSON overrides the generator
-
-    def to_doc(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "tau": self.tau,
-                "seed": self.seed, "file": self.file}
 
     @staticmethod
     def from_doc(doc: dict) -> "TopologySpec":
@@ -52,10 +72,6 @@ class DataSpec:
     rho: float | None = None
     seed: int = 0
 
-    def to_doc(self) -> dict:
-        return {"family": self.family, "p": self.p, "m": self.m,
-                "rho": self.rho, "seed": self.seed}
-
     @staticmethod
     def from_doc(doc: dict) -> "DataSpec":
         return DataSpec(family=doc["family"], p=int(doc["p"]),
@@ -69,9 +85,6 @@ class AlgorithmSpec:
     alpha: float
     eps: float | None = None
 
-    def to_doc(self) -> dict:
-        return {"name": self.name, "alpha": self.alpha, "eps": self.eps}
-
     @staticmethod
     def from_doc(doc: dict) -> "AlgorithmSpec":
         return AlgorithmSpec(name=doc["name"], alpha=float(doc["alpha"]),
@@ -81,7 +94,11 @@ class AlgorithmSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment.
+
+    Construction validates the fields a run relies on and raises
+    ValueError naming the offending field.
+    """
 
     name: str
     topology: TopologySpec
@@ -92,21 +109,25 @@ class RunConfig:
     ref_tol: float = 1e-12
     beta: float = 2.0
     phi: float = 2.0
-    remainder_metrics: bool = True
+
+    def __post_init__(self):
+        if self.iters < 0:
+            raise ValueError(f"iters: must be >= 0, got {self.iters}")
+        names = [a.name for a in self.algorithms]
+        for i, spec in enumerate(self.algorithms):
+            if spec.name not in METHODS:
+                raise ValueError(f"algorithms[{i}].name: unknown algorithm "
+                                 f"{spec.name!r}; expected one of {sorted(METHODS)}")
+            if spec.name in names[:i]:
+                raise ValueError(f"algorithms[{i}].name: {spec.name!r} appears "
+                                 "twice; its traces would collide")
+            if METHODS[spec.name].needs_eps and spec.eps is None:
+                raise ValueError(f"algorithms[{i}].eps: {spec.name!r} needs eps")
 
     def to_doc(self) -> dict:
-        return {
-            "name": self.name,
-            "topology": self.topology.to_doc(),
-            "data": self.data.to_doc(),
-            "algorithms": [a.to_doc() for a in self.algorithms],
-            "iters": self.iters,
-            "stop_tol": self.stop_tol,
-            "ref_tol": self.ref_tol,
-            "beta": self.beta,
-            "phi": self.phi,
-            "remainder_metrics": self.remainder_metrics,
-        }
+        """Fields in declaration order, nested specs as dicts; from_doc
+        reads it back."""
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_doc(doc: dict) -> "RunConfig":
@@ -120,7 +141,6 @@ class RunConfig:
             ref_tol=float(doc.get("ref_tol", 1e-12)),
             beta=float(doc.get("beta", 2.0)),
             phi=float(doc.get("phi", 2.0)),
-            remainder_metrics=bool(doc.get("remainder_metrics", True)),
         )
 
 
@@ -131,12 +151,16 @@ class ConvergenceTrace:
     Optional lists hold None where a quantity is not defined for the
     algorithm (dual-based metrics exist only for the curvature-tracked
     method) or for the parameters (squared metric error only under a
-    feasible certificate).
+    feasible certificate).  `status` says why the run ended: "budget"
+    (all iterations ran), "tol" (rel_error reached stop_tol) or
+    "diverged" (the next iterate had a non-finite rel_error and was not
+    recorded).
     """
 
     algorithm: str
     alpha: float
     eps: float | None
+    status: str = "budget"
     rel_error: list = field(default_factory=list)
     gnorm_error: list = field(default_factory=list)
     tracking_residual: list = field(default_factory=list)
@@ -207,7 +231,7 @@ class RunRecord:
 
 
 def save_record(record: RunRecord, path) -> None:
-    Path(path).write_text(json.dumps(record.to_doc()) + "\n")
+    Path(path).write_text(json.dumps(record.to_doc(), allow_nan=False) + "\n")
 
 
 def load_record(path) -> RunRecord:
@@ -330,106 +354,80 @@ def _cert_doc(cert: analysis.RateCertificate) -> dict:
 def _run_algorithm(spec: AlgorithmSpec, family, graph: Graph, w: np.ndarray,
                    spectra, x_star: np.ndarray, cert, config: RunConfig
                    ) -> ConvergenceTrace:
+    """Run one method for config.iters rounds, recording every iterate.
+
+    Stops early at stop_tol ("tol") or before recording the first iterate
+    with a non-finite rel_error ("diverged").
+    """
     n, p = family.n, family.p
+    method = METHODS[spec.name]
+    step = getattr(alg, f"{spec.name}_step")
     root = spectra.root
     target = np.tile(x_star, (n, 1))
     denom = max(float(np.linalg.norm(target)), 1e-300)
     trace = ConvergenceTrace(algorithm=spec.name, alpha=spec.alpha, eps=spec.eps)
 
-    track_dual = spec.name == "nt"
+    # nt alone has a dual iterate v (primal-dual form), a conservation
+    # identity and a remainder; the other methods record None for them.
+    is_nt = spec.name == "nt"
     feasible = cert is not None and cert.feasible
     if feasible:
         q_mat = analysis.consensus_penalty_matrix(w, spec.alpha, spec.eps)
         v_star = analysis.dual_optimum(family, x_star, root)
+    v = np.zeros((n, p))
 
-    rounds = 0
-    scalars = 0
-
-    def push(x, wall, tracking=None, v=None, rem=None, rem_bound=None):
-        trace.rel_error.append(float(np.linalg.norm(x - target)) / denom)
-        trace.kkt_primal.append(float(np.linalg.norm(root @ x)))
-        if track_dual and v is not None:
-            g = family.grad_stack(x)
-            trace.kkt_dual.append(float(np.linalg.norm(g + root @ v)))
-            trace.gnorm_error.append(
-                analysis.g_norm_error(x, v, x_star, v_star, q_mat, spec.alpha)
-                if feasible else None)
+    def push(state, wall, rem=None, rem_bound=None) -> bool:
+        """Record state; False, recording nothing, if rel_error is not finite."""
+        rel = float(np.linalg.norm(state.x - target)) / denom
+        if not math.isfinite(rel):
+            return False
+        trace.rel_error.append(rel)
+        if is_nt:
+            primal, dual = analysis.kkt_residual(state.x, v, family, root)
+            gnorm = analysis.g_norm_error(state.x, v, x_star, v_star, q_mat,
+                                          spec.alpha) if feasible else None
+            tracking = alg.conservation_residual(state)
         else:
-            trace.kkt_dual.append(None)
-            trace.gnorm_error.append(None)
+            primal = float(np.linalg.norm(root @ state.x))
+            dual = gnorm = tracking = None
+        trace.kkt_primal.append(primal)
+        trace.kkt_dual.append(dual)
+        trace.gnorm_error.append(gnorm)
         trace.tracking_residual.append(tracking)
         trace.remainder_norm.append(rem)
         trace.remainder_bound.append(rem_bound)
-        trace.comm_rounds.append(rounds)
-        trace.scalars_sent.append(scalars)
+        trace.comm_rounds.append(state.t)
+        trace.scalars_sent.append(state.t * method.vectors * n * p)
         trace.wall_ms.append(wall)
+        return True
 
-    def stop() -> bool:
+    def reached() -> bool:
         return config.stop_tol is not None and trace.rel_error[-1] <= config.stop_tol
 
-    if spec.name == "nt":
-        state = alg.nt_init(family, w, spec.alpha, spec.eps)
-        v = np.zeros((n, p))
-        push(state.x, 0.0, tracking=alg.conservation_residual(state), v=v)
-        for _ in range(config.iters):
-            tic = time.perf_counter()
-            new = alg.nt_step(state, family, w)
-            wall = (time.perf_counter() - tic) * 1e3
-            rounds += 1
-            scalars += alg.comm_cost("nt", n, p)[1]
-            v = v + spec.alpha * (root @ new.x)
-            rem = rem_bound = None
-            if config.remainder_metrics:
-                d = new.x - state.x
-                # hess cache is regularized; remove eps I to get the raw
-                # curvature term of the remainder.
-                e = state.grad - new.grad \
-                    + np.einsum("npq,nq->np", state.hess, d) - spec.eps * d \
-                    - spec.alpha * (d - w @ d)
-                rem = float(np.linalg.norm(e))
-                rem_bound = cert.kappa * float(np.linalg.norm(d))
-            state = new
-            push(state.x, wall, tracking=alg.conservation_residual(state),
-                 v=v, rem=rem, rem_bound=rem_bound)
-            if stop():
-                break
-    elif spec.name == "gt":
-        state = alg.gt_init(family, spec.alpha)
-        push(state.x, 0.0)
-        for _ in range(config.iters):
-            tic = time.perf_counter()
-            state = alg.gt_step(state, family, w)
-            wall = (time.perf_counter() - tic) * 1e3
-            rounds += 1
-            scalars += alg.comm_cost("gt", n, p)[1]
-            push(state.x, wall)
-            if stop():
-                break
-    elif spec.name in ("extra", "dlm"):
-        push(np.zeros((n, p)), 0.0)
+    state = method.init(family, graph, spec)
+    push(state, 0.0)
+    for _ in range(config.iters):
+        if reached():
+            break
         tic = time.perf_counter()
-        if spec.name == "extra":
-            state = alg.extra_init(family, w, spec.alpha)
-        else:
-            state = alg.dlm_init(family, graph, spec.alpha, spec.eps)
+        new = step(state, family, w)
         wall = (time.perf_counter() - tic) * 1e3
-        rounds += 1
-        scalars += alg.comm_cost(spec.name, n, p)[1]
-        push(state.x, wall)
-        for _ in range(config.iters - 1):
-            if stop():
-                break
-            tic = time.perf_counter()
-            if spec.name == "extra":
-                state = alg.extra_step(state, family, w)
-            else:
-                state = alg.dlm_step(state, family)
-            wall = (time.perf_counter() - tic) * 1e3
-            rounds += 1
-            scalars += alg.comm_cost(spec.name, n, p)[1]
-            push(state.x, wall)
-    else:
-        raise ValueError(f"unknown algorithm {spec.name!r}")
+        rem = rem_bound = None
+        if is_nt:
+            v = v + spec.alpha * (root @ new.x)
+            # Second-order remainder of the step x -> x - u, from q = (H + eps I) u:
+            # e = g0 - g1 - q0 + eps u0 + alpha (I - W) u0.
+            u = state.u
+            e = state.grad - new.grad - state.q + spec.eps * u \
+                + spec.alpha * (u - w @ u)
+            rem = float(np.linalg.norm(e))
+            rem_bound = cert.kappa * float(np.linalg.norm(new.x - state.x))
+        state = new
+        if not push(state, wall, rem, rem_bound):
+            trace.status = "diverged"
+            break
+    if trace.status == "budget" and reached():
+        trace.status = "tol"
     return trace
 
 
@@ -455,30 +453,20 @@ CSV_COLUMNS = ("iter", "comm_rounds", "scalars_sent", "rel_error",
                "wall_ms")
 
 
-def _fmt(value) -> str:
-    # repr of a float is its shortest round-trip decimal form.
-    return "" if value is None else repr(float(value))
-
-
 def export_csv(record: RunRecord, out_dir) -> list[Path]:
-    """One CSV per algorithm with the fixed column set; returns the paths."""
+    """One CSV per algorithm with the fixed column set; returns the paths.
+
+    Counts print as integers, metrics by repr, their shortest round-trip
+    decimal form; undefined metrics leave the cell empty.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for name, trace in record.traces.items():
+        columns = [range(len(trace))] + [getattr(trace, c) for c in CSV_COLUMNS[1:]]
         lines = [",".join(CSV_COLUMNS)]
-        for t in range(len(trace)):
-            lines.append(",".join((
-                str(t),
-                str(trace.comm_rounds[t]),
-                str(trace.scalars_sent[t]),
-                _fmt(trace.rel_error[t]),
-                _fmt(trace.gnorm_error[t]),
-                _fmt(trace.tracking_residual[t]),
-                _fmt(trace.kkt_primal[t]),
-                _fmt(trace.kkt_dual[t]),
-                _fmt(trace.wall_ms[t]),
-            )))
+        lines += [",".join("" if v is None else repr(v) for v in row)
+                  for row in zip(*columns)]
         path = out_dir / f"{name}.csv"
         path.write_text("\n".join(lines) + "\n")
         paths.append(path)
@@ -549,13 +537,16 @@ def run_checks(record: RunRecord, window: int = 100) -> CheckReport:
     fresh = run_experiment(config)
 
     same_digest = fresh.dataset_digest == record.dataset_digest
-    same_traces = all(
-        name in fresh.traces
-        and fresh.traces[name].rel_error == record.traces[name].rel_error
-        for name in record.traces)
+    mismatched = []
+    for name, trace in record.traces.items():
+        again = fresh.traces[name].to_doc() if name in fresh.traces else {}
+        mismatched += [f"{name}.{column}"
+                       for column, values in trace.to_doc().items()
+                       if column != "wall_ms" and again.get(column) != values]
     checks["determinism"] = {
-        "passed": bool(same_digest and same_traces),
-        "detail": {"digest_match": same_digest, "trace_match": same_traces}}
+        "passed": bool(same_digest and not mismatched),
+        "detail": {"digest_match": same_digest, "trace_match": not mismatched,
+                   "mismatched": mismatched}}
 
     graph, mix = _build_network(config.topology)
     spectra = spectral_stats(mix)
@@ -563,26 +554,24 @@ def run_checks(record: RunRecord, window: int = 100) -> CheckReport:
     bounds = convexity_bounds(family)
     x_star = alg.centralized_reference(family, tol=config.ref_tol)
 
-    nt_specs = [s for s in config.algorithms if s.name == "nt"]
-    if nt_specs:
-        spec = nt_specs[0]
-        steps = min(config.iters, window)
-        state = alg.nt_init(family, mix.w, spec.alpha, spec.eps)
+    # Replays cover the iterates the record holds, so they stop where a
+    # diverged run stopped.
+    specs = {s.name: s for s in config.algorithms}
+    if "nt" in specs:
+        spec = specs["nt"]
+        steps = min(len(record.traces["nt"]) - 1, window)
+        state = alg.nt_init(family, spec.alpha, spec.eps)
         pd = alg.pd_init(family, spectra.root, spec.alpha, spec.eps)
-        sq = alg.sq_init(family, spec.alpha, spec.eps)
         xs, vs = [pd.x], [pd.v]
         cons_worst = alg.conservation_residual(state)
         equiv_worst = 0.0
         for _ in range(steps):
             state = alg.nt_step(state, family, mix.w)
             pd = alg.pd_step(pd, family, mix.w)
-            sq = alg.sq_step(sq, family, mix.w)
             xs.append(pd.x)
             vs.append(pd.v)
             cons_worst = max(cons_worst, alg.conservation_residual(state))
-            equiv_worst = max(equiv_worst,
-                              float(np.max(np.abs(state.x - pd.x))),
-                              float(np.max(np.abs(state.x - sq.x))))
+            equiv_worst = max(equiv_worst, float(np.max(np.abs(state.x - pd.x))))
         checks["conservation"] = {"passed": cons_worst < 1e-9,
                                   "detail": {"worst": cons_worst}}
         checks["equivalence"] = {"passed": equiv_worst < 1e-8,
@@ -611,11 +600,10 @@ def run_checks(record: RunRecord, window: int = 100) -> CheckReport:
                            "worst_ratio": contr.worst,
                            "bound": cert.contraction}}
 
-    if any(s.name == "gt" for s in config.algorithms):
-        spec = next(s for s in config.algorithms if s.name == "gt")
-        state = alg.gt_init(family, spec.alpha)
+    if "gt" in specs:
+        state = alg.gt_init(family, specs["gt"].alpha)
         worst = 0.0
-        for _ in range(min(config.iters, window)):
+        for _ in range(min(len(record.traces["gt"]) - 1, window)):
             state = alg.gt_step(state, family, mix.w)
             g = family.grad_stack(state.x)
             diff = np.linalg.norm(state.y.mean(axis=0) - g.mean(axis=0))

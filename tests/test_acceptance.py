@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from newtrack import analysis
-from newtrack.algorithms import (conservation_residual, nt_init, nt_step,
-                                 pd_init, pd_step, sq_init, sq_step)
+from newtrack.algorithms import nt_init, nt_step, pd_init, pd_step
 from newtrack.analysis import (contraction_check, decay_window, dual_optimum,
                                fit_linear_rate, lemma_remainder_check,
                                rate_certificate)
@@ -64,16 +63,13 @@ def test_criterion_01_formulation_equivalence():
 
     def worst_gap(fam, mix, alpha, eps):
         root = spectral_stats(mix).root
-        nt = nt_init(fam, mix.w, alpha, eps)
+        nt = nt_init(fam, alpha, eps)
         pd = pd_init(fam, root, alpha, eps)
-        sq = sq_init(fam, alpha, eps)
         gap = 0.0
         for _ in range(100):
             nt = nt_step(nt, fam, mix.w)
             pd = pd_step(pd, fam, mix.w)
-            sq = sq_step(sq, fam, mix.w)
-            gap = max(gap, float(np.max(np.abs(nt.x - pd.x))),
-                      float(np.max(np.abs(nt.x - sq.x))))
+            gap = max(gap, float(np.max(np.abs(nt.x - pd.x))))
         return gap
 
     quad_gap = worst_gap(generate_quadratic_set(n=3, p=2, seed=1),
@@ -83,7 +79,7 @@ def test_criterion_01_formulation_equivalence():
     fig1_gap = worst_gap(fam, mix, 3.3, 3.0)
     elapsed = time.perf_counter() - tic
     ok = quad_gap < 1e-8 and fig1_gap < 1e-8 and elapsed < 5.0
-    criterion(1, ok, "three formulations agree over 100 iterations "
+    criterion(1, ok, "q-form and primal-dual form agree over 100 iterations "
                      f"(quadratic gap {quad_gap:.2e}, logistic gap "
                      f"{fig1_gap:.2e}, {elapsed:.2f}s)")
 
@@ -92,8 +88,9 @@ def test_criterion_02_conservation_identity(fig1_record):
     residuals = fig1_record.traces["nt"].tracking_residual[:1001]
     worst = max(residuals)
     ok = len(residuals) == 1001 and worst < 1e-9
-    criterion(2, ok, "curvature-weighted direction sum tracks the gradient "
-                     f"sum for 1000 iterations (worst residual {worst:.2e})")
+    criterion(2, ok, "tracked direction sum (sum q = sum g) follows the "
+                     "gradient sum for 1000 iterations (worst residual "
+                     f"{worst:.2e})")
 
 
 def test_criterion_03_certified_contraction():
@@ -126,7 +123,7 @@ def test_criterion_03_certified_contraction():
 
 def test_criterion_04_remainder_bound():
     def run_nt_xs(fam, w, alpha, eps, iters):
-        st = nt_init(fam, w, alpha, eps)
+        st = nt_init(fam, alpha, eps)
         xs = [st.x]
         for _ in range(iters):
             st = nt_step(st, fam, w)
@@ -237,7 +234,7 @@ def test_criterion_10_scalar_recursion():
     # distance to 1 every step.
     fam = QuadraticFamily(np.ones((1, 1, 1)), np.array([[-1.0]]))
     w = np.array([[1.0]])
-    st = nt_init(fam, w, alpha=1.0, eps=1.0)
+    st = nt_init(fam, alpha=1.0, eps=1.0)
     iterates = [st.x[0, 0]]
     for _ in range(20):
         st = nt_step(st, fam, w)

@@ -3,20 +3,23 @@ reimplementations, formulation equivalence, fixed points, conservation.
 
 The oracle implementations below use explicit per-node Python loops and
 np.linalg.solve so that they share no vectorized code path with the
-module under test.
+module under test.  The curvature-tracked oracle is the paper's canonical
+two-recursion form, which rebuilds the tracked direction from the
+previous Hessian; the module under test carries it as q instead.
 """
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from newtrack.algorithms import (FirstOrderState, NewtonTrackingState,
-                                 centralized_reference, comm_cost,
+from newtrack.algorithms import (DlmState, ExtraState, GradientTrackingState,
+                                 NewtonTrackingState, centralized_reference,
                                  conservation_residual, dlm_init, dlm_step,
                                  extra_init, extra_step, gt_init, gt_step,
                                  nt_init, nt_step, pd_init, pd_step,
-                                 solve_spd_blocks, sq_direction, sq_init,
-                                 sq_step)
+                                 solve_spd_blocks)
+from newtrack.harness import (AlgorithmSpec, DataSpec, RunConfig,
+                              TopologySpec, run_experiment)
 from newtrack.objectives import (LogisticFamily, QuadraticFamily,
                                  generate_logistic_data,
                                  generate_quadratic_set)
@@ -54,7 +57,7 @@ def test_scalar_halving_trace():
     # step, so the iterates are 0, 0.5, 0.75, 0.875 toward x* = 1.
     fam = scalar_family(b=-1.0)
     w = np.array([[1.0]])
-    st = nt_init(fam, w, alpha=1.0, eps=1.0)
+    st = nt_init(fam, alpha=1.0, eps=1.0)
     assert st.u[0, 0] == pytest.approx(-0.5, abs=1e-15)
     seen = [st.x[0, 0]]
     for _ in range(3):
@@ -66,7 +69,7 @@ def test_scalar_halving_trace():
 def test_zero_gradient_start_stays_put():
     fam = scalar_family(b=0.0)
     w = np.array([[1.0]])
-    st = nt_init(fam, w, alpha=1.0, eps=1.0)
+    st = nt_init(fam, alpha=1.0, eps=1.0)
     assert st.u[0, 0] == 0.0
     st = nt_step(st, fam, w)
     assert st.x[0, 0] == 0.0
@@ -83,7 +86,7 @@ def test_nt_matches_plain_loop_oracle():
     h = np.array([fam.node(i).hess(x[i]) + eps * np.eye(p) for i in range(n)])
     u = np.array([np.linalg.solve(h[i], g[i]) for i in range(n)])
 
-    st = nt_init(fam, w, alpha, eps)
+    st = nt_init(fam, alpha, eps)
     assert_allclose(st.u, u, atol=1e-13)
     for _ in range(50):
         x1 = x - u
@@ -104,11 +107,18 @@ def test_conservation_holds_along_run():
     ds = generate_logistic_data(n=6, m=8, p=4, reg=1e-3, seed=3)
     fam = LogisticFamily(ds)
     w = metropolis_weights(build_topology("cycle", 6)).w
-    st = nt_init(fam, w, alpha=1.0, eps=1.0)
+    eps = 1.0
+    st = nt_init(fam, alpha=1.0, eps=eps)
     assert conservation_residual(st) < 1e-12
     for _ in range(50):
         st = nt_step(st, fam, w)
         assert conservation_residual(st) < 1e-9
+        # sum_i q_i = sum_i grad_i carries over to the solved direction:
+        # sum_i (hess_i + eps I) u_i = sum_i grad_i.
+        h = fam.hess_stack(st.x) + eps * np.eye(fam.p)
+        lhs = np.einsum("npq,nq->p", h, st.u)
+        rhs = st.grad.sum(axis=0)
+        assert np.linalg.norm(lhs - rhs) / (np.linalg.norm(rhs) + 1.0) < 1e-9
 
 
 def test_nt_fixed_point():
@@ -117,10 +127,9 @@ def test_nt_fixed_point():
     eps = 1.5
     x_star = fam.optimum()
     tile = np.tile(x_star, (fam.n, 1))
-    h = fam.hess_stack(tile) + eps * np.eye(fam.p)
-    st = NewtonTrackingState(x=tile, u=np.zeros_like(tile),
-                             grad=fam.grad_stack(tile), hess=h,
-                             mixed=w @ tile, alpha=0.7, eps=eps, t=0)
+    st = NewtonTrackingState(x=tile, q=np.zeros_like(tile),
+                             u=np.zeros_like(tile), grad=fam.grad_stack(tile),
+                             alpha=0.7, eps=eps, t=0)
     assert conservation_residual(st) < 1e-12
     nxt = nt_step(st, fam, w)
     assert np.max(np.abs(nxt.x - tile)) < 1e-12
@@ -131,17 +140,14 @@ def test_nt_fixed_point():
 # Equivalent formulations.
 # ---------------------------------------------------------------------------
 
-def run_three_ways(fam, w, root, alpha, eps, iters):
-    nt = nt_init(fam, w, alpha, eps)
+def run_both_ways(fam, w, root, alpha, eps, iters):
+    nt = nt_init(fam, alpha, eps)
     pd = pd_init(fam, root, alpha, eps)
-    sq = sq_init(fam, alpha, eps)
     gaps = []
     for _ in range(iters):
         nt = nt_step(nt, fam, w)
         pd = pd_step(pd, fam, w)
-        sq = sq_step(sq, fam, w)
-        gaps.append(max(np.max(np.abs(nt.x - pd.x)),
-                        np.max(np.abs(nt.x - sq.x))))
+        gaps.append(np.max(np.abs(nt.x - pd.x)))
     return max(gaps)
 
 
@@ -149,7 +155,7 @@ def test_formulations_agree_quadratic():
     fam = generate_quadratic_set(n=3, p=2, seed=1)
     mix = metropolis_weights(build_topology("cycle", 3))
     root = spectral_stats(mix).root
-    assert run_three_ways(fam, mix.w, root, 0.9, 1.1, 100) < 1e-10
+    assert run_both_ways(fam, mix.w, root, 0.9, 1.1, 100) < 1e-10
 
 
 def test_formulations_agree_logistic():
@@ -157,7 +163,7 @@ def test_formulations_agree_logistic():
     fam = LogisticFamily(ds)
     mix = metropolis_weights(build_topology("random", 6, tau=0.6, seed=3))
     root = spectral_stats(mix).root
-    assert run_three_ways(fam, mix.w, root, 1.0, 1.0, 100) < 1e-8
+    assert run_both_ways(fam, mix.w, root, 1.0, 1.0, 100) < 1e-8
 
 
 def test_first_primal_dual_step_is_regularized_newton():
@@ -168,7 +174,7 @@ def test_first_primal_dual_step_is_regularized_newton():
     h = fam.hess_stack(np.zeros((fam.n, fam.p))) + eps * np.eye(fam.p)
     expected = -solve_spd_blocks(h, fam.grad_stack(np.zeros((fam.n, fam.p))))
     assert_allclose(pd.x, expected, atol=1e-13)
-    nt = nt_step(nt_init(fam, mix.w, 0.5, eps), fam, mix.w)
+    nt = nt_step(nt_init(fam, 0.5, eps), fam, mix.w)
     assert_allclose(pd.x, nt.x, atol=1e-13)
 
 
@@ -184,10 +190,14 @@ def test_dual_iterate_stays_in_root_range():
 
 
 def test_tracked_direction_matches_initial_direction():
-    fam, _, mix = cycle_setup(seed=6)
-    sq = sq_init(fam, 0.9, 1.3)
-    nt = nt_init(fam, mix.w, 0.9, 1.3)
-    assert_allclose(sq_direction(sq, fam), nt.u, atol=1e-14)
+    # q starts at grad(0) and u solves the regularized system against it.
+    fam, _, _ = cycle_setup(seed=6)
+    nt = nt_init(fam, 0.9, 1.3)
+    zero = np.zeros((fam.n, fam.p))
+    assert np.array_equal(nt.q, fam.grad_stack(zero))
+    h = fam.hess_stack(zero) + 1.3 * np.eye(fam.p)
+    for i in range(fam.n):
+        assert_allclose(nt.u[i], np.linalg.solve(h[i], nt.q[i]), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +247,9 @@ def test_tracker_mean_equals_gradient_mean():
 def test_extra_scalar_trace():
     fam = scalar_family(b=-1.0)
     w = np.array([[1.0]])
-    st = extra_init(fam, w, alpha=0.5)
+    st = extra_init(fam, alpha=0.5)
+    assert st.t == 0 and st.x[0, 0] == 0.0
+    st = extra_step(st, fam, w)
     assert st.t == 1
     assert st.x[0, 0] == pytest.approx(0.5, abs=1e-15)
     st = extra_step(st, fam, w)
@@ -251,7 +263,7 @@ def test_extra_matches_plain_loop():
     x0 = np.zeros((n, fam.p))
     g0 = np.array([fam.node(i).grad(x0[i]) for i in range(n)])
     x1 = slow_mix(w, x0) - alpha * g0
-    st = extra_init(fam, w, alpha)
+    st = extra_step(extra_init(fam, alpha), fam, w)
     assert_allclose(st.x, x1, atol=1e-14)
     for _ in range(50):
         g1 = np.array([fam.node(i).grad(x1[i]) for i in range(n)])
@@ -265,8 +277,9 @@ def test_extra_matches_plain_loop():
 def test_dlm_single_node_recursion():
     fam = scalar_family(b=-1.0)
     g = build_topology("complete", 1)
+    w = np.array([[1.0]])
     eps, alpha = 2.0, 0.5
-    st = dlm_init(fam, g, alpha=alpha, eps=eps)
+    st = dlm_step(dlm_init(fam, g, alpha=alpha, eps=eps), fam, w)
     # degree 0: D = 1/eps and the Laplacian vanishes
     grad0 = -1.0
     x0, x1 = 0.0, -grad0 / eps
@@ -275,7 +288,7 @@ def test_dlm_single_node_recursion():
         g1 = x1 - 1.0
         x2 = 2.0 * x1 - x0 - (g1 - grad0) / eps
         x0, x1, grad0 = x1, x2, g1
-        st = dlm_step(st, fam)
+        st = dlm_step(st, fam, w)
         assert st.x[0, 0] == pytest.approx(x1, abs=1e-13)
 
 
@@ -289,7 +302,7 @@ def test_dlm_matches_plain_loop():
     x0 = np.zeros((n, fam.p))
     g0 = np.array([fam.node(i).grad(x0[i]) for i in range(n)])
     x1 = x0 - alpha * dscale[:, None] * (lap @ x0) - dscale[:, None] * g0
-    st = dlm_init(fam, graph, alpha, eps)
+    st = dlm_step(dlm_init(fam, graph, alpha, eps), fam, mix.w)
     assert_allclose(st.x, x1, atol=1e-14)
     for _ in range(50):
         g1 = np.array([fam.node(i).grad(x1[i]) for i in range(n)])
@@ -297,7 +310,7 @@ def test_dlm_matches_plain_loop():
         x2 = z - alpha * dscale[:, None] * (lap @ z) \
             - dscale[:, None] * (g1 - g0)
         x0, x1, g0 = x1, x2, g1
-        st = dlm_step(st, fam)
+        st = dlm_step(st, fam, mix.w)
         assert np.max(np.abs(st.x - x1)) < 1e-12
 
 
@@ -311,23 +324,21 @@ def test_baseline_fixed_points():
     tile = np.tile(fam.optimum(), (fam.n, 1))
     g_star = fam.grad_stack(tile)
 
-    gt = FirstOrderState(tag="gradient-tracking", x=tile, alpha=0.05,
-                         y=np.zeros_like(tile), grad_prev=g_star)
+    gt = GradientTrackingState(x=tile, y=np.zeros_like(tile), grad=g_star,
+                               alpha=0.05)
     gt = gt_step(gt, fam, w)
     assert np.max(np.abs(gt.x - tile)) < 1e-12
     assert np.max(np.abs(gt.y)) < 1e-12
 
-    ex = FirstOrderState(tag="extra", x=tile, alpha=0.1, x_prev=tile,
-                         grad_prev=g_star, t=1)
+    ex = ExtraState(x=tile, x_prev=tile, grad_prev=g_star, alpha=0.1, t=1)
     ex = extra_step(ex, fam, w)
     assert np.max(np.abs(ex.x - tile)) < 1e-12
 
     deg = graph.degrees
-    dl = FirstOrderState(tag="dlm", x=tile, alpha=0.4, x_prev=tile,
-                         grad_prev=g_star, eps=0.4,
-                         lap=np.diag(deg.astype(float)) - graph.adjacency(),
-                         dscale=1.0 / (2.0 * 0.4 * deg + 0.4), t=1)
-    dl = dlm_step(dl, fam)
+    dl = DlmState(x=tile, x_prev=tile, grad_prev=g_star, alpha=0.4,
+                  lap=np.diag(deg.astype(float)) - graph.adjacency(),
+                  dscale=1.0 / (2.0 * 0.4 * deg + 0.4), t=1)
+    dl = dlm_step(dl, fam, w)
     assert np.max(np.abs(dl.x - tile)) < 1e-12
 
 
@@ -342,15 +353,15 @@ def test_all_methods_reach_the_same_consensus():
     w = metropolis_weights(graph).w
     tile = np.tile(centralized_reference(fam, tol=1e-13), (6, 1))
 
-    nt = nt_init(fam, w, 1.0, 1.0)
+    nt = nt_init(fam, 1.0, 1.0)
     gt = gt_init(fam, 0.15)
-    ex = extra_init(fam, w, 0.3)
+    ex = extra_init(fam, 0.3)
     dl = dlm_init(fam, graph, 0.3, 0.3)
     for _ in range(800):
         nt = nt_step(nt, fam, w)
         gt = gt_step(gt, fam, w)
         ex = extra_step(ex, fam, w)
-        dl = dlm_step(dl, fam)
+        dl = dlm_step(dl, fam, w)
     for st in (nt, gt, ex, dl):
         assert np.max(np.abs(st.x - tile)) < 1e-6
 
@@ -360,12 +371,22 @@ def test_all_methods_reach_the_same_consensus():
 # ---------------------------------------------------------------------------
 
 def test_comm_cost_table():
-    assert comm_cost("gt", 10, 8) == (1, 160)
-    assert comm_cost("nt", 10, 8) == (1, 80)
-    assert comm_cost("extra", 10, 8) == (1, 80)
-    assert comm_cost("dlm", 10, 8) == (1, 80)
-    with pytest.raises(ValueError):
-        comm_cost("admm", 10, 8)
+    # One round per iteration; gradient tracking ships x and y together.
+    cfg = RunConfig(
+        name="cost", topology=TopologySpec(kind="cycle", n=10),
+        data=DataSpec(family="quadratic", p=8, seed=0),
+        algorithms=(AlgorithmSpec("gt", alpha=0.05),
+                    AlgorithmSpec("nt", alpha=1.0, eps=1.5),
+                    AlgorithmSpec("extra", alpha=0.1),
+                    AlgorithmSpec("dlm", alpha=0.4, eps=0.4)),
+        iters=3)
+    per_round = {name: (tr.comm_rounds[1], tr.scalars_sent[1])
+                 for name, tr in run_experiment(cfg).traces.items()}
+    assert per_round == {"gt": (1, 160), "nt": (1, 80), "extra": (1, 80),
+                         "dlm": (1, 80)}
+    with pytest.raises(ValueError, match="admm"):
+        RunConfig(name="cost", topology=cfg.topology, data=cfg.data,
+                  algorithms=(AlgorithmSpec("admm", alpha=0.1),), iters=3)
 
 
 def test_solve_spd_blocks_matches_dense_solve():
@@ -392,17 +413,17 @@ def test_init_validation():
     g = build_topology("complete", 1)
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError):
-            nt_init(fam, w, bad, 1.0)
+            nt_init(fam, bad, 1.0)
         with pytest.raises(ValueError):
-            nt_init(fam, w, 1.0, bad)
+            nt_init(fam, 1.0, bad)
         with pytest.raises(ValueError):
             pd_init(fam, w, bad, 1.0)
         with pytest.raises(ValueError):
-            sq_init(fam, 1.0, bad)
+            pd_init(fam, w, 1.0, bad)
         with pytest.raises(ValueError):
             gt_init(fam, bad)
         with pytest.raises(ValueError):
-            extra_init(fam, w, bad)
+            extra_init(fam, bad)
         with pytest.raises(ValueError):
             dlm_init(fam, g, bad, 1.0)
 

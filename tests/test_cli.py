@@ -95,7 +95,27 @@ def test_solve_config_file(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["name"] == "tiny"
     assert doc["iterations"] == {"nt": 30, "gt": 30}
+    assert doc["status"] == {"nt": "budget", "gt": "budget"}
     assert not doc["certificates"]["nt"]["feasible"]
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"iters": -5}, "iters"),
+    ({"algorithms": [{"name": "admm", "alpha": 0.1}]}, "algorithms[0].name"),
+    ({"algorithms": [{"name": "gt", "alpha": 0.1},
+                     {"name": "gt", "alpha": 0.2}]}, "algorithms[1].name"),
+    ({"algorithms": [{"name": "nt", "alpha": 1.0}]}, "algorithms[0].eps"),
+    ({"algorithms": [{"name": "dlm", "alpha": 0.4}]}, "algorithms[0].eps"),
+])
+def test_solve_rejects_invalid_config(capsys, tmp_path, change, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**tiny_config_doc(), **change}))
+    rc, out, err = run_cli(capsys, "solve", "--config", str(path))
+    assert rc == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError"
+    assert doc["message"].startswith(field + ":")
 
 
 def test_solve_needs_config_or_preset(capsys):

@@ -2,15 +2,19 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
+from newtrack import algorithms as alg
+from newtrack.analysis import approximation_error
 from newtrack.harness import (CSV_COLUMNS, PRESET_NAMES, AlgorithmSpec,
                               ConvergenceTrace, DataSpec, RunConfig,
                               TopologySpec, export_csv, load_record, preset,
                               run_checks, run_experiment, save_record,
                               topology_sweep, write_outputs)
+from newtrack.objectives import LogisticFamily, generate_logistic_data
 from newtrack.topology import (build_topology, metropolis_weights,
                                topology_to_doc)
 
@@ -102,6 +106,7 @@ def test_tiny_run_traces():
     n, p = 5, 3
     for name, tr in rec.traces.items():
         assert len(tr) == tiny_config().iters + 1
+        assert tr.status == "budget"
         assert tr.rel_error[0] == 1.0
         assert tr.comm_rounds == list(range(len(tr)))
         per_round = 2 * n * p if name == "gt" else n * p
@@ -150,6 +155,7 @@ def test_stop_tol_truncates_run():
     rec = run_experiment(cfg)
     nt = rec.traces["nt"]
     assert len(nt) < cfg.iters + 1
+    assert nt.status == "tol"
     assert nt.rel_error[-1] <= 1e-6
     assert all(e > 1e-6 for e in nt.rel_error[:-1])
 
@@ -169,16 +175,82 @@ def test_pinned_topology_file(tmp_path):
 
 
 def test_unknown_algorithm_and_family():
-    cfg = dataclasses.replace(
-        tiny_config(iters=2),
-        algorithms=(AlgorithmSpec("admm", alpha=0.1),))
+    # An unknown algorithm is rejected when the config is built.
     with pytest.raises(ValueError):
-        run_experiment(cfg)
+        dataclasses.replace(tiny_config(iters=2),
+                            algorithms=(AlgorithmSpec("admm", alpha=0.1),))
     cfg = dataclasses.replace(
         tiny_config(iters=2),
         data=DataSpec(family="cubic", p=3, seed=0))
     with pytest.raises(ValueError):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"iters": -5}, "iters"),
+    ({"algorithms": (AlgorithmSpec("admm", alpha=0.1),)}, "algorithms[0].name"),
+    ({"algorithms": (AlgorithmSpec("gt", alpha=0.1),
+                     AlgorithmSpec("gt", alpha=0.2))}, "algorithms[1].name"),
+    ({"algorithms": (AlgorithmSpec("nt", alpha=1.0),)}, "algorithms[0].eps"),
+    ({"algorithms": (AlgorithmSpec("gt", alpha=0.1),
+                     AlgorithmSpec("dlm", alpha=0.4))}, "algorithms[1].eps"),
+])
+def test_config_validation_names_the_field(change, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        dataclasses.replace(tiny_config(), **change)
+    doc = json.loads(json.dumps(tiny_config().to_doc()))
+    doc.update({k: [dataclasses.asdict(a) for a in v] if k == "algorithms"
+                else v for k, v in change.items()})
+    with pytest.raises(ValueError, match=re.escape(field)):
+        RunConfig.from_doc(doc)
+
+
+def test_divergence_stops_and_record_is_strict_json(tmp_path):
+    # The published fig1 network and data, with a step size that blows up.
+    cfg = dataclasses.replace(preset("fig1"), algorithms=(
+        AlgorithmSpec("nt", alpha=50.0, eps=0.01),))
+    with np.errstate(over="ignore"):
+        rec = run_experiment(cfg)
+    nt = rec.traces["nt"]
+    assert nt.status == "diverged"
+    assert len(nt) == 39  # iterate 39 is the first with a non-finite error
+    assert all(np.isfinite(nt.rel_error))
+    save_record(rec, tmp_path / "record.json")
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    doc = json.loads((tmp_path / "record.json").read_text(),
+                     parse_constant=reject)
+    assert doc["traces"]["nt"]["status"] == "diverged"
+    back = load_record(tmp_path / "record.json")
+    assert back.traces["nt"].status == "diverged"
+    # The check replays only the recorded iterates, so its report stays
+    # finite: it reproduces the run and flags the blow-up.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = run_checks(back)
+    assert rep.checks["determinism"]["passed"]
+    assert rep.checks["equivalence"]["detail"]["steps"] == 38
+    assert not rep.passed
+    json.dumps(rep.to_doc(), allow_nan=False)
+
+
+def test_qform_remainder_matches_hessian_reference():
+    cfg = dataclasses.replace(preset("fig1"), iters=100)
+    rec = run_experiment(cfg)
+    mix = metropolis_weights(build_topology("random", 10, tau=0.5, seed=7))
+    family = LogisticFamily(generate_logistic_data(n=10, m=12, p=8,
+                                                   reg=1e-3, seed=1))
+    spec = cfg.algorithms[0]
+    state = alg.nt_init(family, spec.alpha, spec.eps)
+    worst = 0.0
+    for t in range(cfg.iters):
+        nxt = alg.nt_step(state, family, mix.w)
+        ref = np.linalg.norm(approximation_error(state.x, nxt.x, family,
+                                                 mix.w, spec.alpha))
+        worst = max(worst, abs(rec.traces["nt"].remainder_norm[t + 1] - ref))
+        state = nxt
+    assert worst < 1e-11
 
 
 def test_first_below():
@@ -295,3 +367,18 @@ def test_run_checks_catch_tampered_trace():
     assert not rep.passed
     assert not rep.checks["determinism"]["passed"]
     assert rep.checks["determinism"]["detail"]["trace_match"] is False
+
+
+def test_run_checks_compare_every_trace_column(tmp_path):
+    rec = run_experiment(tiny_config(iters=20))
+    save_record(rec, tmp_path / "record.json")
+    doc = json.loads((tmp_path / "record.json").read_text())
+    doc["traces"]["gt"]["kkt_primal"][5] *= 1.0 + 1e-9
+    (tmp_path / "record.json").write_text(json.dumps(doc))
+    rep = run_checks(load_record(tmp_path / "record.json"), window=10)
+    det = rep.checks["determinism"]
+    assert not det["passed"]
+    assert det["detail"]["mismatched"] == ["gt.kkt_primal"]
+    # wall-clock columns are measured, so they alone may differ
+    rec.traces["gt"].wall_ms[5] += 1.0
+    assert run_checks(rec, window=10).checks["determinism"]["passed"]
