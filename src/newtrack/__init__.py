@@ -12,7 +12,8 @@ from .algorithms import (DlmState, ExtraState, GradientTrackingState,
                          NewtonTrackingState, PrimalDualState,
                          centralized_reference, conservation_residual,
                          dlm_init, dlm_step, extra_init, extra_step, gt_init,
-                         gt_step, nt_init, nt_step, pd_init, pd_step)
+                         gt_step, nt_init, nt_step, pd_init, pd_step,
+                         reg_solve)
 from .analysis import (BoundReport, RateCertificate, RateFit,
                        approximation_error, best_certificate,
                        consensus_penalty_matrix, contraction_check,

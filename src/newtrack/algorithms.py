@@ -13,7 +13,8 @@ The curvature-tracked method comes in two formulations: the q-form
 a primal-dual form that needs the global square root of I - W and
 therefore serves as an independent analysis oracle (pd_*).  The paper's
 canonical two-recursion form, which rebuilds q from the previous
-Hessian, lives on as the plain-loop oracle in the tests.  First-order
+Hessian, lives on as the plain-loop oracle in the tests.  Both forms
+solve their regularized local systems through reg_solve.  First-order
 baselines: gradient tracking, extra and dlm.  Every init returns the
 state at t = 0, x = 0, so every step is one communication round.
 """
@@ -25,27 +26,56 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .objectives import LogisticFamily
 from .topology import Graph, laplacian
 
 
 def solve_spd_blocks(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve blocks[i] @ out[i] = rhs[i] per node by Cholesky factorization."""
-    out = np.empty_like(rhs)
-    for i in range(rhs.shape[0]):
-        try:
-            factor = cho_factor(blocks[i], lower=True, check_finite=False)
-        except np.linalg.LinAlgError as err:
-            raise np.linalg.LinAlgError(
-                f"regularized local system at node {i} is not positive definite"
-            ) from err
-        out[i] = cho_solve(factor, rhs[i], check_finite=False)
-    return out
+    """Solve blocks[i] @ out[i] = rhs[i] at every node in one batched call.
+
+    A Cholesky factorization of the whole stack first checks that every
+    block is symmetric positive definite (it reads the lower triangle);
+    if one is not, LinAlgError names the first such node.
+    """
+    try:
+        np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        for i, block in enumerate(blocks):
+            try:
+                np.linalg.cholesky(block)
+            except np.linalg.LinAlgError as err:
+                raise np.linalg.LinAlgError(
+                    f"regularized local system at node {i} is not positive definite"
+                ) from err
+        raise
+    return np.linalg.solve(blocks, rhs[..., None])[..., 0]
 
 
-def _reg_hess(family, x: np.ndarray, eps: float) -> np.ndarray:
+def reg_solve(family, x: np.ndarray, eps: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve the regularized local systems (hess_i(x_i) + eps I) u_i = rhs_i.
+
+    The data shape picks the path.  A logistic node with fewer samples than
+    features (m < p) has hess_i = ridge I + F_i' C_i F_i with C_i =
+    diag(s (1 - s)) of rank at most m.  With a = ridge + eps and
+    S = C_i^(1/2), the Woodbury identity gives
+
+        u_i = (r_i - F_i' S K_i^{-1} S F_i r_i) / a,   K_i = a I + S F_i F_i' S,
+
+    an m x m system that is SPD for every c >= 0, so the p x p Hessian is
+    never formed.  Every other family solves the stacked hess_stack + eps I.
+    Both paths factor through solve_spd_blocks.
+    """
+    if isinstance(family, LogisticFamily) and family.m < family.p:
+        f = family.dataset.features
+        a = family.ridge + eps
+        root_c = np.sqrt(family.curvature(x))
+        k = root_c[:, :, None] * family.gram * root_c[:, None, :]
+        k += a * np.eye(family.m)
+        y = solve_spd_blocks(k, root_c * np.einsum("nmp,np->nm", f, rhs))
+        return (rhs - np.einsum("nm,nmp->np", root_c * y, f)) / a
     h = family.hess_stack(x)
-    h += eps * np.eye(x.shape[1])
-    return h
+    h += eps * np.eye(family.p)
+    return solve_spd_blocks(h, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +106,7 @@ def nt_init(family, alpha: float, eps: float) -> NewtonTrackingState:
         raise ValueError("alpha and eps must be positive")
     x = np.zeros((family.n, family.p))
     g = family.grad_stack(x)
-    u = solve_spd_blocks(_reg_hess(family, x, eps), g)
+    u = reg_solve(family, x, eps, g)
     return NewtonTrackingState(x=x, q=g, u=u, grad=g, alpha=alpha, eps=eps, t=0)
 
 
@@ -92,7 +122,7 @@ def nt_step(state: NewtonTrackingState, family, w: np.ndarray) -> NewtonTracking
     g1 = family.grad_stack(x1)
     z = 2.0 * x1 - state.x
     q1 = state.q + (g1 - state.grad) + state.alpha * (z - w @ z)
-    u1 = solve_spd_blocks(_reg_hess(family, x1, state.eps), q1)
+    u1 = reg_solve(family, x1, state.eps, q1)
     return NewtonTrackingState(x=x1, q=q1, u=u1, grad=g1, alpha=state.alpha,
                                eps=state.eps, t=state.t + 1)
 
@@ -138,9 +168,8 @@ def pd_step(state: PrimalDualState, family, w: np.ndarray) -> PrimalDualState:
     """Regularized Newton descent on the augmented Lagrangian, then a dual
     ascent step along the root of I - W."""
     g = family.grad_stack(state.x)
-    h = _reg_hess(family, state.x, state.eps)
     rhs = g + state.root @ state.v + state.alpha * (state.x - w @ state.x)
-    x1 = state.x - solve_spd_blocks(h, rhs)
+    x1 = state.x - reg_solve(family, state.x, state.eps, rhs)
     v1 = state.v + state.alpha * (state.root @ x1)
     return PrimalDualState(x=x1, v=v1, root=state.root,
                            alpha=state.alpha, eps=state.eps, t=state.t + 1)

@@ -132,16 +132,15 @@ def g_norm_error(x: np.ndarray, v: np.ndarray, x_star: np.ndarray,
     return float(np.sum((q_mat @ dx) * dx) + np.sum(dv * dv) / alpha)
 
 
-def kkt_residual(x: np.ndarray, v: np.ndarray, family,
-                 root: np.ndarray) -> tuple[float, float]:
-    """(primal, dual) stationarity residuals.
+def kkt_residual(grad: np.ndarray, root_x: np.ndarray,
+                 root_v: np.ndarray) -> tuple[float, float]:
+    """(primal, dual) stationarity residuals at (x, v), from grad = grad(x),
+    root_x = root @ x and root_v = root @ v.
 
     primal = ||root @ x||, the distance from consensus along the
     constraint; dual = ||grad(x) + root @ v||.
     """
-    primal = float(np.linalg.norm(root @ x))
-    dual = float(np.linalg.norm(family.grad_stack(x) + root @ v))
-    return primal, dual
+    return float(np.linalg.norm(root_x)), float(np.linalg.norm(grad + root_v))
 
 
 def approximation_error(x0: np.ndarray, x1: np.ndarray, family,

@@ -113,6 +113,10 @@ class RunConfig:
     def __post_init__(self):
         if self.iters < 0:
             raise ValueError(f"iters: must be >= 0, got {self.iters}")
+        tol = self.stop_tol
+        if tol is not None and not (isinstance(tol, (int, float))
+                                    and math.isfinite(tol) and tol > 0):
+            raise ValueError(f"stop_tol: must be a finite number > 0, got {tol!r}")
         names = [a.name for a in self.algorithms]
         for i, spec in enumerate(self.algorithms):
             if spec.name not in METHODS:
@@ -137,7 +141,8 @@ class RunConfig:
             data=DataSpec.from_doc(doc["data"]),
             algorithms=tuple(AlgorithmSpec.from_doc(a) for a in doc["algorithms"]),
             iters=int(doc["iters"]),
-            stop_tol=doc.get("stop_tol"),
+            stop_tol=None if doc.get("stop_tol") is None
+            else float(doc["stop_tol"]),
             ref_tol=float(doc.get("ref_tol", 1e-12)),
             beta=float(doc.get("beta", 2.0)),
             phi=float(doc.get("phi", 2.0)),
@@ -376,19 +381,21 @@ def _run_algorithm(spec: AlgorithmSpec, family, graph: Graph, w: np.ndarray,
         v_star = analysis.dual_optimum(family, x_star, root)
     v = np.zeros((n, p))
 
-    def push(state, wall, rem=None, rem_bound=None) -> bool:
-        """Record state; False, recording nothing, if rel_error is not finite."""
+    def push(state, wall, root_x, rem=None, rem_bound=None) -> bool:
+        """Record state, root_x = root @ state.x; False, recording nothing,
+        if rel_error is not finite."""
         rel = float(np.linalg.norm(state.x - target)) / denom
         if not math.isfinite(rel):
             return False
         trace.rel_error.append(rel)
         if is_nt:
-            primal, dual = analysis.kkt_residual(state.x, v, family, root)
+            # The step already evaluated the gradient at state.x.
+            primal, dual = analysis.kkt_residual(state.grad, root_x, root @ v)
             gnorm = analysis.g_norm_error(state.x, v, x_star, v_star, q_mat,
                                           spec.alpha) if feasible else None
             tracking = alg.conservation_residual(state)
         else:
-            primal = float(np.linalg.norm(root @ state.x))
+            primal = float(np.linalg.norm(root_x))
             dual = gnorm = tracking = None
         trace.kkt_primal.append(primal)
         trace.kkt_dual.append(dual)
@@ -405,27 +412,31 @@ def _run_algorithm(spec: AlgorithmSpec, family, graph: Graph, w: np.ndarray,
         return config.stop_tol is not None and trace.rel_error[-1] <= config.stop_tol
 
     state = method.init(family, graph, spec)
-    push(state, 0.0)
-    for _ in range(config.iters):
-        if reached():
-            break
-        tic = time.perf_counter()
-        new = step(state, family, w)
-        wall = (time.perf_counter() - tic) * 1e3
-        rem = rem_bound = None
-        if is_nt:
-            v = v + spec.alpha * (root @ new.x)
-            # Second-order remainder of the step x -> x - u, from q = (H + eps I) u:
-            # e = g0 - g1 - q0 + eps u0 + alpha (I - W) u0.
-            u = state.u
-            e = state.grad - new.grad - state.q + spec.eps * u \
-                + spec.alpha * (u - w @ u)
-            rem = float(np.linalg.norm(e))
-            rem_bound = cert.kappa * float(np.linalg.norm(new.x - state.x))
-        state = new
-        if not push(state, wall, rem, rem_bound):
-            trace.status = "diverged"
-            break
+    push(state, 0.0, root @ state.x)
+    # A diverging run overflows on its way to the first non-finite
+    # rel_error; the trace reports that as status "diverged".
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.iters):
+            if reached():
+                break
+            tic = time.perf_counter()
+            new = step(state, family, w)
+            wall = (time.perf_counter() - tic) * 1e3
+            root_x = root @ new.x
+            rem = rem_bound = None
+            if is_nt:
+                v = v + spec.alpha * root_x
+                # Second-order remainder of the step x -> x - u, from
+                # q = (H + eps I) u: e = g0 - g1 - q0 + eps u0 + alpha (I - W) u0.
+                u = state.u
+                e = state.grad - new.grad - state.q + spec.eps * u \
+                    + spec.alpha * (u - w @ u)
+                rem = float(np.linalg.norm(e))
+                rem_bound = cert.kappa * float(np.linalg.norm(new.x - state.x))
+            state = new
+            if not push(state, wall, root_x, rem, rem_bound):
+                trace.status = "diverged"
+                break
     if trace.status == "budget" and reached():
         trace.status = "tol"
     return trace
@@ -547,15 +558,27 @@ def run_checks(record: RunRecord, window: int = 100) -> CheckReport:
         "passed": bool(same_digest and not mismatched),
         "detail": {"digest_match": same_digest, "trace_match": not mismatched,
                    "mismatched": mismatched}}
+    # Overflow in the replay of a diverged run shows as failed checks, not
+    # as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks.update(_replay_checks(record, window))
+    return CheckReport(checks=checks)
 
+
+def _replay_checks(record: RunRecord, window: int) -> dict:
+    """Identity and bound checks over up to `window` replayed steps.
+
+    Replays cover the iterates the record holds, so they stop where a
+    diverged run stopped.
+    """
+    checks = {}
+    config = record.config
     graph, mix = _build_network(config.topology)
     spectra = spectral_stats(mix)
     family, _ = _make_family(config.data, graph.n)
     bounds = convexity_bounds(family)
     x_star = alg.centralized_reference(family, tol=config.ref_tol)
 
-    # Replays cover the iterates the record holds, so they stop where a
-    # diverged run stopped.
     specs = {s.name: s for s in config.algorithms}
     if "nt" in specs:
         spec = specs["nt"]
@@ -610,4 +633,4 @@ def run_checks(record: RunRecord, window: int = 100) -> CheckReport:
             worst = max(worst, float(diff / (np.linalg.norm(g.mean(axis=0)) + 1.0)))
         checks["tracker_mean"] = {"passed": worst < 1e-9,
                                   "detail": {"worst": worst}}
-    return CheckReport(checks=checks)
+    return checks

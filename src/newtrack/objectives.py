@@ -8,6 +8,7 @@ at a shared point feed the centralized reference solver.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -169,16 +170,22 @@ def make_quadratic(a: np.ndarray, b: np.ndarray) -> QuadraticObjective:
 
 
 class LogisticFamily:
-    """Stacked operations for a logistic dataset across all nodes."""
+    """Stacked operations for a logistic dataset across all nodes.
+
+    Node i's Hessian is ridge I + F_i' diag(c_i) F_i, F_i = features[i]
+    of shape (m, p) and c_i = curvature(x)[i]: rank at most m above the
+    ridge.
+    """
 
     def __init__(self, dataset: LogisticDataset):
         self.dataset = dataset
         self.n = dataset.n
+        self.m = dataset.m
         self.p = dataset.p
+        self.ridge = dataset.reg / dataset.n
         self._f = dataset.features
         self._ft = dataset.features.transpose(0, 2, 1)
         self._lab = dataset.labels
-        self._ridge = dataset.reg / dataset.n
 
     def node(self, i: int) -> LogisticObjective:
         return make_logistic(self.dataset, i)
@@ -187,14 +194,22 @@ class LogisticFamily:
         # x has shape (n, p): one local point per node.
         z = np.einsum("nmp,np->nm", self._f, x) * self._lab
         s = expit(-z)
-        return self._ridge * x - np.einsum("nm,nmp->np", self._lab * s, self._f)
+        return self.ridge * x - np.einsum("nm,nmp->np", self._lab * s, self._f)
 
-    def hess_stack(self, x: np.ndarray) -> np.ndarray:
+    def curvature(self, x: np.ndarray) -> np.ndarray:
+        """Per-sample weights c = s (1 - s) in [0, 1/4], shape (n, m)."""
         z = np.einsum("nmp,np->nm", self._f, x) * self._lab
         s = expit(-z)
-        curve = s * (1.0 - s)
-        h = self._ft @ (self._f * curve[:, :, None])
-        h += self._ridge * np.eye(self.p)
+        return s * (1.0 - s)
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """Per-node sample Gram matrices F_i F_i', shape (n, m, m)."""
+        return self._f @ self._ft
+
+    def hess_stack(self, x: np.ndarray) -> np.ndarray:
+        h = self._ft @ (self._f * self.curvature(x)[:, :, None])
+        h += self.ridge * np.eye(self.p)
         return h
 
     def value_total(self, x: np.ndarray) -> float:

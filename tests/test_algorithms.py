@@ -10,6 +10,8 @@ previous Hessian; the module under test carries it as q instead.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from newtrack.algorithms import (DlmState, ExtraState, GradientTrackingState,
@@ -17,7 +19,7 @@ from newtrack.algorithms import (DlmState, ExtraState, GradientTrackingState,
                                  conservation_residual, dlm_init, dlm_step,
                                  extra_init, extra_step, gt_init, gt_step,
                                  nt_init, nt_step, pd_init, pd_step,
-                                 solve_spd_blocks)
+                                 reg_solve, solve_spd_blocks)
 from newtrack.harness import (AlgorithmSpec, DataSpec, RunConfig,
                               TopologySpec, run_experiment)
 from newtrack.objectives import (LogisticFamily, QuadraticFamily,
@@ -37,6 +39,19 @@ def cycle_setup(n=5, p=3, seed=0):
     g = build_topology("cycle", n)
     mix = metropolis_weights(g)
     return fam, g, mix
+
+
+def wide_logistic(n=6, m=3, p=7, seed=3):
+    # Fewer samples than features per node (m < p): reg_solve's Woodbury path.
+    return LogisticFamily(generate_logistic_data(n=n, m=m, p=p, reg=1e-3,
+                                                 seed=seed))
+
+
+def dense_reg_solve(fam, x, eps, rhs):
+    # Plain per-node solve against the stacked Hessian.
+    h = fam.hess_stack(x)
+    return np.array([np.linalg.solve(h[i] + eps * np.eye(fam.p), rhs[i])
+                     for i in range(fam.n)])
 
 
 def slow_mix(w, arr):
@@ -75,10 +90,7 @@ def test_zero_gradient_start_stays_put():
     assert st.x[0, 0] == 0.0
 
 
-def test_nt_matches_plain_loop_oracle():
-    fam, _, mix = cycle_setup()
-    w = mix.w
-    alpha, eps = 0.8, 1.2
+def assert_nt_matches_plain_loop(fam, w, alpha, eps):
     n, p = fam.n, fam.p
 
     x = np.zeros((n, p))
@@ -103,10 +115,19 @@ def test_nt_matches_plain_loop_oracle():
         assert np.max(np.abs(st.u - u)) < 1e-12
 
 
-def test_conservation_holds_along_run():
-    ds = generate_logistic_data(n=6, m=8, p=4, reg=1e-3, seed=3)
-    fam = LogisticFamily(ds)
-    w = metropolis_weights(build_topology("cycle", 6)).w
+def test_nt_matches_plain_loop_oracle():
+    fam, _, mix = cycle_setup()
+    assert_nt_matches_plain_loop(fam, mix.w, alpha=0.8, eps=1.2)
+
+
+def test_nt_matches_plain_loop_oracle_with_fewer_samples_than_features():
+    fam = wide_logistic(n=5)
+    w = metropolis_weights(build_topology("cycle", 5)).w
+    assert_nt_matches_plain_loop(fam, w, alpha=0.8, eps=1.2)
+
+
+def assert_conservation_along_run(fam):
+    w = metropolis_weights(build_topology("cycle", fam.n)).w
     eps = 1.0
     st = nt_init(fam, alpha=1.0, eps=eps)
     assert conservation_residual(st) < 1e-12
@@ -119,6 +140,14 @@ def test_conservation_holds_along_run():
         lhs = np.einsum("npq,nq->p", h, st.u)
         rhs = st.grad.sum(axis=0)
         assert np.linalg.norm(lhs - rhs) / (np.linalg.norm(rhs) + 1.0) < 1e-9
+
+
+def test_conservation_holds_along_run():
+    assert_conservation_along_run(wide_logistic(m=8, p=4))
+
+
+def test_conservation_holds_along_run_with_fewer_samples_than_features():
+    assert_conservation_along_run(wide_logistic(m=3, p=7))
 
 
 def test_nt_fixed_point():
@@ -159,11 +188,11 @@ def test_formulations_agree_quadratic():
 
 
 def test_formulations_agree_logistic():
-    ds = generate_logistic_data(n=6, m=8, p=4, reg=1e-3, seed=2)
-    fam = LogisticFamily(ds)
     mix = metropolis_weights(build_topology("random", 6, tau=0.6, seed=3))
     root = spectral_stats(mix).root
-    assert run_both_ways(fam, mix.w, root, 1.0, 1.0, 100) < 1e-8
+    for m, p in ((8, 4), (3, 7)):  # the second takes reg_solve's m < p path
+        fam = wide_logistic(m=m, p=p, seed=2)
+        assert run_both_ways(fam, mix.w, root, 1.0, 1.0, 100) < 1e-8
 
 
 def test_first_primal_dual_step_is_regularized_newton():
@@ -405,6 +434,46 @@ def test_solve_spd_blocks_reports_bad_node():
     blocks = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)])
     with pytest.raises(np.linalg.LinAlgError, match="node 1"):
         solve_spd_blocks(blocks, np.ones((3, 2)))
+    # The first failing node is named, wherever it sits in the stack.
+    for bad, first in (((2,), 2), ((0, 2), 0)):
+        blocks = np.stack([np.eye(2)] * 3)
+        blocks[list(bad)] = np.diag([1.0, -1.0])
+        with pytest.raises(np.linalg.LinAlgError, match=f"node {first} "):
+            solve_spd_blocks(blocks, np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1.0])
+@pytest.mark.parametrize("scale", [0.0, 1.0, 60.0])
+def test_reg_solve_woodbury_matches_dense(eps, scale):
+    # x = 0 puts every curvature weight at 1/4; |x| large drives them to 0.
+    fam = wide_logistic()
+    rng = np.random.default_rng(7)
+    x = scale * rng.standard_normal((fam.n, fam.p))
+    rhs = rng.standard_normal((fam.n, fam.p))
+    expected = dense_reg_solve(fam, x, eps, rhs)
+
+    def no_hessian(_):
+        raise AssertionError("the m < p path formed the p x p Hessian")
+
+    fam.hess_stack = no_hessian
+    got = reg_solve(fam, x, eps, rhs)
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 5), m=st.integers(1, 9), p=st.integers(1, 9),
+       log_eps=st.floats(-4.0, 1.0), scale=st.floats(0.0, 20.0),
+       seed=st.integers(0, 2 ** 16))
+def test_reg_solve_matches_dense_property(n, m, p, log_eps, scale, seed):
+    # Both sides of m < p: Woodbury and the stacked dense solve.
+    fam = wide_logistic(n=n, m=m, p=p, seed=seed)
+    rng = np.random.default_rng(seed)
+    x = scale * rng.standard_normal((n, p))
+    rhs = rng.standard_normal((n, p))
+    eps = 10.0 ** log_eps
+    expected = dense_reg_solve(fam, x, eps, rhs)
+    got = reg_solve(fam, x, eps, rhs)
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def test_init_validation():

@@ -181,13 +181,15 @@ def test_kkt_residual_at_optimum():
     x_star = fam.optimum()
     v_star = dual_optimum(fam, x_star, stats.root)
     assert np.max(np.abs(v_star.sum(axis=0))) < 1e-10
-    primal, dual = kkt_residual(np.tile(x_star, (10, 1)), v_star, fam,
-                                stats.root)
+    tile = np.tile(x_star, (10, 1))
+    primal, dual = kkt_residual(fam.grad_stack(tile), stats.root @ tile,
+                                stats.root @ v_star)
     assert primal < 1e-10
     assert dual < 1e-8
-    off = np.tile(x_star, (10, 1))
+    off = tile.copy()
     off[0] += 1.0
-    primal_off, _ = kkt_residual(off, v_star, fam, stats.root)
+    primal_off, _ = kkt_residual(fam.grad_stack(off), stats.root @ off,
+                                 stats.root @ v_star)
     assert primal_off > 0.1
 
 

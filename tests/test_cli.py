@@ -12,7 +12,7 @@ import pytest
 
 from newtrack.cli import main
 from newtrack.harness import (AlgorithmSpec, DataSpec, RunConfig,
-                              TopologySpec)
+                              TopologySpec, preset)
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +106,8 @@ def test_solve_config_file(capsys, tmp_path):
                      {"name": "gt", "alpha": 0.2}]}, "algorithms[1].name"),
     ({"algorithms": [{"name": "nt", "alpha": 1.0}]}, "algorithms[0].eps"),
     ({"algorithms": [{"name": "dlm", "alpha": 0.4}]}, "algorithms[0].eps"),
+    ({"stop_tol": 0}, "stop_tol"),
+    ({"stop_tol": "-1e-6"}, "stop_tol"),
 ])
 def test_solve_rejects_invalid_config(capsys, tmp_path, change, field):
     path = tmp_path / "bad.json"
@@ -247,6 +249,25 @@ def test_check_missing_record(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+def test_diverging_run_keeps_stderr_json(tmp_path):
+    # nt at alpha=50, eps=0.01 on fig1 overflows before it stops; stderr
+    # must hold nothing or one JSON object, never numpy warnings.
+    doc = {**preset("fig1").to_doc(),
+           "algorithms": [{"name": "nt", "alpha": 50.0, "eps": 0.01}]}
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    for argv, rc in ((["solve", "--config", str(path), "--out", str(out)], 0),
+                     (["check", "--record", str(out / "record.json")], 2)):
+        proc = subprocess.run([sys.executable, "-m", "newtrack.cli", *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == rc, proc.stderr
+        json.loads(proc.stdout)
+        if proc.stderr:
+            assert isinstance(json.loads(proc.stderr), dict)
+    assert json.loads(proc.stderr)["error"] == "check_failed"
+
 
 def test_module_entry_point_subprocess():
     proc = subprocess.run(

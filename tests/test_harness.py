@@ -194,6 +194,10 @@ def test_unknown_algorithm_and_family():
     ({"algorithms": (AlgorithmSpec("nt", alpha=1.0),)}, "algorithms[0].eps"),
     ({"algorithms": (AlgorithmSpec("gt", alpha=0.1),
                      AlgorithmSpec("dlm", alpha=0.4))}, "algorithms[1].eps"),
+    ({"stop_tol": 0.0}, "stop_tol"),
+    ({"stop_tol": -1e-6}, "stop_tol"),
+    ({"stop_tol": float("inf")}, "stop_tol"),
+    ({"stop_tol": float("nan")}, "stop_tol"),
 ])
 def test_config_validation_names_the_field(change, field):
     with pytest.raises(ValueError, match=re.escape(field)):
@@ -205,12 +209,23 @@ def test_config_validation_names_the_field(change, field):
         RunConfig.from_doc(doc)
 
 
+def test_stop_tol_from_doc_is_a_number():
+    # A config file may spell the tolerance as a string; it loads as a float
+    # and the run stops there, as with the constructor.
+    doc = json.loads(json.dumps(tiny_config().to_doc()))
+    doc["stop_tol"] = "1e-6"
+    cfg = RunConfig.from_doc(doc)
+    assert cfg.stop_tol == 1e-6
+    assert run_experiment(cfg).traces["nt"].status == "tol"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_stops_and_record_is_strict_json(tmp_path):
     # The published fig1 network and data, with a step size that blows up.
+    # The overflow on the way is reported by the status, never as a warning.
     cfg = dataclasses.replace(preset("fig1"), algorithms=(
         AlgorithmSpec("nt", alpha=50.0, eps=0.01),))
-    with np.errstate(over="ignore"):
-        rec = run_experiment(cfg)
+    rec = run_experiment(cfg)
     nt = rec.traces["nt"]
     assert nt.status == "diverged"
     assert len(nt) == 39  # iterate 39 is the first with a non-finite error
@@ -227,8 +242,7 @@ def test_divergence_stops_and_record_is_strict_json(tmp_path):
     assert back.traces["nt"].status == "diverged"
     # The check replays only the recorded iterates, so its report stays
     # finite: it reproduces the run and flags the blow-up.
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = run_checks(back)
+    rep = run_checks(back)
     assert rep.checks["determinism"]["passed"]
     assert rep.checks["equivalence"]["detail"]["steps"] == 38
     assert not rep.passed
@@ -358,6 +372,18 @@ def test_run_checks_pass_on_fresh_records():
     assert feas.passed
     assert "contraction" in feas.checks
     assert feas.checks["contraction"]["passed"]
+
+
+def test_run_checks_pass_with_fewer_samples_than_features():
+    # fig5 shape (m = 10 < p = 40): the solve takes the Woodbury path, while
+    # the stationarity identity and remainder bound use hess_stack.
+    cfg = preset("fig5-n100")
+    cfg = dataclasses.replace(cfg, iters=40, algorithms=tuple(
+        a for a in cfg.algorithms if a.name == "nt"))
+    report = run_checks(run_experiment(cfg), window=40)
+    assert report.passed, report.checks
+    assert {"equivalence", "stationarity_identity",
+            "remainder_bound"} <= set(report.checks)
 
 
 def test_run_checks_catch_tampered_trace():
