@@ -18,7 +18,8 @@ from .analysis import (BoundReport, RateCertificate, RateFit,
                        approximation_error, best_certificate,
                        consensus_penalty_matrix, contraction_check,
                        decay_window, dual_optimum, fit_linear_rate,
-                       g_norm_error, kkt_residual, lemma_remainder_check,
+                       g_norm_error, g_norm_metric, kkt_residual,
+                       lemma_remainder_check,
                        rate_certificate, stationarity_identity_check)
 from .harness import (AlgorithmSpec, ConvergenceTrace, DataSpec, RunConfig,
                       RunRecord, TopologySpec, export_csv, load_record,

@@ -11,6 +11,7 @@ reported as data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -116,20 +117,34 @@ def dual_optimum(family, x_star: np.ndarray, root: np.ndarray) -> np.ndarray:
     return v_star
 
 
-def g_norm_error(x: np.ndarray, v: np.ndarray, x_star: np.ndarray,
-                 v_star: np.ndarray, q_mat: np.ndarray, alpha: float) -> float:
-    """Squared error ||x - x*||_Q^2 + ||v - v*||^2 / alpha.
+def g_norm_metric(q_mat: np.ndarray, x_star: np.ndarray, v_star: np.ndarray,
+                  alpha: float) -> Callable[[np.ndarray, np.ndarray], float]:
+    """The squared error (x, v) -> ||x - x*||_Q^2 + ||v - v*||^2 / alpha.
 
-    Rejects a Q that is not symmetric positive definite: the metric is
-    only a norm when the feasibility condition holds.
+    Validates Q once, here: the metric is only a norm when Q is symmetric
+    positive definite, which is what the feasibility condition ensures.
     """
     if not np.allclose(q_mat, q_mat.T, rtol=0.0, atol=1e-12):
         raise ValueError("Q must be symmetric")
     if np.linalg.eigvalsh(q_mat)[0] <= 0.0:
         raise ValueError("Q must be positive definite")
-    dx = x - x_star[None, :]
-    dv = v - v_star
-    return float(np.sum((q_mat @ dx) * dx) + np.sum(dv * dv) / alpha)
+
+    def energy(x: np.ndarray, v: np.ndarray) -> float:
+        dx = x - x_star[None, :]
+        dv = v - v_star
+        return float(np.sum((q_mat @ dx) * dx) + np.sum(dv * dv) / alpha)
+
+    return energy
+
+
+def g_norm_error(x: np.ndarray, v: np.ndarray, x_star: np.ndarray,
+                 v_star: np.ndarray, q_mat: np.ndarray, alpha: float) -> float:
+    """Squared error ||x - x*||_Q^2 + ||v - v*||^2 / alpha at one point.
+
+    Rejects a Q that is not symmetric positive definite; to evaluate many
+    points under one Q, validate it once with g_norm_metric.
+    """
+    return g_norm_metric(q_mat, x_star, v_star, alpha)(x, v)
 
 
 def kkt_residual(grad: np.ndarray, root_x: np.ndarray,
@@ -229,9 +244,9 @@ def contraction_check(xs, vs, x_star: np.ndarray, v_star: np.ndarray,
     """
     if not cert.feasible:
         raise ValueError("contraction check requires a feasible certificate")
-    q_mat = consensus_penalty_matrix(w, cert.alpha, cert.eps)
-    energies = [g_norm_error(x, v, x_star, v_star, q_mat, cert.alpha)
-                for x, v in zip(xs, vs)]
+    energy = g_norm_metric(consensus_penalty_matrix(w, cert.alpha, cert.eps),
+                           x_star, v_star, cert.alpha)
+    energies = [energy(x, v) for x, v in zip(xs, vs)]
     bound = cert.contraction
     floor = 1e-14 * max(energies[0], 1.0)
     violations = 0

@@ -8,6 +8,7 @@ derived, so they are the one exception to byte determinism across runs.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -188,7 +189,10 @@ class ConvergenceTrace:
         return None
 
     def to_doc(self) -> dict:
-        return dataclasses.asdict(self)
+        """Fields in declaration order, each column a shallow copy (its
+        entries are numbers or None, so nothing deeper needs copying)."""
+        return {f.name: copy.copy(getattr(self, f.name))
+                for f in dataclasses.fields(self)}
 
     @staticmethod
     def from_doc(doc: dict) -> "ConvergenceTrace":
@@ -377,8 +381,9 @@ def _run_algorithm(spec: AlgorithmSpec, family, graph: Graph, w: np.ndarray,
     is_nt = spec.name == "nt"
     feasible = cert is not None and cert.feasible
     if feasible:
-        q_mat = analysis.consensus_penalty_matrix(w, spec.alpha, spec.eps)
-        v_star = analysis.dual_optimum(family, x_star, root)
+        energy = analysis.g_norm_metric(
+            analysis.consensus_penalty_matrix(w, spec.alpha, spec.eps),
+            x_star, analysis.dual_optimum(family, x_star, root), spec.alpha)
     v = np.zeros((n, p))
 
     def push(state, wall, root_x, rem=None, rem_bound=None) -> bool:
@@ -391,8 +396,7 @@ def _run_algorithm(spec: AlgorithmSpec, family, graph: Graph, w: np.ndarray,
         if is_nt:
             # The step already evaluated the gradient at state.x.
             primal, dual = analysis.kkt_residual(state.grad, root_x, root @ v)
-            gnorm = analysis.g_norm_error(state.x, v, x_star, v_star, q_mat,
-                                          spec.alpha) if feasible else None
+            gnorm = energy(state.x, v) if feasible else None
             tracking = alg.conservation_residual(state)
         else:
             primal = float(np.linalg.norm(root_x))

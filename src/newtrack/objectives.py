@@ -225,7 +225,9 @@ class LogisticFamily:
         z = (self._f @ x) * self._lab
         s = expit(-z)
         curve = s * (1.0 - s)
-        h = np.einsum("nmp,nm,nmq->pq", self._f, curve, self._f)
+        # One GEMM over all n m samples: F' (c * F), F of shape (n m, p).
+        f = self._f.reshape(-1, self.p)
+        h = f.T @ (f * curve.reshape(-1, 1))
         return h + self.dataset.reg * np.eye(self.p)
 
 
@@ -303,19 +305,16 @@ def convexity_bounds(family) -> ObjectiveBounds:
     Quadratic: mu = min_i lambda_min(A_i); lip = max_i lambda_max(A_i).
     """
     if isinstance(family, LogisticFamily):
-        gram_max = 0.0
-        for i in range(family.n):
-            f = family.dataset.features[i]
-            gram_max = max(gram_max, float(np.linalg.eigvalsh(f.T @ f)[-1]))
+        # F_i' F_i and F_i F_i' share their nonzero eigenvalues: take the
+        # smaller Gram, for m < p the one the Woodbury solve caches.
+        gram = family.gram if family.m < family.p else family._ft @ family._f
+        gram_max = float(np.max(np.linalg.eigvalsh(gram)[:, -1]))
         ridge = family.dataset.reg / family.n
         return ObjectiveBounds(mu=ridge, lip=ridge + 0.25 * gram_max)
     if isinstance(family, QuadraticFamily):
-        lows, highs = [], []
-        for i in range(family.n):
-            lam = np.linalg.eigvalsh(family.a[i])
-            lows.append(lam[0])
-            highs.append(lam[-1])
-        return ObjectiveBounds(mu=float(min(lows)), lip=float(max(highs)))
+        lam = np.linalg.eigvalsh(family.a)
+        return ObjectiveBounds(mu=float(np.min(lam[:, 0])),
+                               lip=float(np.max(lam[:, -1])))
     raise TypeError(f"no convexity bounds known for {type(family).__name__}")
 
 

@@ -9,6 +9,7 @@ eigenvalue lies in (-1, 1].
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -33,33 +34,39 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need at least one node, got n={self.n}")
-        seen = set()
-        for i, j in self.edges:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"edge ({i}, {j}) is not canonical for n={self.n}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-        if tuple(sorted(self.edges)) != self.edges:
-            raise ValueError("edges must be sorted lexicographically")
-        if not _connected(self.n, self.edges):
+        i, j = self.edge_index.T
+        key = i * self.n + j
+        # Canonical, sorted and duplicate-free at once: 0 <= i < j < n and
+        # the keys i n + j strictly increase.
+        if not (((0 <= i) & (i < j) & (j < self.n)).all()
+                and (key[1:] > key[:-1]).all()):
+            raise ValueError(_first_defect(self.n, self.edges))
+        if not _connected(self.n, i, j):
             raise ValueError("graph is not connected")
 
-    @property
+    @functools.cached_property
+    def edge_index(self) -> np.ndarray:
+        """Edges as a read-only (num_edges, 2) integer array."""
+        e = np.array(self.edges, dtype=np.int64)
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError("edges must be pairs (i, j)")
+        e.flags.writeable = False
+        return e
+
+    @functools.cached_property
     def degrees(self) -> np.ndarray:
-        """Node degrees as an integer vector of length n."""
-        d = np.zeros(self.n, dtype=np.int64)
-        for i, j in self.edges:
-            d[i] += 1
-            d[j] += 1
+        """Node degrees as a read-only integer vector of length n."""
+        d = np.bincount(self.edge_index.ravel(), minlength=self.n)
+        d.flags.writeable = False
         return d
 
     def adjacency(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix."""
         a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
+        i, j = self.edge_index.T
+        a[i, j] = a[j, i] = 1.0
         return a
 
 
@@ -110,22 +117,33 @@ class SpectralStats:
     root: np.ndarray
 
 
-def _connected(n: int, edges) -> bool:
-    # Plain BFS over adjacency lists.
-    adj: list[list[int]] = [[] for _ in range(n)]
+def _first_defect(n: int, edges) -> str:
+    """Why an edge list is invalid, naming the first offending edge in order."""
+    seen = set()
     for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * n
-    seen[0] = True
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                queue.append(u)
-    return all(seen)
+        if not (0 <= i < j < n):
+            return f"edge ({i}, {j}) is not canonical for n={n}"
+        if (i, j) in seen:
+            return f"duplicate edge ({i}, {j})"
+        seen.add((i, j))
+    return "edges must be sorted lexicographically"
+
+
+def _connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
+    # Reachability from node 0 by repeated squaring of the 0/1 matrix of
+    # pairs within h hops (h = 1, 2, 4, ...), so a path of length d costs
+    # about log2(d) products.  Clipping to 1 keeps every product exact.
+    hops = np.eye(n)
+    hops[i, j] = hops[j, i] = 1.0
+    size = 1
+    while True:
+        reach = np.count_nonzero(hops[0])
+        if reach == n:
+            return True
+        if reach == size:
+            return False  # nothing new within twice the hops: a component
+        size = reach
+        hops = np.minimum(hops @ hops, 1.0)
 
 
 def _random_spanning_tree(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -178,7 +196,7 @@ def build_topology(kind: str, n: int, tau: float | None = None,
     elif kind == "cycle":
         edges = [(i, i + 1) for i in range(n - 1)]
         if n >= 3:
-            edges.append((0, n - 1))
+            edges = sorted(edges + [(0, n - 1)])
     elif kind == "complete":
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     elif kind == "random":
@@ -194,17 +212,20 @@ def build_topology(kind: str, n: int, tau: float | None = None,
         target = min(target, max_edges)
         rng = np.random.default_rng(seed)
         tree = _random_spanning_tree(n, rng)
-        chosen = set(tree)
-        rest = [(i, j) for i in range(n) for j in range(i + 1, n)
-                if (i, j) not in chosen]
+        tree_i, tree_j = np.array(tree, dtype=np.int64).reshape(-1, 2).T
+        chosen = np.zeros((n, n), dtype=bool)
+        chosen[tree_i, tree_j] = True
+        # Non-tree pairs i < j in lexicographic order.
+        rest_i, rest_j = np.nonzero(np.triu(~chosen, 1))
         extra = target - len(tree)
         if extra > 0:
-            picks = rng.choice(len(rest), size=extra, replace=False)
-            chosen.update(rest[k] for k in picks)
-        edges = sorted(chosen)
+            picks = rng.choice(len(rest_i), size=extra, replace=False)
+            chosen[rest_i[picks], rest_j[picks]] = True
+        rows, cols = np.nonzero(chosen)  # row-major: lexicographic order
+        edges = zip(rows.tolist(), cols.tolist())
     else:
         raise ValueError(f"unknown topology kind {kind!r}")
-    return Graph(n=n, edges=tuple(sorted(edges)))
+    return Graph(n=n, edges=tuple(edges))
 
 
 def metropolis_weights(graph: Graph) -> MixingMatrix:
@@ -214,9 +235,9 @@ def metropolis_weights(graph: Graph) -> MixingMatrix:
     """
     n = graph.n
     d = graph.degrees
+    i, j = graph.edge_index.T
     w = np.zeros((n, n))
-    for i, j in graph.edges:
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(d[i], d[j]))
+    w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(d[i], d[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     lam = np.linalg.eigvalsh(w)
     return MixingMatrix(w=w, eigenvalues=lam)
@@ -258,8 +279,8 @@ def topology_to_doc(graph: Graph, mix: MixingMatrix) -> dict:
     """JSON-serializable document pinning a topology and its weights."""
     return {
         "n": graph.n,
-        "edges": [[int(i), int(j)] for i, j in graph.edges],
-        "weights": [[float(x) for x in row] for row in mix.w],
+        "edges": graph.edge_index.tolist(),
+        "weights": mix.w.tolist(),
     }
 
 

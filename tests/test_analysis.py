@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from newtrack import analysis
 from newtrack.algorithms import pd_init, pd_step
 from newtrack.analysis import (approximation_error, best_certificate,
                                consensus_penalty_matrix, contraction_check,
@@ -313,6 +314,25 @@ def test_contraction_certified_on_reference_problem():
     best_rep = contraction_check(xs, vs, x_star, v_star, mix.w, best)
     assert best_rep.passed
     assert best_rep.worst <= best.contraction
+
+
+def test_contraction_check_validates_metric_once(monkeypatch):
+    fam = identity_family(seed=1)
+    mix, stats = complete10()
+    xs, vs = pd_trajectory(fam, mix, stats, alpha=0.1, eps=5.0, iters=30)
+    x_star = fam.optimum()
+    v_star = dual_optimum(fam, x_star, stats.root)
+    cert = reference_certificate()
+    calls = []
+    real = analysis.g_norm_metric
+    monkeypatch.setattr(analysis, "g_norm_metric",
+                        lambda *args: calls.append(args) or real(*args))
+    rep = contraction_check(xs, vs, x_star, v_star, mix.w, cert)
+    assert len(calls) == 1
+    q_mat = consensus_penalty_matrix(mix.w, cert.alpha, cert.eps)
+    assert rep.detail["energies"] == [
+        g_norm_error(x, v, x_star, v_star, q_mat, cert.alpha)
+        for x, v in zip(xs, vs)]
 
 
 def test_contraction_check_rejects_infeasible_and_flags_growth():

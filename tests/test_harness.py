@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from newtrack import algorithms as alg
+from newtrack import analysis, harness
 from newtrack.analysis import approximation_error
 from newtrack.harness import (CSV_COLUMNS, PRESET_NAMES, AlgorithmSpec,
                               ConvergenceTrace, DataSpec, RunConfig,
@@ -16,7 +17,7 @@ from newtrack.harness import (CSV_COLUMNS, PRESET_NAMES, AlgorithmSpec,
                               topology_sweep, write_outputs)
 from newtrack.objectives import LogisticFamily, generate_logistic_data
 from newtrack.topology import (build_topology, metropolis_weights,
-                               topology_to_doc)
+                               spectral_stats, topology_to_doc)
 
 
 def tiny_config(iters=200):
@@ -148,6 +149,34 @@ def test_feasible_run_populates_metric_error():
     g = rec.traces["nt"].gnorm_error
     assert all(isinstance(v, float) for v in g)
     assert all(b <= a + 1e-12 for a, b in zip(g, g[1:]))
+
+
+def test_feasible_run_validates_metric_once(monkeypatch):
+    cfg = feasible_config()
+    calls = []
+    real = analysis.g_norm_metric
+    monkeypatch.setattr(analysis, "g_norm_metric",
+                        lambda *args: calls.append(args) or real(*args))
+    rec = run_experiment(cfg)
+    assert len(calls) == 1
+
+    # Oracle: the metric at every recorded iterate, Q re-validated per call.
+    spec = cfg.algorithms[0]
+    graph, mix = harness._build_network(cfg.topology)
+    root = spectral_stats(mix).root
+    family, _ = harness._make_family(cfg.data, graph.n)
+    q_mat = analysis.consensus_penalty_matrix(mix.w, spec.alpha, spec.eps)
+    v_star = analysis.dual_optimum(family, rec.x_star, root)
+    state = alg.nt_init(family, spec.alpha, spec.eps)
+    v = np.zeros_like(state.x)
+    expected = [analysis.g_norm_error(state.x, v, rec.x_star, v_star, q_mat,
+                                      spec.alpha)]
+    for _ in range(cfg.iters):
+        state = alg.nt_step(state, family, mix.w)
+        v = v + spec.alpha * (root @ state.x)
+        expected.append(analysis.g_norm_error(state.x, v, rec.x_star, v_star,
+                                              q_mat, spec.alpha))
+    assert rec.traces["nt"].gnorm_error == expected
 
 
 def test_stop_tol_truncates_run():
@@ -352,6 +381,14 @@ def test_write_outputs_and_record_round_trip(tmp_path):
     save_record(back, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_text() == \
         (tmp_path / "run" / "record.json").read_text()
+
+
+def test_trace_doc_is_a_shallow_copy_of_the_fields():
+    trace = run_experiment(tiny_config(iters=8)).traces["nt"]
+    doc = trace.to_doc()
+    assert json.dumps(doc) == json.dumps(dataclasses.asdict(trace))
+    doc["rel_error"].append(0.0)
+    assert len(doc["rel_error"]) == len(trace) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,16 @@ def test_logistic_lip_at_least_curvature_at_zero():
     assert bounds.lip == pytest.approx(worst, rel=1e-12)
 
 
+@pytest.mark.parametrize("m, p", [(4, 9), (9, 4), (6, 6)])
+def test_logistic_bounds_match_per_node_loop(m, p):
+    ds = generate_logistic_data(n=7, m=m, p=p, reg=1e-3, seed=3)
+    gram_max = max(np.linalg.eigvalsh(f.T @ f)[-1] for f in ds.features)
+    bounds = convexity_bounds(LogisticFamily(ds))
+    assert bounds.mu == ds.reg / ds.n
+    assert bounds.lip == pytest.approx(ds.reg / ds.n + 0.25 * gram_max,
+                                       rel=1e-12)
+
+
 def test_quadratic_bounds_are_extreme_eigs():
     c = 1.7
     fam = QuadraticFamily(np.tile(c * np.eye(3), (4, 1, 1)), np.zeros((4, 3)))

@@ -7,24 +7,59 @@ line:  2 - 2 cos(pi k / n),   k = 0..n-1
 cycle: 2 - 2 cos(2 pi k / n), k = 0..n-1
 """
 
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from newtrack.topology import (Graph, MixingMatrix, ZERO_EIG_TOL,
-                               build_topology, laplacian, metropolis_weights,
-                               spectral_stats, topology_from_doc,
-                               topology_to_doc)
+                               _random_spanning_tree, build_topology,
+                               laplacian, metropolis_weights, spectral_stats,
+                               topology_from_doc, topology_to_doc)
 
 
 def scipy_connected(graph):
     a = csr_matrix(graph.adjacency())
     ncomp, _ = connected_components(a, directed=False)
     return ncomp == 1
+
+
+def loop_random_edges(n, tau, seed):
+    """The random topology as plain loops: a random tree, then `extra`
+    non-tree pairs drawn without replacement from their lexicographic list."""
+    max_edges = n * (n - 1) // 2
+    target = min(int(math.floor(tau * max_edges + 0.5)), max_edges)
+    rng = np.random.default_rng(seed)
+    tree = _random_spanning_tree(n, rng)
+    chosen = set(tree)
+    rest = [(i, j) for i in range(n) for j in range(i + 1, n)
+            if (i, j) not in chosen]
+    extra = target - len(tree)
+    if extra > 0:
+        picks = rng.choice(len(rest), size=extra, replace=False)
+        chosen.update(rest[k] for k in picks)
+    return tuple(sorted(chosen))
+
+
+def loop_metropolis(graph):
+    """Metropolis weights and degrees edge by edge."""
+    n = graph.n
+    deg = np.zeros(n, dtype=np.int64)
+    for i, j in graph.edges:
+        deg[i] += 1
+        deg[j] += 1
+    w = np.zeros((n, n))
+    for i, j in graph.edges:
+        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w, deg
 
 
 def line_eigs(n):
@@ -65,9 +100,45 @@ def test_graph_rejects_self_loop_and_duplicates():
         Graph(n=3, edges=((1, 0), (1, 2)))  # not canonical i < j
 
 
+def test_graph_rejects_unsorted_edges():
+    with pytest.raises(ValueError, match="sorted lexicographically"):
+        Graph(n=3, edges=((0, 2), (0, 1)))
+    with pytest.raises(ValueError, match="sorted lexicographically"):
+        Graph(n=4, edges=((0, 1), (1, 3), (1, 2)))
+    # The first defect in edge order is the one reported.
+    with pytest.raises(ValueError, match=r"duplicate edge \(1, 2\)"):
+        Graph(n=3, edges=((1, 2), (0, 1), (1, 2)))
+    with pytest.raises(ValueError, match=r"edge \(5, 6\) is not canonical"):
+        Graph(n=4, edges=((0, 1), (5, 6), (0, 1)))
+
+
 def test_graph_rejects_disconnected():
     with pytest.raises(ValueError):
         Graph(n=4, edges=((0, 1), (2, 3)))
+    # A long path needs ten reachability rounds; unclipped, its path
+    # counts would overflow (about 3^1024) before the last one.
+    path = tuple((k, k + 1) for k in range(699))
+    Graph(n=700, edges=path)
+    with pytest.raises(ValueError, match="not connected"):
+        Graph(n=701, edges=path)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_connectivity_matches_scipy_on_arbitrary_edge_sets(n, data):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs),
+                              max_size=len(pairs)))
+    edges = tuple(e for e, k in zip(pairs, keep) if k)
+    a = np.zeros((n, n))
+    for i, j in edges:
+        a[i, j] = a[j, i] = 1.0
+    connected = connected_components(csr_matrix(a), directed=False)[0] == 1
+    if connected:
+        assert Graph(n=n, edges=edges).edges == edges
+    else:
+        with pytest.raises(ValueError, match="not connected"):
+            Graph(n=n, edges=edges)
 
 
 def test_connectivity_matches_scipy_oracle():
@@ -100,6 +171,26 @@ def test_random_rejects_budget_below_tree():
         build_topology("random", 10, tau=0.5)  # seed required
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 40), tau=st.floats(0.0, 1.0, exclude_min=True),
+       seed=st.integers(0, 2 ** 16))
+def test_random_edges_match_plain_loop(n, tau, seed):
+    if math.floor(tau * (n * (n - 1) // 2) + 0.5) < n - 1:
+        with pytest.raises(ValueError, match="cannot connect"):
+            build_topology("random", n, tau=tau, seed=seed)
+        return
+    assert build_topology("random", n, tau=tau, seed=seed).edges == \
+        loop_random_edges(n, tau, seed)
+
+
+def test_random_fig5_network_is_pinned():
+    g = build_topology("random", 100, tau=0.5, seed=7)
+    assert len(g.edges) == 2475
+    assert g.edges == loop_random_edges(100, 0.5, 7)
+    assert hashlib.sha256(json.dumps(g.edges).encode()).hexdigest() == \
+        "8dc68b7eaab805b4a3304a35b9de6f4951ff3540af4b0f29ef91edf7b1c47760"
+
+
 def test_random_determinism_and_seed_sensitivity():
     g1 = build_topology("random", 15, tau=0.3, seed=4)
     g2 = build_topology("random", 15, tau=0.3, seed=4)
@@ -128,6 +219,19 @@ def test_metropolis_cycle_all_thirds():
     for i, j in g.edges:
         assert mix.w[i, j] == 1.0 / 3.0
     assert_allclose(np.diag(mix.w), np.full(10, 1.0 / 3.0), atol=1e-15)
+
+
+def test_metropolis_matches_per_edge_loop():
+    graphs = [build_topology(kind, n) for kind in ("line", "cycle", "complete")
+              for n in (1, 2, 3, 10)]
+    graphs += [build_topology("random", n, tau=tau, seed=s)
+               for n, tau in ((10, 0.5), (17, 0.3), (50, 0.5), (100, 0.5))
+               for s in (0, 7)]
+    for g in graphs:
+        w, deg = loop_metropolis(g)
+        assert_array_equal(metropolis_weights(g).w, w)  # bit for bit
+        assert_array_equal(g.degrees, deg)
+        assert not g.degrees.flags.writeable
 
 
 def test_metropolis_single_node():
