@@ -295,21 +295,21 @@ def centralized_reference(family, tol: float = 1e-12,
     ||sum_i grad f_i(x)|| <= tol.
     """
     x = np.zeros(family.p)
+    g = family.grad_total(x)
     for _ in range(max_iter):
-        g = family.grad_total(x)
         gn = np.linalg.norm(g)
         if gn <= tol:
             return x
         h = family.hess_total(x)
         d = cho_solve(cho_factor(h), g)
         step = 1.0
-        xn = x - d
-        while step > 1e-12:
+        while step > 1e-12:  # runs at least once, so xn and gxn are set
             xn = x - step * d
-            if np.linalg.norm(family.grad_total(xn)) <= (1.0 - 0.25 * step) * gn:
+            gxn = family.grad_total(xn)
+            if np.linalg.norm(gxn) <= (1.0 - 0.25 * step) * gn:
                 break
             step *= 0.5
-        x = xn
-    if np.linalg.norm(family.grad_total(x)) > tol:
+        x, g = xn, gxn  # the last point tried, with its gradient
+    if np.linalg.norm(g) > tol:
         raise RuntimeError(f"reference solve stalled above tolerance {tol}")
     return x

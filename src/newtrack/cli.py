@@ -17,10 +17,10 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import analysis
-from .harness import (PRESET_NAMES, RunConfig, _build_network, _cert_doc,
-                      _make_family, load_record, preset, run_checks,
-                      run_experiment, topology_sweep, write_outputs)
-from .objectives import ObjectiveBounds, convexity_bounds
+from .harness import (PRESET_NAMES, RunConfig, _cert_doc, build_problem,
+                      load_record, preset, run_checks, run_experiment,
+                      topology_sweep, write_outputs)
+from .objectives import ObjectiveBounds
 from .topology import (build_topology, metropolis_weights, spectral_stats,
                        topology_to_doc)
 
@@ -109,17 +109,14 @@ def _cmd_sweep(args) -> int:
 def _cmd_certify(args) -> int:
     if args.config or args.preset:
         config = _load_config(args)
-        graph, mix = _build_network(config.topology)
-        spectra = spectral_stats(mix)
-        family, _ = _make_family(config.data, graph.n)
-        bounds = convexity_bounds(family)
+        problem = build_problem(config)
         nt = [a for a in config.algorithms if a.name == "nt"]
         if not nt:
             raise ValueError("config has no curvature-tracked algorithm to certify")
         alpha = args.alpha if args.alpha is not None else nt[0].alpha
         eps = args.eps if args.eps is not None else nt[0].eps
-        cert = analysis.rate_certificate(bounds, spectra, alpha, eps,
-                                         config.beta, config.phi)
+        cert = analysis.rate_certificate(problem.bounds, problem.spectra,
+                                         alpha, eps, config.beta, config.phi)
     else:
         needed = (args.mu, args.lip, args.lambda_max, args.lambda_min_nz,
                   args.alpha, args.eps)
@@ -191,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=None)
     sp.add_argument("--beta", type=float, default=2.0)
     sp.add_argument("--phi", type=float, default=2.0)
-    sp.add_argument("--iters", type=int, default=None)
     sp.add_argument("--seed-topology", type=int, default=None)
     sp.add_argument("--seed-data", type=int, default=None)
     sp.add_argument("--out", default=None)

@@ -22,10 +22,11 @@ import numpy as np
 
 from . import algorithms as alg
 from . import analysis
-from .objectives import (LogisticFamily, QuadraticFamily, convexity_bounds,
+from .objectives import (LogisticFamily, ObjectiveBounds, convexity_bounds,
                          generate_logistic_data, generate_quadratic_set)
-from .topology import (Graph, MixingMatrix, build_topology, metropolis_weights,
-                       spectral_stats, topology_from_doc, topology_to_doc)
+from .topology import (Graph, MixingMatrix, SpectralStats, build_topology,
+                       metropolis_weights, spectral_stats, topology_from_doc,
+                       topology_to_doc)
 
 
 class Method(NamedTuple):
@@ -306,52 +307,66 @@ def preset(name: str) -> RunConfig:
 PRESET_NAMES = ("fig1", "fig4-n50", "fig5-n100", "topo-n10")
 
 
-def _build_network(spec: TopologySpec) -> tuple[Graph, MixingMatrix]:
-    if spec.file is not None:
-        return topology_from_doc(json.loads(Path(spec.file).read_text()))
-    graph = build_topology(spec.kind, spec.n, tau=spec.tau, seed=spec.seed)
-    return graph, metropolis_weights(graph)
+class Problem(NamedTuple):
+    """Everything a config fixes before iteration 0 except x*."""
+
+    graph: Graph
+    mix: MixingMatrix
+    spectra: SpectralStats
+    family: object  # LogisticFamily or QuadraticFamily
+    digest: str
+    bounds: ObjectiveBounds
 
 
-def _make_family(spec: DataSpec, n: int):
-    """Instantiate the objective family for n nodes; returns (family, digest)."""
-    if spec.family == "logistic":
-        data = generate_logistic_data(n, spec.m, spec.p, spec.rho, spec.seed)
-        return LogisticFamily(data), data.digest()
-    if spec.family == "quadratic":
-        fam = generate_quadratic_set(n, spec.p, spec.seed)
+def build_problem(config: RunConfig) -> Problem:
+    """Build the network and the objective family a config names."""
+    topo, data = config.topology, config.data
+    if topo.file is not None:
+        graph, mix = topology_from_doc(json.loads(Path(topo.file).read_text()))
+    else:
+        graph = build_topology(topo.kind, topo.n, tau=topo.tau, seed=topo.seed)
+        mix = metropolis_weights(graph)
+    spectra = spectral_stats(mix)
+    if data.family == "logistic":
+        dataset = generate_logistic_data(graph.n, data.m, data.p, data.rho,
+                                         data.seed)
+        family, digest = LogisticFamily(dataset), dataset.digest()
+    elif data.family == "quadratic":
+        family = generate_quadratic_set(graph.n, data.p, data.seed)
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(fam.a).tobytes())
-        h.update(np.ascontiguousarray(fam.b).tobytes())
-        return fam, "sha256:" + h.hexdigest()
-    raise ValueError(f"unknown data family {spec.family!r}")
+        h.update(np.ascontiguousarray(family.a).tobytes())
+        h.update(np.ascontiguousarray(family.b).tobytes())
+        digest = "sha256:" + h.hexdigest()
+    else:
+        raise ValueError(f"unknown data family {data.family!r}")
+    return Problem(graph, mix, spectra, family, digest, convexity_bounds(family))
 
 
 def run_experiment(config: RunConfig) -> RunRecord:
-    """Build the network and data, solve the reference, run every algorithm."""
-    graph, mix = _build_network(config.topology)
-    spectra = spectral_stats(mix)
-    family, digest = _make_family(config.data, graph.n)
+    """Build the config's problem, solve the reference, run every algorithm."""
+    return _run(config, build_problem(config))
+
+
+def _run(config: RunConfig, problem: Problem) -> RunRecord:
+    family, spectra = problem.family, problem.spectra
     x_star = alg.centralized_reference(family, tol=config.ref_tol)
     ref_residual = float(np.linalg.norm(family.grad_total(x_star)))
-    bounds = convexity_bounds(family)
 
     certificates = {}
     traces = {}
     for spec in config.algorithms:
         cert = None
         if spec.name == "nt":
-            cert = analysis.rate_certificate(bounds, spectra, spec.alpha,
+            cert = analysis.rate_certificate(problem.bounds, spectra, spec.alpha,
                                              spec.eps, config.beta, config.phi)
             certificates[spec.name] = _cert_doc(cert)
-        traces[spec.name] = _run_algorithm(spec, family, graph, mix.w,
-                                           spectra, x_star, cert, config)
-    return RunRecord(config=config, dataset_digest=digest, x_star=x_star,
+        traces[spec.name] = _run_algorithm(spec, problem, x_star, cert, config)
+    return RunRecord(config=config, dataset_digest=problem.digest, x_star=x_star,
                      ref_residual=ref_residual,
                      spectra={"lambda_max": spectra.lambda_max,
                               "lambda_min_nz": spectra.lambda_min_nz},
                      certificates=certificates, traces=traces,
-                     topology=topology_to_doc(graph, mix))
+                     topology=topology_to_doc(problem.graph, problem.mix))
 
 
 def _cert_doc(cert: analysis.RateCertificate) -> dict:
@@ -360,18 +375,17 @@ def _cert_doc(cert: analysis.RateCertificate) -> dict:
     return doc
 
 
-def _run_algorithm(spec: AlgorithmSpec, family, graph: Graph, w: np.ndarray,
-                   spectra, x_star: np.ndarray, cert, config: RunConfig
-                   ) -> ConvergenceTrace:
+def _run_algorithm(spec: AlgorithmSpec, problem: Problem, x_star: np.ndarray,
+                   cert, config: RunConfig) -> ConvergenceTrace:
     """Run one method for config.iters rounds, recording every iterate.
 
     Stops early at stop_tol ("tol") or before recording the first iterate
     with a non-finite rel_error ("diverged").
     """
+    family, w, root = problem.family, problem.mix.w, problem.spectra.root
     n, p = family.n, family.p
     method = METHODS[spec.name]
     step = getattr(alg, f"{spec.name}_step")
-    root = spectra.root
     target = np.tile(x_star, (n, 1))
     denom = max(float(np.linalg.norm(target)), 1e-300)
     trace = ConvergenceTrace(algorithm=spec.name, alpha=spec.alpha, eps=spec.eps)
@@ -415,7 +429,7 @@ def _run_algorithm(spec: AlgorithmSpec, family, graph: Graph, w: np.ndarray,
     def reached() -> bool:
         return config.stop_tol is not None and trace.rel_error[-1] <= config.stop_tol
 
-    state = method.init(family, graph, spec)
+    state = method.init(family, problem.graph, spec)
     push(state, 0.0, root @ state.x)
     # A diverging run overflows on its way to the first non-finite
     # rel_error; the trace reports that as status "diverged".
@@ -549,7 +563,8 @@ def run_checks(record: RunRecord, window: int = 100) -> CheckReport:
     """
     checks = {}
     config = record.config
-    fresh = run_experiment(config)
+    problem = build_problem(config)
+    fresh = _run(config, problem)
 
     same_digest = fresh.dataset_digest == record.dataset_digest
     mismatched = []
@@ -562,26 +577,22 @@ def run_checks(record: RunRecord, window: int = 100) -> CheckReport:
         "passed": bool(same_digest and not mismatched),
         "detail": {"digest_match": same_digest, "trace_match": not mismatched,
                    "mismatched": mismatched}}
-    # Overflow in the replay of a diverged run shows as failed checks, not
-    # as warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        checks.update(_replay_checks(record, window))
+    checks.update(_replay_checks(record, problem, fresh.x_star, window))
     return CheckReport(checks=checks)
 
 
-def _replay_checks(record: RunRecord, window: int) -> dict:
+@np.errstate(over="ignore", invalid="ignore")
+def _replay_checks(record: RunRecord, problem: Problem, x_star: np.ndarray,
+                   window: int) -> dict:
     """Identity and bound checks over up to `window` replayed steps.
 
     Replays cover the iterates the record holds, so they stop where a
-    diverged run stopped.
+    diverged run stopped; overflow on the way there shows as failed
+    checks, not as warnings.
     """
     checks = {}
     config = record.config
-    graph, mix = _build_network(config.topology)
-    spectra = spectral_stats(mix)
-    family, _ = _make_family(config.data, graph.n)
-    bounds = convexity_bounds(family)
-    x_star = alg.centralized_reference(family, tol=config.ref_tol)
+    mix, spectra, family = problem.mix, problem.spectra, problem.family
 
     specs = {s.name: s for s in config.algorithms}
     if "nt" in specs:
@@ -605,12 +616,12 @@ def _replay_checks(record: RunRecord, window: int) -> dict:
                                  "detail": {"worst": equiv_worst,
                                             "steps": steps}}
         rem = analysis.lemma_remainder_check(xs, family, mix.w, spec.alpha,
-                                             bounds)
+                                             problem.bounds)
         checks["remainder_bound"] = {"passed": rem.passed,
                                      "detail": {"violations": rem.violations,
                                                 "worst": rem.worst}}
-        cert = analysis.rate_certificate(bounds, spectra, spec.alpha, spec.eps,
-                                         config.beta, config.phi)
+        cert = analysis.rate_certificate(problem.bounds, spectra, spec.alpha,
+                                         spec.eps, config.beta, config.phi)
         v_star = analysis.dual_optimum(family, x_star, spectra.root)
         ident = analysis.stationarity_identity_check(
             xs, vs, family, mix.w, spectra.root, spec.alpha, spec.eps,

@@ -72,15 +72,14 @@ class Graph:
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """Symmetric doubly stochastic weight matrix with its spectrum.
+    """Symmetric doubly stochastic weight matrix.
 
-    `eigenvalues` are sorted ascending.  Construction checks symmetry,
-    row sums, nonnegativity, and that 1 is a simple eigenvalue with all
-    others strictly inside (-1, 1).
+    Construction checks symmetry, row sums and nonnegativity, then, from
+    the eigendecomposition of I - W, that 1 is a simple eigenvalue of W
+    and that every other eigenvalue lies strictly inside (-1, 1).
     """
 
     w: np.ndarray
-    eigenvalues: np.ndarray
 
     def __post_init__(self):
         w = self.w
@@ -92,11 +91,18 @@ class MixingMatrix:
             raise ValueError("mixing matrix entries must be nonnegative")
         if np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("mixing matrix rows must sum to 1")
-        lam = self.eigenvalues
-        if lam[-1] > 1.0 + 1e-9 or lam[0] <= -1.0:
+        lam = self.eigh[0]  # of I - W: W's eigenvalue 1 is I - W's 0
+        if lam[0] < -ZERO_EIG_TOL or lam[-1] >= 2.0:
             raise ValueError("mixing eigenvalues must lie in (-1, 1]")
-        if np.sum(lam > 1.0 - ZERO_EIG_TOL) != 1:
+        if np.sum(lam < ZERO_EIG_TOL) != 1:
             raise ValueError("eigenvalue 1 of the mixing matrix must be simple")
+
+    @functools.cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) and eigenvectors of I - W, read-only."""
+        lam, vec = np.linalg.eigh(np.eye(self.n) - self.w)
+        lam.flags.writeable = vec.flags.writeable = False
+        return lam, vec
 
     @property
     def n(self) -> int:
@@ -239,8 +245,7 @@ def metropolis_weights(graph: Graph) -> MixingMatrix:
     w = np.zeros((n, n))
     w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(d[i], d[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    lam = np.linalg.eigvalsh(w)
-    return MixingMatrix(w=w, eigenvalues=lam)
+    return MixingMatrix(w=w)
 
 
 def laplacian(graph: Graph) -> np.ndarray:
@@ -249,29 +254,18 @@ def laplacian(graph: Graph) -> np.ndarray:
 
 
 def spectral_stats(mix: MixingMatrix) -> SpectralStats:
-    """Extreme eigenvalues and PSD square root of I - W.
-
-    Raises ValueError when the zero eigenvalue of I - W is not simple
-    (disconnected network) or when no nonzero eigenvalue exists (n = 1).
-    """
-    n = mix.n
-    lam, vec = np.linalg.eigh(np.eye(n) - mix.w)
-    n_zero = int(np.sum(lam < ZERO_EIG_TOL))
-    if n_zero != 1:
-        raise ValueError(
-            f"zero eigenvalue of I - W has multiplicity {n_zero}; "
-            "expected exactly one (connected network)")
-    nonzero = lam[lam >= ZERO_EIG_TOL]
-    if nonzero.size == 0:
+    """Extreme eigenvalues and PSD square root of I - W; raises for n = 1."""
+    lam, vec = mix.eigh
+    if mix.n < 2:
         raise ValueError("I - W has no nonzero eigenvalue (need n >= 2)")
-    # Eigenvalues below tolerance are exact zeros of I - W; zeroing them
-    # keeps the consensus direction in the kernel of the root instead of
-    # leaving an inverted sqrt(rounding noise) singular value ~1e-8.
+    # Only lam[0] is below tolerance (MixingMatrix checks it): an exact zero
+    # of I - W.  Zeroing it keeps the consensus direction in the kernel of
+    # the root instead of an inverted sqrt(rounding noise) value ~1e-8.
     lam_root = np.where(lam < ZERO_EIG_TOL, 0.0, lam)
     root = (vec * np.sqrt(lam_root)) @ vec.T
     root = 0.5 * (root + root.T)
     return SpectralStats(lambda_max=float(lam[-1]),
-                         lambda_min_nz=float(nonzero[0]),
+                         lambda_min_nz=float(lam[1]),
                          root=root)
 
 
@@ -291,5 +285,4 @@ def topology_from_doc(doc: dict) -> tuple[Graph, MixingMatrix]:
     w = np.asarray(doc["weights"], dtype=float)
     if w.shape != (graph.n, graph.n):
         raise ValueError("weight matrix shape does not match n")
-    lam = np.linalg.eigvalsh(w)
-    return graph, MixingMatrix(w=w, eigenvalues=lam)
+    return graph, MixingMatrix(w=w)

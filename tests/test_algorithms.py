@@ -497,6 +497,19 @@ def test_init_validation():
             dlm_init(fam, g, bad, 1.0)
 
 
+@pytest.mark.parametrize("family", [
+    LogisticFamily(generate_logistic_data(n=10, m=12, p=8, reg=1e-3, seed=1)),
+    generate_quadratic_set(n=4, p=3, seed=11),
+], ids=["fig1", "quadratic"])
+def test_centralized_reference_evaluates_each_point_once(family, monkeypatch):
+    points = []
+    real = family.grad_total
+    monkeypatch.setattr(family, "grad_total",
+                        lambda x: points.append(x.tobytes()) or real(x))
+    centralized_reference(family)
+    assert len(points) == len(set(points)) > 1
+
+
 def test_centralized_reference_quadratic_and_symmetry():
     fam = generate_quadratic_set(n=4, p=3, seed=11)
     ref = centralized_reference(fam, tol=1e-13)

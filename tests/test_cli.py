@@ -5,11 +5,14 @@ captured cheaply; one subprocess smoke test covers the real entry point.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import newtrack
 from newtrack.cli import main
 from newtrack.harness import (AlgorithmSpec, DataSpec, RunConfig,
                               TopologySpec, preset)
@@ -19,6 +22,14 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def module_env() -> dict:
+    """Environment in which `python -m newtrack.cli` imports the package
+    under test, installed or not."""
+    paths = [str(Path(newtrack.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 def tiny_config_doc(iters=30):
@@ -189,6 +200,14 @@ def test_certify_explicit_needs_all_numbers(capsys):
     assert "lambda-max" in json.loads(err)["message"]
 
 
+def test_certify_has_no_iters_option(capsys):
+    # A certificate needs no iterations, so certify does not take --iters.
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--preset", "fig1", "--iters", "5"])
+    assert exc.value.code == 2
+    assert "--iters" in capsys.readouterr().err
+
+
 def test_certify_preset_infeasible(capsys):
     # published fig1 step sizes violate the sufficient condition
     rc, out, _ = run_cli(capsys, "certify", "--preset", "fig1")
@@ -261,7 +280,8 @@ def test_diverging_run_keeps_stderr_json(tmp_path):
     for argv, rc in ((["solve", "--config", str(path), "--out", str(out)], 0),
                      (["check", "--record", str(out / "record.json")], 2)):
         proc = subprocess.run([sys.executable, "-m", "newtrack.cli", *argv],
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, timeout=120,
+                              env=module_env())
         assert proc.returncode == rc, proc.stderr
         json.loads(proc.stdout)
         if proc.stderr:
@@ -273,7 +293,7 @@ def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "newtrack.cli", "spectra",
          "--kind", "cycle", "--n", "6"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=module_env())
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["lambda_max"] == pytest.approx(4.0 / 3.0, abs=1e-9)

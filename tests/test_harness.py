@@ -17,7 +17,7 @@ from newtrack.harness import (CSV_COLUMNS, PRESET_NAMES, AlgorithmSpec,
                               topology_sweep, write_outputs)
 from newtrack.objectives import LogisticFamily, generate_logistic_data
 from newtrack.topology import (build_topology, metropolis_weights,
-                               spectral_stats, topology_to_doc)
+                               topology_to_doc)
 
 
 def tiny_config(iters=200):
@@ -162,9 +162,8 @@ def test_feasible_run_validates_metric_once(monkeypatch):
 
     # Oracle: the metric at every recorded iterate, Q re-validated per call.
     spec = cfg.algorithms[0]
-    graph, mix = harness._build_network(cfg.topology)
-    root = spectral_stats(mix).root
-    family, _ = harness._make_family(cfg.data, graph.n)
+    problem = harness.build_problem(cfg)
+    family, mix, root = problem.family, problem.mix, problem.spectra.root
     q_mat = analysis.consensus_penalty_matrix(mix.w, spec.alpha, spec.eps)
     v_star = analysis.dual_optimum(family, rec.x_star, root)
     state = alg.nt_init(family, spec.alpha, spec.eps)
@@ -421,6 +420,44 @@ def test_run_checks_pass_with_fewer_samples_than_features():
     assert report.passed, report.checks
     assert {"equivalence", "stationarity_identity",
             "remainder_bound"} <= set(report.checks)
+
+
+def counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_run_checks_build_the_problem_once(monkeypatch):
+    rec = run_experiment(dataclasses.replace(preset("fig1"), iters=20))
+    calls = {}
+    for owner, name in ((harness, "build_topology"),
+                        (harness, "generate_logistic_data"),
+                        (alg, "centralized_reference")):
+        monkeypatch.setattr(owner, name,
+                            counting(calls, name, getattr(owner, name)))
+    assert run_checks(rec, window=20).passed
+    assert calls == {"build_topology": 1, "generate_logistic_data": 1,
+                     "centralized_reference": 1}
+
+
+def test_run_decomposes_the_mixing_matrix_once(monkeypatch):
+    cfg = dataclasses.replace(preset("fig1"), iters=5)
+    n = cfg.topology.n
+    shapes = []
+
+    def by_shape(fn):
+        def wrapper(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, by_shape(getattr(np.linalg, name)))
+    rec = run_experiment(cfg)
+    assert rec.certificates["nt"]["feasible"] is False  # no Q to validate
+    assert shapes.count((n, n)) == 1
 
 
 def test_run_checks_catch_tampered_trace():

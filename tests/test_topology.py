@@ -258,13 +258,22 @@ def test_mixing_invariants_across_topologies():
 def test_mixing_matrix_validation():
     bad = np.array([[0.5, 0.6], [0.6, 0.5]])
     with pytest.raises(ValueError):
-        MixingMatrix(w=bad, eigenvalues=np.linalg.eigvalsh(bad))
+        MixingMatrix(w=bad)
     asym = np.array([[0.5, 0.5], [0.4, 0.6]])
     with pytest.raises(ValueError):
-        MixingMatrix(w=asym, eigenvalues=np.linalg.eigvalsh(asym))
+        MixingMatrix(w=asym)
     neg = np.array([[1.2, -0.2], [-0.2, 1.2]])
     with pytest.raises(ValueError):
-        MixingMatrix(w=neg, eigenvalues=np.linalg.eigvalsh(neg))
+        MixingMatrix(w=neg)
+    # Doubly stochastic, but over two components: the type derives its own
+    # spectrum, so no caller-supplied eigenvalues can let it through.
+    split = np.kron(np.eye(2), 0.5 * np.ones((2, 2)))
+    with pytest.raises(ValueError, match="eigenvalue 1 of the mixing matrix "
+                                         "must be simple"):
+        MixingMatrix(w=split)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])  # eigenvalue -1
+    with pytest.raises(ValueError, match=r"must lie in \(-1, 1\]"):
+        MixingMatrix(w=swap)
 
 
 # ---------------------------------------------------------------------------
