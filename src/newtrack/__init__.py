@@ -15,12 +15,11 @@ from .algorithms import (DlmState, ExtraState, GradientTrackingState,
                          gt_step, nt_init, nt_step, pd_init, pd_step,
                          reg_solve)
 from .analysis import (BoundReport, RateCertificate, RateFit,
-                       approximation_error, best_certificate,
-                       consensus_penalty_matrix, contraction_check,
-                       decay_window, dual_optimum, fit_linear_rate,
-                       g_norm_error, g_norm_metric, kkt_residual,
-                       lemma_remainder_check,
-                       rate_certificate, stationarity_identity_check)
+                       approximation_error, consensus_penalty_matrix,
+                       contraction_check, decay_window, dual_optimum,
+                       fit_linear_rate, g_norm_metric, kkt_residual,
+                       lemma_remainder_check, rate_certificate,
+                       stationarity_identity_check)
 from .harness import (AlgorithmSpec, ConvergenceTrace, DataSpec, RunConfig,
                       RunRecord, TopologySpec, export_csv, load_record,
                       preset, run_checks, run_experiment, save_record,
@@ -29,8 +28,7 @@ from .objectives import (DerivativeReport, LogisticDataset, LogisticFamily,
                          LogisticObjective, ObjectiveBounds, QuadraticFamily,
                          QuadraticObjective, convexity_bounds,
                          derivative_check, generate_logistic_data,
-                         generate_quadratic_set, make_logistic,
-                         make_quadratic)
+                         generate_quadratic_set, make_logistic)
 from .topology import (Graph, MixingMatrix, SpectralStats, build_topology,
                        laplacian, metropolis_weights, spectral_stats,
                        topology_from_doc, topology_to_doc)

@@ -84,21 +84,6 @@ def rate_certificate(bounds, spectra, alpha: float, eps: float,
                            delta_prime=delta_prime)
 
 
-def best_certificate(bounds, spectra, alpha: float, eps: float,
-                     grid: tuple[float, ...] = (1.5, 2.0, 3.0, 5.0, 10.0)
-                     ) -> RateCertificate:
-    """Largest delta_prime over a small (beta, phi) grid."""
-    best = None
-    for beta in grid:
-        for phi in grid:
-            cert = rate_certificate(bounds, spectra, alpha, eps, beta, phi)
-            if not cert.feasible:
-                return cert
-            if best is None or cert.delta_prime > best.delta_prime:
-                best = cert
-    return best
-
-
 def consensus_penalty_matrix(w: np.ndarray, alpha: float, eps: float) -> np.ndarray:
     """Q = eps I - alpha (I - W) at network level (n x n)."""
     n = w.shape[0]
@@ -135,16 +120,6 @@ def g_norm_metric(q_mat: np.ndarray, x_star: np.ndarray, v_star: np.ndarray,
         return float(np.sum((q_mat @ dx) * dx) + np.sum(dv * dv) / alpha)
 
     return energy
-
-
-def g_norm_error(x: np.ndarray, v: np.ndarray, x_star: np.ndarray,
-                 v_star: np.ndarray, q_mat: np.ndarray, alpha: float) -> float:
-    """Squared error ||x - x*||_Q^2 + ||v - v*||^2 / alpha at one point.
-
-    Rejects a Q that is not symmetric positive definite; to evaluate many
-    points under one Q, validate it once with g_norm_metric.
-    """
-    return g_norm_metric(q_mat, x_star, v_star, alpha)(x, v)
 
 
 def kkt_residual(grad: np.ndarray, root_x: np.ndarray,

@@ -17,12 +17,11 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import analysis
-from .harness import (PRESET_NAMES, RunConfig, _cert_doc, build_problem,
-                      load_record, preset, run_checks, run_experiment,
-                      topology_sweep, write_outputs)
+from .harness import (PRESET_NAMES, RunConfig, TopologySpec, _cert_doc,
+                      build_network, build_objective, load_record, preset,
+                      run_checks, run_experiment, topology_sweep, write_outputs)
 from .objectives import ObjectiveBounds
-from .topology import (build_topology, metropolis_weights, spectral_stats,
-                       topology_to_doc)
+from .topology import topology_to_doc
 
 
 def _load_config(args) -> RunConfig:
@@ -63,13 +62,11 @@ def _summary(record) -> dict:
 
 
 def _cmd_spectra(args) -> int:
-    graph = build_topology(args.kind, args.n, tau=args.tau,
-                           seed=args.seed_topology)
-    mix = metropolis_weights(graph)
-    stats = spectral_stats(mix)
-    doc = topology_to_doc(graph, mix)
-    doc["lambda_max"] = stats.lambda_max
-    doc["lambda_min_nz"] = stats.lambda_min_nz
+    net = build_network(TopologySpec(kind=args.kind, n=args.n, tau=args.tau,
+                                     seed=args.seed_topology))
+    doc = topology_to_doc(net.graph, net.mix)
+    doc["lambda_max"] = net.spectra.lambda_max
+    doc["lambda_min_nz"] = net.spectra.lambda_min_nz
     doc["kind"] = args.kind
     _emit(doc, args.out)
     return 0
@@ -109,13 +106,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_certify(args) -> int:
     if args.config or args.preset:
         config = _load_config(args)
-        problem = build_problem(config)
+        net, obj = build_network(config.topology), build_objective(config)
         nt = [a for a in config.algorithms if a.name == "nt"]
         if not nt:
             raise ValueError("config has no curvature-tracked algorithm to certify")
         alpha = args.alpha if args.alpha is not None else nt[0].alpha
         eps = args.eps if args.eps is not None else nt[0].eps
-        cert = analysis.rate_certificate(problem.bounds, problem.spectra,
+        cert = analysis.rate_certificate(obj.bounds, net.spectra,
                                          alpha, eps, config.beta, config.phi)
     else:
         needed = (args.mu, args.lip, args.lambda_max, args.lambda_min_nz,

@@ -307,66 +307,79 @@ def preset(name: str) -> RunConfig:
 PRESET_NAMES = ("fig1", "fig4-n50", "fig5-n100", "topo-n10")
 
 
-class Problem(NamedTuple):
-    """Everything a config fixes before iteration 0 except x*."""
+class Network(NamedTuple):
+    """The graph a config names, its mixing matrix and their spectra."""
 
     graph: Graph
     mix: MixingMatrix
     spectra: SpectralStats
+
+
+class Objective(NamedTuple):
+    """Local objectives with their digest, (mu, L) bounds and minimizer x*."""
+
     family: object  # LogisticFamily or QuadraticFamily
     digest: str
     bounds: ObjectiveBounds
+    x_star: np.ndarray
+    ref_residual: float
 
 
-def build_problem(config: RunConfig) -> Problem:
-    """Build the network and the objective family a config names."""
-    topo, data = config.topology, config.data
+def build_network(topo: TopologySpec) -> Network:
+    """Build, or load from a pinned file, the network a topology spec names."""
     if topo.file is not None:
         graph, mix = topology_from_doc(json.loads(Path(topo.file).read_text()))
+        if graph.n != topo.n:
+            raise ValueError(f"topology.n: {topo.n} but the pinned file has "
+                             f"{graph.n} nodes")
     else:
         graph = build_topology(topo.kind, topo.n, tau=topo.tau, seed=topo.seed)
         mix = metropolis_weights(graph)
-    spectra = spectral_stats(mix)
+    return Network(graph, mix, spectral_stats(mix))
+
+
+def build_objective(config: RunConfig) -> Objective:
+    """Generate the config's local objectives over config.topology.n nodes
+    and solve their aggregate to ref_tol."""
+    data, n = config.data, config.topology.n
     if data.family == "logistic":
-        dataset = generate_logistic_data(graph.n, data.m, data.p, data.rho,
-                                         data.seed)
+        dataset = generate_logistic_data(n, data.m, data.p, data.rho, data.seed)
         family, digest = LogisticFamily(dataset), dataset.digest()
     elif data.family == "quadratic":
-        family = generate_quadratic_set(graph.n, data.p, data.seed)
+        family = generate_quadratic_set(n, data.p, data.seed)
         h = hashlib.sha256()
         h.update(np.ascontiguousarray(family.a).tobytes())
         h.update(np.ascontiguousarray(family.b).tobytes())
         digest = "sha256:" + h.hexdigest()
     else:
         raise ValueError(f"unknown data family {data.family!r}")
-    return Problem(graph, mix, spectra, family, digest, convexity_bounds(family))
+    bounds = convexity_bounds(family)
+    x_star = alg.centralized_reference(family, tol=config.ref_tol)
+    return Objective(family, digest, bounds, x_star,
+                     float(np.linalg.norm(family.grad_total(x_star))))
 
 
 def run_experiment(config: RunConfig) -> RunRecord:
-    """Build the config's problem, solve the reference, run every algorithm."""
-    return _run(config, build_problem(config))
+    """Build the config's network and objective, run every algorithm."""
+    return _run(config, build_network(config.topology), build_objective(config))
 
 
-def _run(config: RunConfig, problem: Problem) -> RunRecord:
-    family, spectra = problem.family, problem.spectra
-    x_star = alg.centralized_reference(family, tol=config.ref_tol)
-    ref_residual = float(np.linalg.norm(family.grad_total(x_star)))
-
+def _run(config: RunConfig, net: Network, obj: Objective) -> RunRecord:
     certificates = {}
     traces = {}
     for spec in config.algorithms:
         cert = None
         if spec.name == "nt":
-            cert = analysis.rate_certificate(problem.bounds, spectra, spec.alpha,
+            cert = analysis.rate_certificate(obj.bounds, net.spectra, spec.alpha,
                                              spec.eps, config.beta, config.phi)
             certificates[spec.name] = _cert_doc(cert)
-        traces[spec.name] = _run_algorithm(spec, problem, x_star, cert, config)
-    return RunRecord(config=config, dataset_digest=problem.digest, x_star=x_star,
-                     ref_residual=ref_residual,
-                     spectra={"lambda_max": spectra.lambda_max,
-                              "lambda_min_nz": spectra.lambda_min_nz},
+        traces[spec.name] = _run_algorithm(spec, net, obj, cert, config)
+    return RunRecord(config=config, dataset_digest=obj.digest, x_star=obj.x_star,
+                     ref_residual=obj.ref_residual,
+                     spectra={"lambda_max": net.spectra.lambda_max,
+                              "lambda_min_nz": net.spectra.lambda_min_nz},
                      certificates=certificates, traces=traces,
-                     topology=topology_to_doc(problem.graph, problem.mix))
+                     topology=topology_to_doc(net.graph, net.mix))
 
 
 def _cert_doc(cert: analysis.RateCertificate) -> dict:
@@ -375,18 +388,18 @@ def _cert_doc(cert: analysis.RateCertificate) -> dict:
     return doc
 
 
-def _run_algorithm(spec: AlgorithmSpec, problem: Problem, x_star: np.ndarray,
-                   cert, config: RunConfig) -> ConvergenceTrace:
+def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
+                   config: RunConfig) -> ConvergenceTrace:
     """Run one method for config.iters rounds, recording every iterate.
 
     Stops early at stop_tol ("tol") or before recording the first iterate
     with a non-finite rel_error ("diverged").
     """
-    family, w, root = problem.family, problem.mix.w, problem.spectra.root
+    family, w, root = obj.family, net.mix.w, net.spectra.root
     n, p = family.n, family.p
     method = METHODS[spec.name]
     step = getattr(alg, f"{spec.name}_step")
-    target = np.tile(x_star, (n, 1))
+    target = np.tile(obj.x_star, (n, 1))
     denom = max(float(np.linalg.norm(target)), 1e-300)
     trace = ConvergenceTrace(algorithm=spec.name, alpha=spec.alpha, eps=spec.eps)
 
@@ -397,7 +410,7 @@ def _run_algorithm(spec: AlgorithmSpec, problem: Problem, x_star: np.ndarray,
     if feasible:
         energy = analysis.g_norm_metric(
             analysis.consensus_penalty_matrix(w, spec.alpha, spec.eps),
-            x_star, analysis.dual_optimum(family, x_star, root), spec.alpha)
+            obj.x_star, analysis.dual_optimum(family, obj.x_star, root), spec.alpha)
     v = np.zeros((n, p))
 
     def push(state, wall, root_x, rem=None, rem_bound=None) -> bool:
@@ -429,7 +442,7 @@ def _run_algorithm(spec: AlgorithmSpec, problem: Problem, x_star: np.ndarray,
     def reached() -> bool:
         return config.stop_tol is not None and trace.rel_error[-1] <= config.stop_tol
 
-    state = method.init(family, problem.graph, spec)
+    state = method.init(family, net.graph, spec)
     push(state, 0.0, root @ state.x)
     # A diverging run overflows on its way to the first non-finite
     # rel_error; the trace reports that as status "diverged".
@@ -462,15 +475,20 @@ def _run_algorithm(spec: AlgorithmSpec, problem: Problem, x_star: np.ndarray,
 
 def topology_sweep(config: RunConfig, kinds=("line", "cycle", "complete")
                    ) -> dict:
-    """Re-run one config across topology kinds; returns kind -> RunRecord."""
-    out = {}
+    """Re-run one config across topology kinds; returns kind -> RunRecord.
+
+    Every kind's network is built before the one objective they share.
+    """
+    configs = {}
     for kind in kinds:
         topo = TopologySpec(kind=kind, n=config.topology.n,
                             tau=config.topology.tau if kind == "random" else None,
                             seed=config.topology.seed if kind == "random" else None)
-        out[kind] = run_experiment(dataclasses.replace(
-            config, name=f"{config.name}-{kind}", topology=topo))
-    return out
+        configs[kind] = dataclasses.replace(config, name=f"{config.name}-{kind}",
+                                            topology=topo)
+    nets = {kind: build_network(c.topology) for kind, c in configs.items()}
+    obj = build_objective(config)
+    return {kind: _run(c, nets[kind], obj) for kind, c in configs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +581,8 @@ def run_checks(record: RunRecord, window: int = 100) -> CheckReport:
     """
     checks = {}
     config = record.config
-    problem = build_problem(config)
-    fresh = _run(config, problem)
+    net, obj = build_network(config.topology), build_objective(config)
+    fresh = _run(config, net, obj)
 
     same_digest = fresh.dataset_digest == record.dataset_digest
     mismatched = []
@@ -577,12 +595,12 @@ def run_checks(record: RunRecord, window: int = 100) -> CheckReport:
         "passed": bool(same_digest and not mismatched),
         "detail": {"digest_match": same_digest, "trace_match": not mismatched,
                    "mismatched": mismatched}}
-    checks.update(_replay_checks(record, problem, fresh.x_star, window))
+    checks.update(_replay_checks(record, net, obj, window))
     return CheckReport(checks=checks)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _replay_checks(record: RunRecord, problem: Problem, x_star: np.ndarray,
+def _replay_checks(record: RunRecord, net: Network, obj: Objective,
                    window: int) -> dict:
     """Identity and bound checks over up to `window` replayed steps.
 
@@ -592,7 +610,8 @@ def _replay_checks(record: RunRecord, problem: Problem, x_star: np.ndarray,
     """
     checks = {}
     config = record.config
-    mix, spectra, family = problem.mix, problem.spectra, problem.family
+    mix, spectra = net.mix, net.spectra
+    family, x_star = obj.family, obj.x_star
 
     specs = {s.name: s for s in config.algorithms}
     if "nt" in specs:
@@ -616,11 +635,11 @@ def _replay_checks(record: RunRecord, problem: Problem, x_star: np.ndarray,
                                  "detail": {"worst": equiv_worst,
                                             "steps": steps}}
         rem = analysis.lemma_remainder_check(xs, family, mix.w, spec.alpha,
-                                             problem.bounds)
+                                             obj.bounds)
         checks["remainder_bound"] = {"passed": rem.passed,
                                      "detail": {"violations": rem.violations,
                                                 "worst": rem.worst}}
-        cert = analysis.rate_certificate(problem.bounds, spectra, spec.alpha,
+        cert = analysis.rate_certificate(obj.bounds, spectra, spec.alpha,
                                          spec.eps, config.beta, config.phi)
         v_star = analysis.dual_optimum(family, x_star, spectra.root)
         ident = analysis.stationarity_identity_check(

@@ -33,7 +33,6 @@ class LogisticDataset:
     features: np.ndarray
     labels: np.ndarray
     reg: float
-    seed: int | None = None
 
     def __post_init__(self):
         f, lab = self.features, self.labels
@@ -66,24 +65,6 @@ class LogisticDataset:
         h.update(np.float64(self.reg).tobytes())
         return "sha256:" + h.hexdigest()
 
-    def to_doc(self) -> dict:
-        return {
-            "n": self.n, "m": self.m, "p": self.p,
-            "rho": float(self.reg),
-            "seed": self.seed,
-            "features": self.features.tolist(),
-            "labels": self.labels.astype(int).tolist(),
-        }
-
-    @staticmethod
-    def from_doc(doc: dict) -> "LogisticDataset":
-        return LogisticDataset(
-            features=np.asarray(doc["features"], dtype=float),
-            labels=np.asarray(doc["labels"], dtype=float),
-            reg=float(doc["rho"]),
-            seed=doc.get("seed"),
-        )
-
 
 def generate_logistic_data(n: int, m: int, p: int, reg: float,
                            seed: int) -> LogisticDataset:
@@ -98,7 +79,7 @@ def generate_logistic_data(n: int, m: int, p: int, reg: float,
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n, m, p)) / np.sqrt(p)
     labels = rng.integers(0, 2, size=(n, m)) * 2.0 - 1.0
-    return LogisticDataset(features=features, labels=labels, reg=reg, seed=seed)
+    return LogisticDataset(features=features, labels=labels, reg=reg)
 
 
 class LogisticObjective:
@@ -163,10 +144,6 @@ def make_logistic(dataset: LogisticDataset, node: int) -> LogisticObjective:
     """Per-node view of a logistic dataset."""
     return LogisticObjective(dataset.features[node], dataset.labels[node],
                              dataset.reg, dataset.n)
-
-
-def make_quadratic(a: np.ndarray, b: np.ndarray) -> QuadraticObjective:
-    return QuadraticObjective(a, b)
 
 
 class LogisticFamily:

@@ -15,10 +15,9 @@ from numpy.testing import assert_allclose
 
 from newtrack import analysis
 from newtrack.algorithms import pd_init, pd_step
-from newtrack.analysis import (approximation_error, best_certificate,
-                               consensus_penalty_matrix, contraction_check,
-                               decay_window, dual_optimum, fit_linear_rate,
-                               g_norm_error, kkt_residual,
+from newtrack.analysis import (approximation_error, consensus_penalty_matrix,
+                               contraction_check, decay_window, dual_optimum,
+                               fit_linear_rate, g_norm_metric, kkt_residual,
                                lemma_remainder_check, rate_certificate,
                                stationarity_identity_check)
 from newtrack.objectives import (LogisticFamily, ObjectiveBounds,
@@ -123,16 +122,6 @@ def test_delta_shrinks_with_lambda_max():
     assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
-def test_best_certificate_improves_on_default():
-    _, stats = complete10()
-    default = reference_certificate()
-    best = best_certificate(UNIT_BOUNDS, stats, alpha=0.1, eps=5.0)
-    assert best.feasible
-    assert best.delta_prime >= default.delta_prime
-    infeasible = best_certificate(UNIT_BOUNDS, stats, alpha=1.0, eps=0.5)
-    assert not infeasible.feasible
-
-
 # ---------------------------------------------------------------------------
 # Error metric and KKT residuals.
 # ---------------------------------------------------------------------------
@@ -147,7 +136,7 @@ def test_g_norm_error_matches_kron_oracle():
     x_star = rng.standard_normal(p)
     v_star = rng.standard_normal((10, p))
     alpha = 0.1
-    got = g_norm_error(x, v, x_star, v_star, q, alpha)
+    got = g_norm_metric(q, x_star, v_star, alpha)(x, v)
     dx = (x - x_star[None, :]).reshape(-1)
     dv = (v - v_star).reshape(-1)
     big_q = np.kron(q, np.eye(p))
@@ -162,7 +151,7 @@ def test_g_norm_error_eigenvector_case():
     lam, vec = np.linalg.eigh(q)
     x = vec[:, [0]]  # p = 1 column, unit norm
     zero = np.zeros_like(x)
-    got = g_norm_error(x, zero, np.zeros(1), zero, q, alpha)
+    got = g_norm_metric(q, np.zeros(1), zero, alpha)(x, zero)
     assert got == pytest.approx(lam[0], rel=1e-12)
 
 
@@ -171,9 +160,9 @@ def test_g_norm_error_rejects_bad_metric():
     x = rng.standard_normal((4, 2))
     v = np.zeros_like(x)
     with pytest.raises(ValueError):
-        g_norm_error(x, v, np.zeros(2), v, np.triu(np.ones((4, 4))), 1.0)
+        g_norm_metric(np.triu(np.ones((4, 4))), np.zeros(2), v, 1.0)(x, v)
     with pytest.raises(ValueError):
-        g_norm_error(x, v, np.zeros(2), v, -np.eye(4), 1.0)
+        g_norm_metric(-np.eye(4), np.zeros(2), v, 1.0)(x, v)
 
 
 def test_kkt_residual_at_optimum():
@@ -310,10 +299,6 @@ def test_contraction_certified_on_reference_problem():
 
     loose = reference_certificate(beta=10.0, phi=10.0)
     assert contraction_check(xs, vs, x_star, v_star, mix.w, loose).passed
-    best = best_certificate(UNIT_BOUNDS, stats, alpha=alpha, eps=eps)
-    best_rep = contraction_check(xs, vs, x_star, v_star, mix.w, best)
-    assert best_rep.passed
-    assert best_rep.worst <= best.contraction
 
 
 def test_contraction_check_validates_metric_once(monkeypatch):
@@ -331,7 +316,7 @@ def test_contraction_check_validates_metric_once(monkeypatch):
     assert len(calls) == 1
     q_mat = consensus_penalty_matrix(mix.w, cert.alpha, cert.eps)
     assert rep.detail["energies"] == [
-        g_norm_error(x, v, x_star, v_star, q_mat, cert.alpha)
+        g_norm_metric(q_mat, x_star, v_star, cert.alpha)(x, v)
         for x, v in zip(xs, vs)]
 
 

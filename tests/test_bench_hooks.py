@@ -1,12 +1,14 @@
 """The benchmark under bench/ traces the library by wrapping attributes by
 name (bench/layers.py, `targets`).  A rename in the library would break its
 traced runs without failing any library test, so this test resolves every
-hook point."""
+hook point, and checks that set-up still goes through the hooks."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
 import newtrack.cli  # binds newtrack; targets() reads newtrack.cli too
+from newtrack import algorithms, harness
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -21,3 +23,24 @@ def test_every_trace_target_resolves():
                for owner, attr, *_ in layers.targets(newtrack)
                if not callable(vars(owner).get(attr))]
     assert missing == []
+
+
+def test_setup_hooks_are_on_the_run_path(monkeypatch):
+    """Each set-up hook the benchmark wraps runs once in a plain run, so a
+    set-up path that bypasses them cannot zero their layers unnoticed."""
+    calls = {}
+    hooks = [(harness, name) for name in (
+        "build_topology", "metropolis_weights", "spectral_stats",
+        "generate_logistic_data", "convexity_bounds")]
+    hooks.append((algorithms, "centralized_reference"))
+    for owner, name in hooks:
+        real = getattr(owner, name)
+        calls[name] = 0
+
+        def wrapper(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    harness.run_experiment(dataclasses.replace(harness.preset("fig1"), iters=0))
+    assert calls == {name: 1 for _, name in hooks}

@@ -131,6 +131,23 @@ def test_solve_rejects_invalid_config(capsys, tmp_path, change, field):
     assert doc["message"].startswith(field + ":")
 
 
+def test_solve_rejects_pinned_topology_of_another_size(capsys, tmp_path):
+    net = tmp_path / "net.json"
+    rc, _, _ = run_cli(capsys, "spectra", "--kind", "cycle", "--n", "5",
+                       "--out", str(net))
+    assert rc == 0
+    doc = tiny_config_doc()
+    doc["topology"] = {"kind": "cycle", "n": 9, "file": str(net)}
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "solve", "--config", str(path))
+    assert rc == 1
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "topology.n: 9 but the pinned file has 5 nodes"}
+
+
 def test_solve_needs_config_or_preset(capsys):
     rc, _, err = run_cli(capsys, "solve")
     assert rc == 1

@@ -162,19 +162,18 @@ def test_feasible_run_validates_metric_once(monkeypatch):
 
     # Oracle: the metric at every recorded iterate, Q re-validated per call.
     spec = cfg.algorithms[0]
-    problem = harness.build_problem(cfg)
-    family, mix, root = problem.family, problem.mix, problem.spectra.root
+    net = harness.build_network(cfg.topology)
+    family = harness.build_objective(cfg).family
+    mix, root = net.mix, net.spectra.root
     q_mat = analysis.consensus_penalty_matrix(mix.w, spec.alpha, spec.eps)
     v_star = analysis.dual_optimum(family, rec.x_star, root)
     state = alg.nt_init(family, spec.alpha, spec.eps)
     v = np.zeros_like(state.x)
-    expected = [analysis.g_norm_error(state.x, v, rec.x_star, v_star, q_mat,
-                                      spec.alpha)]
+    expected = [real(q_mat, rec.x_star, v_star, spec.alpha)(state.x, v)]
     for _ in range(cfg.iters):
         state = alg.nt_step(state, family, mix.w)
         v = v + spec.alpha * (root @ state.x)
-        expected.append(analysis.g_norm_error(state.x, v, rec.x_star, v_star,
-                                              q_mat, spec.alpha))
+        expected.append(real(q_mat, rec.x_star, v_star, spec.alpha)(state.x, v))
     assert rec.traces["nt"].gnorm_error == expected
 
 
@@ -200,6 +199,19 @@ def test_pinned_topology_file(tmp_path):
     assert rec.topology == doc
     direct = run_experiment(tiny_config(iters=20))
     assert rec.traces["nt"].rel_error == direct.traces["nt"].rel_error
+
+
+def test_pinned_topology_must_match_config_size(tmp_path):
+    g = build_topology("cycle", 5)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(topology_to_doc(g, metropolis_weights(g))))
+    cfg = dataclasses.replace(
+        tiny_config(iters=2),
+        topology=TopologySpec(kind="cycle", n=9, file=str(path)))
+    with pytest.raises(ValueError,
+                       match=re.escape("topology.n: 9 but the pinned file has "
+                                       "5 nodes")):
+        run_experiment(cfg)
 
 
 def test_unknown_algorithm_and_family():
@@ -312,6 +324,31 @@ def test_topology_sweep_matches_direct_run():
         topology=TopologySpec(kind="line", n=5)))
     assert out["line"].config.name == "tiny-line"
     assert out["line"].traces["nt"].rel_error == direct.traces["nt"].rel_error
+    # The kinds share one objective: one digest and one x*.
+    assert {rec.dataset_digest for rec in out.values()} == {direct.dataset_digest}
+    for rec in out.values():
+        assert np.array_equal(rec.x_star, direct.x_star)
+
+
+def test_topology_sweep_builds_one_objective(monkeypatch):
+    calls = {"generate_logistic_data": 0, "convexity_bounds": 0,
+             "centralized_reference": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(harness, "generate_logistic_data")
+    counted(harness, "convexity_bounds")
+    counted(alg, "centralized_reference")
+    out = topology_sweep(dataclasses.replace(preset("topo-n10"), iters=0))
+    assert set(out) == {"line", "cycle", "complete"}
+    assert calls == {"generate_logistic_data": 1, "convexity_bounds": 1,
+                     "centralized_reference": 1}
 
 
 def test_topology_sweep_random_needs_tau():

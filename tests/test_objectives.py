@@ -1,11 +1,9 @@
-"""Objective families: values, derivatives, bounds, serialization.
+"""Objective families: values, derivatives, bounds, digests.
 
 Oracle values for the logistic loss are computed directly from the data
 arrays in the tests (sum of softplus terms, expit-weighted feature sums),
 independently of the vectorized implementations under test.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -14,11 +12,11 @@ from scipy.special import expit
 
 from newtrack.algorithms import centralized_reference
 from newtrack.objectives import (LogisticDataset, LogisticFamily,
-                                 ObjectiveBounds, QuadraticFamily, _softplus,
+                                 ObjectiveBounds, QuadraticFamily,
+                                 QuadraticObjective, _softplus,
                                  convexity_bounds, derivative_check,
                                  generate_logistic_data,
-                                 generate_quadratic_set, make_logistic,
-                                 make_quadratic)
+                                 generate_quadratic_set, make_logistic)
 
 
 def small_dataset(seed=1):
@@ -124,7 +122,7 @@ def test_softplus_extremes():
 def test_quadratic_value_grad_hess():
     a = np.array([[2.0, 0.5], [0.5, 1.0]])
     b = np.array([1.0, -1.0])
-    obj = make_quadratic(a, b)
+    obj = QuadraticObjective(a, b)
     x = np.array([0.3, -0.7])
     assert obj.value(x) == pytest.approx(0.5 * x @ a @ x + b @ x, rel=1e-15)
     assert_allclose(obj.grad(x), a @ x + b, atol=1e-15)
@@ -133,11 +131,11 @@ def test_quadratic_value_grad_hess():
 
 def test_quadratic_validation():
     with pytest.raises(ValueError):
-        make_quadratic(np.array([[1.0, 0.1], [0.0, 1.0]]), np.zeros(2))
+        QuadraticObjective(np.array([[1.0, 0.1], [0.0, 1.0]]), np.zeros(2))
     with pytest.raises(ValueError):
-        make_quadratic(-np.eye(2), np.zeros(2))
+        QuadraticObjective(-np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
-        make_quadratic(np.eye(2), np.zeros(3))
+        QuadraticObjective(np.eye(2), np.zeros(3))
 
 
 def test_quadratic_family_optimum_matches_reference():
@@ -228,8 +226,8 @@ def test_bounds_validation_and_unknown_family():
 # ---------------------------------------------------------------------------
 
 def test_derivative_check_quadratic_near_exact():
-    obj = make_quadratic(np.array([[2.0, 0.3], [0.3, 1.0]]),
-                         np.array([0.5, -0.2]))
+    obj = QuadraticObjective(np.array([[2.0, 0.3], [0.3, 1.0]]),
+                             np.array([0.5, -0.2]))
     rep = derivative_check(obj, np.array([0.4, 1.1]), seed=1)
     assert rep.grad_ok and rep.hess_ok
     assert rep.grad_error < 1e-9
@@ -250,13 +248,13 @@ def test_derivative_check_flags_wrong_gradient():
         def hess(self, x):
             return self.inner.hess(x)
 
-    obj = Corrupted(make_quadratic(np.eye(2), np.zeros(2)))
+    obj = Corrupted(QuadraticObjective(np.eye(2), np.zeros(2)))
     rep = derivative_check(obj, np.array([1.0, -1.0]), seed=1)
     assert not rep.grad_ok
 
 
 def test_derivative_check_step_window():
-    obj = make_quadratic(np.eye(2), np.zeros(2))
+    obj = QuadraticObjective(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
         derivative_check(obj, np.zeros(2), step=1e-8)
     with pytest.raises(ValueError):
@@ -305,15 +303,10 @@ def test_dataset_validation():
                         reg=-1.0)
 
 
-def test_dataset_doc_round_trip_and_digest():
+def test_dataset_digest():
     ds = generate_logistic_data(n=3, m=4, p=2, reg=1e-2, seed=8)
-    doc = json.loads(json.dumps(ds.to_doc()))
-    assert sorted(doc) == ["features", "labels", "m", "n", "p", "rho", "seed"]
-    back = LogisticDataset.from_doc(doc)
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.labels, ds.labels)
-    assert back.reg == ds.reg
-    assert back.digest() == ds.digest()
+    again = generate_logistic_data(n=3, m=4, p=2, reg=1e-2, seed=8)
+    assert again.digest() == ds.digest()
     assert ds.digest().startswith("sha256:")
     bumped = LogisticDataset(features=ds.features + 1e-12, labels=ds.labels,
                              reg=ds.reg)
