@@ -17,9 +17,8 @@ from .algorithms import (DlmState, ExtraState, GradientTrackingState,
 from .analysis import (BoundReport, RateCertificate, RateFit,
                        approximation_error, consensus_penalty_matrix,
                        contraction_check, decay_window, dual_optimum,
-                       fit_linear_rate, g_norm_metric, kkt_residual,
-                       lemma_remainder_check, rate_certificate,
-                       stationarity_identity_check)
+                       fit_linear_rate, g_norm_metric, lemma_remainder_check,
+                       rate_certificate, stationarity_identity_check)
 from .harness import (AlgorithmSpec, ConvergenceTrace, DataSpec, RunConfig,
                       RunRecord, TopologySpec, export_csv, load_record,
                       preset, run_checks, run_experiment, save_record,

@@ -10,7 +10,7 @@ reported as data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -48,6 +48,13 @@ class RateCertificate:
         if self.delta_prime is None:
             raise ValueError("certificate is infeasible; no contraction factor")
         return 1.0 / (1.0 + self.delta_prime)
+
+    def to_doc(self) -> dict:
+        """Fields in declaration order, then the contraction factor (None
+        when infeasible)."""
+        doc = asdict(self)
+        doc["contraction"] = self.contraction if self.feasible else None
+        return doc
 
 
 def rate_certificate(bounds, spectra, alpha: float, eps: float,
@@ -120,17 +127,6 @@ def g_norm_metric(q_mat: np.ndarray, x_star: np.ndarray, v_star: np.ndarray,
         return float(np.sum((q_mat @ dx) * dx) + np.sum(dv * dv) / alpha)
 
     return energy
-
-
-def kkt_residual(grad: np.ndarray, root_x: np.ndarray,
-                 root_v: np.ndarray) -> tuple[float, float]:
-    """(primal, dual) stationarity residuals at (x, v), from grad = grad(x),
-    root_x = root @ x and root_v = root @ v.
-
-    primal = ||root @ x||, the distance from consensus along the
-    constraint; dual = ||grad(x) + root @ v||.
-    """
-    return float(np.linalg.norm(root_x)), float(np.linalg.norm(grad + root_v))
 
 
 def approximation_error(x0: np.ndarray, x1: np.ndarray, family,

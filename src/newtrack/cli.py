@@ -17,9 +17,9 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import analysis
-from .harness import (PRESET_NAMES, RunConfig, TopologySpec, _cert_doc,
-                      build_network, build_objective, load_record, preset,
-                      run_checks, run_experiment, topology_sweep, write_outputs)
+from .harness import (PRESET_NAMES, RunConfig, TopologySpec, build_network,
+                      build_objective, load_record, preset, run_checks,
+                      run_experiment, topology_sweep, write_outputs)
 from .objectives import ObjectiveBounds
 from .topology import topology_to_doc
 
@@ -126,7 +126,7 @@ def _cmd_certify(args) -> int:
                                   lambda_min_nz=args.lambda_min_nz)
         cert = analysis.rate_certificate(bounds, spectra, args.alpha, args.eps,
                                          args.beta, args.phi)
-    _emit(_cert_doc(cert), args.out)
+    _emit(cert.to_doc(), args.out)
     return 0
 
 
@@ -158,37 +158,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_spectra)
 
-    for name, fn, extra in (("solve", _cmd_solve, ()),
-                            ("sweep", _cmd_sweep, ("kinds",))):
-        sp = sub.add_parser(name, help=f"{name} a config or preset")
+    for name, fn, text in (
+            ("solve", _cmd_solve, "solve a config or preset"),
+            ("sweep", _cmd_sweep, "sweep a config or preset"),
+            ("certify", _cmd_certify, "rate certificate from bounds and spectra")):
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", default=None, help="RunConfig JSON path")
         sp.add_argument("--preset", default=None,
                         help=f"one of {', '.join(PRESET_NAMES)}")
-        sp.add_argument("--iters", type=int, default=None)
         sp.add_argument("--seed-topology", type=int, default=None)
         sp.add_argument("--seed-data", type=int, default=None)
-        sp.add_argument("--out", default=None, help="output directory")
-        if "kinds" in extra:
-            sp.add_argument("--kinds", default="line,cycle,complete")
+        sp.add_argument("--out", default=None, help="output file" if
+                        name == "certify" else "output directory")
         sp.set_defaults(func=fn)
-
-    sp = sub.add_parser("certify", help="rate certificate from bounds and spectra")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--preset", default=None,
-                    help=f"one of {', '.join(PRESET_NAMES)}")
-    sp.add_argument("--mu", type=float, default=None)
-    sp.add_argument("--lip", type=float, default=None)
-    sp.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
-    sp.add_argument("--lambda-min-nz", dest="lambda_min_nz", type=float,
-                    default=None)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=2.0)
-    sp.add_argument("--phi", type=float, default=2.0)
-    sp.add_argument("--seed-topology", type=int, default=None)
-    sp.add_argument("--seed-data", type=int, default=None)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_certify)
+        if name != "certify":  # a certificate depends on no iteration
+            sp.add_argument("--iters", type=int, default=None)
+        if name == "sweep":
+            sp.add_argument("--kinds", default="line,cycle,complete")
+        if name == "certify":  # explicit mode: bounds and spectra by hand
+            for flag in ("--mu", "--lip", "--lambda-max", "--lambda-min-nz",
+                         "--alpha", "--eps"):
+                sp.add_argument(flag, type=float, default=None)
+            sp.add_argument("--beta", type=float, default=2.0)
+            sp.add_argument("--phi", type=float, default=2.0)
 
     sp = sub.add_parser("check", help="invariant suite over a recorded run")
     sp.add_argument("--record", required=True, help="record.json from solve")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import hashlib
+import functools
 import json
 import math
 import time
@@ -51,6 +51,14 @@ METHODS = {
 }
 
 
+def _optional(doc: dict, key: str, kind: type, prefix: str = "", default=None):
+    """doc[key] read by kind, default if absent or null; ValueError names it."""
+    try:
+        return default if doc.get(key) is None else kind(doc[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{prefix}{key}: not a number: {doc[key]!r}") from None
+
+
 @dataclass(frozen=True)
 class TopologySpec:
     kind: str
@@ -62,7 +70,8 @@ class TopologySpec:
     @staticmethod
     def from_doc(doc: dict) -> "TopologySpec":
         return TopologySpec(kind=doc["kind"], n=int(doc["n"]),
-                            tau=doc.get("tau"), seed=doc.get("seed"),
+                            tau=_optional(doc, "tau", float, "topology."),
+                            seed=_optional(doc, "seed", int, "topology."),
                             file=doc.get("file"))
 
 
@@ -77,7 +86,8 @@ class DataSpec:
     @staticmethod
     def from_doc(doc: dict) -> "DataSpec":
         return DataSpec(family=doc["family"], p=int(doc["p"]),
-                        m=doc.get("m"), rho=doc.get("rho"),
+                        m=_optional(doc, "m", int, "data."),
+                        rho=_optional(doc, "rho", float, "data."),
                         seed=int(doc["seed"]))
 
 
@@ -143,11 +153,10 @@ class RunConfig:
             data=DataSpec.from_doc(doc["data"]),
             algorithms=tuple(AlgorithmSpec.from_doc(a) for a in doc["algorithms"]),
             iters=int(doc["iters"]),
-            stop_tol=None if doc.get("stop_tol") is None
-            else float(doc["stop_tol"]),
-            ref_tol=float(doc.get("ref_tol", 1e-12)),
-            beta=float(doc.get("beta", 2.0)),
-            phi=float(doc.get("phi", 2.0)),
+            stop_tol=_optional(doc, "stop_tol", float),
+            ref_tol=_optional(doc, "ref_tol", float, default=1e-12),
+            beta=_optional(doc, "beta", float, default=2.0),
+            phi=_optional(doc, "phi", float, default=2.0),
         )
 
 
@@ -195,10 +204,6 @@ class ConvergenceTrace:
         return {f.name: copy.copy(getattr(self, f.name))
                 for f in dataclasses.fields(self)}
 
-    @staticmethod
-    def from_doc(doc: dict) -> "ConvergenceTrace":
-        return ConvergenceTrace(**doc)
-
 
 @dataclass
 class RunRecord:
@@ -234,8 +239,7 @@ class RunRecord:
             ref_residual=float(doc["ref_residual"]),
             spectra=doc["spectra"],
             certificates=doc["certificates"],
-            traces={k: ConvergenceTrace.from_doc(v)
-                    for k, v in doc["traces"].items()},
+            traces={k: ConvergenceTrace(**v) for k, v in doc["traces"].items()},
             topology=doc["topology"],
         )
 
@@ -254,57 +258,57 @@ def load_record(path) -> RunRecord:
 # instances are not reproducible.
 # ---------------------------------------------------------------------------
 
+PRESETS = {
+    "fig1": RunConfig(
+        name="fig1",
+        topology=TopologySpec(kind="random", n=10, tau=0.5, seed=7),
+        data=DataSpec(family="logistic", p=8, m=12, rho=1e-3, seed=1),
+        algorithms=(AlgorithmSpec("nt", alpha=3.3, eps=3.0),),
+        iters=2000,
+    ),
+    "fig4-n50": RunConfig(
+        name="fig4-n50",
+        topology=TopologySpec(kind="random", n=50, tau=0.5, seed=7),
+        data=DataSpec(family="logistic", p=20, m=10, rho=1e-3, seed=1),
+        algorithms=(
+            AlgorithmSpec("gt", alpha=0.16),
+            AlgorithmSpec("extra", alpha=0.07),
+            AlgorithmSpec("dlm", alpha=0.1, eps=0.1),
+            AlgorithmSpec("nt", alpha=1.1, eps=1.2),
+        ),
+        iters=20000,
+    ),
+    "fig5-n100": RunConfig(
+        name="fig5-n100",
+        topology=TopologySpec(kind="random", n=100, tau=0.5, seed=7),
+        data=DataSpec(family="logistic", p=40, m=10, rho=1e-3, seed=1),
+        algorithms=(
+            AlgorithmSpec("gt", alpha=0.6),
+            AlgorithmSpec("extra", alpha=1.6),
+            AlgorithmSpec("dlm", alpha=0.008, eps=0.001),
+            AlgorithmSpec("nt", alpha=0.08, eps=0.08),
+        ),
+        iters=20000,
+    ),
+    # More samples per node than fig1 so the local curvature dominates
+    # the consensus penalty; that is the regime where the topology
+    # (through lambda-hat-min) is the rate-limiting factor.
+    "topo-n10": RunConfig(
+        name="topo-n10",
+        topology=TopologySpec(kind="complete", n=10),
+        data=DataSpec(family="logistic", p=8, m=50, rho=1e-3, seed=1),
+        algorithms=(AlgorithmSpec("nt", alpha=2.3, eps=2.4),),
+        iters=5000,
+        stop_tol=1e-9,
+    ),
+}
+PRESET_NAMES = tuple(PRESETS)
+
+
 def preset(name: str) -> RunConfig:
-    if name == "fig1":
-        return RunConfig(
-            name="fig1",
-            topology=TopologySpec(kind="random", n=10, tau=0.5, seed=7),
-            data=DataSpec(family="logistic", p=8, m=12, rho=1e-3, seed=1),
-            algorithms=(AlgorithmSpec("nt", alpha=3.3, eps=3.0),),
-            iters=2000,
-        )
-    if name == "fig4-n50":
-        return RunConfig(
-            name="fig4-n50",
-            topology=TopologySpec(kind="random", n=50, tau=0.5, seed=7),
-            data=DataSpec(family="logistic", p=20, m=10, rho=1e-3, seed=1),
-            algorithms=(
-                AlgorithmSpec("gt", alpha=0.16),
-                AlgorithmSpec("extra", alpha=0.07),
-                AlgorithmSpec("dlm", alpha=0.1, eps=0.1),
-                AlgorithmSpec("nt", alpha=1.1, eps=1.2),
-            ),
-            iters=20000,
-        )
-    if name == "fig5-n100":
-        return RunConfig(
-            name="fig5-n100",
-            topology=TopologySpec(kind="random", n=100, tau=0.5, seed=7),
-            data=DataSpec(family="logistic", p=40, m=10, rho=1e-3, seed=1),
-            algorithms=(
-                AlgorithmSpec("gt", alpha=0.6),
-                AlgorithmSpec("extra", alpha=1.6),
-                AlgorithmSpec("dlm", alpha=0.008, eps=0.001),
-                AlgorithmSpec("nt", alpha=0.08, eps=0.08),
-            ),
-            iters=20000,
-        )
-    if name == "topo-n10":
-        # More samples per node than fig1 so the local curvature dominates
-        # the consensus penalty; that is the regime where the topology
-        # (through lambda-hat-min) is the rate-limiting factor.
-        return RunConfig(
-            name="topo-n10",
-            topology=TopologySpec(kind="complete", n=10),
-            data=DataSpec(family="logistic", p=8, m=50, rho=1e-3, seed=1),
-            algorithms=(AlgorithmSpec("nt", alpha=2.3, eps=2.4),),
-            iters=5000,
-            stop_tol=1e-9,
-        )
-    raise ValueError(f"unknown preset {name!r}")
-
-
-PRESET_NAMES = ("fig1", "fig4-n50", "fig5-n100", "topo-n10")
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
+    return PRESETS[name]
 
 
 class Network(NamedTuple):
@@ -315,14 +319,23 @@ class Network(NamedTuple):
     spectra: SpectralStats
 
 
-class Objective(NamedTuple):
-    """Local objectives with their digest, (mu, L) bounds and minimizer x*."""
+@dataclass(frozen=True)
+class Objective:
+    """Local objectives with their digest, (mu, L) bounds and minimizer x*,
+    solved to ref_tol on first read: certify, which never reads it, never solves."""
 
     family: object  # LogisticFamily or QuadraticFamily
     digest: str
     bounds: ObjectiveBounds
-    x_star: np.ndarray
-    ref_residual: float
+    ref_tol: float
+
+    @functools.cached_property
+    def x_star(self) -> np.ndarray:
+        return alg.centralized_reference(self.family, tol=self.ref_tol)
+
+    @functools.cached_property
+    def ref_residual(self) -> float:
+        return float(np.linalg.norm(self.family.grad_total(self.x_star)))
 
 
 def build_network(topo: TopologySpec) -> Network:
@@ -340,23 +353,17 @@ def build_network(topo: TopologySpec) -> Network:
 
 def build_objective(config: RunConfig) -> Objective:
     """Generate the config's local objectives over config.topology.n nodes
-    and solve their aggregate to ref_tol."""
+    and bound them; x* waits for its first read."""
     data, n = config.data, config.topology.n
     if data.family == "logistic":
-        dataset = generate_logistic_data(n, data.m, data.p, data.rho, data.seed)
-        family, digest = LogisticFamily(dataset), dataset.digest()
+        family = LogisticFamily(generate_logistic_data(n, data.m, data.p,
+                                                       data.rho, data.seed))
     elif data.family == "quadratic":
         family = generate_quadratic_set(n, data.p, data.seed)
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(family.a).tobytes())
-        h.update(np.ascontiguousarray(family.b).tobytes())
-        digest = "sha256:" + h.hexdigest()
     else:
         raise ValueError(f"unknown data family {data.family!r}")
-    bounds = convexity_bounds(family)
-    x_star = alg.centralized_reference(family, tol=config.ref_tol)
-    return Objective(family, digest, bounds, x_star,
-                     float(np.linalg.norm(family.grad_total(x_star))))
+    return Objective(family, family.digest(), convexity_bounds(family),
+                     config.ref_tol)
 
 
 def run_experiment(config: RunConfig) -> RunRecord:
@@ -372,7 +379,7 @@ def _run(config: RunConfig, net: Network, obj: Objective) -> RunRecord:
         if spec.name == "nt":
             cert = analysis.rate_certificate(obj.bounds, net.spectra, spec.alpha,
                                              spec.eps, config.beta, config.phi)
-            certificates[spec.name] = _cert_doc(cert)
+            certificates[spec.name] = cert.to_doc()
         traces[spec.name] = _run_algorithm(spec, net, obj, cert, config)
     return RunRecord(config=config, dataset_digest=obj.digest, x_star=obj.x_star,
                      ref_residual=obj.ref_residual,
@@ -380,12 +387,6 @@ def _run(config: RunConfig, net: Network, obj: Objective) -> RunRecord:
                               "lambda_min_nz": net.spectra.lambda_min_nz},
                      certificates=certificates, traces=traces,
                      topology=topology_to_doc(net.graph, net.mix))
-
-
-def _cert_doc(cert: analysis.RateCertificate) -> dict:
-    doc = dataclasses.asdict(cert)
-    doc["contraction"] = cert.contraction if cert.feasible else None
-    return doc
 
 
 def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
@@ -422,7 +423,8 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
         trace.rel_error.append(rel)
         if is_nt:
             # The step already evaluated the gradient at state.x.
-            primal, dual = analysis.kkt_residual(state.grad, root_x, root @ v)
+            primal = float(np.linalg.norm(root_x))
+            dual = float(np.linalg.norm(state.grad + root @ v))
             gnorm = energy(state.x, v) if feasible else None
             tracking = alg.conservation_residual(state)
         else:
@@ -478,14 +480,19 @@ def topology_sweep(config: RunConfig, kinds=("line", "cycle", "complete")
     """Re-run one config across topology kinds; returns kind -> RunRecord.
 
     Every kind's network is built before the one objective they share.
+    Kinds must be distinct and at least one.
     """
     configs = {}
     for kind in kinds:
+        if kind in configs:
+            raise ValueError(f"kinds: {kind!r} appears twice")
         topo = TopologySpec(kind=kind, n=config.topology.n,
                             tau=config.topology.tau if kind == "random" else None,
                             seed=config.topology.seed if kind == "random" else None)
         configs[kind] = dataclasses.replace(config, name=f"{config.name}-{kind}",
                                             topology=topo)
+    if not configs:
+        raise ValueError("kinds: empty; name at least one topology kind")
     nets = {kind: build_network(c.topology) for kind, c in configs.items()}
     obj = build_objective(config)
     return {kind: _run(c, nets[kind], obj) for kind, c in configs.items()}
@@ -575,26 +582,27 @@ class CheckReport:
 def run_checks(record: RunRecord, window: int = 100) -> CheckReport:
     """Re-derive everything the record claims and test the core identities.
 
-    Re-runs the config (determinism), then replays short trajectories to
-    test conservation, formulation equivalence, the remainder bound, the
+    Re-runs the config and compares every record field but the wall-clock
+    column (determinism), then replays short trajectories to test
+    conservation, formulation equivalence, the remainder bound, the
     per-step stationarity identity, and (when certified) contraction.
     """
+    if window < 0:
+        raise ValueError(f"window: must be >= 0, got {window}")
     checks = {}
     config = record.config
     net, obj = build_network(config.topology), build_objective(config)
-    fresh = _run(config, net, obj)
-
-    same_digest = fresh.dataset_digest == record.dataset_digest
-    mismatched = []
-    for name, trace in record.traces.items():
-        again = fresh.traces[name].to_doc() if name in fresh.traces else {}
-        mismatched += [f"{name}.{column}"
-                       for column, values in trace.to_doc().items()
-                       if column != "wall_ms" and again.get(column) != values]
+    doc, again = record.to_doc(), _run(config, net, obj).to_doc()
+    fields = [key for key in doc if key != "traces" and doc[key] != again[key]]
+    columns = [f"{name}.{column}"
+               for name, trace in doc["traces"].items()
+               for column, values in trace.items()
+               if column != "wall_ms"
+               and again["traces"].get(name, {}).get(column) != values]
     checks["determinism"] = {
-        "passed": bool(same_digest and not mismatched),
-        "detail": {"digest_match": same_digest, "trace_match": not mismatched,
-                   "mismatched": mismatched}}
+        "passed": not (fields or columns),
+        "detail": {"digest_match": "dataset_digest" not in fields,
+                   "trace_match": not columns, "mismatched": fields + columns}}
     checks.update(_replay_checks(record, net, obj, window))
     return CheckReport(checks=checks)
 
@@ -662,7 +670,7 @@ def _replay_checks(record: RunRecord, net: Network, obj: Objective,
         worst = 0.0
         for _ in range(min(len(record.traces["gt"]) - 1, window)):
             state = alg.gt_step(state, family, mix.w)
-            g = family.grad_stack(state.x)
+            g = state.grad
             diff = np.linalg.norm(state.y.mean(axis=0) - g.mean(axis=0))
             worst = max(worst, float(diff / (np.linalg.norm(g.mean(axis=0)) + 1.0)))
         checks["tracker_mean"] = {"passed": worst < 1e-9,

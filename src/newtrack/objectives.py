@@ -167,6 +167,9 @@ class LogisticFamily:
     def node(self, i: int) -> LogisticObjective:
         return make_logistic(self.dataset, i)
 
+    def digest(self) -> str:
+        return self.dataset.digest()
+
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         # x has shape (n, p): one local point per node.
         z = np.einsum("nmp,np->nm", self._f, x) * self._lab
@@ -188,10 +191,6 @@ class LogisticFamily:
         h = self._ft @ (self._f * self.curvature(x)[:, :, None])
         h += self.ridge * np.eye(self.p)
         return h
-
-    def value_total(self, x: np.ndarray) -> float:
-        z = (self._f @ x) * self._lab
-        return 0.5 * self.dataset.reg * float(x @ x) + float(np.sum(_softplus(-z)))
 
     def grad_total(self, x: np.ndarray) -> np.ndarray:
         z = (self._f @ x) * self._lab
@@ -228,14 +227,18 @@ class QuadraticFamily:
     def node(self, i: int) -> QuadraticObjective:
         return QuadraticObjective(self.a[i], self.b[i])
 
+    def digest(self) -> str:
+        """SHA-256 over the raw bytes of A, then b."""
+        h = hashlib.sha256()
+        h.update(np.ascontiguousarray(self.a).tobytes())
+        h.update(np.ascontiguousarray(self.b).tobytes())
+        return "sha256:" + h.hexdigest()
+
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         return np.einsum("npq,nq->np", self.a, x) + self.b
 
     def hess_stack(self, x: np.ndarray) -> np.ndarray:
         return self.a.copy()
-
-    def value_total(self, x: np.ndarray) -> float:
-        return 0.5 * float(x @ self.a.sum(axis=0) @ x) + float(self.b.sum(axis=0) @ x)
 
     def grad_total(self, x: np.ndarray) -> np.ndarray:
         return self.a.sum(axis=0) @ x + self.b.sum(axis=0)
@@ -286,8 +289,7 @@ def convexity_bounds(family) -> ObjectiveBounds:
         # smaller Gram, for m < p the one the Woodbury solve caches.
         gram = family.gram if family.m < family.p else family._ft @ family._f
         gram_max = float(np.max(np.linalg.eigvalsh(gram)[:, -1]))
-        ridge = family.dataset.reg / family.n
-        return ObjectiveBounds(mu=ridge, lip=ridge + 0.25 * gram_max)
+        return ObjectiveBounds(mu=family.ridge, lip=family.ridge + 0.25 * gram_max)
     if isinstance(family, QuadraticFamily):
         lam = np.linalg.eigvalsh(family.a)
         return ObjectiveBounds(mu=float(np.min(lam[:, 0])),

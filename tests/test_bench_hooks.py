@@ -7,6 +7,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import pytest
+
 import newtrack.cli  # binds newtrack; targets() reads newtrack.cli too
 from newtrack import algorithms, harness
 
@@ -25,9 +27,20 @@ def test_every_trace_target_resolves():
     assert missing == []
 
 
-def test_setup_hooks_are_on_the_run_path(monkeypatch):
-    """Each set-up hook the benchmark wraps runs once in a plain run, so a
-    set-up path that bypasses them cannot zero their layers unnoticed."""
+def run_fig1():
+    harness.run_experiment(dataclasses.replace(harness.preset("fig1"), iters=0))
+
+
+def certify_fig1():
+    assert newtrack.cli.main(["certify", "--preset", "fig1"]) == 0
+
+
+@pytest.mark.parametrize("entry, references", [(run_fig1, 1), (certify_fig1, 0)],
+                         ids=["run", "certify"])
+def test_setup_hooks_are_on_the_run_path(monkeypatch, entry, references):
+    """Each set-up hook the benchmark wraps runs once per entry point, so a
+    set-up path that bypasses them cannot zero their layers unnoticed.  The
+    reference solve runs only where x* is read: certify never reads it."""
     calls = {}
     hooks = [(harness, name) for name in (
         "build_topology", "metropolis_weights", "spectral_stats",
@@ -42,5 +55,6 @@ def test_setup_hooks_are_on_the_run_path(monkeypatch):
             return _real(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    harness.run_experiment(dataclasses.replace(harness.preset("fig1"), iters=0))
-    assert calls == {name: 1 for _, name in hooks}
+    entry()
+    assert calls == {**{name: 1 for _, name in hooks},
+                     "centralized_reference": references}

@@ -275,6 +275,17 @@ def test_check_flags_tampering(capsys, tmp_path):
     assert "determinism" in failure["failed"]
 
 
+def test_check_rejects_a_negative_window(capsys, tmp_path):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(tiny_config_doc(iters=5)))
+    run_cli(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path / "run"))
+    rc, out, err = run_cli(capsys, "check", "--record",
+                           str(tmp_path / "run" / "record.json"), "--window", "-3")
+    assert (rc, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "window: must be >= 0, got -3"}
+
+
 def test_check_missing_record(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "check", "--record",
                          str(tmp_path / "absent.json"))

@@ -1,6 +1,7 @@
 """Experiment harness: presets, runs, exports, and the invariant checks."""
 
 import dataclasses
+import functools
 import json
 import re
 
@@ -129,6 +130,10 @@ def test_dual_metrics_only_for_curvature_tracked():
     assert not rec.certificates["nt"]["feasible"]
     assert all(v is None for v in nt.gnorm_error)
     assert set(rec.certificates) == {"nt"}
+    # At convergence both stationarity residuals vanish.
+    converged = run_experiment(tiny_config()).traces["nt"]
+    assert converged.rel_error[-1] < 1e-12
+    assert converged.kkt_primal[-1] < 1e-8 and converged.kkt_dual[-1] < 1e-8
 
 
 def test_determinism_across_runs():
@@ -250,13 +255,25 @@ def test_config_validation_names_the_field(change, field):
 
 
 def test_stop_tol_from_doc_is_a_number():
-    # A config file may spell the tolerance as a string; it loads as a float
-    # and the run stops there, as with the constructor.
-    doc = json.loads(json.dumps(tiny_config().to_doc()))
-    doc["stop_tol"] = "1e-6"
-    cfg = RunConfig.from_doc(doc)
-    assert cfg.stop_tol == 1e-6
-    assert run_experiment(cfg).traces["nt"].status == "tol"
+    # A config file may spell a number as a string; it loads as the number
+    # the constructor takes and the run stops at stop_tol, as with the
+    # constructor.  A string that is no number fails at load, naming the field.
+    base = dataclasses.replace(preset("fig1"), iters=300, stop_tol=1e-6)
+    for field, text in (("stop_tol", "1e-6"), ("topology.tau", "0.5"),
+                        ("topology.seed", "7"), ("data.m", "12"),
+                        ("data.rho", "1e-3")):
+        *parents, key = field.split(".")
+        doc = json.loads(json.dumps(base.to_doc()))
+        functools.reduce(lambda d, k: d[k], parents, doc)[key] = text
+        cfg = RunConfig.from_doc(doc)
+        value = functools.reduce(getattr, field.split("."), cfg)
+        expected = functools.reduce(getattr, field.split("."), base)
+        assert (value, type(value)) == (expected, type(expected)), field
+        assert cfg == base
+        assert run_experiment(cfg).traces["nt"].status == "tol"
+        functools.reduce(lambda d, k: d[k], parents, doc)[key] = "half"
+        with pytest.raises(ValueError, match=re.escape(field)):
+            RunConfig.from_doc(doc)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -354,6 +371,11 @@ def test_topology_sweep_builds_one_objective(monkeypatch):
 def test_topology_sweep_random_needs_tau():
     with pytest.raises(ValueError):
         topology_sweep(tiny_config(iters=2), kinds=("random",))
+    # Kinds must be distinct and at least one.
+    for kinds, message in ((("line", "cycle", "line"), "'line' appears twice"),
+                           ((), "kinds: empty")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            topology_sweep(tiny_config(iters=2), kinds=kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +501,23 @@ def test_run_checks_build_the_problem_once(monkeypatch):
                      "centralized_reference": 1}
 
 
+def test_objective_solves_x_star_on_first_read(monkeypatch):
+    calls = {}
+    monkeypatch.setattr(alg, "centralized_reference",
+                        counting(calls, "reference", alg.centralized_reference))
+    cfg = preset("fig1")
+    obj = harness.build_objective(cfg)
+    assert calls == {}
+    x_star = obj.x_star
+    assert obj.ref_residual == float(np.linalg.norm(obj.family.grad_total(x_star)))
+    assert obj.x_star is x_star and calls == {"reference": 1}
+    # (mu, L) stay eager: data with mu = 0 fails at set-up, not at a read.
+    flat = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, rho=0.0),
+                               algorithms=(AlgorithmSpec("gt", alpha=0.1),))
+    with pytest.raises(ValueError, match="0 < mu"):
+        harness.build_objective(flat)
+
+
 def test_run_decomposes_the_mixing_matrix_once(monkeypatch):
     cfg = dataclasses.replace(preset("fig1"), iters=5)
     n = cfg.topology.n
@@ -497,13 +536,29 @@ def test_run_decomposes_the_mixing_matrix_once(monkeypatch):
     assert shapes.count((n, n)) == 1
 
 
-def test_run_checks_catch_tampered_trace():
+def test_run_checks_catch_tampered_trace(tmp_path):
+    # Every saved field but the wall-clock column is compared to the re-run.
+    def bump(doc, *path):
+        *parents, key = path
+        functools.reduce(lambda d, k: d[k], parents, doc)[key] += 1e-9
+
     rec = run_experiment(tiny_config(iters=20))
-    rec.traces["nt"].rel_error[-1] *= 2.0
-    rep = run_checks(rec, window=10)
-    assert not rep.passed
-    assert not rep.checks["determinism"]["passed"]
-    assert rep.checks["determinism"]["detail"]["trace_match"] is False
+    save_record(rec, tmp_path / "record.json")
+    for field, path in (("nt.rel_error", ("traces", "nt", "rel_error", -1)),
+                        ("x_star", ("x_star", 0)),
+                        ("ref_residual", ("ref_residual",)),
+                        ("spectra", ("spectra", "lambda_max")),
+                        ("certificates", ("certificates", "nt", "q_min")),
+                        ("topology", ("topology", "weights", 0, 0))):
+        doc = json.loads((tmp_path / "record.json").read_text())
+        bump(doc, *path)
+        (tmp_path / "tampered.json").write_text(json.dumps(doc))
+        rep = run_checks(load_record(tmp_path / "tampered.json"), window=10)
+        det = rep.checks["determinism"]
+        assert not rep.passed and not det["passed"], field
+        assert det["detail"]["mismatched"] == [field]
+        assert det["detail"]["trace_match"] is ("." not in field)
+        assert det["detail"]["digest_match"] is True
 
 
 def test_run_checks_compare_every_trace_column(tmp_path):

@@ -81,10 +81,8 @@ def test_totals_are_sums_of_nodes():
     ds = small_dataset()
     fam = LogisticFamily(ds)
     x = np.full(ds.p, 0.3)
-    v = sum(fam.node(i).value(x) for i in range(ds.n))
     g = sum(fam.node(i).grad(x) for i in range(ds.n))
     h = sum(fam.node(i).hess(x) for i in range(ds.n))
-    assert fam.value_total(x) == pytest.approx(v, rel=1e-13)
     assert_allclose(fam.grad_total(x), g, atol=1e-13)
     assert_allclose(fam.hess_total(x), h, atol=1e-13)
 
@@ -311,3 +309,15 @@ def test_dataset_digest():
     bumped = LogisticDataset(features=ds.features + 1e-12, labels=ds.labels,
                              reg=ds.reg)
     assert bumped.digest() != ds.digest()
+
+
+def test_family_digests():
+    # A family's digest names its data: the logistic one is its dataset's,
+    # the quadratic one hashes A, then b, and moves with either.
+    ds = generate_logistic_data(n=3, m=4, p=2, reg=1e-2, seed=8)
+    assert LogisticFamily(ds).digest() == ds.digest()
+    fam = generate_quadratic_set(n=3, p=4, seed=3)
+    assert fam.digest() == generate_quadratic_set(n=3, p=4, seed=3).digest()
+    assert fam.digest().startswith("sha256:")
+    assert QuadraticFamily(fam.a, fam.b + 1e-12).digest() != fam.digest()
+    assert QuadraticFamily(fam.a + 1e-12, fam.b).digest() != fam.digest()
