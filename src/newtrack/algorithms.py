@@ -25,30 +25,33 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpbsv
 
 from .objectives import LogisticFamily
 from .topology import Graph, laplacian
 
 
 def solve_spd_blocks(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve blocks[i] @ out[i] = rhs[i] at every node in one batched call.
+    """Solve blocks[i] @ out[i] = rhs[i] at every node in one LAPACK call.
 
-    A Cholesky factorization of the whole stack first checks that every
-    block is symmetric positive definite (it reads the lower triangle);
-    if one is not, LinAlgError names the first such node.
+    The stack is one block-diagonal matrix of half-bandwidth b - 1: one
+    banded Cholesky solve (dpbsv, lower triangles) checks every block is
+    positive definite and solves.  LinAlgError names the first node whose
+    block is not.  A NaN block does not raise: its node's output is NaN,
+    and the factor may carry the NaN to other nodes.
     """
-    try:
-        np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError:
-        for i, block in enumerate(blocks):
-            try:
-                np.linalg.cholesky(block)
-            except np.linalg.LinAlgError as err:
-                raise np.linalg.LinAlgError(
-                    f"regularized local system at node {i} is not positive definite"
-                ) from err
-        raise
-    return np.linalg.solve(blocks, rhs[..., None])[..., 0]
+    n, b, _ = blocks.shape
+    # Band storage ab[d, i b + c] = blocks[i, c + d, c], 0 past the block: columns
+    # written as rows of width 2b - 1, read back at width 2b, start at the diagonal.
+    skew = np.zeros((n, b + 1, 2 * b - 1))
+    skew[:, :b, :b] = blocks.transpose(0, 2, 1)
+    band = skew.reshape(n, -1)[:, :2 * b * b].reshape(n, b, 2 * b)[:, :, :b]
+    _, out, info = dpbsv(band.reshape(n * b, b).T, rhs.reshape(n * b, 1),
+                         lower=1, overwrite_ab=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"regularized local system at node "
+                                    f"{(info - 1) // b} is not positive definite")
+    return out.reshape(n, b)
 
 
 def reg_solve(family, x: np.ndarray, eps: float, rhs: np.ndarray) -> np.ndarray:
@@ -71,8 +74,8 @@ def reg_solve(family, x: np.ndarray, eps: float, rhs: np.ndarray) -> np.ndarray:
         root_c = np.sqrt(family.curvature(x))
         k = root_c[:, :, None] * family.gram * root_c[:, None, :]
         k += a * np.eye(family.m)
-        y = solve_spd_blocks(k, root_c * np.einsum("nmp,np->nm", f, rhs))
-        return (rhs - np.einsum("nm,nmp->np", root_c * y, f)) / a
+        y = solve_spd_blocks(k, root_c * (f @ rhs[:, :, None])[:, :, 0])
+        return (rhs - ((root_c * y)[:, None, :] @ f)[:, 0, :]) / a
     h = family.hess_stack(x)
     h += eps * np.eye(family.p)
     return solve_spd_blocks(h, rhs)
@@ -216,17 +219,18 @@ def gt_step(state: GradientTrackingState, family,
 
 @dataclass(frozen=True)
 class ExtraState:
-    """Current and previous iterates and the gradient at the previous one."""
+    """Current and previous iterates, W x_prev and the gradient at x_prev."""
 
     x: np.ndarray
     x_prev: np.ndarray
+    wx_prev: np.ndarray
     grad_prev: np.ndarray
     alpha: float
     t: int = 0
 
 
 def extra_init(family, alpha: float) -> ExtraState:
-    """x = 0 with a zero history (x_prev = 0, grad_prev = 0).
+    """x = 0 with a zero history (x_prev = W x_prev = grad_prev = 0).
 
     The first ordinary step then is the bootstrap x^1 = W x^0 - alpha
     grad(x^0), bit for bit, but only because x^0 = 0 makes W x^0 vanish.
@@ -234,17 +238,19 @@ def extra_init(family, alpha: float) -> ExtraState:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     zero = np.zeros((family.n, family.p))
-    return ExtraState(x=zero, x_prev=zero, grad_prev=zero, alpha=alpha, t=0)
+    return ExtraState(x=zero, x_prev=zero, wx_prev=zero, grad_prev=zero,
+                      alpha=alpha, t=0)
 
 
 def extra_step(state: ExtraState, family, w: np.ndarray) -> ExtraState:
-    """Two-step recursion x2 = (I+W) x1 - (I+W)/2 x0 - alpha (g1 - g0)."""
+    """Two-step recursion x2 = (I+W) x1 - (I+W)/2 x0 - alpha (g1 - g0); W x0
+    is the last round's W x1, so a round exchanges once."""
     g = family.grad_stack(state.x)
-    x2 = state.x + w @ state.x \
-        - 0.5 * (state.x_prev + w @ state.x_prev) \
+    wx = w @ state.x
+    x2 = state.x + wx - 0.5 * (state.x_prev + state.wx_prev) \
         - state.alpha * (g - state.grad_prev)
-    return ExtraState(x=x2, x_prev=state.x, grad_prev=g, alpha=state.alpha,
-                      t=state.t + 1)
+    return ExtraState(x=x2, x_prev=state.x, wx_prev=wx, grad_prev=g,
+                      alpha=state.alpha, t=state.t + 1)
 
 
 @dataclass(frozen=True)

@@ -51,12 +51,17 @@ METHODS = {
 }
 
 
-def _optional(doc: dict, key: str, kind: type, prefix: str = "", default=None):
-    """doc[key] read by kind, default if absent or null; ValueError names it."""
+def _required(doc: dict, key: str, kind: type, prefix: str = ""):
+    """doc[key] read by kind; ValueError names it."""
     try:
-        return default if doc.get(key) is None else kind(doc[key])
+        return kind(doc[key])
     except (TypeError, ValueError):
         raise ValueError(f"{prefix}{key}: not a number: {doc[key]!r}") from None
+
+
+def _optional(doc: dict, key: str, kind: type, prefix: str = "", default=None):
+    """doc[key] read by kind, default if absent or null; ValueError names it."""
+    return default if doc.get(key) is None else _required(doc, key, kind, prefix)
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,8 @@ class TopologySpec:
 
     @staticmethod
     def from_doc(doc: dict) -> "TopologySpec":
-        return TopologySpec(kind=doc["kind"], n=int(doc["n"]),
+        return TopologySpec(kind=doc["kind"],
+                            n=_required(doc, "n", int, "topology."),
                             tau=_optional(doc, "tau", float, "topology."),
                             seed=_optional(doc, "seed", int, "topology."),
                             file=doc.get("file"))
@@ -85,10 +91,10 @@ class DataSpec:
 
     @staticmethod
     def from_doc(doc: dict) -> "DataSpec":
-        return DataSpec(family=doc["family"], p=int(doc["p"]),
+        return DataSpec(family=doc["family"], p=_required(doc, "p", int, "data."),
                         m=_optional(doc, "m", int, "data."),
                         rho=_optional(doc, "rho", float, "data."),
-                        seed=int(doc["seed"]))
+                        seed=_required(doc, "seed", int, "data."))
 
 
 @dataclass(frozen=True)
@@ -98,10 +104,10 @@ class AlgorithmSpec:
     eps: float | None = None
 
     @staticmethod
-    def from_doc(doc: dict) -> "AlgorithmSpec":
-        return AlgorithmSpec(name=doc["name"], alpha=float(doc["alpha"]),
-                             eps=None if doc.get("eps") is None
-                             else float(doc["eps"]))
+    def from_doc(doc: dict, prefix: str = "") -> "AlgorithmSpec":
+        return AlgorithmSpec(name=doc["name"],
+                             alpha=_required(doc, "alpha", float, prefix),
+                             eps=_optional(doc, "eps", float, prefix))
 
 
 @dataclass(frozen=True)
@@ -151,8 +157,9 @@ class RunConfig:
             name=doc["name"],
             topology=TopologySpec.from_doc(doc["topology"]),
             data=DataSpec.from_doc(doc["data"]),
-            algorithms=tuple(AlgorithmSpec.from_doc(a) for a in doc["algorithms"]),
-            iters=int(doc["iters"]),
+            algorithms=tuple(AlgorithmSpec.from_doc(a, f"algorithms[{i}].")
+                             for i, a in enumerate(doc["algorithms"])),
+            iters=_required(doc, "iters", int),
             stop_tol=_optional(doc, "stop_tol", float),
             ref_tol=_optional(doc, "ref_tol", float, default=1e-12),
             beta=_optional(doc, "beta", float, default=2.0),

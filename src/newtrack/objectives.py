@@ -172,13 +172,13 @@ class LogisticFamily:
 
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         # x has shape (n, p): one local point per node.
-        z = np.einsum("nmp,np->nm", self._f, x) * self._lab
+        z = (self._f @ x[:, :, None])[:, :, 0] * self._lab
         s = expit(-z)
-        return self.ridge * x - np.einsum("nm,nmp->np", self._lab * s, self._f)
+        return self.ridge * x - ((self._lab * s)[:, None, :] @ self._f)[:, 0, :]
 
     def curvature(self, x: np.ndarray) -> np.ndarray:
         """Per-sample weights c = s (1 - s) in [0, 1/4], shape (n, m)."""
-        z = np.einsum("nmp,np->nm", self._f, x) * self._lab
+        z = (self._f @ x[:, :, None])[:, :, 0] * self._lab
         s = expit(-z)
         return s * (1.0 - s)
 

@@ -195,6 +195,20 @@ def test_formulations_agree_logistic():
         assert run_both_ways(fam, mix.w, root, 1.0, 1.0, 100) < 1e-8
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 8), tau=st.floats(0.5, 1.0), m=st.integers(1, 8),
+       p=st.integers(1, 8), alpha=st.floats(0.05, 1.0), eps=st.floats(1.0, 3.0),
+       seed=st.integers(0, 2 ** 16))
+def test_formulations_agree_on_random_instances(n, tau, m, p, alpha, eps, seed):
+    # Random connected graphs and logistic data on both sides of m < p, at
+    # step sizes where the pair is stable: the q-form tracks the primal-dual
+    # form through 30 rounds.
+    mix = metropolis_weights(build_topology("random", n, tau=tau, seed=seed))
+    fam = wide_logistic(n=n, m=m, p=p, seed=seed)
+    assert run_both_ways(fam, mix.w, spectral_stats(mix).root, alpha, eps,
+                         30) <= 1e-8
+
+
 def test_first_primal_dual_step_is_regularized_newton():
     fam, _, mix = cycle_setup(seed=4)
     root = spectral_stats(mix).root
@@ -359,7 +373,8 @@ def test_baseline_fixed_points():
     assert np.max(np.abs(gt.x - tile)) < 1e-12
     assert np.max(np.abs(gt.y)) < 1e-12
 
-    ex = ExtraState(x=tile, x_prev=tile, grad_prev=g_star, alpha=0.1, t=1)
+    ex = ExtraState(x=tile, x_prev=tile, wx_prev=w @ tile, grad_prev=g_star,
+                    alpha=0.1, t=1)
     ex = extra_step(ex, fam, w)
     assert np.max(np.abs(ex.x - tile)) < 1e-12
 
@@ -440,6 +455,42 @@ def test_solve_spd_blocks_reports_bad_node():
         blocks[list(bad)] = np.diag([1.0, -1.0])
         with pytest.raises(np.linalg.LinAlgError, match=f"node {first} "):
             solve_spd_blocks(blocks, np.ones((3, 2)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), b=st.integers(1, 12), seed=st.integers(0, 2 ** 16),
+       data=st.data())
+def test_solve_spd_blocks_property(n, b, seed, data):
+    # One banded solve of the whole stack against a dense solve per block;
+    # b = 1 is a band of half-width 0.
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, b, b))
+    blocks = m @ m.transpose(0, 2, 1) + b * np.eye(b)
+    rhs = rng.standard_normal((n, b))
+    expected = np.array([np.linalg.solve(blocks[i], rhs[i]) for i in range(n)])
+    got = solve_spd_blocks(blocks, rhs)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    # Indefinite blocks at 1 to 3 random places, each failing at row r of
+    # its factor: the first is named.
+    bad = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                             unique=True))
+    row = data.draw(st.integers(0, b - 1))
+    broken = blocks.copy()
+    broken[bad] = np.diag(np.where(np.arange(b) == row, -1.0, 1.0))
+    with pytest.raises(np.linalg.LinAlgError, match=f"node {min(bad)} "):
+        solve_spd_blocks(broken, rhs)
+
+    # A NaN block does not raise.  Its node's output is NaN; the band factor
+    # may carry the NaN to other nodes, but no node gets a wrong finite value.
+    node = data.draw(st.integers(0, n - 1))
+    broken = blocks.copy()
+    broken[node] = np.nan
+    got = solve_spd_blocks(broken, rhs)
+    assert np.isnan(got[node]).all()
+    finite = np.isfinite(got)
+    assert np.linalg.norm(got[finite] - expected[finite]) \
+        <= 1e-12 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1.0])

@@ -261,18 +261,26 @@ def test_stop_tol_from_doc_is_a_number():
     base = dataclasses.replace(preset("fig1"), iters=300, stop_tol=1e-6)
     for field, text in (("stop_tol", "1e-6"), ("topology.tau", "0.5"),
                         ("topology.seed", "7"), ("data.m", "12"),
-                        ("data.rho", "1e-3")):
-        *parents, key = field.split(".")
+                        ("data.rho", "1e-3"), ("topology.n", "10"),
+                        ("data.p", "8"), ("data.seed", "1"), ("iters", "300"),
+                        ("algorithms[0].alpha", "3.3"),
+                        ("algorithms[0].eps", "3.0")):
+        *parents, key = [int(k) if k.isdigit() else k
+                         for k in re.split(r"[.\[\]]+", field) if k]
         doc = json.loads(json.dumps(base.to_doc()))
         functools.reduce(lambda d, k: d[k], parents, doc)[key] = text
+
+        def read(cfg):
+            return functools.reduce(lambda o, k: o[k] if isinstance(k, int)
+                                    else getattr(o, k), [*parents, key], cfg)
         cfg = RunConfig.from_doc(doc)
-        value = functools.reduce(getattr, field.split("."), cfg)
-        expected = functools.reduce(getattr, field.split("."), base)
+        value, expected = read(cfg), read(base)
         assert (value, type(value)) == (expected, type(expected)), field
         assert cfg == base
         assert run_experiment(cfg).traces["nt"].status == "tol"
         functools.reduce(lambda d, k: d[k], parents, doc)[key] = "half"
-        with pytest.raises(ValueError, match=re.escape(field)):
+        message = f"{field}: not a number: 'half'"
+        with pytest.raises(ValueError, match=re.escape(message)):
             RunConfig.from_doc(doc)
 
 
