@@ -21,31 +21,27 @@ state at t = 0, x = 0, so every step is one communication round.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpbsv
 
-from .objectives import LogisticFamily
+from .objectives import LogisticFamily, lower_band
 from .topology import Graph, laplacian
 
 
-def solve_spd_blocks(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve blocks[i] @ out[i] = rhs[i] at every node in one LAPACK call.
+def solve_spd_blocks(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve block_i @ out[i] = rhs[i] at every node in one LAPACK call.
 
-    The stack is one block-diagonal matrix of half-bandwidth b - 1: one
-    banded Cholesky solve (dpbsv, lower triangles) checks every block is
-    positive definite and solves.  LinAlgError names the first node whose
-    block is not.  A NaN block does not raise: its node's output is NaN,
-    and the factor may carry the NaN to other nodes.
+    band holds the (n, b, b) stack in objectives.lower_band layout and is
+    overwritten: one block-diagonal matrix of half-bandwidth b - 1, whose
+    banded Cholesky (dpbsv) checks every block is positive definite and
+    solves.  LinAlgError names the first node whose block is not.  A NaN
+    block does not raise: its output, and maybe other nodes', is NaN.
     """
-    n, b, _ = blocks.shape
-    # Band storage ab[d, i b + c] = blocks[i, c + d, c], 0 past the block: columns
-    # written as rows of width 2b - 1, read back at width 2b, start at the diagonal.
-    skew = np.zeros((n, b + 1, 2 * b - 1))
-    skew[:, :b, :b] = blocks.transpose(0, 2, 1)
-    band = skew.reshape(n, -1)[:, :2 * b * b].reshape(n, b, 2 * b)[:, :, :b]
+    n, b, _ = band.shape
     _, out, info = dpbsv(band.reshape(n * b, b).T, rhs.reshape(n * b, 1),
                          lower=1, overwrite_ab=1)
     if info > 0:
@@ -54,31 +50,33 @@ def solve_spd_blocks(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out.reshape(n, b)
 
 
-def reg_solve(family, x: np.ndarray, eps: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve the regularized local systems (hess_i(x_i) + eps I) u_i = rhs_i.
+def reg_solve(family, curve, eps: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (hess_i + eps I) u_i = rhs_i, hess_i where grad_curvature gave curve.
 
     The data shape picks the path.  A logistic node with fewer samples than
     features (m < p) has hess_i = ridge I + F_i' C_i F_i with C_i =
-    diag(s (1 - s)) of rank at most m.  With a = ridge + eps and
+    diag(curve_i) of rank at most m.  With a = ridge + eps and
     S = C_i^(1/2), the Woodbury identity gives
 
         u_i = (r_i - F_i' S K_i^{-1} S F_i r_i) / a,   K_i = a I + S F_i F_i' S,
 
-    an m x m system that is SPD for every c >= 0, so the p x p Hessian is
-    never formed.  Every other family solves the stacked hess_stack + eps I.
-    Both paths factor through solve_spd_blocks.
+    an m x m system that is SPD for every c >= 0, built in band layout, so
+    the p x p Hessian is never formed.  Every other family solves the packed
+    hess_blocks + eps I.  Both factor through solve_spd_blocks.
     """
     if isinstance(family, LogisticFamily) and family.m < family.p:
-        f = family.dataset.features
+        f, m = family.dataset.features, family.m
         a = family.ridge + eps
-        root_c = np.sqrt(family.curvature(x))
-        k = root_c[:, :, None] * family.gram * root_c[:, None, :]
-        k += a * np.eye(family.m)
+        root_c = np.sqrt(curve)
+        # k[i, c, d] = root_c[c + d] G[c + d, c] root_c[c], G 0 past the block.
+        rows = np.minimum(np.add.outer(np.arange(m), np.arange(m)), m - 1)
+        k = root_c[:, rows] * family.gram_band * root_c[:, :, None]
+        k[:, :, 0] += a
         y = solve_spd_blocks(k, root_c * (f @ rhs[:, :, None])[:, :, 0])
         return (rhs - ((root_c * y)[:, None, :] @ f)[:, 0, :]) / a
-    h = family.hess_stack(x)
-    h += eps * np.eye(family.p)
-    return solve_spd_blocks(h, rhs)
+    band = lower_band(family.hess_blocks(curve))
+    band[:, :, 0] += eps
+    return solve_spd_blocks(band, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +106,8 @@ def nt_init(family, alpha: float, eps: float) -> NewtonTrackingState:
     if alpha <= 0 or eps <= 0:
         raise ValueError("alpha and eps must be positive")
     x = np.zeros((family.n, family.p))
-    g = family.grad_stack(x)
-    u = reg_solve(family, x, eps, g)
+    g, curve = family.grad_curvature(x)
+    u = reg_solve(family, curve, eps, g)
     return NewtonTrackingState(x=x, q=g, u=u, grad=g, alpha=alpha, eps=eps, t=0)
 
 
@@ -122,10 +120,10 @@ def nt_step(state: NewtonTrackingState, family, w: np.ndarray) -> NewtonTracking
     system at x_new against q.
     """
     x1 = state.x - state.u
-    g1 = family.grad_stack(x1)
+    g1, curve = family.grad_curvature(x1)
     z = 2.0 * x1 - state.x
     q1 = state.q + (g1 - state.grad) + state.alpha * (z - w @ z)
-    u1 = reg_solve(family, x1, state.eps, q1)
+    u1 = reg_solve(family, curve, state.eps, q1)
     return NewtonTrackingState(x=x1, q=q1, u=u1, grad=g1, alpha=state.alpha,
                                eps=state.eps, t=state.t + 1)
 
@@ -136,11 +134,15 @@ sq_init = nt_init
 sq_step = nt_step
 
 
+def norm(a: np.ndarray) -> float:
+    """np.linalg.norm(a) bit for bit: its default path, without its checks."""
+    return math.sqrt(a.ravel(order="K") @ a.ravel(order="K"))
+
+
 def conservation_residual(state: NewtonTrackingState) -> float:
     """Relative defect of sum_i q_i = sum_i grad_i."""
     rhs = state.grad.sum(axis=0)
-    return float(np.linalg.norm(state.q.sum(axis=0) - rhs)
-                 / (np.linalg.norm(rhs) + 1.0))
+    return norm(state.q.sum(axis=0) - rhs) / (norm(rhs) + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +172,9 @@ def pd_init(family, root: np.ndarray, alpha: float, eps: float) -> PrimalDualSta
 def pd_step(state: PrimalDualState, family, w: np.ndarray) -> PrimalDualState:
     """Regularized Newton descent on the augmented Lagrangian, then a dual
     ascent step along the root of I - W."""
-    g = family.grad_stack(state.x)
+    g, curve = family.grad_curvature(state.x)
     rhs = g + state.root @ state.v + state.alpha * (state.x - w @ state.x)
-    x1 = state.x - reg_solve(family, state.x, state.eps, rhs)
+    x1 = state.x - reg_solve(family, curve, state.eps, rhs)
     v1 = state.v + state.alpha * (state.root @ x1)
     return PrimalDualState(x=x1, v=v1, root=state.root,
                            alpha=state.alpha, eps=state.eps, t=state.t + 1)

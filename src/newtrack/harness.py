@@ -175,9 +175,9 @@ class ConvergenceTrace:
     algorithm (dual-based metrics exist only for the curvature-tracked
     method) or for the parameters (squared metric error only under a
     feasible certificate).  `status` says why the run ended: "budget"
-    (all iterations ran), "tol" (rel_error reached stop_tol) or
-    "diverged" (the next iterate had a non-finite rel_error and was not
-    recorded).
+    (all iterations ran), "stalled" (all ran, at least one, and rel_error
+    ended no lower than it began), "tol" (rel_error reached stop_tol) or
+    "diverged" (the next iterate had a non-finite rel_error; not recorded).
     """
 
     algorithm: str
@@ -408,7 +408,7 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
     method = METHODS[spec.name]
     step = getattr(alg, f"{spec.name}_step")
     target = np.tile(obj.x_star, (n, 1))
-    denom = max(float(np.linalg.norm(target)), 1e-300)
+    denom = max(alg.norm(target), 1e-300)
     trace = ConvergenceTrace(algorithm=spec.name, alpha=spec.alpha, eps=spec.eps)
 
     # nt alone has a dual iterate v (primal-dual form), a conservation
@@ -424,20 +424,18 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
     def push(state, wall, root_x, rem=None, rem_bound=None) -> bool:
         """Record state, root_x = root @ state.x; False, recording nothing,
         if rel_error is not finite."""
-        rel = float(np.linalg.norm(state.x - target)) / denom
+        rel = alg.norm(state.x - target) / denom
         if not math.isfinite(rel):
             return False
         trace.rel_error.append(rel)
+        trace.kkt_primal.append(alg.norm(root_x))
         if is_nt:
             # The step already evaluated the gradient at state.x.
-            primal = float(np.linalg.norm(root_x))
-            dual = float(np.linalg.norm(state.grad + root @ v))
+            dual = alg.norm(state.grad + root @ v)
             gnorm = energy(state.x, v) if feasible else None
             tracking = alg.conservation_residual(state)
         else:
-            primal = float(np.linalg.norm(root_x))
             dual = gnorm = tracking = None
-        trace.kkt_primal.append(primal)
         trace.kkt_dual.append(dual)
         trace.gnorm_error.append(gnorm)
         trace.tracking_residual.append(tracking)
@@ -468,17 +466,21 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
                 v = v + spec.alpha * root_x
                 # Second-order remainder of the step x -> x - u, from
                 # q = (H + eps I) u: e = g0 - g1 - q0 + eps u0 + alpha (I - W) u0.
-                u = state.u
-                e = state.grad - new.grad - state.q + spec.eps * u \
-                    + spec.alpha * (u - w @ u)
-                rem = float(np.linalg.norm(e))
-                rem_bound = cert.kappa * float(np.linalg.norm(new.x - state.x))
+                e = state.grad - new.grad
+                e -= state.q
+                e += spec.eps * state.u
+                e += spec.alpha * (state.u - w @ state.u)
+                rem = alg.norm(e)
+                rem_bound = cert.kappa * alg.norm(new.x - state.x)
             state = new
             if not push(state, wall, root_x, rem, rem_bound):
                 trace.status = "diverged"
                 break
     if trace.status == "budget" and reached():
         trace.status = "tol"
+    elif trace.status == "budget" and len(trace) > 1 \
+            and trace.rel_error[-1] >= trace.rel_error[0]:
+        trace.status = "stalled"
     return trace
 
 

@@ -146,12 +146,22 @@ def make_logistic(dataset: LogisticDataset, node: int) -> LogisticObjective:
                              dataset.reg, dataset.n)
 
 
+def lower_band(blocks: np.ndarray) -> np.ndarray:
+    """Symmetric (n, b, b) blocks in lower band layout: out[i, c, d] =
+    blocks[i, c + d, c], zero past the block (dpbsv's storage, transposed)."""
+    n, b, _ = blocks.shape
+    # Columns written as rows of width 2b - 1, read back at width 2b.
+    skew = np.zeros((n, b + 1, 2 * b - 1))
+    skew[:, :b, :b] = blocks.transpose(0, 2, 1)
+    return skew.reshape(n, -1)[:, :2 * b * b].reshape(n, b, 2 * b)[:, :, :b].copy()
+
+
 class LogisticFamily:
     """Stacked operations for a logistic dataset across all nodes.
 
     Node i's Hessian is ridge I + F_i' diag(c_i) F_i, F_i = features[i]
-    of shape (m, p) and c_i = curvature(x)[i]: rank at most m above the
-    ridge.
+    of shape (m, p) and c_i in [0, 1/4]^m the weights grad_curvature
+    returns with the gradient: rank at most m above the ridge.
     """
 
     def __init__(self, dataset: LogisticDataset):
@@ -162,7 +172,8 @@ class LogisticFamily:
         self.ridge = dataset.reg / dataset.n
         self._f = dataset.features
         self._ft = dataset.features.transpose(0, 2, 1)
-        self._lab = dataset.labels
+        # Labels are +-1: y F is exact, and (y F) x is (F x) y bit for bit.
+        self._yf = dataset.labels[:, :, None] * self._f
 
     def node(self, i: int) -> LogisticObjective:
         return make_logistic(self.dataset, i)
@@ -170,40 +181,50 @@ class LogisticFamily:
     def digest(self) -> str:
         return self.dataset.digest()
 
-    def grad_stack(self, x: np.ndarray) -> np.ndarray:
-        # x has shape (n, p): one local point per node.
-        z = (self._f @ x[:, :, None])[:, :, 0] * self._lab
-        s = expit(-z)
-        return self.ridge * x - ((self._lab * s)[:, None, :] @ self._f)[:, 0, :]
+    def _sigmoid(self, x: np.ndarray) -> np.ndarray:
+        # s = expit(-y F x); x has shape (n, p), one local point per node.
+        return expit(-(self._yf @ x[:, :, None])[:, :, 0])
 
-    def curvature(self, x: np.ndarray) -> np.ndarray:
-        """Per-sample weights c = s (1 - s) in [0, 1/4], shape (n, m)."""
-        z = (self._f @ x[:, :, None])[:, :, 0] * self._lab
-        s = expit(-z)
-        return s * (1.0 - s)
+    def _grad(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return self.ridge * x - (s[:, None, :] @ self._yf)[:, 0, :]
+
+    def grad_stack(self, x: np.ndarray) -> np.ndarray:
+        return self._grad(x, self._sigmoid(x))
+
+    def grad_curvature(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """grad_stack(x) and the weights c = s (1 - s), of one sigmoid pass."""
+        s = self._sigmoid(x)
+        return self._grad(x, s), s * (1.0 - s)
+
+    def hess_blocks(self, curve: np.ndarray) -> np.ndarray:
+        """Stacked Hessians from the weights grad_curvature returned."""
+        h = self._ft @ (self._f * curve[:, :, None])
+        h.reshape(self.n, -1)[:, ::self.p + 1] += self.ridge
+        return h
+
+    def hess_stack(self, x: np.ndarray) -> np.ndarray:
+        s = self._sigmoid(x)
+        return self.hess_blocks(s * (1.0 - s))
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
         """Per-node sample Gram matrices F_i F_i', shape (n, m, m)."""
         return self._f @ self._ft
 
-    def hess_stack(self, x: np.ndarray) -> np.ndarray:
-        h = self._ft @ (self._f * self.curvature(x)[:, :, None])
-        h += self.ridge * np.eye(self.p)
-        return h
+    @functools.cached_property
+    def gram_band(self) -> np.ndarray:
+        """gram in lower band layout, for the m < p local solve."""
+        return lower_band(self.gram)
 
     def grad_total(self, x: np.ndarray) -> np.ndarray:
-        z = (self._f @ x) * self._lab
-        s = expit(-z)
-        return self.dataset.reg * x - np.einsum("nm,nmp->p", self._lab * s, self._f)
+        s = expit(-(self._yf @ x))
+        return self.dataset.reg * x - np.einsum("nm,nmp->p", s, self._yf)
 
     def hess_total(self, x: np.ndarray) -> np.ndarray:
-        z = (self._f @ x) * self._lab
-        s = expit(-z)
-        curve = s * (1.0 - s)
+        s = expit(-(self._yf @ x))
         # One GEMM over all n m samples: F' (c * F), F of shape (n m, p).
         f = self._f.reshape(-1, self.p)
-        h = f.T @ (f * curve.reshape(-1, 1))
+        h = f.T @ (f * (s * (1.0 - s)).reshape(-1, 1))
         return h + self.dataset.reg * np.eye(self.p)
 
 
@@ -237,8 +258,13 @@ class QuadraticFamily:
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         return np.einsum("npq,nq->np", self.a, x) + self.b
 
+    def grad_curvature(self, x: np.ndarray) -> tuple[np.ndarray, None]:
+        return self.grad_stack(x), None  # constant Hessians need no weights
+
     def hess_stack(self, x: np.ndarray) -> np.ndarray:
         return self.a.copy()
+
+    hess_blocks = hess_stack
 
     def grad_total(self, x: np.ndarray) -> np.ndarray:
         return self.a.sum(axis=0) @ x + self.b.sum(axis=0)

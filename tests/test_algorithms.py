@@ -13,7 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg.lapack import dpbsv
+from scipy.special import expit
 
+from newtrack import objectives
 from newtrack.algorithms import (DlmState, ExtraState, GradientTrackingState,
                                  NewtonTrackingState, centralized_reference,
                                  conservation_residual, dlm_init, dlm_step,
@@ -24,7 +27,7 @@ from newtrack.harness import (AlgorithmSpec, DataSpec, RunConfig,
                               TopologySpec, run_experiment)
 from newtrack.objectives import (LogisticFamily, QuadraticFamily,
                                  generate_logistic_data,
-                                 generate_quadratic_set)
+                                 generate_quadratic_set, lower_band)
 from newtrack.topology import (build_topology, metropolis_weights,
                                spectral_stats)
 
@@ -150,6 +153,24 @@ def test_conservation_holds_along_run_with_fewer_samples_than_features():
     assert_conservation_along_run(wide_logistic(m=3, p=7))
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 8), tau=st.floats(0.5, 1.0), m=st.integers(1, 8),
+       p=st.integers(1, 8), quadratic=st.booleans(), alpha=st.floats(0.05, 1.0),
+       eps=st.floats(1.0, 3.0), seed=st.integers(0, 2 ** 16))
+def test_conservation_on_random_instances(n, tau, m, p, quadratic, alpha, eps,
+                                          seed):
+    # sum q = sum g on random connected graphs, logistic data on both sides
+    # of m < p or quadratics, at step sizes where the run is stable: the
+    # defect is rounding relative to |q|, so a diverging run's grows with it.
+    w = metropolis_weights(build_topology("random", n, tau=tau, seed=seed)).w
+    fam = generate_quadratic_set(n=n, p=p, seed=seed) if quadratic \
+        else wide_logistic(n=n, m=m, p=p, seed=seed)
+    st_ = nt_init(fam, alpha, eps)
+    for _ in range(30):
+        st_ = nt_step(st_, fam, w)
+        assert conservation_residual(st_) <= 1e-9
+
+
 def test_nt_fixed_point():
     fam, _, mix = cycle_setup(seed=2)
     w = mix.w
@@ -215,7 +236,8 @@ def test_first_primal_dual_step_is_regularized_newton():
     eps = 2.0
     pd = pd_step(pd_init(fam, root, 0.5, eps), fam, mix.w)
     h = fam.hess_stack(np.zeros((fam.n, fam.p))) + eps * np.eye(fam.p)
-    expected = -solve_spd_blocks(h, fam.grad_stack(np.zeros((fam.n, fam.p))))
+    expected = -solve_spd_blocks(lower_band(h),
+                                 fam.grad_stack(np.zeros((fam.n, fam.p))))
     assert_allclose(pd.x, expected, atol=1e-13)
     nt = nt_step(nt_init(fam, 0.5, eps), fam, mix.w)
     assert_allclose(pd.x, nt.x, atol=1e-13)
@@ -440,7 +462,7 @@ def test_solve_spd_blocks_matches_dense_solve():
         m = rng.standard_normal((3, 3))
         blocks[i] = m @ m.T + 3.0 * np.eye(3)
     rhs = rng.standard_normal((4, 3))
-    out = solve_spd_blocks(blocks, rhs)
+    out = solve_spd_blocks(lower_band(blocks), rhs)
     for i in range(4):
         assert_allclose(out[i], np.linalg.solve(blocks[i], rhs[i]), atol=1e-12)
 
@@ -448,13 +470,13 @@ def test_solve_spd_blocks_matches_dense_solve():
 def test_solve_spd_blocks_reports_bad_node():
     blocks = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)])
     with pytest.raises(np.linalg.LinAlgError, match="node 1"):
-        solve_spd_blocks(blocks, np.ones((3, 2)))
+        solve_spd_blocks(lower_band(blocks), np.ones((3, 2)))
     # The first failing node is named, wherever it sits in the stack.
     for bad, first in (((2,), 2), ((0, 2), 0)):
         blocks = np.stack([np.eye(2)] * 3)
         blocks[list(bad)] = np.diag([1.0, -1.0])
         with pytest.raises(np.linalg.LinAlgError, match=f"node {first} "):
-            solve_spd_blocks(blocks, np.ones((3, 2)))
+            solve_spd_blocks(lower_band(blocks), np.ones((3, 2)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -468,7 +490,7 @@ def test_solve_spd_blocks_property(n, b, seed, data):
     blocks = m @ m.transpose(0, 2, 1) + b * np.eye(b)
     rhs = rng.standard_normal((n, b))
     expected = np.array([np.linalg.solve(blocks[i], rhs[i]) for i in range(n)])
-    got = solve_spd_blocks(blocks, rhs)
+    got = solve_spd_blocks(lower_band(blocks), rhs)
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     # Indefinite blocks at 1 to 3 random places, each failing at row r of
@@ -479,14 +501,14 @@ def test_solve_spd_blocks_property(n, b, seed, data):
     broken = blocks.copy()
     broken[bad] = np.diag(np.where(np.arange(b) == row, -1.0, 1.0))
     with pytest.raises(np.linalg.LinAlgError, match=f"node {min(bad)} "):
-        solve_spd_blocks(broken, rhs)
+        solve_spd_blocks(lower_band(broken), rhs)
 
     # A NaN block does not raise.  Its node's output is NaN; the band factor
     # may carry the NaN to other nodes, but no node gets a wrong finite value.
     node = data.draw(st.integers(0, n - 1))
     broken = blocks.copy()
     broken[node] = np.nan
-    got = solve_spd_blocks(broken, rhs)
+    got = solve_spd_blocks(lower_band(broken), rhs)
     assert np.isnan(got[node]).all()
     finite = np.isfinite(got)
     assert np.linalg.norm(got[finite] - expected[finite]) \
@@ -506,8 +528,9 @@ def test_reg_solve_woodbury_matches_dense(eps, scale):
     def no_hessian(_):
         raise AssertionError("the m < p path formed the p x p Hessian")
 
-    fam.hess_stack = no_hessian
-    got = reg_solve(fam, x, eps, rhs)
+    curve = fam.grad_curvature(x)[1]
+    fam.hess_stack = fam.hess_blocks = no_hessian
+    got = reg_solve(fam, curve, eps, rhs)
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
@@ -523,8 +546,74 @@ def test_reg_solve_matches_dense_property(n, m, p, log_eps, scale, seed):
     rhs = rng.standard_normal((n, p))
     eps = 10.0 ** log_eps
     expected = dense_reg_solve(fam, x, eps, rhs)
-    got = reg_solve(fam, x, eps, rhs)
+    got = reg_solve(fam, fam.grad_curvature(x)[1], eps, rhs)
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def skew_band_solve(blocks, rhs):
+    # The band solve as first written: full blocks skew-packed, then dpbsv.
+    n, b, _ = blocks.shape
+    skew = np.zeros((n, b + 1, 2 * b - 1))
+    skew[:, :b, :b] = blocks.transpose(0, 2, 1)
+    band = skew.reshape(n, -1)[:, :2 * b * b].reshape(n, b, 2 * b)[:, :, :b]
+    _, out, info = dpbsv(band.reshape(n * b, b).T, rhs.reshape(n * b, 1),
+                         lower=1, overwrite_ab=1)
+    assert info == 0
+    return out.reshape(n, b)
+
+
+def full_block_reg_solve(fam, x, eps, rhs):
+    # reg_solve as first written: a sigmoid pass of its own, the full K or
+    # hess + eps I with np.eye shifts, then skew_band_solve.
+    f, lab = fam.dataset.features, fam.dataset.labels
+    s = expit(-((f @ x[:, :, None])[:, :, 0] * lab))
+    curve = s * (1.0 - s)
+    if fam.m < fam.p:
+        a = fam.ridge + eps
+        root_c = np.sqrt(curve)
+        k = root_c[:, :, None] * (f @ f.transpose(0, 2, 1)) * root_c[:, None, :]
+        k += a * np.eye(fam.m)
+        y = skew_band_solve(k, root_c * (f @ rhs[:, :, None])[:, :, 0])
+        return (rhs - ((root_c * y)[:, None, :] @ f)[:, 0, :]) / a
+    h = f.transpose(0, 2, 1) @ (f * curve[:, :, None])
+    h += fam.ridge * np.eye(fam.p)
+    h += eps * np.eye(fam.p)
+    return skew_band_solve(h, rhs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 9), p=st.integers(1, 9),
+       log_eps=st.floats(-4.0, 1.0), scale=st.floats(0.0, 20.0),
+       seed=st.integers(0, 2 ** 16))
+def test_reg_solve_is_bit_identical_to_full_block_form(n, m, p, log_eps, scale,
+                                                       seed):
+    # The band build, the in-place diagonal shifts and the shared sigmoid
+    # pass change no bit of the solve, on both sides of m < p.
+    fam = wide_logistic(n=n, m=m, p=p, seed=seed)
+    rng = np.random.default_rng(seed)
+    x = scale * rng.standard_normal((n, p))
+    rhs = rng.standard_normal((n, p))
+    eps = 10.0 ** log_eps
+    got = reg_solve(fam, fam.grad_curvature(x)[1], eps, rhs)
+    assert np.array_equal(got, full_block_reg_solve(fam, x, eps, rhs))
+
+
+@pytest.mark.parametrize("n, m, p", [(10, 12, 8), (100, 10, 40)],
+                         ids=["fig1", "fig5-shape"])
+def test_one_sigmoid_pass_per_round(monkeypatch, n, m, p):
+    # The gradient and the curvature weights of an iterate share one expit
+    # call, on the dense path (fig1) and the m < p path (fig5 shape).
+    fam = LogisticFamily(generate_logistic_data(n=n, m=m, p=p, reg=1e-3, seed=1))
+    mix = metropolis_weights(build_topology("cycle", n))
+    nt = nt_init(fam, 0.5, 1.0)
+    pd = pd_init(fam, spectral_stats(mix).root, 0.5, 1.0)
+    calls = []
+    real = objectives.expit
+    monkeypatch.setattr(objectives, "expit", lambda z: calls.append(z) or real(z))
+    nt_step(nt, fam, mix.w)
+    assert len(calls) == 1
+    pd_step(pd, fam, mix.w)
+    assert len(calls) == 2
 
 
 def test_init_validation():

@@ -12,7 +12,8 @@ import pytest
 import newtrack.cli  # binds newtrack; targets() reads newtrack.cli too
 from newtrack import algorithms, harness
 from newtrack.objectives import LogisticFamily, generate_logistic_data
-from newtrack.topology import build_topology, metropolis_weights
+from newtrack.topology import (build_topology, metropolis_weights,
+                               spectral_stats)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -66,18 +67,20 @@ def test_setup_hooks_are_on_the_run_path(monkeypatch, entry, references):
                          ids=["fig1", "fig5-shape"])
 def test_local_solves_go_through_solve_spd_blocks(monkeypatch, n, m, p, b):
     """The benchmark's algorithms.solve layer wraps solve_spd_blocks and
-    reads blocks.shape for its GFLOP/s, so every regularized local solve
-    must reach it once with the (n, b, b) stack: b = p on the dense path,
-    b = m on the m < p Woodbury path."""
+    reads blocks.shape for its GFLOP/s, so every regularized local solve,
+    in nt_init, nt_step and pd_step, must reach it once with the (n, b, b)
+    stack: b = p on the dense path, b = m on the m < p Woodbury path."""
     family = LogisticFamily(generate_logistic_data(n=n, m=m, p=p, reg=1e-3, seed=1))
-    w = metropolis_weights(build_topology("cycle", n)).w
-    state = algorithms.nt_init(family, 0.5, 1.0)
+    mix = metropolis_weights(build_topology("cycle", n))
     calls = []
     real_reg, real_blocks = algorithms.reg_solve, algorithms.solve_spd_blocks
     monkeypatch.setattr(algorithms, "reg_solve",
                         lambda *args: calls.append("reg_solve") or real_reg(*args))
     monkeypatch.setattr(algorithms, "solve_spd_blocks", lambda blocks, rhs:
                         calls.append(blocks.shape) or real_blocks(blocks, rhs))
+    state = algorithms.nt_init(family, 0.5, 1.0)
+    pd = algorithms.pd_init(family, spectral_stats(mix).root, 0.5, 1.0)
     for _ in range(2):
-        state = algorithms.nt_step(state, family, w)
-    assert calls == ["reg_solve", (n, b, b)] * 2
+        state = algorithms.nt_step(state, family, mix.w)
+        pd = algorithms.pd_step(pd, family, mix.w)
+    assert calls == ["reg_solve", (n, b, b)] * 5

@@ -284,6 +284,22 @@ def test_stop_tol_from_doc_is_a_number():
             RunConfig.from_doc(doc)
 
 
+def test_oscillating_run_is_stalled_not_budget():
+    # gt on the published fig1 network and data at a step size where it
+    # neither converges nor overflows: it swings around rel_error 160 for
+    # the whole budget and never beats its start.
+    cfg = dataclasses.replace(preset("fig1"), algorithms=(
+        AlgorithmSpec("gt", alpha=50.0),))
+    gt = run_experiment(cfg).traces["gt"]
+    assert gt.status == "stalled"
+    assert len(gt) == cfg.iters + 1
+    assert min(gt.rel_error) == gt.rel_error[0] == 1.0
+    assert gt.rel_error[-1] > 100.0
+    # A run with no rounds has nothing to stall on.
+    zero = run_experiment(dataclasses.replace(cfg, iters=0)).traces["gt"]
+    assert zero.status == "budget"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_stops_and_record_is_strict_json(tmp_path):
     # The published fig1 network and data, with a step size that blows up.

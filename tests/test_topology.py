@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.sparse import csr_matrix
@@ -253,6 +253,24 @@ def test_mixing_invariants_across_topologies():
         assert lam[0] > -1.0
         # exactly one eigenvalue of I - W at zero for a connected graph
         assert np.sum(1.0 - lam < ZERO_EIG_TOL) == 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 40), tau=st.floats(0.0, 1.0, exclude_min=True),
+       seed=st.integers(0, 2 ** 16))
+def test_metropolis_invariants_on_random_graphs(n, tau, seed):
+    assume(math.floor(tau * (n * (n - 1) // 2) + 0.5) >= n - 1)
+    g = build_topology("random", n, tau=tau, seed=seed)
+    w = metropolis_weights(g).w
+    assert np.array_equal(w, w.T)
+    assert np.min(w) >= 0.0
+    # Positive exactly on the edges and the diagonal.
+    assert np.array_equal(w > 0.0, (g.adjacency() > 0) | np.eye(n, dtype=bool))
+    assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
+    # The top eigenvalue is exactly 1; eigvalsh may round it up by an ulp.
+    lam = np.linalg.eigvalsh(w)
+    assert -1.0 < lam[0] and lam[-1] <= 1.0 + 1e-12
+    assert np.sum(1.0 - lam < ZERO_EIG_TOL) == 1
 
 
 def test_mixing_matrix_validation():
