@@ -1,19 +1,19 @@
 """Decentralized consensus optimization toolkit.
 
 Implements a curvature-tracked second-order method ("Newton tracking")
-in its q-form, with a primal-dual form as an independent oracle,
-first-order baselines (gradient tracking, extra, dlm), synthetic
-network topologies with Metropolis mixing, logistic and
-quadratic objective families, a numerical linear-rate certificate, and
-an experiment harness with CLI entry points.
+in its q-form, with a primal-dual form as an independent oracle, and
+first-order baselines: gradient tracking, and extra and dlm as q-form
+instances with a constant curvature per node.  Also synthetic network
+topologies with Metropolis mixing, logistic and quadratic objective
+families, a numerical linear-rate certificate, and an experiment harness
+with CLI entry points.
 """
 
-from .algorithms import (DlmState, ExtraState, GradientTrackingState,
-                         NewtonTrackingState, PrimalDualState,
-                         centralized_reference, conservation_residual,
-                         dlm_init, dlm_step, extra_init, extra_step, gt_init,
-                         gt_step, nt_init, nt_step, pd_init, pd_step,
-                         reg_solve)
+from .algorithms import (GradientTrackingState, NewtonTrackingState,
+                         PrimalDualState, centralized_reference,
+                         conservation_residual, dlm_init, dlm_step,
+                         extra_init, extra_step, gt_init, gt_step, nt_init,
+                         nt_step, pd_init, pd_step, reg_solve)
 from .analysis import (BoundReport, RateCertificate, RateFit,
                        approximation_error, consensus_penalty_matrix,
                        contraction_check, decay_window, dual_optimum,

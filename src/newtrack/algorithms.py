@@ -1,22 +1,25 @@
 """Iteration rules for decentralized consensus optimization.
 
 All methods minimize sum_i f_i(x) over a connected network where node i
-only evaluates f_i and exchanges vectors with its neighbors through a
-mixing matrix W.  Stacked iterates live in arrays of shape (n, p), one
-row per node, so a synchronous neighbor exchange is the matrix product
-W @ x.  Step functions are pure: they read (state, family, W) and return
-a fresh state, which keeps runs replayable and lets tests compare
-formulations trajectory against trajectory.
+only evaluates f_i and exchanges vectors with its neighbors.  Stacked
+iterates live in arrays of shape (n, p), one row per node, so a
+synchronous exchange is one product with an n x n operator.  Step
+functions are pure: they read (state, family, operator) and return a
+fresh state, so runs replay and formulations compare trajectory for
+trajectory.  Every init starts at x = 0; every step is one round.
 
-The curvature-tracked method comes in two formulations: the q-form
-(nt_*), gradient tracking applied to a curvature-weighted direction, and
-a primal-dual form that needs the global square root of I - W and
-therefore serves as an independent analysis oracle (pd_*).  The paper's
-canonical two-recursion form, which rebuilds q from the previous
-Hessian, lives on as the plain-loop oracle in the tests.  Both forms
-solve their regularized local systems through reg_solve.  First-order
-baselines: gradient tracking, extra and dlm.  Every init returns the
-state at t = 0, x = 0, so every step is one communication round.
+One q-form, x1 = x - M^{-1} q and q1 = q + g1 - g + alpha D (2 x1 - x)
+from q = grad(0), serves three methods; M is a local curvature plus eps I:
+
+    method  curvature     eps   alpha    D
+    nt      hess_i(x)     eps   alpha    I - W   (solved by reg_solve)
+    extra   0             1/a   1/(2a)   I - W   (a: EXTRA's step)
+    dlm     2 alpha d_i   eps   alpha    L       (d_i: degree, L: Laplacian)
+
+A primal-dual form of nt (pd_*) needs the global root of I - W and takes
+W, so it serves as an independent analysis oracle.  Gradient tracking
+mixes with W.  The paper's two-recursion form of nt and the two-step
+forms of extra and dlm live on as plain-loop oracles in the tests.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpbsv
 
 from .objectives import LogisticFamily, lower_band
-from .topology import Graph, laplacian
+from .topology import Graph
 
 
 def solve_spd_blocks(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -85,11 +88,12 @@ def reg_solve(family, curve, eps: float, rhs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NewtonTrackingState:
-    """Iterate x, tracked direction q, its solve u, and the gradient at x.
+    """Iterate x, tracked direction q, its step u = M^{-1} q, the gradient
+    at x, and scale: None where M is hess(x) + eps I (nt), else the
+    constant 1 / (c_i + eps) of a fixed curvature c_i per node.
 
     q sums gradient increments and disagreement corrections, so
-    sum_i q_i = sum_i grad_i at every iteration; u = (hess(x) + eps I)^{-1} q
-    per node is the step the next round takes.  Treat arrays as read-only.
+    sum_i q_i = sum_i grad_i at every iteration.  Treat arrays as read-only.
     """
 
     x: np.ndarray
@@ -99,39 +103,61 @@ class NewtonTrackingState:
     alpha: float
     eps: float
     t: int = 0
+    scale: np.ndarray | None = None
+
+
+def _direction(family, curve, eps: float, scale, q: np.ndarray) -> np.ndarray:
+    return reg_solve(family, curve, eps, q) if scale is None else scale[:, None] * q
+
+
+def _start(family, alpha: float, eps: float, fixed=None) -> NewtonTrackingState:
+    """x = 0, q = grad(0), u = M^{-1} q; fixed: a constant curvature per node."""
+    scale = None if fixed is None else 1.0 / (fixed + eps)
+    x = np.zeros((family.n, family.p))
+    g, curve = family.grad_curvature(x)
+    return NewtonTrackingState(x, g, _direction(family, curve, eps, scale, g), g,
+                               alpha, eps, 0, scale)
 
 
 def nt_init(family, alpha: float, eps: float) -> NewtonTrackingState:
-    """Start at x = 0 with q = grad(0) and u solving (hess(0) + eps I) u = q."""
+    """Newton tracking: u solves (hess_i(0) + eps I) u_i = q_i = grad_i(0)."""
     if alpha <= 0 or eps <= 0:
         raise ValueError("alpha and eps must be positive")
-    x = np.zeros((family.n, family.p))
-    g, curve = family.grad_curvature(x)
-    u = reg_solve(family, curve, eps, g)
-    return NewtonTrackingState(x=x, q=g, u=u, grad=g, alpha=alpha, eps=eps, t=0)
+    return _start(family, alpha, eps)
 
 
-def nt_step(state: NewtonTrackingState, family, w: np.ndarray) -> NewtonTrackingState:
-    """One synchronous round of the curvature-tracked update.
+def extra_init(family, alpha: float) -> NewtonTrackingState:
+    """EXTRA with step a = alpha; its first step is x^1 = -a grad(0)."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    return _start(family, 0.5 / alpha, 1.0 / alpha, np.zeros(family.n))
 
-    x advances by -u; q absorbs the local gradient increment and the
-    disagreement correction alpha (I - W)(2 x_new - x_old), which is the
-    round's one exchange; the new direction solves the regularized local
-    system at x_new against q.
-    """
+
+def dlm_init(family, graph: Graph, alpha: float, eps: float) -> NewtonTrackingState:
+    """DLM; its first step is x^1 = -grad_i(0) / (2 alpha d_i + eps)."""
+    if alpha <= 0 or eps <= 0:
+        raise ValueError("alpha and eps must be positive")
+    return _start(family, alpha, eps, 2.0 * alpha * graph.degrees)
+
+
+def nt_step(state: NewtonTrackingState, family, d: np.ndarray) -> NewtonTrackingState:
+    """One round: x advances by -u; q takes the gradient increment and
+    alpha D (2 x1 - x), the round's one exchange, with D = d as
+    harness.Method names it; u becomes M^{-1} q at x1."""
     x1 = state.x - state.u
     g1, curve = family.grad_curvature(x1)
     z = 2.0 * x1 - state.x
-    q1 = state.q + (g1 - state.grad) + state.alpha * (z - w @ z)
-    u1 = reg_solve(family, curve, state.eps, q1)
-    return NewtonTrackingState(x=x1, q=q1, u=u1, grad=g1, alpha=state.alpha,
-                               eps=state.eps, t=state.t + 1)
+    q1 = state.q + (g1 - state.grad) + state.alpha * (d @ z)
+    u1 = _direction(family, curve, state.eps, state.scale, q1)
+    return NewtonTrackingState(x1, q1, u1, g1, state.alpha, state.eps,
+                               state.t + 1, state.scale)
 
 
-# The benchmark's tracer wraps algorithms.sq_init and sq_step by name, so
-# the names stay as aliases of the one q-form recursion.
+# The benchmark's tracer wraps algorithms.<method>_init and <method>_step by
+# name and times each method's steps apart, so the names stay as bindings
+# of the one q-form recursion.
+extra_step = dlm_step = sq_step = nt_step
 sq_init = nt_init
-sq_step = nt_step
 
 
 def norm(a: np.ndarray) -> float:
@@ -217,82 +243,6 @@ def gt_step(state: GradientTrackingState, family,
     y1 = w @ state.y + g1 - state.grad
     return GradientTrackingState(x=x1, y=y1, grad=g1, alpha=state.alpha,
                                  t=state.t + 1)
-
-
-@dataclass(frozen=True)
-class ExtraState:
-    """Current and previous iterates, W x_prev and the gradient at x_prev."""
-
-    x: np.ndarray
-    x_prev: np.ndarray
-    wx_prev: np.ndarray
-    grad_prev: np.ndarray
-    alpha: float
-    t: int = 0
-
-
-def extra_init(family, alpha: float) -> ExtraState:
-    """x = 0 with a zero history (x_prev = W x_prev = grad_prev = 0).
-
-    The first ordinary step then is the bootstrap x^1 = W x^0 - alpha
-    grad(x^0), bit for bit, but only because x^0 = 0 makes W x^0 vanish.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    zero = np.zeros((family.n, family.p))
-    return ExtraState(x=zero, x_prev=zero, wx_prev=zero, grad_prev=zero,
-                      alpha=alpha, t=0)
-
-
-def extra_step(state: ExtraState, family, w: np.ndarray) -> ExtraState:
-    """Two-step recursion x2 = (I+W) x1 - (I+W)/2 x0 - alpha (g1 - g0); W x0
-    is the last round's W x1, so a round exchanges once."""
-    g = family.grad_stack(state.x)
-    wx = w @ state.x
-    x2 = state.x + wx - 0.5 * (state.x_prev + state.wx_prev) \
-        - state.alpha * (g - state.grad_prev)
-    return ExtraState(x=x2, x_prev=state.x, wx_prev=wx, grad_prev=g,
-                      alpha=state.alpha, t=state.t + 1)
-
-
-@dataclass(frozen=True)
-class DlmState:
-    """Two-step history plus the graph Laplacian L and the per-node
-    scaling D = diag(1 / (2 alpha d_i + eps)), d_i the node degree."""
-
-    x: np.ndarray
-    x_prev: np.ndarray
-    grad_prev: np.ndarray
-    alpha: float
-    lap: np.ndarray
-    dscale: np.ndarray
-    t: int = 0
-
-
-def dlm_init(family, graph: Graph, alpha: float, eps: float) -> DlmState:
-    """x = 0 with a zero history (x_prev = 0, grad_prev = 0).
-
-    The first ordinary step then is the bootstrap x^1 = (I - alpha D L)
-    x^0 - D grad(x^0), bit for bit, but only because x^0 = 0 makes
-    L x^0 vanish.
-    """
-    if alpha <= 0 or eps <= 0:
-        raise ValueError("alpha and eps must be positive")
-    zero = np.zeros((family.n, family.p))
-    return DlmState(x=zero, x_prev=zero, grad_prev=zero, alpha=alpha,
-                    lap=laplacian(graph),
-                    dscale=1.0 / (2.0 * alpha * graph.degrees + eps), t=0)
-
-
-def dlm_step(state: DlmState, family, w: np.ndarray) -> DlmState:
-    """Two-step recursion driven by the Laplacian instead of W (w is
-    unused): x2 = (I - alpha D L)(2 x1 - x0) - D (g1 - g0)."""
-    g = family.grad_stack(state.x)
-    z = 2.0 * state.x - state.x_prev
-    x2 = z - state.alpha * state.dscale[:, None] * (state.lap @ z) \
-        - state.dscale[:, None] * (g - state.grad_prev)
-    return DlmState(x=x2, x_prev=state.x, grad_prev=g, alpha=state.alpha,
-                    lap=state.lap, dscale=state.dscale, t=state.t + 1)
 
 
 def centralized_reference(family, tol: float = 1e-12,

@@ -25,29 +25,35 @@ from . import analysis
 from .objectives import (LogisticFamily, ObjectiveBounds, convexity_bounds,
                          generate_logistic_data, generate_quadratic_set)
 from .topology import (Graph, MixingMatrix, SpectralStats, build_topology,
-                       metropolis_weights, spectral_stats, topology_from_doc,
-                       topology_to_doc)
+                       laplacian, metropolis_weights, spectral_stats,
+                       topology_from_doc, topology_to_doc)
 
 
 class Method(NamedTuple):
-    """How a run starts a method and what one of its rounds sends.
+    """How a run starts a method, what its rounds exchange and send.
 
     `init(family, graph, spec)` returns the state at t = 0; the step is
-    `algorithms.<name>_step`.  Both are looked up on the algorithms module
-    at call time, so wrappers installed there (a tracer's) see every call.
+    `algorithms.<name>_step(state, family, exchange(net))`: W for gt,
+    I - W for nt and extra, the Laplacian for dlm (the q-form's D).  Both
+    are looked up on the algorithms module at call time, so wrappers
+    installed there (a tracer's) see every call, each method's apart.
     """
 
     init: Callable
+    exchange: Callable  # Network -> the n x n operator a step is handed
     vectors: int  # (n, p) arrays exchanged per round
     needs_eps: bool
 
 
 METHODS = {
-    "nt": Method(lambda fam, graph, s: alg.nt_init(fam, s.alpha, s.eps), 1, True),
-    "gt": Method(lambda fam, graph, s: alg.gt_init(fam, s.alpha), 2, False),
-    "extra": Method(lambda fam, graph, s: alg.extra_init(fam, s.alpha), 1, False),
+    "nt": Method(lambda fam, graph, s: alg.nt_init(fam, s.alpha, s.eps),
+                 lambda net: net.mix.disagreement, 1, True),
+    "gt": Method(lambda fam, graph, s: alg.gt_init(fam, s.alpha),
+                 lambda net: net.mix.w, 2, False),
+    "extra": Method(lambda fam, graph, s: alg.extra_init(fam, s.alpha),
+                    lambda net: net.mix.disagreement, 1, False),
     "dlm": Method(lambda fam, graph, s: alg.dlm_init(fam, graph, s.alpha, s.eps),
-                  1, True),
+                  lambda net: laplacian(net.graph), 1, True),
 }
 
 
@@ -62,6 +68,11 @@ def _required(doc: dict, key: str, kind: type, prefix: str = ""):
 def _optional(doc: dict, key: str, kind: type, prefix: str = "", default=None):
     """doc[key] read by kind, default if absent or null; ValueError names it."""
     return default if doc.get(key) is None else _required(doc, key, kind, prefix)
+
+
+def _finite_positive(name: str, value) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name}: must be a finite number > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -131,10 +142,8 @@ class RunConfig:
     def __post_init__(self):
         if self.iters < 0:
             raise ValueError(f"iters: must be >= 0, got {self.iters}")
-        tol = self.stop_tol
-        if tol is not None and not (isinstance(tol, (int, float))
-                                    and math.isfinite(tol) and tol > 0):
-            raise ValueError(f"stop_tol: must be a finite number > 0, got {tol!r}")
+        if self.stop_tol is not None:
+            _finite_positive("stop_tol", self.stop_tol)
         names = [a.name for a in self.algorithms]
         for i, spec in enumerate(self.algorithms):
             if spec.name not in METHODS:
@@ -145,6 +154,9 @@ class RunConfig:
                                  "twice; its traces would collide")
             if METHODS[spec.name].needs_eps and spec.eps is None:
                 raise ValueError(f"algorithms[{i}].eps: {spec.name!r} needs eps")
+            _finite_positive(f"algorithms[{i}].alpha", spec.alpha)
+            if spec.eps is not None:
+                _finite_positive(f"algorithms[{i}].eps", spec.eps)
 
     def to_doc(self) -> dict:
         """Fields in declaration order, nested specs as dicts; from_doc
@@ -407,12 +419,13 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
     n, p = family.n, family.p
     method = METHODS[spec.name]
     step = getattr(alg, f"{spec.name}_step")
+    op = method.exchange(net)
     target = np.tile(obj.x_star, (n, 1))
     denom = max(alg.norm(target), 1e-300)
     trace = ConvergenceTrace(algorithm=spec.name, alpha=spec.alpha, eps=spec.eps)
 
-    # nt alone has a dual iterate v (primal-dual form), a conservation
-    # identity and a remainder; the other methods record None for them.
+    # Only nt's trace records a dual iterate v (primal-dual form), the
+    # conservation identity and a remainder; the others record None.
     is_nt = spec.name == "nt"
     feasible = cert is not None and cert.feasible
     if feasible:
@@ -458,7 +471,7 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
             if reached():
                 break
             tic = time.perf_counter()
-            new = step(state, family, w)
+            new = step(state, family, op)
             wall = (time.perf_counter() - tic) * 1e3
             root_x = root @ new.x
             rem = rem_bound = None
@@ -469,7 +482,7 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
                 e = state.grad - new.grad
                 e -= state.q
                 e += spec.eps * state.u
-                e += spec.alpha * (state.u - w @ state.u)
+                e += spec.alpha * (op @ state.u)
                 rem = alg.norm(e)
                 rem_bound = cert.kappa * alg.norm(new.x - state.x)
             state = new
@@ -640,7 +653,7 @@ def _replay_checks(record: RunRecord, net: Network, obj: Objective,
         cons_worst = alg.conservation_residual(state)
         equiv_worst = 0.0
         for _ in range(steps):
-            state = alg.nt_step(state, family, mix.w)
+            state = alg.nt_step(state, family, mix.disagreement)
             pd = alg.pd_step(pd, family, mix.w)
             xs.append(pd.x)
             vs.append(pd.v)

@@ -98,9 +98,16 @@ class MixingMatrix:
             raise ValueError("eigenvalue 1 of the mixing matrix must be simple")
 
     @functools.cached_property
+    def disagreement(self) -> np.ndarray:
+        """I - W, read-only: the exchange operator of the q-form."""
+        d = np.eye(self.n) - self.w
+        d.flags.writeable = False
+        return d
+
+    @functools.cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and eigenvectors of I - W, read-only."""
-        lam, vec = np.linalg.eigh(np.eye(self.n) - self.w)
+        lam, vec = np.linalg.eigh(self.disagreement)
         lam.flags.writeable = vec.flags.writeable = False
         return lam, vec
 

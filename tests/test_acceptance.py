@@ -67,7 +67,7 @@ def test_criterion_01_formulation_equivalence():
         pd = pd_init(fam, root, alpha, eps)
         gap = 0.0
         for _ in range(100):
-            nt = nt_step(nt, fam, mix.w)
+            nt = nt_step(nt, fam, mix.disagreement)
             pd = pd_step(pd, fam, mix.w)
             gap = max(gap, float(np.max(np.abs(nt.x - pd.x))))
         return gap
@@ -122,22 +122,22 @@ def test_criterion_03_certified_contraction():
 
 
 def test_criterion_04_remainder_bound():
-    def run_nt_xs(fam, w, alpha, eps, iters):
+    def run_nt_xs(fam, mix, alpha, eps, iters):
         st = nt_init(fam, alpha, eps)
         xs = [st.x]
         for _ in range(iters):
-            st = nt_step(st, fam, w)
+            st = nt_step(st, fam, mix.disagreement)
             xs.append(st.x)
         return xs
 
     qfam = generate_quadratic_set(n=5, p=3, seed=2)
     qmix = metropolis_weights(build_topology("cycle", 5))
-    qxs = run_nt_xs(qfam, qmix.w, 0.8, 1.2, 100)
+    qxs = run_nt_xs(qfam, qmix, 0.8, 1.2, 100)
     qrep = lemma_remainder_check(qxs, qfam, qmix.w, 0.8,
                                  convexity_bounds(qfam))
 
     lfam, lmix = fig1_problem()
-    lxs = run_nt_xs(lfam, lmix.w, 3.3, 3.0, 100)
+    lxs = run_nt_xs(lfam, lmix, 3.3, 3.0, 100)
     lrep = lemma_remainder_check(lxs, lfam, lmix.w, 3.3,
                                  convexity_bounds(lfam))
 
@@ -233,11 +233,11 @@ def test_criterion_10_scalar_recursion():
     # Single node, f(x) = (x - 1)^2 / 2, eps = 1: the iterates halve the
     # distance to 1 every step.
     fam = QuadraticFamily(np.ones((1, 1, 1)), np.array([[-1.0]]))
-    w = np.array([[1.0]])
+    d = np.zeros((1, 1))  # I - W of a single node
     st = nt_init(fam, alpha=1.0, eps=1.0)
     iterates = [st.x[0, 0]]
     for _ in range(20):
-        st = nt_step(st, fam, w)
+        st = nt_step(st, fam, d)
         iterates.append(st.x[0, 0])
     head_ok = np.allclose(iterates[:4], [0.0, 0.5, 0.75, 0.875], atol=1e-12)
     errors = np.abs(np.asarray(iterates) - 1.0)

@@ -5,8 +5,14 @@ The oracle implementations below use explicit per-node Python loops and
 np.linalg.solve so that they share no vectorized code path with the
 module under test.  The curvature-tracked oracle is the paper's canonical
 two-recursion form, which rebuilds the tracked direction from the
-previous Hessian; the module under test carries it as q instead.
+previous Hessian, and the EXTRA and DLM oracles are their published
+two-step recursions; the module under test carries all three as q-forms.
+A q-form step takes the operator D of its method: I - W for nt and EXTRA,
+the graph Laplacian for DLM.
 """
+
+import dataclasses
+
 
 import numpy as np
 import pytest
@@ -17,18 +23,17 @@ from scipy.linalg.lapack import dpbsv
 from scipy.special import expit
 
 from newtrack import objectives
-from newtrack.algorithms import (DlmState, ExtraState, GradientTrackingState,
-                                 NewtonTrackingState, centralized_reference,
-                                 conservation_residual, dlm_init, dlm_step,
-                                 extra_init, extra_step, gt_init, gt_step,
-                                 nt_init, nt_step, pd_init, pd_step,
-                                 reg_solve, solve_spd_blocks)
+from newtrack.algorithms import (GradientTrackingState, NewtonTrackingState,
+                                 centralized_reference, conservation_residual,
+                                 dlm_init, dlm_step, extra_init, extra_step,
+                                 gt_init, gt_step, nt_init, nt_step, pd_init,
+                                 pd_step, reg_solve, solve_spd_blocks)
 from newtrack.harness import (AlgorithmSpec, DataSpec, RunConfig,
                               TopologySpec, run_experiment)
 from newtrack.objectives import (LogisticFamily, QuadraticFamily,
                                  generate_logistic_data,
                                  generate_quadratic_set, lower_band)
-from newtrack.topology import (build_topology, metropolis_weights,
+from newtrack.topology import (build_topology, laplacian, metropolis_weights,
                                spectral_stats)
 
 
@@ -74,27 +79,26 @@ def test_scalar_halving_trace():
     # With A = 1, eps = 1, single node: H = 2 and the error halves each
     # step, so the iterates are 0, 0.5, 0.75, 0.875 toward x* = 1.
     fam = scalar_family(b=-1.0)
-    w = np.array([[1.0]])
+    d = np.zeros((1, 1))  # I - W of a single node
     st = nt_init(fam, alpha=1.0, eps=1.0)
     assert st.u[0, 0] == pytest.approx(-0.5, abs=1e-15)
     seen = [st.x[0, 0]]
     for _ in range(3):
-        st = nt_step(st, fam, w)
+        st = nt_step(st, fam, d)
         seen.append(st.x[0, 0])
     assert_allclose(seen, [0.0, 0.5, 0.75, 0.875], atol=1e-12)
 
 
 def test_zero_gradient_start_stays_put():
     fam = scalar_family(b=0.0)
-    w = np.array([[1.0]])
     st = nt_init(fam, alpha=1.0, eps=1.0)
     assert st.u[0, 0] == 0.0
-    st = nt_step(st, fam, w)
+    st = nt_step(st, fam, np.zeros((1, 1)))
     assert st.x[0, 0] == 0.0
 
 
-def assert_nt_matches_plain_loop(fam, w, alpha, eps):
-    n, p = fam.n, fam.p
+def assert_nt_matches_plain_loop(fam, mix, alpha, eps):
+    n, p, w = fam.n, fam.p, mix.w
 
     x = np.zeros((n, p))
     g = np.array([fam.node(i).grad(x[i]) for i in range(n)])
@@ -113,29 +117,29 @@ def assert_nt_matches_plain_loop(fam, w, alpha, eps):
         u = np.array([np.linalg.solve(h1[i], h[i] @ u[i] + g1[i] - g[i] + dis[i])
                       for i in range(n)])
         x, g, h = x1, g1, h1
-        st = nt_step(st, fam, w)
+        st = nt_step(st, fam, mix.disagreement)
         assert np.max(np.abs(st.x - x)) < 1e-12
         assert np.max(np.abs(st.u - u)) < 1e-12
 
 
 def test_nt_matches_plain_loop_oracle():
     fam, _, mix = cycle_setup()
-    assert_nt_matches_plain_loop(fam, mix.w, alpha=0.8, eps=1.2)
+    assert_nt_matches_plain_loop(fam, mix, alpha=0.8, eps=1.2)
 
 
 def test_nt_matches_plain_loop_oracle_with_fewer_samples_than_features():
     fam = wide_logistic(n=5)
-    w = metropolis_weights(build_topology("cycle", 5)).w
-    assert_nt_matches_plain_loop(fam, w, alpha=0.8, eps=1.2)
+    mix = metropolis_weights(build_topology("cycle", 5))
+    assert_nt_matches_plain_loop(fam, mix, alpha=0.8, eps=1.2)
 
 
 def assert_conservation_along_run(fam):
-    w = metropolis_weights(build_topology("cycle", fam.n)).w
+    d = metropolis_weights(build_topology("cycle", fam.n)).disagreement
     eps = 1.0
     st = nt_init(fam, alpha=1.0, eps=eps)
     assert conservation_residual(st) < 1e-12
     for _ in range(50):
-        st = nt_step(st, fam, w)
+        st = nt_step(st, fam, d)
         assert conservation_residual(st) < 1e-9
         # sum_i q_i = sum_i grad_i carries over to the solved direction:
         # sum_i (hess_i + eps I) u_i = sum_i grad_i.
@@ -153,6 +157,15 @@ def test_conservation_holds_along_run_with_fewer_samples_than_features():
     assert_conservation_along_run(wide_logistic(m=3, p=7))
 
 
+def qform_start(method, fam, graph, mix, alpha, eps):
+    """(state at t = 0, operator D) of a q-form method."""
+    if method == "nt":
+        return nt_init(fam, alpha, eps), mix.disagreement
+    if method == "extra":
+        return extra_init(fam, alpha), mix.disagreement
+    return dlm_init(fam, graph, alpha, eps), laplacian(graph)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(2, 8), tau=st.floats(0.5, 1.0), m=st.integers(1, 8),
        p=st.integers(1, 8), quadratic=st.booleans(), alpha=st.floats(0.05, 1.0),
@@ -162,18 +175,21 @@ def test_conservation_on_random_instances(n, tau, m, p, quadratic, alpha, eps,
     # sum q = sum g on random connected graphs, logistic data on both sides
     # of m < p or quadratics, at step sizes where the run is stable: the
     # defect is rounding relative to |q|, so a diverging run's grows with it.
-    w = metropolis_weights(build_topology("random", n, tau=tau, seed=seed)).w
+    # Every drawn instance runs all three q-form methods.
+    graph = build_topology("random", n, tau=tau, seed=seed)
+    mix = metropolis_weights(graph)
     fam = generate_quadratic_set(n=n, p=p, seed=seed) if quadratic \
         else wide_logistic(n=n, m=m, p=p, seed=seed)
-    st_ = nt_init(fam, alpha, eps)
-    for _ in range(30):
-        st_ = nt_step(st_, fam, w)
-        assert conservation_residual(st_) <= 1e-9
+    for method in ("nt", "extra", "dlm"):
+        st_, d = qform_start(method, fam, graph, mix, alpha, eps)
+        assert conservation_residual(st_) == 0.0
+        for _ in range(30):
+            st_ = nt_step(st_, fam, d)
+            assert conservation_residual(st_) <= 1e-9, method
 
 
 def test_nt_fixed_point():
     fam, _, mix = cycle_setup(seed=2)
-    w = mix.w
     eps = 1.5
     x_star = fam.optimum()
     tile = np.tile(x_star, (fam.n, 1))
@@ -181,7 +197,7 @@ def test_nt_fixed_point():
                              u=np.zeros_like(tile), grad=fam.grad_stack(tile),
                              alpha=0.7, eps=eps, t=0)
     assert conservation_residual(st) < 1e-12
-    nxt = nt_step(st, fam, w)
+    nxt = nt_step(st, fam, mix.disagreement)
     assert np.max(np.abs(nxt.x - tile)) < 1e-12
     assert np.max(np.abs(nxt.u)) < 1e-12
 
@@ -190,13 +206,13 @@ def test_nt_fixed_point():
 # Equivalent formulations.
 # ---------------------------------------------------------------------------
 
-def run_both_ways(fam, w, root, alpha, eps, iters):
+def run_both_ways(fam, mix, alpha, eps, iters):
     nt = nt_init(fam, alpha, eps)
-    pd = pd_init(fam, root, alpha, eps)
+    pd = pd_init(fam, spectral_stats(mix).root, alpha, eps)
     gaps = []
     for _ in range(iters):
-        nt = nt_step(nt, fam, w)
-        pd = pd_step(pd, fam, w)
+        nt = nt_step(nt, fam, mix.disagreement)
+        pd = pd_step(pd, fam, mix.w)
         gaps.append(np.max(np.abs(nt.x - pd.x)))
     return max(gaps)
 
@@ -204,16 +220,14 @@ def run_both_ways(fam, w, root, alpha, eps, iters):
 def test_formulations_agree_quadratic():
     fam = generate_quadratic_set(n=3, p=2, seed=1)
     mix = metropolis_weights(build_topology("cycle", 3))
-    root = spectral_stats(mix).root
-    assert run_both_ways(fam, mix.w, root, 0.9, 1.1, 100) < 1e-10
+    assert run_both_ways(fam, mix, 0.9, 1.1, 100) < 1e-10
 
 
 def test_formulations_agree_logistic():
     mix = metropolis_weights(build_topology("random", 6, tau=0.6, seed=3))
-    root = spectral_stats(mix).root
     for m, p in ((8, 4), (3, 7)):  # the second takes reg_solve's m < p path
         fam = wide_logistic(m=m, p=p, seed=2)
-        assert run_both_ways(fam, mix.w, root, 1.0, 1.0, 100) < 1e-8
+        assert run_both_ways(fam, mix, 1.0, 1.0, 100) < 1e-8
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -226,8 +240,7 @@ def test_formulations_agree_on_random_instances(n, tau, m, p, alpha, eps, seed):
     # form through 30 rounds.
     mix = metropolis_weights(build_topology("random", n, tau=tau, seed=seed))
     fam = wide_logistic(n=n, m=m, p=p, seed=seed)
-    assert run_both_ways(fam, mix.w, spectral_stats(mix).root, alpha, eps,
-                         30) <= 1e-8
+    assert run_both_ways(fam, mix, alpha, eps, 30) <= 1e-8
 
 
 def test_first_primal_dual_step_is_regularized_newton():
@@ -239,7 +252,7 @@ def test_first_primal_dual_step_is_regularized_newton():
     expected = -solve_spd_blocks(lower_band(h),
                                  fam.grad_stack(np.zeros((fam.n, fam.p))))
     assert_allclose(pd.x, expected, atol=1e-13)
-    nt = nt_step(nt_init(fam, 0.5, eps), fam, mix.w)
+    nt = nt_step(nt_init(fam, 0.5, eps), fam, mix.disagreement)
     assert_allclose(pd.x, nt.x, atol=1e-13)
 
 
@@ -311,40 +324,53 @@ def test_tracker_mean_equals_gradient_mean():
 
 def test_extra_scalar_trace():
     fam = scalar_family(b=-1.0)
-    w = np.array([[1.0]])
+    d = np.zeros((1, 1))  # I - W of a single node
     st = extra_init(fam, alpha=0.5)
     assert st.t == 0 and st.x[0, 0] == 0.0
-    st = extra_step(st, fam, w)
+    st = extra_step(st, fam, d)
     assert st.t == 1
     assert st.x[0, 0] == pytest.approx(0.5, abs=1e-15)
-    st = extra_step(st, fam, w)
+    st = extra_step(st, fam, d)
     assert st.x[0, 0] == pytest.approx(0.75, abs=1e-15)
 
 
+def plain_loop_cases(seed):
+    # A quadratic cycle, then logistic data on a random graph on both sides
+    # of m < p: (family, graph, mixing matrix).
+    fam, graph, mix = cycle_setup(seed=seed)
+    yield fam, graph, mix
+    graph = build_topology("random", 6, tau=0.6, seed=seed)
+    for m, p in ((8, 4), (3, 7)):
+        yield wide_logistic(m=m, p=p, seed=seed), graph, metropolis_weights(graph)
+
+
+def local_grads(fam, x):
+    return np.array([fam.node(i).grad(x[i]) for i in range(fam.n)])
+
+
 def test_extra_matches_plain_loop():
-    fam, _, mix = cycle_setup(seed=8)
-    w, alpha = mix.w, 0.1
-    n = fam.n
-    x0 = np.zeros((n, fam.p))
-    g0 = np.array([fam.node(i).grad(x0[i]) for i in range(n)])
-    x1 = slow_mix(w, x0) - alpha * g0
-    st = extra_step(extra_init(fam, alpha), fam, w)
-    assert_allclose(st.x, x1, atol=1e-14)
-    for _ in range(50):
-        g1 = np.array([fam.node(i).grad(x1[i]) for i in range(n)])
-        x2 = x1 + slow_mix(w, x1) - 0.5 * (x0 + slow_mix(w, x0)) \
-            - alpha * (g1 - g0)
-        x0, x1, g0 = x1, x2, g1
-        st = extra_step(st, fam, w)
-        assert np.max(np.abs(st.x - x1)) < 1e-12
+    alpha = 0.1
+    for fam, _, mix in plain_loop_cases(seed=8):
+        w = mix.w
+        x0 = np.zeros((fam.n, fam.p))
+        g0 = local_grads(fam, x0)
+        x1 = slow_mix(w, x0) - alpha * g0
+        st = extra_step(extra_init(fam, alpha), fam, mix.disagreement)
+        assert_allclose(st.x, x1, atol=1e-14)
+        for _ in range(50):
+            g1 = local_grads(fam, x1)
+            x2 = x1 + slow_mix(w, x1) - 0.5 * (x0 + slow_mix(w, x0)) \
+                - alpha * (g1 - g0)
+            x0, x1, g0 = x1, x2, g1
+            st = extra_step(st, fam, mix.disagreement)
+            assert np.max(np.abs(st.x - x1)) < 1e-12
 
 
 def test_dlm_single_node_recursion():
     fam = scalar_family(b=-1.0)
     g = build_topology("complete", 1)
-    w = np.array([[1.0]])
     eps, alpha = 2.0, 0.5
-    st = dlm_step(dlm_init(fam, g, alpha=alpha, eps=eps), fam, w)
+    st = dlm_step(dlm_init(fam, g, alpha=alpha, eps=eps), fam, laplacian(g))
     # degree 0: D = 1/eps and the Laplacian vanishes
     grad0 = -1.0
     x0, x1 = 0.0, -grad0 / eps
@@ -353,30 +379,29 @@ def test_dlm_single_node_recursion():
         g1 = x1 - 1.0
         x2 = 2.0 * x1 - x0 - (g1 - grad0) / eps
         x0, x1, grad0 = x1, x2, g1
-        st = dlm_step(st, fam, w)
+        st = dlm_step(st, fam, laplacian(g))
         assert st.x[0, 0] == pytest.approx(x1, abs=1e-13)
 
 
 def test_dlm_matches_plain_loop():
-    fam, graph, mix = cycle_setup(seed=9)
     alpha, eps = 0.4, 0.4
-    n = fam.n
-    deg = graph.degrees
-    lap = np.diag(deg.astype(float)) - graph.adjacency()
-    dscale = 1.0 / (2.0 * alpha * deg + eps)
-    x0 = np.zeros((n, fam.p))
-    g0 = np.array([fam.node(i).grad(x0[i]) for i in range(n)])
-    x1 = x0 - alpha * dscale[:, None] * (lap @ x0) - dscale[:, None] * g0
-    st = dlm_step(dlm_init(fam, graph, alpha, eps), fam, mix.w)
-    assert_allclose(st.x, x1, atol=1e-14)
-    for _ in range(50):
-        g1 = np.array([fam.node(i).grad(x1[i]) for i in range(n)])
-        z = 2.0 * x1 - x0
-        x2 = z - alpha * dscale[:, None] * (lap @ z) \
-            - dscale[:, None] * (g1 - g0)
-        x0, x1, g0 = x1, x2, g1
-        st = dlm_step(st, fam, mix.w)
-        assert np.max(np.abs(st.x - x1)) < 1e-12
+    for fam, graph, _ in plain_loop_cases(seed=9):
+        deg = graph.degrees
+        lap = np.diag(deg.astype(float)) - graph.adjacency()
+        dscale = 1.0 / (2.0 * alpha * deg + eps)
+        x0 = np.zeros((fam.n, fam.p))
+        g0 = local_grads(fam, x0)
+        x1 = x0 - alpha * dscale[:, None] * (lap @ x0) - dscale[:, None] * g0
+        st = dlm_step(dlm_init(fam, graph, alpha, eps), fam, laplacian(graph))
+        assert_allclose(st.x, x1, atol=1e-14)
+        for _ in range(50):
+            g1 = local_grads(fam, x1)
+            z = 2.0 * x1 - x0
+            x2 = z - alpha * dscale[:, None] * (lap @ z) \
+                - dscale[:, None] * (g1 - g0)
+            x0, x1, g0 = x1, x2, g1
+            st = dlm_step(st, fam, laplacian(graph))
+            assert np.max(np.abs(st.x - x1)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -385,27 +410,22 @@ def test_dlm_matches_plain_loop():
 
 def test_baseline_fixed_points():
     fam, graph, mix = cycle_setup(seed=10)
-    w = mix.w
     tile = np.tile(fam.optimum(), (fam.n, 1))
     g_star = fam.grad_stack(tile)
+    zero = np.zeros_like(tile)
 
-    gt = GradientTrackingState(x=tile, y=np.zeros_like(tile), grad=g_star,
-                               alpha=0.05)
-    gt = gt_step(gt, fam, w)
+    gt = GradientTrackingState(x=tile, y=zero, grad=g_star, alpha=0.05)
+    gt = gt_step(gt, fam, mix.w)
     assert np.max(np.abs(gt.x - tile)) < 1e-12
     assert np.max(np.abs(gt.y)) < 1e-12
 
-    ex = ExtraState(x=tile, x_prev=tile, wx_prev=w @ tile, grad_prev=g_star,
-                    alpha=0.1, t=1)
-    ex = extra_step(ex, fam, w)
-    assert np.max(np.abs(ex.x - tile)) < 1e-12
-
-    deg = graph.degrees
-    dl = DlmState(x=tile, x_prev=tile, grad_prev=g_star, alpha=0.4,
-                  lap=np.diag(deg.astype(float)) - graph.adjacency(),
-                  dscale=1.0 / (2.0 * 0.4 * deg + 0.4), t=1)
-    dl = dlm_step(dl, fam, w)
-    assert np.max(np.abs(dl.x - tile)) < 1e-12
+    # The q-form fixed point: x = x*, q = u = 0, grad = g*.
+    for method in ("extra", "dlm"):
+        st, d = qform_start(method, fam, graph, mix, 0.1, 0.4)
+        st = dataclasses.replace(st, x=tile, q=zero, u=zero, grad=g_star, t=1)
+        st = nt_step(st, fam, d)
+        assert np.max(np.abs(st.x - tile)) < 1e-12, method
+        assert np.max(np.abs(st.u)) < 1e-12, method
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +436,7 @@ def test_all_methods_reach_the_same_consensus():
     ds = generate_logistic_data(n=6, m=8, p=4, reg=1e-3, seed=2)
     fam = LogisticFamily(ds)
     graph = build_topology("cycle", 6)
-    w = metropolis_weights(graph).w
+    mix = metropolis_weights(graph)
     tile = np.tile(centralized_reference(fam, tol=1e-13), (6, 1))
 
     nt = nt_init(fam, 1.0, 1.0)
@@ -424,10 +444,10 @@ def test_all_methods_reach_the_same_consensus():
     ex = extra_init(fam, 0.3)
     dl = dlm_init(fam, graph, 0.3, 0.3)
     for _ in range(800):
-        nt = nt_step(nt, fam, w)
-        gt = gt_step(gt, fam, w)
-        ex = extra_step(ex, fam, w)
-        dl = dlm_step(dl, fam, w)
+        nt = nt_step(nt, fam, mix.disagreement)
+        gt = gt_step(gt, fam, mix.w)
+        ex = extra_step(ex, fam, mix.disagreement)
+        dl = dlm_step(dl, fam, laplacian(graph))
     for st in (nt, gt, ex, dl):
         assert np.max(np.abs(st.x - tile)) < 1e-6
 
@@ -610,7 +630,7 @@ def test_one_sigmoid_pass_per_round(monkeypatch, n, m, p):
     calls = []
     real = objectives.expit
     monkeypatch.setattr(objectives, "expit", lambda z: calls.append(z) or real(z))
-    nt_step(nt, fam, mix.w)
+    nt_step(nt, fam, mix.disagreement)
     assert len(calls) == 1
     pd_step(pd, fam, mix.w)
     assert len(calls) == 2

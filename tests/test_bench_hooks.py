@@ -81,6 +81,33 @@ def test_local_solves_go_through_solve_spd_blocks(monkeypatch, n, m, p, b):
     state = algorithms.nt_init(family, 0.5, 1.0)
     pd = algorithms.pd_init(family, spectral_stats(mix).root, 0.5, 1.0)
     for _ in range(2):
-        state = algorithms.nt_step(state, family, mix.w)
+        state = algorithms.nt_step(state, family, mix.disagreement)
         pd = algorithms.pd_step(pd, family, mix.w)
     assert calls == ["reg_solve", (n, b, b)] * 5
+
+
+def test_each_method_steps_through_its_own_name(monkeypatch):
+    """The benchmark times algorithms.<method>_step apart for each method.
+    nt, extra and dlm share one q-form step, so a run loop that called
+    nt_step for all three would merge their spans unnoticed: each name
+    must see exactly its own method's rounds."""
+    assert algorithms.extra_step is algorithms.dlm_step is algorithms.nt_step
+    calls = {}
+    for name in ("nt", "gt", "extra", "dlm"):
+        real = getattr(algorithms, f"{name}_step")
+        calls[name] = 0
+
+        def wrapper(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(algorithms, f"{name}_step", wrapper)
+    config = harness.RunConfig(
+        name="hooks", topology=harness.TopologySpec(kind="cycle", n=4),
+        data=harness.DataSpec(family="quadratic", p=2, seed=0),
+        algorithms=(harness.AlgorithmSpec("nt", alpha=1.0, eps=1.5),
+                    harness.AlgorithmSpec("gt", alpha=0.05),
+                    harness.AlgorithmSpec("extra", alpha=0.1),
+                    harness.AlgorithmSpec("dlm", alpha=0.4, eps=0.4)),
+        iters=3)
+    harness.run_experiment(config)
+    assert calls == {"nt": 3, "gt": 3, "extra": 3, "dlm": 3}

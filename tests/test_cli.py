@@ -317,6 +317,25 @@ def test_diverging_run_keeps_stderr_json(tmp_path):
     assert json.loads(proc.stderr)["error"] == "check_failed"
 
 
+@pytest.mark.parametrize("key, text", [("alpha", "nan"), ("eps", "inf")])
+def test_bad_step_size_fails_at_load_with_one_json_line(tmp_path, key, text):
+    # Before any run: no numpy warning on stderr, no output on stdout.
+    doc = tiny_config_doc()
+    doc["algorithms"][0][key] = text
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "newtrack.cli", "solve",
+                           "--config", str(path)],
+                          capture_output=True, text=True, timeout=60,
+                          env=module_env())
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr) == {
+        "error": "ValueError",
+        "message": f"algorithms[0].{key}: must be a finite number > 0, got {text}"}
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "newtrack.cli", "spectra",

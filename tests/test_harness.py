@@ -176,7 +176,7 @@ def test_feasible_run_validates_metric_once(monkeypatch):
     v = np.zeros_like(state.x)
     expected = [real(q_mat, rec.x_star, v_star, spec.alpha)(state.x, v)]
     for _ in range(cfg.iters):
-        state = alg.nt_step(state, family, mix.w)
+        state = alg.nt_step(state, family, mix.disagreement)
         v = v + spec.alpha * (root @ state.x)
         expected.append(real(q_mat, rec.x_star, v_star, spec.alpha)(state.x, v))
     assert rec.traces["nt"].gnorm_error == expected
@@ -251,6 +251,22 @@ def test_config_validation_names_the_field(change, field):
     doc.update({k: [dataclasses.asdict(a) for a in v] if k == "algorithms"
                 else v for k, v in change.items()})
     with pytest.raises(ValueError, match=re.escape(field)):
+        RunConfig.from_doc(doc)
+
+
+@pytest.mark.parametrize("key", ["alpha", "eps"])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "0", "-1"])
+def test_step_sizes_must_be_finite_and_positive(key, text):
+    # A bad step size fails at load, naming the field, whether it comes
+    # through the constructor or a config file (where it may be a string).
+    message = f"algorithms[3].{key}: must be a finite number > 0, got {float(text)!r}"
+    algs = list(tiny_config().algorithms)
+    algs[3] = dataclasses.replace(algs[3], **{key: float(text)})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(tiny_config(), algorithms=tuple(algs))
+    doc = json.loads(json.dumps(tiny_config().to_doc()))
+    doc["algorithms"][3][key] = text
+    with pytest.raises(ValueError, match=re.escape(message)):
         RunConfig.from_doc(doc)
 
 
@@ -340,7 +356,7 @@ def test_qform_remainder_matches_hessian_reference():
     state = alg.nt_init(family, spec.alpha, spec.eps)
     worst = 0.0
     for t in range(cfg.iters):
-        nxt = alg.nt_step(state, family, mix.w)
+        nxt = alg.nt_step(state, family, mix.disagreement)
         ref = np.linalg.norm(approximation_error(state.x, nxt.x, family,
                                                  mix.w, spec.alpha))
         worst = max(worst, abs(rec.traces["nt"].remainder_norm[t + 1] - ref))
