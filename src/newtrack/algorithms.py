@@ -68,12 +68,11 @@ def reg_solve(family, curve, eps: float, rhs: np.ndarray) -> np.ndarray:
     hess_blocks + eps I.  Both factor through solve_spd_blocks.
     """
     if isinstance(family, LogisticFamily) and family.m < family.p:
-        f, m = family.dataset.features, family.m
+        f = family.dataset.features
         a = family.ridge + eps
         root_c = np.sqrt(curve)
         # k[i, c, d] = root_c[c + d] G[c + d, c] root_c[c], G 0 past the block.
-        rows = np.minimum(np.add.outer(np.arange(m), np.arange(m)), m - 1)
-        k = root_c[:, rows] * family.gram_band * root_c[:, :, None]
+        k = root_c[:, family.band_rows] * family.gram_band * root_c[:, :, None]
         k[:, :, 0] += a
         y = solve_spd_blocks(k, root_c * (f @ rhs[:, :, None])[:, :, 0])
         return (rhs - ((root_c * y)[:, None, :] @ f)[:, 0, :]) / a
@@ -106,6 +105,11 @@ class NewtonTrackingState:
     scale: np.ndarray | None = None
 
 
+def _oracle(family, scale, x: np.ndarray):
+    """Gradient at x and, only where M is the Hessian (scale None), its weights."""
+    return family.grad_curvature(x) if scale is None else (family.grad_stack(x), None)
+
+
 def _direction(family, curve, eps: float, scale, q: np.ndarray) -> np.ndarray:
     return reg_solve(family, curve, eps, q) if scale is None else scale[:, None] * q
 
@@ -114,7 +118,7 @@ def _start(family, alpha: float, eps: float, fixed=None) -> NewtonTrackingState:
     """x = 0, q = grad(0), u = M^{-1} q; fixed: a constant curvature per node."""
     scale = None if fixed is None else 1.0 / (fixed + eps)
     x = np.zeros((family.n, family.p))
-    g, curve = family.grad_curvature(x)
+    g, curve = _oracle(family, scale, x)
     return NewtonTrackingState(x, g, _direction(family, curve, eps, scale, g), g,
                                alpha, eps, 0, scale)
 
@@ -145,7 +149,7 @@ def nt_step(state: NewtonTrackingState, family, d: np.ndarray) -> NewtonTracking
     alpha D (2 x1 - x), the round's one exchange, with D = d as
     harness.Method names it; u becomes M^{-1} q at x1."""
     x1 = state.x - state.u
-    g1, curve = family.grad_curvature(x1)
+    g1, curve = _oracle(family, state.scale, x1)
     z = 2.0 * x1 - state.x
     q1 = state.q + (g1 - state.grad) + state.alpha * (d @ z)
     u1 = _direction(family, curve, state.eps, state.scale, q1)
@@ -161,8 +165,10 @@ sq_init = nt_init
 
 
 def norm(a: np.ndarray) -> float:
-    """np.linalg.norm(a) bit for bit: its default path, without its checks."""
-    return math.sqrt(a.ravel(order="K") @ a.ravel(order="K"))
+    """np.linalg.norm(a) bit for bit, for any layout: its default path (one
+    BLAS dot over a in memory order), without its checks."""
+    flat = a.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def conservation_residual(state: NewtonTrackingState) -> float:

@@ -183,6 +183,9 @@ class RunConfig:
 class ConvergenceTrace:
     """Per-iteration metrics for one algorithm; entry t is iterate x^t.
 
+    kkt_primal is ||root x||, with root the square root of I - W: zero at
+    consensus.  kkt_dual is ||q - alpha (I - W) x||, which equals the
+    primal-dual form's residual ||grad(x) + root v|| in exact arithmetic.
     Optional lists hold None where a quantity is not defined for the
     algorithm (dual-based metrics exist only for the curvature-tracked
     method) or for the parameters (squared metric error only under a
@@ -424,17 +427,19 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
     denom = max(alg.norm(target), 1e-300)
     trace = ConvergenceTrace(algorithm=spec.name, alpha=spec.alpha, eps=spec.eps)
 
-    # Only nt's trace records a dual iterate v (primal-dual form), the
-    # conservation identity and a remainder; the others record None.
+    # Only nt's trace records kkt_dual = ||q - alpha (I - W) x|| (the
+    # primal-dual ||grad + root v|| in exact arithmetic), the conservation
+    # identity and a remainder; the others record None.  The dual iterate v
+    # is kept only for the metric error under a feasible certificate.
     is_nt = spec.name == "nt"
     feasible = cert is not None and cert.feasible
     if feasible:
         energy = analysis.g_norm_metric(
             analysis.consensus_penalty_matrix(w, spec.alpha, spec.eps),
             obj.x_star, analysis.dual_optimum(family, obj.x_star, root), spec.alpha)
-    v = np.zeros((n, p))
+        v = np.zeros((n, p))
 
-    def push(state, wall, root_x, rem=None, rem_bound=None) -> bool:
+    def push(state, wall, root_x, dual=None, rem=None, rem_bound=None) -> bool:
         """Record state, root_x = root @ state.x; False, recording nothing,
         if rel_error is not finite."""
         rel = alg.norm(state.x - target) / denom
@@ -443,12 +448,10 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
         trace.rel_error.append(rel)
         trace.kkt_primal.append(alg.norm(root_x))
         if is_nt:
-            # The step already evaluated the gradient at state.x.
-            dual = alg.norm(state.grad + root @ v)
             gnorm = energy(state.x, v) if feasible else None
             tracking = alg.conservation_residual(state)
         else:
-            dual = gnorm = tracking = None
+            gnorm = tracking = None
         trace.kkt_dual.append(dual)
         trace.gnorm_error.append(gnorm)
         trace.tracking_residual.append(tracking)
@@ -463,7 +466,8 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
         return config.stop_tol is not None and trace.rel_error[-1] <= config.stop_tol
 
     state = method.init(family, net.graph, spec)
-    push(state, 0.0, root @ state.x)
+    # Every init starts at x = 0, where kkt_dual is ||q||.
+    push(state, 0.0, root @ state.x, alg.norm(state.q) if is_nt else None)
     # A diverging run overflows on its way to the first non-finite
     # rel_error; the trace reports that as status "diverged".
     with np.errstate(over="ignore", invalid="ignore"):
@@ -474,19 +478,23 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
             new = step(state, family, op)
             wall = (time.perf_counter() - tic) * 1e3
             root_x = root @ new.x
-            rem = rem_bound = None
+            dual = rem = rem_bound = None
             if is_nt:
-                v = v + spec.alpha * root_x
-                # Second-order remainder of the step x -> x - u, from
-                # q = (H + eps I) u: e = g0 - g1 - q0 + eps u0 + alpha (I - W) u0.
-                e = state.grad - new.grad
-                e -= state.q
-                e += spec.eps * state.u
-                e += spec.alpha * (op @ state.u)
-                rem = alg.norm(e)
+                if feasible:
+                    v = v + spec.alpha * root_x
+                # From q1 = q0 + g1 - g0 + alpha (I - W)(2 x1 - x0) and
+                # x1 = x0 - u0: r = g0 - g1 - q0 + alpha (I - W) u0 is
+                # -(q1 - alpha (I - W) x1), and, with q0 = (H + eps I) u0,
+                # r + eps u0 is the second-order remainder of the step.
+                r = state.grad - new.grad
+                r -= state.q
+                r += spec.alpha * (op @ state.u)
+                dual = alg.norm(r)
+                r += spec.eps * state.u
+                rem = alg.norm(r)
                 rem_bound = cert.kappa * alg.norm(new.x - state.x)
             state = new
-            if not push(state, wall, root_x, rem, rem_bound):
+            if not push(state, wall, root_x, dual, rem, rem_bound):
                 trace.status = "diverged"
                 break
     if trace.status == "budget" and reached():

@@ -216,6 +216,12 @@ class LogisticFamily:
         """gram in lower band layout, for the m < p local solve."""
         return lower_band(self.gram)
 
+    @functools.cached_property
+    def band_rows(self) -> np.ndarray:
+        """min(c + d, m - 1) at [c, d]: the sample row of gram_band[:, c, d]."""
+        i = np.arange(self.m)
+        return np.minimum(np.add.outer(i, i), self.m - 1)
+
     def grad_total(self, x: np.ndarray) -> np.ndarray:
         s = expit(-(self._yf @ x))
         return self.dataset.reg * x - np.einsum("nm,nmp->p", s, self._yf)

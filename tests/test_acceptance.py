@@ -14,9 +14,9 @@ import pytest
 
 from newtrack import analysis
 from newtrack.algorithms import nt_init, nt_step, pd_init, pd_step
-from newtrack.analysis import (contraction_check, decay_window, dual_optimum,
-                               fit_linear_rate, lemma_remainder_check,
-                               rate_certificate)
+from newtrack.analysis import (approximation_error, contraction_check,
+                               decay_window, dual_optimum, fit_linear_rate,
+                               lemma_remainder_check, rate_certificate)
 from newtrack.harness import preset, run_experiment, topology_sweep
 from newtrack.objectives import (LogisticFamily, QuadraticFamily,
                                  convexity_bounds, derivative_check,
@@ -122,29 +122,38 @@ def test_criterion_03_certified_contraction():
 
 
 def test_criterion_04_remainder_bound():
-    def run_nt_xs(fam, mix, alpha, eps, iters):
+    def run_nt(fam, mix, alpha, eps, iters):
+        # The q-form's iterates and the worst gap between its remainder,
+        # eps u0 - (q1 - alpha (I - W) x1), and the Hessian-based one.
+        d = mix.disagreement
         st = nt_init(fam, alpha, eps)
-        xs = [st.x]
+        xs, gap = [st.x], 0.0
         for _ in range(iters):
-            st = nt_step(st, fam, mix.disagreement)
+            nxt = nt_step(st, fam, mix.disagreement)
+            e = eps * st.u - (nxt.q - alpha * (d @ nxt.x))
+            ref = approximation_error(st.x, nxt.x, fam, mix.w, alpha)
+            gap = max(gap, float(np.max(np.abs(e - ref))))
+            st = nxt
             xs.append(st.x)
-        return xs
+        return xs, gap
 
     qfam = generate_quadratic_set(n=5, p=3, seed=2)
     qmix = metropolis_weights(build_topology("cycle", 5))
-    qxs = run_nt_xs(qfam, qmix, 0.8, 1.2, 100)
+    qxs, qgap = run_nt(qfam, qmix, 0.8, 1.2, 100)
     qrep = lemma_remainder_check(qxs, qfam, qmix.w, 0.8,
                                  convexity_bounds(qfam))
 
     lfam, lmix = fig1_problem()
-    lxs = run_nt_xs(lfam, lmix, 3.3, 3.0, 100)
+    lxs, lgap = run_nt(lfam, lmix, 3.3, 3.0, 100)
     lrep = lemma_remainder_check(lxs, lfam, lmix.w, 3.3,
                                  convexity_bounds(lfam))
 
-    ok = qrep.violations == 0 and lrep.violations == 0
+    ok = qrep.violations == 0 and lrep.violations == 0 \
+        and qgap < 1e-10 and lgap < 1e-10
     criterion(4, ok, "second-order remainder stays within kappa ||dx|| over "
                      f"100 iterations (worst ratios quadratic {qrep.worst:.3f}, "
-                     f"logistic {lrep.worst:.3f})")
+                     f"logistic {lrep.worst:.3f}) and is the q-form's own "
+                     f"(worst gaps {qgap:.1e}, {lgap:.1e})")
 
 
 def test_criterion_05_spectral_reproduction():

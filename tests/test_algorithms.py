@@ -26,8 +26,8 @@ from newtrack import objectives
 from newtrack.algorithms import (GradientTrackingState, NewtonTrackingState,
                                  centralized_reference, conservation_residual,
                                  dlm_init, dlm_step, extra_init, extra_step,
-                                 gt_init, gt_step, nt_init, nt_step, pd_init,
-                                 pd_step, reg_solve, solve_spd_blocks)
+                                 gt_init, gt_step, norm, nt_init, nt_step,
+                                 pd_init, pd_step, reg_solve, solve_spd_blocks)
 from newtrack.harness import (AlgorithmSpec, DataSpec, RunConfig,
                               TopologySpec, run_experiment)
 from newtrack.objectives import (LogisticFamily, QuadraticFamily,
@@ -634,6 +634,35 @@ def test_one_sigmoid_pass_per_round(monkeypatch, n, m, p):
     assert len(calls) == 1
     pd_step(pd, fam, mix.w)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("method", ["nt", "extra", "dlm"])
+def test_only_nt_rounds_form_curvature_weights(monkeypatch, method):
+    # EXTRA and DLM scale q by a constant curvature, so their inits and
+    # rounds evaluate the plain gradient; nt's need the Hessian weights.
+    fam = wide_logistic(n=6, m=3, p=7)
+    graph = build_topology("cycle", 6)
+    calls = []
+    for name in ("grad_stack", "grad_curvature"):
+        real = getattr(fam, name)
+        monkeypatch.setattr(fam, name, lambda x, real=real, name=name:
+                            calls.append(name) or real(x))
+    state, d = qform_start(method, fam, graph, metropolis_weights(graph), 0.5, 1.0)
+    for _ in range(3):
+        state = nt_step(state, fam, d)
+    assert calls == ["grad_curvature" if method == "nt" else "grad_stack"] * 4
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 40), p=st.integers(1, 40), log_scale=st.integers(-12, 6),
+       seed=st.integers(0, 2 ** 16))
+def test_norm_is_linalg_norm_bit_for_bit(n, p, log_scale, seed):
+    # Same dot over the same memory order, whatever the layout.
+    a = np.random.default_rng(seed).standard_normal((n, p)) * 10.0 ** log_scale
+    layouts = {"1-D": a.ravel(), "C": a, "F": np.asfortranarray(a),
+               "strided": a[::2, ::3], "transposed": a.T, "transposed strided": a.T[::3]}
+    for name, view in layouts.items():
+        assert norm(view) == np.linalg.norm(view), name
 
 
 def test_init_validation():

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newtrack import algorithms as alg
 from newtrack import analysis, harness
@@ -362,6 +364,52 @@ def test_qform_remainder_matches_hessian_reference():
         worst = max(worst, abs(rec.traces["nt"].remainder_norm[t + 1] - ref))
         state = nxt
     assert worst < 1e-11
+
+
+def assert_kkt_dual_matches_replays(record, pd_rounds):
+    """nt's kkt_dual[t] against ||q_t - alpha (I - W) x_t|| of an nt_step
+    replay at every t (1e-12) and ||grad(x_t) + root v_t|| of a pd_step
+    replay for t <= pd_rounds (1e-8).  Relative to the larger of the value
+    and kkt_dual[0]: every side carries rounding at the start's scale, which
+    dominates once the residual has fallen many orders below it."""
+    config, kkt = record.config, record.traces["nt"].kkt_dual
+    net, obj = harness.build_network(config.topology), harness.build_objective(config)
+    family, d, root = obj.family, net.mix.disagreement, net.spectra.root
+    spec = next(a for a in config.algorithms if a.name == "nt")
+    qf = alg.nt_init(family, spec.alpha, spec.eps)
+    pd = alg.pd_init(family, root, spec.alpha, spec.eps)
+    for t, value in enumerate(kkt):
+        if t:
+            qf = alg.nt_step(qf, family, d)
+        qform = np.linalg.norm(qf.q - spec.alpha * (d @ qf.x))
+        assert abs(value - qform) <= 1e-12 * max(qform, kkt[0]), t
+        if t <= pd_rounds:
+            if t:
+                pd = alg.pd_step(pd, family, net.mix.w)
+            dual = np.linalg.norm(family.grad_stack(pd.x) + root @ pd.v)
+            assert abs(value - dual) <= 1e-8 * max(dual, kkt[0]), t
+
+
+def test_kkt_dual_is_the_qform_residual_on_fig1():
+    record = run_experiment(preset("fig1"))
+    assert_kkt_dual_matches_replays(record, pd_rounds=100)
+    # It falls to the rounding level; a running dual iterate v ended at 2.6e-11.
+    assert record.traces["nt"].kkt_dual[-1] < 1e-13
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 8), tau=st.floats(0.5, 1.0), m=st.integers(1, 8),
+       p=st.integers(1, 8), quadratic=st.booleans(), alpha=st.floats(0.05, 1.0),
+       eps=st.floats(1.0, 3.0), seed=st.integers(0, 2 ** 16))
+def test_kkt_dual_is_the_qform_residual_on_random_instances(n, tau, m, p, quadratic,
+                                                            alpha, eps, seed):
+    data = DataSpec(family="quadratic", p=p, seed=seed) if quadratic \
+        else DataSpec(family="logistic", p=p, m=m, rho=1e-3, seed=seed)
+    config = RunConfig(name="prop",
+                       topology=TopologySpec(kind="random", n=n, tau=tau, seed=seed),
+                       data=data, algorithms=(AlgorithmSpec("nt", alpha, eps),),
+                       iters=30)
+    assert_kkt_dual_matches_replays(run_experiment(config), pd_rounds=30)
 
 
 def test_first_below():
