@@ -28,8 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpbsv
+from scipy.linalg.lapack import dpbsv, dpotrf, dpotrs
 
 from .objectives import LogisticFamily, lower_band
 from .topology import Graph
@@ -256,24 +255,30 @@ def centralized_reference(family, tol: float = 1e-12,
     """High-accuracy minimizer of sum_i f_i via damped Newton.
 
     Backtracks on the gradient norm; returns x with
-    ||sum_i grad f_i(x)|| <= tol.
+    ||sum_i grad f_i(x)|| <= tol.  Each Newton system is factored and
+    solved by LAPACK directly (dpotrf, dpotrs: what cho_factor and
+    cho_solve call, without their argument checks); a Hessian that is not
+    positive definite raises LinAlgError.
     """
     x = np.zeros(family.p)
     g = family.grad_total(x)
     for _ in range(max_iter):
-        gn = np.linalg.norm(g)
+        gn = norm(g)
         if gn <= tol:
             return x
-        h = family.hess_total(x)
-        d = cho_solve(cho_factor(h), g)
+        c, info = dpotrf(family.hess_total(x), lower=0, clean=0)
+        if info:
+            raise np.linalg.LinAlgError(f"{info}-th leading minor of the total "
+                                        "Hessian is not positive definite")
+        d, _ = dpotrs(c, g, lower=0)
         step = 1.0
         while step > 1e-12:  # runs at least once, so xn and gxn are set
             xn = x - step * d
             gxn = family.grad_total(xn)
-            if np.linalg.norm(gxn) <= (1.0 - 0.25 * step) * gn:
+            if norm(gxn) <= (1.0 - 0.25 * step) * gn:
                 break
             step *= 0.5
         x, g = xn, gxn  # the last point tried, with its gradient
-    if np.linalg.norm(g) > tol:
+    if norm(g) > tol:
         raise RuntimeError(f"reference solve stalled above tolerance {tol}")
     return x

@@ -10,7 +10,7 @@ reported as data.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -51,8 +51,8 @@ class RateCertificate:
 
     def to_doc(self) -> dict:
         """Fields in declaration order, then the contraction factor (None
-        when infeasible)."""
-        doc = asdict(self)
+        when infeasible).  Every field is a scalar, so nothing is copied."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["contraction"] = self.contraction if self.feasible else None
         return doc
 

@@ -24,9 +24,19 @@ from . import algorithms as alg
 from . import analysis
 from .objectives import (LogisticFamily, ObjectiveBounds, convexity_bounds,
                          generate_logistic_data, generate_quadratic_set)
-from .topology import (Graph, MixingMatrix, SpectralStats, build_topology,
-                       laplacian, metropolis_weights, spectral_stats,
-                       topology_from_doc, topology_to_doc)
+from .topology import (KINDS, Graph, MixingMatrix, SpectralStats,
+                       build_topology, laplacian, metropolis_weights,
+                       spectral_stats, topology_from_doc, topology_to_doc)
+
+
+# Data family -> (n, DataSpec) -> its local objectives.  The generators are
+# looked up on this module at call time, so wrappers installed here see
+# every call.
+FAMILIES = {
+    "logistic": lambda n, d: LogisticFamily(
+        generate_logistic_data(n, d.m, d.p, d.rho, d.seed)),
+    "quadratic": lambda n, d: generate_quadratic_set(n, d.p, d.seed),
+}
 
 
 class Method(NamedTuple):
@@ -57,12 +67,20 @@ METHODS = {
 }
 
 
+def _field(doc: dict, key: str, prefix: str = ""):
+    """doc[key]; ValueError names it if absent."""
+    if key not in doc:
+        raise ValueError(f"{prefix}{key}: missing")
+    return doc[key]
+
+
 def _required(doc: dict, key: str, kind: type, prefix: str = ""):
     """doc[key] read by kind; ValueError names it."""
+    value = _field(doc, key, prefix)
     try:
-        return kind(doc[key])
+        return kind(value)
     except (TypeError, ValueError):
-        raise ValueError(f"{prefix}{key}: not a number: {doc[key]!r}") from None
+        raise ValueError(f"{prefix}{key}: not a number: {value!r}") from None
 
 
 def _optional(doc: dict, key: str, kind: type, prefix: str = "", default=None):
@@ -70,22 +88,45 @@ def _optional(doc: dict, key: str, kind: type, prefix: str = "", default=None):
     return default if doc.get(key) is None else _required(doc, key, kind, prefix)
 
 
-def _finite_positive(name: str, value) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name}: must be a finite number > 0, got {value!r}")
+def _at_least(name: str, value, low: int) -> None:
+    if value is None or value < low:
+        raise ValueError(f"{name}: must be >= {low}, got {value!r}")
+
+
+def _finite_above(name: str, value, low: float = 0) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > low):
+        raise ValueError(f"{name}: must be a finite number > {low}, got {value!r}")
+
+
+def _one_of(name: str, value, allowed) -> None:
+    if value not in allowed:
+        raise ValueError(f"{name}: unknown {value!r}; expected one of {list(allowed)}")
 
 
 @dataclass(frozen=True)
 class TopologySpec:
-    kind: str
+    """Construction checks the fields build_network reads; a pinned file
+    replaces the generator, and with it tau and seed."""
+
+    kind: str  # one of topology.KINDS
     n: int
     tau: float | None = None
     seed: int | None = None
     file: str | None = None  # pinned topology JSON overrides the generator
 
+    def __post_init__(self):
+        _one_of("topology.kind", self.kind, KINDS)
+        _at_least("topology.n", self.n, 2)  # I - W needs a nonzero eigenvalue
+        if self.kind == "random" and self.file is None:
+            if self.tau is None or not 0.0 < self.tau <= 1.0:
+                raise ValueError("topology.tau: a random topology needs tau in "
+                                 f"(0, 1], got {self.tau!r}")
+            if self.seed is None:
+                raise ValueError("topology.seed: a random topology needs a seed")
+
     @staticmethod
     def from_doc(doc: dict) -> "TopologySpec":
-        return TopologySpec(kind=doc["kind"],
+        return TopologySpec(kind=_field(doc, "kind", "topology."),
                             n=_required(doc, "n", int, "topology."),
                             tau=_optional(doc, "tau", float, "topology."),
                             seed=_optional(doc, "seed", int, "topology."),
@@ -94,15 +135,25 @@ class TopologySpec:
 
 @dataclass(frozen=True)
 class DataSpec:
-    family: str  # "logistic" or "quadratic"
+    """Construction checks the fields the family's generator reads."""
+
+    family: str  # a key of FAMILIES
     p: int
-    m: int | None = None
-    rho: float | None = None
+    m: int | None = None  # samples per node, logistic only
+    rho: float | None = None  # total ridge weight, logistic only
     seed: int = 0
+
+    def __post_init__(self):
+        _one_of("data.family", self.family, FAMILIES)
+        _at_least("data.p", self.p, 1)
+        if self.family == "logistic":
+            _at_least("data.m", self.m, 1)
+            _finite_above("data.rho", self.rho)  # mu = rho / n must be > 0
 
     @staticmethod
     def from_doc(doc: dict) -> "DataSpec":
-        return DataSpec(family=doc["family"], p=_required(doc, "p", int, "data."),
+        return DataSpec(family=_field(doc, "family", "data."),
+                        p=_required(doc, "p", int, "data."),
                         m=_optional(doc, "m", int, "data."),
                         rho=_optional(doc, "rho", float, "data."),
                         seed=_required(doc, "seed", int, "data."))
@@ -116,7 +167,7 @@ class AlgorithmSpec:
 
     @staticmethod
     def from_doc(doc: dict, prefix: str = "") -> "AlgorithmSpec":
-        return AlgorithmSpec(name=doc["name"],
+        return AlgorithmSpec(name=_field(doc, "name", prefix),
                              alpha=_required(doc, "alpha", float, prefix),
                              eps=_optional(doc, "eps", float, prefix))
 
@@ -140,23 +191,23 @@ class RunConfig:
     phi: float = 2.0
 
     def __post_init__(self):
-        if self.iters < 0:
-            raise ValueError(f"iters: must be >= 0, got {self.iters}")
+        _at_least("iters", self.iters, 0)
         if self.stop_tol is not None:
-            _finite_positive("stop_tol", self.stop_tol)
+            _finite_above("stop_tol", self.stop_tol)
+        _finite_above("ref_tol", self.ref_tol)
+        _finite_above("beta", self.beta, 1)
+        _finite_above("phi", self.phi, 1)
         names = [a.name for a in self.algorithms]
         for i, spec in enumerate(self.algorithms):
-            if spec.name not in METHODS:
-                raise ValueError(f"algorithms[{i}].name: unknown algorithm "
-                                 f"{spec.name!r}; expected one of {sorted(METHODS)}")
+            _one_of(f"algorithms[{i}].name", spec.name, METHODS)
             if spec.name in names[:i]:
                 raise ValueError(f"algorithms[{i}].name: {spec.name!r} appears "
                                  "twice; its traces would collide")
             if METHODS[spec.name].needs_eps and spec.eps is None:
                 raise ValueError(f"algorithms[{i}].eps: {spec.name!r} needs eps")
-            _finite_positive(f"algorithms[{i}].alpha", spec.alpha)
+            _finite_above(f"algorithms[{i}].alpha", spec.alpha)
             if spec.eps is not None:
-                _finite_positive(f"algorithms[{i}].eps", spec.eps)
+                _finite_above(f"algorithms[{i}].eps", spec.eps)
 
     def to_doc(self) -> dict:
         """Fields in declaration order, nested specs as dicts; from_doc
@@ -166,11 +217,11 @@ class RunConfig:
     @staticmethod
     def from_doc(doc: dict) -> "RunConfig":
         return RunConfig(
-            name=doc["name"],
-            topology=TopologySpec.from_doc(doc["topology"]),
-            data=DataSpec.from_doc(doc["data"]),
+            name=_field(doc, "name"),
+            topology=TopologySpec.from_doc(_field(doc, "topology")),
+            data=DataSpec.from_doc(_field(doc, "data")),
             algorithms=tuple(AlgorithmSpec.from_doc(a, f"algorithms[{i}].")
-                             for i, a in enumerate(doc["algorithms"])),
+                             for i, a in enumerate(_field(doc, "algorithms"))),
             iters=_required(doc, "iters", int),
             stop_tol=_optional(doc, "stop_tol", float),
             ref_tol=_optional(doc, "ref_tol", float, default=1e-12),
@@ -376,14 +427,7 @@ def build_network(topo: TopologySpec) -> Network:
 def build_objective(config: RunConfig) -> Objective:
     """Generate the config's local objectives over config.topology.n nodes
     and bound them; x* waits for its first read."""
-    data, n = config.data, config.topology.n
-    if data.family == "logistic":
-        family = LogisticFamily(generate_logistic_data(n, data.m, data.p,
-                                                       data.rho, data.seed))
-    elif data.family == "quadratic":
-        family = generate_quadratic_set(n, data.p, data.seed)
-    else:
-        raise ValueError(f"unknown data family {data.family!r}")
+    family = FAMILIES[config.data.family](config.topology.n, config.data)
     return Objective(family, family.digest(), convexity_bounds(family),
                      config.ref_tol)
 

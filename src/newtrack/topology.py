@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,9 @@ import numpy as np
 
 # Eigenvalues of I - W below this threshold are treated as exact zeros.
 ZERO_EIG_TOL = 1e-9
+
+# The topology kinds build_topology generates.
+KINDS = ("line", "cycle", "complete", "random")
 
 
 @dataclass(frozen=True)
@@ -47,11 +51,14 @@ class Graph:
     @functools.cached_property
     def edge_index(self) -> np.ndarray:
         """Edges as a read-only (num_edges, 2) integer array."""
-        e = np.array(self.edges, dtype=np.int64)
-        if e.size == 0:
-            e = e.reshape(0, 2)
-        if e.ndim != 2 or e.shape[1] != 2:
+        try:
+            pairs = set(map(len, self.edges)) <= {2}
+        except TypeError:  # an edge without a length
+            pairs = False
+        if not pairs:
             raise ValueError("edges must be pairs (i, j)")
+        e = np.fromiter(itertools.chain.from_iterable(self.edges), np.int64,
+                        2 * len(self.edges)).reshape(-1, 2)
         e.flags.writeable = False
         return e
 
@@ -190,7 +197,7 @@ def build_topology(kind: str, n: int, tau: float | None = None,
 
     Parameters
     ----------
-    kind : {"line", "cycle", "complete", "random"}
+    kind : one of KINDS
         Topology family.  "random" draws a uniformly random spanning tree
         and then adds distinct random non-tree edges until the edge count
         reaches round(tau * n(n-1)/2) (half up).
@@ -202,6 +209,9 @@ def build_topology(kind: str, n: int, tau: float | None = None,
         Seed for the random topology; required for kind="random".
         The same (kind, n, tau, seed) always yields the same edge set.
     """
+    if kind not in KINDS:
+        raise ValueError(f"unknown topology kind {kind!r}; expected one of "
+                         f"{list(KINDS)}")
     if n < 1:
         raise ValueError(f"need at least one node, got n={n}")
     if kind == "line":
@@ -212,7 +222,7 @@ def build_topology(kind: str, n: int, tau: float | None = None,
             edges = sorted(edges + [(0, n - 1)])
     elif kind == "complete":
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    elif kind == "random":
+    else:  # "random"
         if tau is None or not (0.0 < tau <= 1.0):
             raise ValueError("random topology needs tau in (0, 1]")
         if seed is None:
@@ -236,8 +246,6 @@ def build_topology(kind: str, n: int, tau: float | None = None,
             chosen[rest_i[picks], rest_j[picks]] = True
         rows, cols = np.nonzero(chosen)  # row-major: lexicographic order
         edges = zip(rows.tolist(), cols.tolist())
-    else:
-        raise ValueError(f"unknown topology kind {kind!r}")
     return Graph(n=n, edges=tuple(edges))
 
 

@@ -19,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpbsv
 from scipy.special import expit
 
-from newtrack import objectives
+from newtrack import harness, objectives
 from newtrack.algorithms import (GradientTrackingState, NewtonTrackingState,
                                  centralized_reference, conservation_residual,
                                  dlm_init, dlm_step, extra_init, extra_step,
@@ -712,3 +713,67 @@ def test_centralized_reference_quadratic_and_symmetry():
     b = centralized_reference(LogisticFamily(flipped))
     assert np.linalg.norm(LogisticFamily(ds).grad_total(a)) <= 1e-12
     assert_allclose(a, b, atol=1e-12)
+
+
+def checked_reference(family, tol=1e-12, max_iter=200):
+    """The damped Newton loop of centralized_reference through scipy's
+    checked wrappers (cho_factor, cho_solve) and np.linalg.norm: an oracle
+    for its direct LAPACK calls, which must match it bit for bit."""
+    x = np.zeros(family.p)
+    g = family.grad_total(x)
+    for _ in range(max_iter):
+        gn = np.linalg.norm(g)
+        if gn <= tol:
+            return x
+        d = cho_solve(cho_factor(family.hess_total(x)), g)
+        step = 1.0
+        while step > 1e-12:
+            xn = x - step * d
+            gxn = family.grad_total(xn)
+            if np.linalg.norm(gxn) <= (1.0 - 0.25 * step) * gn:
+                break
+            step *= 0.5
+        x, g = xn, gxn
+    raise AssertionError("the oracle stalled")
+
+
+@pytest.mark.parametrize("name", ["fig1", "topo-n10", "fig5-n100", "quadratic"])
+def test_centralized_reference_is_the_checked_loop_bit_for_bit(name):
+    if name == "quadratic":
+        family, tol = generate_quadratic_set(n=4, p=3, seed=11), 1e-13
+    else:
+        cfg = harness.preset(name)
+        family, tol = harness.build_objective(cfg).family, cfg.ref_tol
+    assert centralized_reference(family, tol=tol).tobytes() == \
+        checked_reference(family, tol=tol).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), m=st.integers(1, 15), p=st.integers(1, 10),
+       reg=st.floats(1e-4, 1.0), seed=st.integers(0, 2 ** 16))
+def test_centralized_reference_is_the_checked_loop_on_random_data(n, m, p, reg,
+                                                                   seed):
+    family = LogisticFamily(generate_logistic_data(n=n, m=m, p=p, reg=reg,
+                                                   seed=seed))
+    assert centralized_reference(family).tobytes() == \
+        checked_reference(family).tobytes()
+
+
+def test_centralized_reference_rejects_a_singular_hessian():
+    # grad = x - 1 at a constant Hessian [[1, 1], [1, 1]]: rank one, and
+    # its second pivot is exactly 0, so the factorization must fail.
+    class Singular:
+        p = 2
+
+        @staticmethod
+        def grad_total(x):
+            return x - 1.0
+
+        @staticmethod
+        def hess_total(x):
+            return np.ones((2, 2))
+
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        centralized_reference(Singular())
+    with pytest.raises(np.linalg.LinAlgError):
+        checked_reference(Singular())

@@ -7,6 +7,7 @@ threshold is 4 lip^2 / mu = 4 < 4.9, delta = 1 - 4/4.9, and delta_prime
 is the minimum of the two branch formulas typed out in the test.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -90,6 +91,19 @@ def test_negative_q_min_leaves_delta_undefined():
     assert not cert.feasible
     assert cert.delta is None
     assert cert.delta_prime is None
+
+
+@pytest.mark.parametrize("feasible", [True, False])
+def test_certificate_doc_is_its_fields_then_contraction(feasible):
+    stats = SimpleNamespace(lambda_max=1.0, lambda_min_nz=1.0)
+    cert = reference_certificate() if feasible else \
+        rate_certificate(UNIT_BOUNDS, stats, alpha=1.0, eps=0.5)
+    assert cert.feasible is feasible
+    expected = {**dataclasses.asdict(cert),
+                "contraction": cert.contraction if feasible else None}
+    doc = cert.to_doc()
+    assert list(doc.items()) == list(expected.items())
+    assert [type(v) for v in doc.values()] == [type(v) for v in expected.values()]
 
 
 def test_certificate_parameter_validation():

@@ -19,7 +19,7 @@ from newtrack.harness import (CSV_COLUMNS, PRESET_NAMES, AlgorithmSpec,
                               run_checks, run_experiment, save_record,
                               topology_sweep, write_outputs)
 from newtrack.objectives import LogisticFamily, generate_logistic_data
-from newtrack.topology import (build_topology, metropolis_weights,
+from newtrack.topology import (KINDS, build_topology, metropolis_weights,
                                topology_to_doc)
 
 
@@ -222,15 +222,22 @@ def test_pinned_topology_must_match_config_size(tmp_path):
 
 
 def test_unknown_algorithm_and_family():
-    # An unknown algorithm is rejected when the config is built.
+    # Unknown algorithms, data families and topology kinds are rejected
+    # when the config is built, naming the field and the allowed values.
     with pytest.raises(ValueError):
         dataclasses.replace(tiny_config(iters=2),
                             algorithms=(AlgorithmSpec("admm", alpha=0.1),))
-    cfg = dataclasses.replace(
-        tiny_config(iters=2),
-        data=DataSpec(family="cubic", p=3, seed=0))
-    with pytest.raises(ValueError):
-        run_experiment(cfg)
+    with pytest.raises(ValueError, match=re.escape(
+            "data.family: unknown 'cubic'; expected one of "
+            "['logistic', 'quadratic']")):
+        DataSpec(family="cubic", p=3, seed=0)
+    with pytest.raises(ValueError, match=re.escape(
+            "topology.kind: unknown 'ring'; expected one of "
+            "['line', 'cycle', 'complete', 'random']")):
+        TopologySpec(kind="ring", n=5)
+    # The checks and the set-up code read one list each.
+    assert list(harness.FAMILIES) == ["logistic", "quadratic"]
+    assert KINDS == ("line", "cycle", "complete", "random")
 
 
 @pytest.mark.parametrize("change, field", [
@@ -245,14 +252,75 @@ def test_unknown_algorithm_and_family():
     ({"stop_tol": -1e-6}, "stop_tol"),
     ({"stop_tol": float("inf")}, "stop_tol"),
     ({"stop_tol": float("nan")}, "stop_tol"),
+    ({"ref_tol": 0.0}, "ref_tol"),
+    ({"ref_tol": -1e-12}, "ref_tol"),
+    ({"ref_tol": float("inf")}, "ref_tol"),
+    ({"beta": 1.0}, "beta"),
+    ({"beta": 0.5}, "beta"),
+    ({"beta": float("inf")}, "beta"),
+    ({"phi": 1.0}, "phi"),
+    ({"phi": float("nan")}, "phi"),
+    ({"topology": {"kind": "ring", "n": 5}}, "topology.kind"),
+    ({"topology": {"kind": "cycle", "n": 1}}, "topology.n"),
+    ({"topology": {"kind": "cycle", "n": 0}}, "topology.n"),
+    ({"topology": {"kind": "random", "n": 5, "seed": 7}}, "topology.tau"),
+    ({"topology": {"kind": "random", "n": 5, "tau": 0.0, "seed": 7}},
+     "topology.tau"),
+    ({"topology": {"kind": "random", "n": 5, "tau": 1.5, "seed": 7}},
+     "topology.tau"),
+    ({"topology": {"kind": "random", "n": 5, "tau": 0.5}}, "topology.seed"),
+    ({"data": {"family": "svm", "p": 3}}, "data.family"),
+    ({"data": {"family": "quadratic", "p": 0}}, "data.p"),
+    ({"data": {"family": "logistic", "p": 8, "rho": 1e-3}}, "data.m"),
+    ({"data": {"family": "logistic", "p": 8, "m": 0, "rho": 1e-3}}, "data.m"),
+    ({"data": {"family": "logistic", "p": 0, "m": 12, "rho": 1e-3}}, "data.p"),
+    ({"data": {"family": "logistic", "p": 8, "m": 12}}, "data.rho"),
+    ({"data": {"family": "logistic", "p": 8, "m": 12, "rho": 0.0}}, "data.rho"),
+    ({"data": {"family": "logistic", "p": 8, "m": 12, "rho": float("nan")}},
+     "data.rho"),
 ])
 def test_config_validation_names_the_field(change, field):
-    with pytest.raises(ValueError, match=re.escape(field)):
-        dataclasses.replace(tiny_config(), **change)
+    # Nested changes are spec fields as keywords; the constructor gets the
+    # spec, the doc gets the fields (seeds filled in, as a file must).
+    specs = {"topology": TopologySpec, "data": DataSpec}
+    with pytest.raises(ValueError, match=re.escape(f"{field}:")):
+        dataclasses.replace(tiny_config(), **{
+            k: specs[k](**v) if k in specs else v for k, v in change.items()})
     doc = json.loads(json.dumps(tiny_config().to_doc()))
     doc.update({k: [dataclasses.asdict(a) for a in v] if k == "algorithms"
-                else v for k, v in change.items()})
-    with pytest.raises(ValueError, match=re.escape(field)):
+                else {"seed": 0, **v} if k == "data" else v
+                for k, v in change.items()})
+    with pytest.raises(ValueError, match=re.escape(f"{field}:")):
+        RunConfig.from_doc(doc)
+
+
+def test_a_random_topology_with_a_pinned_file_needs_no_tau(tmp_path):
+    # The file replaces the generator, and with it tau and seed.
+    g = build_topology("cycle", 5)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(topology_to_doc(g, metropolis_weights(g))))
+    cfg = dataclasses.replace(
+        tiny_config(iters=20),
+        topology=TopologySpec(kind="random", n=5, file=str(path)))
+    direct = run_experiment(tiny_config(iters=20))
+    assert run_experiment(cfg).traces["nt"].rel_error == \
+        direct.traces["nt"].rel_error
+
+
+@pytest.mark.parametrize("path", [
+    ["name"], ["topology"], ["data"], ["algorithms"], ["iters"],
+    ["topology", "kind"], ["topology", "n"], ["data", "family"],
+    ["data", "p"], ["data", "seed"], ["algorithms", 0, "name"],
+    ["algorithms", 1, "alpha"],
+])
+def test_missing_config_key_is_named(path):
+    # A doc without a required key fails at load with "<path>: missing";
+    # the run's name and algorithms[0].name are told apart.
+    doc = json.loads(json.dumps(tiny_config().to_doc()))
+    del functools.reduce(lambda d, k: d[k], path[:-1], doc)[path[-1]]
+    field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                    for k in path).lstrip(".")
+    with pytest.raises(ValueError, match=f"^{re.escape(field)}: missing$"):
         RunConfig.from_doc(doc)
 
 
@@ -593,17 +661,16 @@ def test_objective_solves_x_star_on_first_read(monkeypatch):
     calls = {}
     monkeypatch.setattr(alg, "centralized_reference",
                         counting(calls, "reference", alg.centralized_reference))
+    # (mu, L) stay eager: bounded at set-up, not at a read.  (Data with
+    # mu = 0, rho = 0, no longer loads: see the config validation test.)
+    monkeypatch.setattr(harness, "convexity_bounds",
+                        counting(calls, "bounds", harness.convexity_bounds))
     cfg = preset("fig1")
     obj = harness.build_objective(cfg)
-    assert calls == {}
+    assert calls == {"bounds": 1}
     x_star = obj.x_star
     assert obj.ref_residual == float(np.linalg.norm(obj.family.grad_total(x_star)))
-    assert obj.x_star is x_star and calls == {"reference": 1}
-    # (mu, L) stay eager: data with mu = 0 fails at set-up, not at a read.
-    flat = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, rho=0.0),
-                               algorithms=(AlgorithmSpec("gt", alpha=0.1),))
-    with pytest.raises(ValueError, match="0 < mu"):
-        harness.build_objective(flat)
+    assert obj.x_star is x_star and calls == {"bounds": 1, "reference": 1}
 
 
 def test_run_decomposes_the_mixing_matrix_once(monkeypatch):

@@ -10,6 +10,7 @@ cycle: 2 - 2 cos(2 pi k / n), k = 0..n-1
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from newtrack.harness import PRESET_NAMES, build_network, preset
 from newtrack.topology import (Graph, MixingMatrix, ZERO_EIG_TOL,
                                _random_spanning_tree, build_topology,
                                laplacian, metropolis_weights, spectral_stats,
@@ -110,6 +112,26 @@ def test_graph_rejects_unsorted_edges():
         Graph(n=3, edges=((1, 2), (0, 1), (1, 2)))
     with pytest.raises(ValueError, match=r"edge \(5, 6\) is not canonical"):
         Graph(n=4, edges=((0, 1), (5, 6), (0, 1)))
+
+
+@pytest.mark.parametrize("edges", [
+    ((0, 1, 2),), ((1,),), (5,), ((0, 1), (1,)), ((0, 1), 2),
+    ((0, 1, 2), (3,)),  # as many numbers as two pairs, but not pairs
+])
+def test_graph_rejects_edges_that_are_not_pairs(edges):
+    with pytest.raises(ValueError, match=re.escape("edges must be pairs (i, j)")):
+        Graph(n=4, edges=edges)
+
+
+def test_edge_index_is_the_edge_array():
+    graphs = [build_network(preset(name).topology).graph for name in PRESET_NAMES]
+    graphs += [build_topology(kind, 7) for kind in ("line", "cycle")]
+    for g in graphs:
+        e = g.edge_index
+        assert e.dtype == np.int64 and e.flags.c_contiguous
+        assert not e.flags.writeable
+        assert_array_equal(e, np.array(g.edges))
+    assert Graph(n=1, edges=()).edge_index.shape == (0, 2)
 
 
 def test_graph_rejects_disconnected():
