@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpbsv, dpotrf, dpotrs
 
-from .objectives import LogisticFamily, lower_band
+from .objectives import LogisticFamily
 from .topology import Graph
 
 
@@ -63,8 +63,10 @@ def reg_solve(family, curve, eps: float, rhs: np.ndarray) -> np.ndarray:
         u_i = (r_i - F_i' S K_i^{-1} S F_i r_i) / a,   K_i = a I + S F_i F_i' S,
 
     an m x m system that is SPD for every c >= 0, built in band layout, so
-    the p x p Hessian is never formed.  Every other family solves the packed
-    hess_blocks + eps I.  Both factor through solve_spd_blocks.
+    the p x p Hessian is never formed.  Every other family solves its
+    hess_band: the banded hess_i + eps I, which a logistic family sums from
+    cached sample products in one matmul.  Both factor through
+    solve_spd_blocks.
     """
     if isinstance(family, LogisticFamily) and family.m < family.p:
         f = family.dataset.features
@@ -75,9 +77,7 @@ def reg_solve(family, curve, eps: float, rhs: np.ndarray) -> np.ndarray:
         k[:, :, 0] += a
         y = solve_spd_blocks(k, root_c * (f @ rhs[:, :, None])[:, :, 0])
         return (rhs - ((root_c * y)[:, None, :] @ f)[:, 0, :]) / a
-    band = lower_band(family.hess_blocks(curve))
-    band[:, :, 0] += eps
-    return solve_spd_blocks(band, rhs)
+    return solve_spd_blocks(family.hess_band(curve, eps), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +168,13 @@ def norm(a: np.ndarray) -> float:
     BLAS dot over a in memory order), without its checks."""
     flat = a.ravel(order="K")
     return math.sqrt(flat.dot(flat))
+
+
+def norms(a: np.ndarray) -> list:
+    """norm(a[t]) for each t, bit for bit: the same BLAS dot per row, one
+    vecdot call for them all."""
+    rows = a.reshape(len(a), -1)
+    return np.sqrt(np.vecdot(rows, rows)).tolist()
 
 
 def conservation_residual(state: NewtonTrackingState) -> float:

@@ -25,8 +25,9 @@ from . import analysis
 from .objectives import (LogisticFamily, ObjectiveBounds, convexity_bounds,
                          generate_logistic_data, generate_quadratic_set)
 from .topology import (KINDS, Graph, MixingMatrix, SpectralStats,
-                       build_topology, laplacian, metropolis_weights,
-                       spectral_stats, topology_from_doc, topology_to_doc)
+                       build_topology, edge_budget, laplacian,
+                       metropolis_weights, spectral_stats, topology_from_doc,
+                       topology_to_doc)
 
 
 # Data family -> (n, DataSpec) -> its local objectives.  The generators are
@@ -67,11 +68,19 @@ METHODS = {
 }
 
 
-def _field(doc: dict, key: str, prefix: str = ""):
-    """doc[key]; ValueError names it if absent."""
+def _field(doc: dict, key: str, prefix: str = "", kind: type | None = None):
+    """doc[key]; ValueError names it if absent, or if kind is given and
+    it is not one."""
     if key not in doc:
         raise ValueError(f"{prefix}{key}: missing")
-    return doc[key]
+    return doc[key] if kind is None else _shaped(f"{prefix}{key}", doc[key], kind)
+
+
+def _shaped(name: str, value, kind: type):
+    """value if it is a kind, dict (a JSON object) or list; ValueError names it."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name}: must be {'an object' if kind is dict else 'a list'}")
+    return value
 
 
 def _required(doc: dict, key: str, kind: type, prefix: str = ""):
@@ -121,6 +130,11 @@ class TopologySpec:
             if self.tau is None or not 0.0 < self.tau <= 1.0:
                 raise ValueError("topology.tau: a random topology needs tau in "
                                  f"(0, 1], got {self.tau!r}")
+            budget = edge_budget(self.n, self.tau)
+            if budget < self.n - 1:
+                raise ValueError(f"topology.tau: {self.tau!r} gives an edge budget "
+                                 f"of {budget}, which cannot connect {self.n} "
+                                 f"nodes (need >= {self.n - 1})")
             if self.seed is None:
                 raise ValueError("topology.seed: a random topology needs a seed")
 
@@ -218,10 +232,12 @@ class RunConfig:
     def from_doc(doc: dict) -> "RunConfig":
         return RunConfig(
             name=_field(doc, "name"),
-            topology=TopologySpec.from_doc(_field(doc, "topology")),
-            data=DataSpec.from_doc(_field(doc, "data")),
-            algorithms=tuple(AlgorithmSpec.from_doc(a, f"algorithms[{i}].")
-                             for i, a in enumerate(_field(doc, "algorithms"))),
+            topology=TopologySpec.from_doc(_field(doc, "topology", kind=dict)),
+            data=DataSpec.from_doc(_field(doc, "data", kind=dict)),
+            algorithms=tuple(
+                AlgorithmSpec.from_doc(_shaped(f"algorithms[{i}]", a, dict),
+                                       f"algorithms[{i}].")
+                for i, a in enumerate(_field(doc, "algorithms", kind=list))),
             iters=_required(doc, "iters", int),
             stop_tol=_optional(doc, "stop_tol", float),
             ref_tol=_optional(doc, "ref_tol", float, default=1e-12),
@@ -244,6 +260,9 @@ class ConvergenceTrace:
     (all iterations ran), "stalled" (all ran, at least one, and rel_error
     ended no lower than it began), "tol" (rel_error reached stop_tol) or
     "diverged" (the next iterate had a non-finite rel_error; not recorded).
+    rel_error and wall_ms are recorded as each round ends; the other
+    columns once per block of rounds, each entry bit for bit the value
+    computed from its iterate alone (see _run_algorithm).
     """
 
     algorithm: str
@@ -455,12 +474,34 @@ def _run(config: RunConfig, net: Network, obj: Objective) -> RunRecord:
                      topology=topology_to_doc(net.graph, net.mix))
 
 
+# Bytes of the iterates one block of trace metrics stacks: x, q, grad and u
+# for nt, x for the others.  That is 23 nt rounds at n p = 80 (fig1,
+# topo-n10) and one round of any method at n p = 4000 (fig5-n100).
+BLOCK_BYTES = 60_000
+
+
+def _shift(prev, states: list, name: str) -> tuple:
+    """Field `name` of each state's predecessor and of each state, as
+    (T, n, p) views of one stacked copy."""
+    both = np.array([getattr(s, name) for s in (prev, *states)])
+    return both[:-1], both[1:]
+
+
+def _norm1(a: np.ndarray) -> list:
+    """alg.norms for the arrays of one state alone."""
+    return [alg.norm(a)]
+
+
 def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
                    config: RunConfig) -> ConvergenceTrace:
     """Run one method for config.iters rounds, recording every iterate.
 
-    Stops early at stop_tol ("tol") or before recording the first iterate
-    with a non-finite rel_error ("diverged").
+    Each round records wall_ms and rel_error, which the stop tests read:
+    the run stops at stop_tol ("tol") or before recording the first
+    iterate with a non-finite rel_error ("diverged").  The other columns
+    are computed per block of up to BLOCK_BYTES of stacked iterates, from
+    (T, n, p) stacks: root @ x as a broadcast matmul, norms by one vecdot
+    over rows, node sums over axis 1, each bit for bit the per-iterate value.
     """
     family, w, root = obj.family, net.mix.w, net.spectra.root
     n, p = family.n, family.p
@@ -469,6 +510,7 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
     op = method.exchange(net)
     target = np.tile(obj.x_star, (n, 1))
     denom = max(alg.norm(target), 1e-300)
+    per_round = method.vectors * n * p  # scalars a round sends
     trace = ConvergenceTrace(algorithm=spec.name, alpha=spec.alpha, eps=spec.eps)
 
     # Only nt's trace records kkt_dual = ||q - alpha (I - W) x|| (the
@@ -482,65 +524,89 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
             analysis.consensus_penalty_matrix(w, spec.alpha, spec.eps),
             obj.x_star, analysis.dual_optimum(family, obj.x_star, root), spec.alpha)
         v = np.zeros((n, p))
+    size = max(1, BLOCK_BYTES // ((4 if is_nt else 1) * n * p * 8))
+    prev = None  # the iterate before the block
 
-    def push(state, wall, root_x, dual=None, rem=None, rem_bound=None) -> bool:
-        """Record state, root_x = root @ state.x; False, recording nothing,
-        if rel_error is not finite."""
-        rel = alg.norm(state.x - target) / denom
-        if not math.isfinite(rel):
-            return False
-        trace.rel_error.append(rel)
-        trace.kkt_primal.append(alg.norm(root_x))
+    def record(states: list) -> None:
+        nonlocal prev, v
+        t0, t1, last = states[0].t, states[-1].t + 1, states[-1]
+        one = len(states) == 1  # a state alone takes its own arrays, as per round
+        if one:
+            norms, x, x0 = _norm1, last.x, prev and prev.x
+        else:  # (T, n, p) stacks, views of one copy per field
+            norms, (x0, x) = alg.norms, _shift(prev, states, "x")
+        root_x = root @ x
+        gnorm = tracking = dual = rem = bound = [None] * len(states)
         if is_nt:
-            gnorm = energy(state.x, v) if feasible else None
-            tracking = alg.conservation_residual(state)
-        else:
-            gnorm = tracking = None
-        trace.kkt_dual.append(dual)
-        trace.gnorm_error.append(gnorm)
-        trace.tracking_residual.append(tracking)
-        trace.remainder_norm.append(rem)
-        trace.remainder_bound.append(rem_bound)
-        trace.comm_rounds.append(state.t)
-        trace.scalars_sent.append(state.t * method.vectors * n * p)
-        trace.wall_ms.append(wall)
-        return True
+            if one:
+                g, q = last.grad, last.q
+                if prev:
+                    g0, q0, u0 = prev.grad, prev.q, prev.u
+            else:
+                (g0, g), (q0, q), (u0, _) = (_shift(prev, states, name)
+                                             for name in ("grad", "q", "u"))
+            rhs = g.sum(axis=-2)
+            tracking = [a / (b + 1.0) for a, b in
+                        zip(norms(q.sum(axis=-2) - rhs), norms(rhs))]
+            if prev is None:  # x^0 = 0, where kkt_dual is ||q||
+                dual = norms(q)
+            else:
+                # From q1 = q0 + g1 - g0 + alpha (I - W)(2 x1 - x0) and
+                # x1 = x0 - u0: r = g0 - g1 - q0 + alpha (I - W) u0 is
+                # -(q1 - alpha (I - W) x1), and, with q0 = (H + eps I) u0,
+                # r + eps u0 is the second-order remainder of the step.
+                r = g0 - g
+                r -= q0
+                r += spec.alpha * (op @ u0)
+                dual = norms(r)
+                r += spec.eps * u0
+                rem = norms(r)
+                bound = [cert.kappa * d for d in norms(x - x0)]
+            if feasible:
+                gnorm = []
+                for state, rx in zip(states, [root_x] if one else root_x):
+                    if state.t:
+                        v = v + spec.alpha * rx
+                    gnorm.append(energy(state.x, v))
+        trace.gnorm_error += gnorm
+        trace.tracking_residual += tracking
+        trace.kkt_primal += norms(root_x)
+        trace.kkt_dual += dual
+        trace.remainder_norm += rem
+        trace.remainder_bound += bound
+        trace.comm_rounds += range(t0, t1)
+        trace.scalars_sent += range(t0 * per_round, t1 * per_round, per_round)
+        prev = last
 
     def reached() -> bool:
         return config.stop_tol is not None and trace.rel_error[-1] <= config.stop_tol
 
     state = method.init(family, net.graph, spec)
-    # Every init starts at x = 0, where kkt_dual is ||q||.
-    push(state, 0.0, root @ state.x, alg.norm(state.q) if is_nt else None)
+    trace.rel_error.append(alg.norm(state.x - target) / denom)
+    trace.wall_ms.append(0.0)
+    block = []
     # A diverging run overflows on its way to the first non-finite
     # rel_error; the trace reports that as status "diverged".
     with np.errstate(over="ignore", invalid="ignore"):
+        record([state])  # x^0 alone, so a run of no rounds copies nothing
         for _ in range(config.iters):
             if reached():
                 break
             tic = time.perf_counter()
-            new = step(state, family, op)
+            state = step(state, family, op)
             wall = (time.perf_counter() - tic) * 1e3
-            root_x = root @ new.x
-            dual = rem = rem_bound = None
-            if is_nt:
-                if feasible:
-                    v = v + spec.alpha * root_x
-                # From q1 = q0 + g1 - g0 + alpha (I - W)(2 x1 - x0) and
-                # x1 = x0 - u0: r = g0 - g1 - q0 + alpha (I - W) u0 is
-                # -(q1 - alpha (I - W) x1), and, with q0 = (H + eps I) u0,
-                # r + eps u0 is the second-order remainder of the step.
-                r = state.grad - new.grad
-                r -= state.q
-                r += spec.alpha * (op @ state.u)
-                dual = alg.norm(r)
-                r += spec.eps * state.u
-                rem = alg.norm(r)
-                rem_bound = cert.kappa * alg.norm(new.x - state.x)
-            state = new
-            if not push(state, wall, root_x, dual, rem, rem_bound):
+            rel = alg.norm(state.x - target) / denom
+            if not math.isfinite(rel):
                 trace.status = "diverged"
                 break
+            trace.rel_error.append(rel)
+            trace.wall_ms.append(wall)
+            block.append(state)
+            if len(block) == size:
+                record(block)
+                block = []
+        if block:
+            record(block)
     if trace.status == "budget" and reached():
         trace.status = "tol"
     elif trace.status == "budget" and len(trace) > 1 \

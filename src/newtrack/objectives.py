@@ -207,6 +207,28 @@ class LogisticFamily:
         return self.hess_blocks(s * (1.0 - s))
 
     @functools.cached_property
+    def _pairs(self) -> np.ndarray:
+        """Sample products in lower band layout, shape (n, m, p p):
+        F[i, j, c + d] F[i, j, c] at [i, j, c p + d], zero past the block."""
+        n, m, p = self._f.shape
+        # Built sample-innermost from the transposed features, zero-padded to
+        # 2p - 1 rows: row (c, d) of their skewed view is feature row c + d.
+        ft = np.zeros((2 * p - 1, n * m))
+        ft[:p] = self._f.reshape(-1, p).T
+        row, col = ft.strides
+        skew = np.ndarray((p, p, n * m), buffer=ft, strides=(row, row, col))
+        pairs = (skew * ft[:p, None]).reshape(p * p, n * m)
+        return np.ascontiguousarray(pairs.T).reshape(n, m, p * p)
+
+    def hess_band(self, curve: np.ndarray, eps: float) -> np.ndarray:
+        """hess_blocks(curve) + eps I in lower_band layout, from one product:
+        the curvature-weighted sum of the cached sample products."""
+        band = (curve[:, None, :] @ self._pairs).reshape(self.n, self.p, self.p)
+        band[:, :, 0] += self.ridge
+        band[:, :, 0] += eps
+        return band
+
+    @functools.cached_property
     def gram(self) -> np.ndarray:
         """Per-node sample Gram matrices F_i F_i', shape (n, m, m)."""
         return self._f @ self._ft
@@ -270,7 +292,15 @@ class QuadraticFamily:
     def hess_stack(self, x: np.ndarray) -> np.ndarray:
         return self.a.copy()
 
-    hess_blocks = hess_stack
+    @functools.cached_property
+    def _band(self) -> np.ndarray:
+        return lower_band(self.a)
+
+    def hess_band(self, curve: None, eps: float) -> np.ndarray:
+        """A + eps I in lower_band layout."""
+        band = self._band.copy()
+        band[:, :, 0] += eps
+        return band
 
     def grad_total(self, x: np.ndarray) -> np.ndarray:
         return self.a.sum(axis=0) @ x + self.b.sum(axis=0)

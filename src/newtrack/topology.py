@@ -191,6 +191,12 @@ def _random_spanning_tree(n: int, rng: np.random.Generator) -> list[tuple[int, i
     return edges
 
 
+def edge_budget(n: int, tau: float) -> int:
+    """Edges of a random topology: round(tau * n(n-1)/2), half up; a
+    connected one needs at least n - 1."""
+    return int(math.floor(tau * (n * (n - 1) // 2) + 0.5))
+
+
 def build_topology(kind: str, n: int, tau: float | None = None,
                    seed: int | None = None) -> Graph:
     """Build a named topology on n nodes.
@@ -227,12 +233,10 @@ def build_topology(kind: str, n: int, tau: float | None = None,
             raise ValueError("random topology needs tau in (0, 1]")
         if seed is None:
             raise ValueError("random topology needs a seed")
-        max_edges = n * (n - 1) // 2
-        target = int(math.floor(tau * max_edges + 0.5))
+        target = edge_budget(n, tau)
         if target < n - 1:
             raise ValueError(
                 f"edge budget {target} cannot connect {n} nodes (need >= {n - 1})")
-        target = min(target, max_edges)
         rng = np.random.default_rng(seed)
         tree = _random_spanning_tree(n, rng)
         tree_i, tree_j = np.array(tree, dtype=np.int64).reshape(-1, 2).T

@@ -550,7 +550,7 @@ def test_reg_solve_woodbury_matches_dense(eps, scale):
         raise AssertionError("the m < p path formed the p x p Hessian")
 
     curve = fam.grad_curvature(x)[1]
-    fam.hess_stack = fam.hess_blocks = no_hessian
+    fam.hess_stack = fam.hess_blocks = fam.hess_band = no_hessian
     got = reg_solve(fam, curve, eps, rhs)
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
@@ -571,24 +571,39 @@ def test_reg_solve_matches_dense_property(n, m, p, log_eps, scale, seed):
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-def skew_band_solve(blocks, rhs):
-    # The band solve as first written: full blocks skew-packed, then dpbsv.
+def skew_pack(blocks):
+    # Full symmetric blocks in band layout, as first written: columns
+    # written as rows of width 2b - 1, read back at width 2b.
     n, b, _ = blocks.shape
     skew = np.zeros((n, b + 1, 2 * b - 1))
     skew[:, :b, :b] = blocks.transpose(0, 2, 1)
-    band = skew.reshape(n, -1)[:, :2 * b * b].reshape(n, b, 2 * b)[:, :, :b]
+    return skew.reshape(n, -1)[:, :2 * b * b].reshape(n, b, 2 * b)[:, :, :b]
+
+
+def band_solve(band, rhs):
+    n, b, _ = band.shape
     _, out, info = dpbsv(band.reshape(n * b, b).T, rhs.reshape(n * b, 1),
                          lower=1, overwrite_ab=1)
     assert info == 0
     return out.reshape(n, b)
 
 
+def skew_band_solve(blocks, rhs):
+    # The band solve as first written: full blocks skew-packed, then dpbsv.
+    return band_solve(skew_pack(blocks), rhs)
+
+
+def curvature(fam, x):
+    # A sigmoid pass of reg_solve's own.
+    s = expit(-((fam.dataset.features @ x[:, :, None])[:, :, 0] *
+                fam.dataset.labels))
+    return s * (1.0 - s)
+
+
 def full_block_reg_solve(fam, x, eps, rhs):
-    # reg_solve as first written: a sigmoid pass of its own, the full K or
-    # hess + eps I with np.eye shifts, then skew_band_solve.
-    f, lab = fam.dataset.features, fam.dataset.labels
-    s = expit(-((f @ x[:, :, None])[:, :, 0] * lab))
-    curve = s * (1.0 - s)
+    # reg_solve as first written: the full K or hess + eps I with np.eye
+    # shifts, then skew_band_solve.
+    f, curve = fam.dataset.features, curvature(fam, x)
     if fam.m < fam.p:
         a = fam.ridge + eps
         root_c = np.sqrt(curve)
@@ -602,6 +617,22 @@ def full_block_reg_solve(fam, x, eps, rhs):
     return skew_band_solve(h, rhs)
 
 
+def sample_sum_reg_solve(fam, x, eps, rhs):
+    # The m >= p solve with each block summed as sum_j c_j (f_j f_j'): every
+    # sample's full outer product skew-packed, then weighted by c_j in one
+    # product, the association (and the layout) of the family's cached
+    # products; then the ridge and eps shifts on the diagonal.
+    n, m, p = fam.dataset.features.shape
+    f = fam.dataset.features
+    outer = f[:, :, :, None] * f[:, :, None, :]
+    pairs = np.ascontiguousarray(skew_pack(outer.reshape(n * m, p, p)))
+    pairs = pairs.reshape(n, m, p * p)
+    band = (curvature(fam, x)[:, None, :] @ pairs).reshape(n, p, p)
+    band[:, :, 0] += fam.ridge
+    band[:, :, 0] += eps
+    return band_solve(band, rhs)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 6), m=st.integers(1, 9), p=st.integers(1, 9),
        log_eps=st.floats(-4.0, 1.0), scale=st.floats(0.0, 20.0),
@@ -609,14 +640,23 @@ def full_block_reg_solve(fam, x, eps, rhs):
 def test_reg_solve_is_bit_identical_to_full_block_form(n, m, p, log_eps, scale,
                                                        seed):
     # The band build, the in-place diagonal shifts and the shared sigmoid
-    # pass change no bit of the solve, on both sides of m < p.
+    # pass change no bit of the solve, on both sides of m < p.  For m >= p
+    # the band is one product of the weights with the cached sample
+    # products, which sums c_j (F_jr F_jc) where the full block sums
+    # F_jr (c_j F_jc): bit for bit the sample-sum form, and within
+    # rounding of the full block form.
     fam = wide_logistic(n=n, m=m, p=p, seed=seed)
     rng = np.random.default_rng(seed)
     x = scale * rng.standard_normal((n, p))
     rhs = rng.standard_normal((n, p))
     eps = 10.0 ** log_eps
     got = reg_solve(fam, fam.grad_curvature(x)[1], eps, rhs)
-    assert np.array_equal(got, full_block_reg_solve(fam, x, eps, rhs))
+    full = full_block_reg_solve(fam, x, eps, rhs)
+    if m < p:
+        assert np.array_equal(got, full)
+    else:
+        assert np.array_equal(got, sample_sum_reg_solve(fam, x, eps, rhs))
+        assert np.linalg.norm(got - full) <= 1e-13 * np.linalg.norm(full)
 
 
 @pytest.mark.parametrize("n, m, p", [(10, 12, 8), (100, 10, 40)],

@@ -11,7 +11,8 @@ import pytest
 
 import newtrack.cli  # binds newtrack; targets() reads newtrack.cli too
 from newtrack import algorithms, harness
-from newtrack.objectives import LogisticFamily, generate_logistic_data
+from newtrack.objectives import (LogisticFamily, generate_logistic_data,
+                                 generate_quadratic_set)
 from newtrack.topology import (build_topology, metropolis_weights,
                                spectral_stats)
 
@@ -63,14 +64,18 @@ def test_setup_hooks_are_on_the_run_path(monkeypatch, entry, references):
                      "centralized_reference": references}
 
 
-@pytest.mark.parametrize("n, m, p, b", [(10, 12, 8, 8), (100, 10, 40, 10)],
-                         ids=["fig1", "fig5-shape"])
-def test_local_solves_go_through_solve_spd_blocks(monkeypatch, n, m, p, b):
+@pytest.mark.parametrize("family, b", [
+    (LogisticFamily(generate_logistic_data(n=10, m=12, p=8, reg=1e-3, seed=1)), 8),
+    (LogisticFamily(generate_logistic_data(n=100, m=10, p=40, reg=1e-3, seed=1)), 10),
+    (generate_quadratic_set(n=6, p=3, seed=1), 3)],
+    ids=["fig1", "fig5-shape", "quadratic"])
+def test_local_solves_go_through_solve_spd_blocks(monkeypatch, family, b):
     """The benchmark's algorithms.solve layer wraps solve_spd_blocks and
     reads blocks.shape for its GFLOP/s, so every regularized local solve,
     in nt_init, nt_step and pd_step, must reach it once with the (n, b, b)
-    stack: b = p on the dense path, b = m on the m < p Woodbury path."""
-    family = LogisticFamily(generate_logistic_data(n=n, m=m, p=p, reg=1e-3, seed=1))
+    stack: b = p on the dense paths (a family's hess_band), b = m on the
+    m < p Woodbury path.  reg_solve must look the name up at call time."""
+    n = family.n
     mix = metropolis_weights(build_topology("cycle", n))
     calls = []
     real_reg, real_blocks = algorithms.reg_solve, algorithms.solve_spd_blocks

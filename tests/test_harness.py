@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import json
+import math
 import re
 
 import numpy as np
@@ -278,6 +279,8 @@ def test_unknown_algorithm_and_family():
     ({"data": {"family": "logistic", "p": 8, "m": 12, "rho": 0.0}}, "data.rho"),
     ({"data": {"family": "logistic", "p": 8, "m": 12, "rho": float("nan")}},
      "data.rho"),
+    ({"topology": {"kind": "random", "n": 10, "tau": 0.01, "seed": 7}},
+     "topology.tau"),
 ])
 def test_config_validation_names_the_field(change, field):
     # Nested changes are spec fields as keywords; the constructor gets the
@@ -322,6 +325,40 @@ def test_missing_config_key_is_named(path):
                     for k in path).lstrip(".")
     with pytest.raises(ValueError, match=f"^{re.escape(field)}: missing$"):
         RunConfig.from_doc(doc)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("topology", 5, "topology: must be an object"),
+    ("topology", [], "topology: must be an object"),
+    ("data", "x", "data: must be an object"),
+    ("algorithms", 3, "algorithms: must be a list"),
+    ("algorithms", {"name": "nt"}, "algorithms: must be a list"),
+    ("algorithms", [5], "algorithms[0]: must be an object"),
+    ("algorithms", [{"name": "nt", "alpha": 1.0, "eps": 1.5}, "gt"],
+     "algorithms[1]: must be an object"),
+])
+def test_nested_value_that_is_no_object_is_named(key, value, message):
+    # A nested value of the wrong shape fails at load naming its field, not
+    # with a TypeError from reading keys of a number.
+    doc = json.loads(json.dumps(tiny_config().to_doc()))
+    doc[key] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RunConfig.from_doc(doc)
+
+
+def test_random_topology_budget_is_checked_at_load():
+    # The spec and the generator share one budget rule; the spec names the
+    # field, the generator keeps its own message.
+    from newtrack import topology
+    assert topology.edge_budget(10, 0.01) == 0
+    assert topology.edge_budget(10, 0.2) == 9  # n - 1: the fewest that connect
+    with pytest.raises(ValueError, match=r"^topology\.tau: 0\.01 gives an edge "
+                       r"budget of 0, which cannot connect 10 nodes"):
+        TopologySpec(kind="random", n=10, tau=0.01, seed=7)
+    with pytest.raises(ValueError, match="edge budget 0 cannot connect 10 nodes"):
+        build_topology("random", 10, tau=0.01, seed=7)
+    assert len(build_topology("random", 10, tau=0.2, seed=7).edges) == 9
+    TopologySpec(kind="random", n=10, tau=0.2, seed=7)
 
 
 @pytest.mark.parametrize("key", ["alpha", "eps"])
@@ -478,6 +515,116 @@ def test_kkt_dual_is_the_qform_residual_on_random_instances(n, tau, m, p, quadra
                        data=data, algorithms=(AlgorithmSpec("nt", alpha, eps),),
                        iters=30)
     assert_kkt_dual_matches_replays(run_experiment(config), pd_rounds=30)
+
+
+METRIC_COLUMNS = ("rel_error", "gnorm_error", "tracking_residual", "kkt_primal",
+                  "kkt_dual", "remainder_norm", "remainder_bound", "comm_rounds",
+                  "scalars_sent")
+
+
+def per_round_trace(config, spec):
+    """One method's trace columns but wall_ms, and its status, computed
+    round by round on each iterate alone: a plain loop of nt_step or
+    gt_step with root @ x, alg.norm, the remainder identity and
+    conservation_residual."""
+    net, obj = harness.build_network(config.topology), harness.build_objective(config)
+    family, root, w = obj.family, net.spectra.root, net.mix.w
+    n, p = family.n, family.p
+    method = harness.METHODS[spec.name]
+    op = method.exchange(net)
+    step = alg.gt_step if spec.name == "gt" else alg.nt_step
+    target = np.tile(obj.x_star, (n, 1))
+    denom = max(alg.norm(target), 1e-300)
+    is_nt = spec.name == "nt"
+    cert = analysis.rate_certificate(obj.bounds, net.spectra, spec.alpha, spec.eps,
+                                     config.beta, config.phi) if is_nt else None
+    feasible = is_nt and cert.feasible
+    if feasible:
+        energy = analysis.g_norm_metric(
+            analysis.consensus_penalty_matrix(w, spec.alpha, spec.eps),
+            obj.x_star, analysis.dual_optimum(family, obj.x_star, root), spec.alpha)
+        v = np.zeros((n, p))
+    cols = {c: [] for c in METRIC_COLUMNS}
+    status = "budget"
+    state, prev = method.init(family, net.graph, spec), None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(config.iters + 1):
+            if t:
+                if config.stop_tol is not None and \
+                        cols["rel_error"][-1] <= config.stop_tol:
+                    status = "tol"
+                    break
+                prev, state = state, step(state, family, op)
+            rel = alg.norm(state.x - target) / denom
+            if not math.isfinite(rel):
+                status = "diverged"
+                break
+            root_x = root @ state.x
+            dual = rem = bound = gnorm = tracking = None
+            if is_nt:
+                if prev is None:
+                    dual = alg.norm(state.q)
+                else:
+                    r = prev.grad - state.grad - prev.q + spec.alpha * (op @ prev.u)
+                    dual = alg.norm(r)
+                    rem = alg.norm(r + spec.eps * prev.u)
+                    bound = cert.kappa * alg.norm(state.x - prev.x)
+                if feasible:
+                    if t:
+                        v = v + spec.alpha * root_x
+                    gnorm = energy(state.x, v)
+                tracking = alg.conservation_residual(state)
+            for column, value in zip(METRIC_COLUMNS, (
+                    rel, gnorm, tracking, alg.norm(root_x), dual, rem, bound,
+                    t, t * method.vectors * n * p)):
+                cols[column].append(value)
+    if status == "budget" and config.stop_tol is not None \
+            and cols["rel_error"][-1] <= config.stop_tol:
+        status = "tol"
+    elif status == "budget" and len(cols["rel_error"]) > 1 \
+            and cols["rel_error"][-1] >= cols["rel_error"][0]:
+        status = "stalled"
+    return cols, status
+
+
+@pytest.mark.parametrize("config, expect", [
+    # 100 rounds: four full blocks of 23 and a partial one of 8.
+    (dataclasses.replace(preset("fig1"), iters=100), {"nt": ("budget", 101)}),
+    # 10 nodes, p = 8: blocks of 93 rounds, the last of 14.
+    (dataclasses.replace(preset("fig1"), iters=200, algorithms=(
+        AlgorithmSpec("gt", alpha=0.16), AlgorithmSpec("extra", alpha=0.07),
+        AlgorithmSpec("dlm", alpha=0.1, eps=0.1))),
+     {"gt": ("budget", 201), "extra": ("budget", 201), "dlm": ("budget", 201)}),
+    # Stops at t = 211, four rounds into the tenth block.
+    (dataclasses.replace(preset("fig1"), iters=400, stop_tol=1e-6),
+     {"nt": ("tol", 212)}),
+    # Diverges 15 rounds into the second block.
+    (dataclasses.replace(preset("fig1"), algorithms=(
+        AlgorithmSpec("nt", alpha=50.0, eps=0.01),)), {"nt": ("diverged", 39)}),
+    (feasible_config(), {"nt": ("budget", 61)}),
+    # n p = 2000: a block holds one nt round, three gt rounds.
+    (RunConfig(name="wide", topology=TopologySpec(kind="complete", n=20),
+               data=DataSpec(family="quadratic", p=100, seed=3),
+               algorithms=(AlgorithmSpec("nt", alpha=1.0, eps=1.5),
+                           AlgorithmSpec("gt", alpha=0.05)), iters=7),
+     {"nt": ("budget", 8), "gt": ("budget", 8)}),
+], ids=["fig1-partial-block", "first-order-trio", "stop-tol-mid-block",
+        "diverged-mid-block", "feasible", "one-round-blocks"])
+def test_block_metrics_equal_per_round_metrics(config, expect):
+    # Every column the driver computes per block of rounds equals the
+    # per-iterate computation bit for bit, and status and length are those
+    # of the round-by-round run.
+    record = run_experiment(config)
+    for spec in config.algorithms:
+        trace = record.traces[spec.name]
+        cols, status = per_round_trace(config, spec)
+        assert (trace.status, len(trace)) == (status, len(cols["rel_error"])) \
+            == expect[spec.name]
+        for column in METRIC_COLUMNS:
+            assert getattr(trace, column) == cols[column], (spec.name, column)
+        assert len(trace.wall_ms) == len(trace)
+        if config.name == "feas":
+            assert all(isinstance(g, float) for g in trace.gnorm_error)
 
 
 def test_first_below():

@@ -7,6 +7,8 @@ independently of the vectorized implementations under test.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import expit
 
@@ -16,7 +18,8 @@ from newtrack.objectives import (LogisticDataset, LogisticFamily,
                                  QuadraticObjective, _softplus,
                                  convexity_bounds, derivative_check,
                                  generate_logistic_data,
-                                 generate_quadratic_set, make_logistic)
+                                 generate_quadratic_set, lower_band,
+                                 make_logistic)
 
 
 def small_dataset(seed=1):
@@ -75,6 +78,34 @@ def test_stacked_ops_match_per_node():
         obj = fam.node(i)
         assert_allclose(g[i], obj.grad(x[i]), atol=1e-14)
         assert_allclose(h[i], obj.hess(x[i]), atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), p=st.integers(1, 9), extra=st.integers(0, 40),
+       log_eps=st.floats(-4.0, 1.0), log_scale=st.floats(-12.0, 0.0),
+       seed=st.integers(0, 2 ** 16))
+def test_hess_band_is_the_banded_shifted_hessian(n, p, extra, log_eps,
+                                                 log_scale, seed):
+    # One product of the weights with the cached sample products gives the
+    # band of hess_blocks + eps I within rounding (it sums c_j (F_jr F_jc)
+    # where hess_blocks sums F_jr (c_j F_jc)); the quadratic band is exact.
+    m = p + extra
+    fam = LogisticFamily(generate_logistic_data(n=n, m=m, p=p, reg=1e-3,
+                                                seed=seed))
+    rng = np.random.default_rng(seed)
+    curve = 0.25 * 10.0 ** log_scale * rng.uniform(size=(n, m))
+    eps = 10.0 ** log_eps
+    expected = lower_band(fam.hess_blocks(curve))
+    expected[:, :, 0] += eps
+    got = fam.hess_band(curve, eps)
+    assert got.shape == (n, p, p)
+    assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+    quad = generate_quadratic_set(n=n, p=p, seed=seed)
+    expected = lower_band(quad.hess_stack(None))
+    expected[:, :, 0] += eps
+    assert np.array_equal(quad.hess_band(None, eps), expected)
+    # The cached band stays as built: each call shifts a copy.
+    assert np.array_equal(quad.hess_band(None, eps), expected)
 
 
 def test_totals_are_sums_of_nodes():
