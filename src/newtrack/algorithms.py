@@ -172,15 +172,23 @@ def norm(a: np.ndarray) -> float:
 
 def norms(a: np.ndarray) -> list:
     """norm(a[t]) for each t, bit for bit: the same BLAS dot per row, one
-    vecdot call for them all."""
+    vecdot call for them all (norm itself for one row, a microsecond less)."""
+    if len(a) == 1:
+        return [norm(a)]
     rows = a.reshape(len(a), -1)
     return np.sqrt(np.vecdot(rows, rows)).tolist()
 
 
+def conservation_residuals(q: np.ndarray, grad: np.ndarray) -> list:
+    """Relative defect of sum_i q_i = sum_i grad_i for each (n, p) pair of
+    (T, n, p) stacks."""
+    rhs = grad.sum(axis=-2)
+    return [a / (b + 1.0) for a, b in zip(norms(q.sum(axis=-2) - rhs), norms(rhs))]
+
+
 def conservation_residual(state: NewtonTrackingState) -> float:
     """Relative defect of sum_i q_i = sum_i grad_i."""
-    rhs = state.grad.sum(axis=0)
-    return norm(state.q.sum(axis=0) - rhs) / (norm(rhs) + 1.0)
+    return conservation_residuals(state.q[None], state.grad[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +270,19 @@ def centralized_reference(family, tol: float = 1e-12,
     """High-accuracy minimizer of sum_i f_i via damped Newton.
 
     Backtracks on the gradient norm; returns x with
-    ||sum_i grad f_i(x)|| <= tol.  Each Newton system is factored and
-    solved by LAPACK directly (dpotrf, dpotrs: what cho_factor and
-    cho_solve call, without their argument checks); a Hessian that is not
-    positive definite raises LinAlgError.
+    ||sum_i grad f_i(x)|| <= tol.  Each point's gradient comes with its
+    curvature weights, which the Hessian at an accepted point reuses.
+    Each Newton system is factored and solved by LAPACK directly (dpotrf,
+    dpotrs: what cho_factor and cho_solve call, without their argument
+    checks); a Hessian that is not positive definite raises LinAlgError.
     """
     x = np.zeros(family.p)
-    g = family.grad_total(x)
+    g, curve = family.grad_curvature_total(x)
     for _ in range(max_iter):
         gn = norm(g)
         if gn <= tol:
             return x
-        c, info = dpotrf(family.hess_total(x), lower=0, clean=0)
+        c, info = dpotrf(family.hess_total(x, curve), lower=0, clean=0)
         if info:
             raise np.linalg.LinAlgError(f"{info}-th leading minor of the total "
                                         "Hessian is not positive definite")
@@ -281,11 +290,11 @@ def centralized_reference(family, tol: float = 1e-12,
         step = 1.0
         while step > 1e-12:  # runs at least once, so xn and gxn are set
             xn = x - step * d
-            gxn = family.grad_total(xn)
+            gxn, cn = family.grad_curvature_total(xn)
             if norm(gxn) <= (1.0 - 0.25 * step) * gn:
                 break
             step *= 0.5
-        x, g = xn, gxn  # the last point tried, with its gradient
+        x, g, curve = xn, gxn, cn  # the last point tried, with its gradient
     if norm(g) > tol:
         raise RuntimeError(f"reference solve stalled above tolerance {tol}")
     return x

@@ -43,7 +43,8 @@ FAMILIES = {
 class Method(NamedTuple):
     """How a run starts a method, what its rounds exchange and send.
 
-    `init(family, graph, spec)` returns the state at t = 0; the step is
+    `init(family, graph, spec)` returns the state at t = 0, reading the
+    graph only where reads_graph is set (dlm's degrees); the step is
     `algorithms.<name>_step(state, family, exchange(net))`: W for gt,
     I - W for nt and extra, the Laplacian for dlm (the q-form's D).  Both
     are looked up on the algorithms module at call time, so wrappers
@@ -54,6 +55,7 @@ class Method(NamedTuple):
     exchange: Callable  # Network -> the n x n operator a step is handed
     vectors: int  # (n, p) arrays exchanged per round
     needs_eps: bool
+    reads_graph: bool = False
 
 
 METHODS = {
@@ -64,7 +66,7 @@ METHODS = {
     "extra": Method(lambda fam, graph, s: alg.extra_init(fam, s.alpha),
                     lambda net: net.mix.disagreement, 1, False),
     "dlm": Method(lambda fam, graph, s: alg.dlm_init(fam, graph, s.alpha, s.eps),
-                  lambda net: laplacian(net.graph), 1, True),
+                  lambda net: laplacian(net.graph), 1, True, True),
 }
 
 
@@ -456,7 +458,8 @@ def run_experiment(config: RunConfig) -> RunRecord:
     return _run(config, build_network(config.topology), build_objective(config))
 
 
-def _run(config: RunConfig, net: Network, obj: Objective) -> RunRecord:
+def _run(config: RunConfig, net: Network, obj: Objective,
+         starts: dict | None = None) -> RunRecord:
     certificates = {}
     traces = {}
     for spec in config.algorithms:
@@ -465,7 +468,8 @@ def _run(config: RunConfig, net: Network, obj: Objective) -> RunRecord:
             cert = analysis.rate_certificate(obj.bounds, net.spectra, spec.alpha,
                                              spec.eps, config.beta, config.phi)
             certificates[spec.name] = cert.to_doc()
-        traces[spec.name] = _run_algorithm(spec, net, obj, cert, config)
+        traces[spec.name] = _run_algorithm(spec, net, obj, cert, config,
+                                           {} if starts is None else starts)
     return RunRecord(config=config, dataset_digest=obj.digest, x_star=obj.x_star,
                      ref_residual=obj.ref_residual,
                      spectra={"lambda_max": net.spectra.lambda_max,
@@ -480,28 +484,31 @@ def _run(config: RunConfig, net: Network, obj: Objective) -> RunRecord:
 BLOCK_BYTES = 60_000
 
 
-def _shift(prev, states: list, name: str) -> tuple:
-    """Field `name` of each state's predecessor and of each state, as
-    (T, n, p) views of one stacked copy."""
-    both = np.array([getattr(s, name) for s in (prev, *states)])
-    return both[:-1], both[1:]
-
-
-def _norm1(a: np.ndarray) -> list:
-    """alg.norms for the arrays of one state alone."""
-    return [alg.norm(a)]
+def _shift(prev, states: list, names: tuple) -> list:
+    """For each field name: that field of each state's predecessor and of
+    each state, as (T, n, p) stacks: views of a state's own arrays when it
+    is alone in its block (with no predecessor at t = 0), else of one
+    stacked copy."""
+    if len(states) == 1:
+        return [(None if prev is None else getattr(prev, name)[None],
+                 getattr(states[0], name)[None]) for name in names]
+    stacks = (np.array([getattr(s, name) for s in (prev, *states)]) for name in names)
+    return [(both[:-1], both[1:]) for both in stacks]
 
 
 def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
-                   config: RunConfig) -> ConvergenceTrace:
+                   config: RunConfig, starts: dict) -> ConvergenceTrace:
     """Run one method for config.iters rounds, recording every iterate.
 
     Each round records wall_ms and rel_error, which the stop tests read:
     the run stops at stop_tol ("tol") or before recording the first
     iterate with a non-finite rel_error ("diverged").  The other columns
     are computed per block of up to BLOCK_BYTES of stacked iterates, from
-    (T, n, p) stacks: root @ x as a broadcast matmul, norms by one vecdot
-    over rows, node sums over axis 1, each bit for bit the per-iterate value.
+    (T, n, p) stacks (views of the state's arrays in a block of one):
+    root @ x as a broadcast matmul, norms by one vecdot over rows, node
+    sums over axis 1, each bit for bit the per-iterate value.  `starts`
+    holds the t = 0 states that read no graph, shared by runs on one
+    objective.
     """
     family, w, root = obj.family, net.mix.w, net.spectra.root
     n, p = family.n, family.p
@@ -524,32 +531,21 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
             analysis.consensus_penalty_matrix(w, spec.alpha, spec.eps),
             obj.x_star, analysis.dual_optimum(family, obj.x_star, root), spec.alpha)
         v = np.zeros((n, p))
-    size = max(1, BLOCK_BYTES // ((4 if is_nt else 1) * n * p * 8))
+    fields = ("x", "grad", "q", "u") if is_nt else ("x",)
+    size = max(1, BLOCK_BYTES // (len(fields) * n * p * 8))
     prev = None  # the iterate before the block
 
     def record(states: list) -> None:
         nonlocal prev, v
         t0, t1, last = states[0].t, states[-1].t + 1, states[-1]
-        one = len(states) == 1  # a state alone takes its own arrays, as per round
-        if one:
-            norms, x, x0 = _norm1, last.x, prev and prev.x
-        else:  # (T, n, p) stacks, views of one copy per field
-            norms, (x0, x) = alg.norms, _shift(prev, states, "x")
+        (x0, x), *nt_pairs = _shift(prev, states, fields)
         root_x = root @ x
         gnorm = tracking = dual = rem = bound = [None] * len(states)
         if is_nt:
-            if one:
-                g, q = last.grad, last.q
-                if prev:
-                    g0, q0, u0 = prev.grad, prev.q, prev.u
-            else:
-                (g0, g), (q0, q), (u0, _) = (_shift(prev, states, name)
-                                             for name in ("grad", "q", "u"))
-            rhs = g.sum(axis=-2)
-            tracking = [a / (b + 1.0) for a, b in
-                        zip(norms(q.sum(axis=-2) - rhs), norms(rhs))]
+            (g0, g), (q0, q), (u0, _) = nt_pairs
+            tracking = alg.conservation_residuals(q, g)
             if prev is None:  # x^0 = 0, where kkt_dual is ||q||
-                dual = norms(q)
+                dual = alg.norms(q)
             else:
                 # From q1 = q0 + g1 - g0 + alpha (I - W)(2 x1 - x0) and
                 # x1 = x0 - u0: r = g0 - g1 - q0 + alpha (I - W) u0 is
@@ -558,19 +554,19 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
                 r = g0 - g
                 r -= q0
                 r += spec.alpha * (op @ u0)
-                dual = norms(r)
+                dual = alg.norms(r)
                 r += spec.eps * u0
-                rem = norms(r)
-                bound = [cert.kappa * d for d in norms(x - x0)]
+                rem = alg.norms(r)
+                bound = [cert.kappa * d for d in alg.norms(x - x0)]
             if feasible:
                 gnorm = []
-                for state, rx in zip(states, [root_x] if one else root_x):
+                for state, rx in zip(states, root_x):
                     if state.t:
                         v = v + spec.alpha * rx
                     gnorm.append(energy(state.x, v))
         trace.gnorm_error += gnorm
         trace.tracking_residual += tracking
-        trace.kkt_primal += norms(root_x)
+        trace.kkt_primal += alg.norms(root_x)
         trace.kkt_dual += dual
         trace.remainder_norm += rem
         trace.remainder_bound += bound
@@ -581,7 +577,13 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
     def reached() -> bool:
         return config.stop_tol is not None and trace.rel_error[-1] <= config.stop_tol
 
-    state = method.init(family, net.graph, spec)
+    # Runs on one objective (a sweep's kinds) share a start that reads no
+    # graph through `starts`, keyed by spec; states are never written.
+    state = starts.get(spec)
+    if state is None:
+        state = method.init(family, net.graph, spec)
+        if not method.reads_graph:
+            starts[spec] = state
     trace.rel_error.append(alg.norm(state.x - target) / denom)
     trace.wall_ms.append(0.0)
     block = []
@@ -619,8 +621,9 @@ def topology_sweep(config: RunConfig, kinds=("line", "cycle", "complete")
                    ) -> dict:
     """Re-run one config across topology kinds; returns kind -> RunRecord.
 
-    Every kind's network is built before the one objective they share.
-    Kinds must be distinct and at least one.
+    Every kind's network is built before the one objective they share;
+    a start that reads no graph (nt's, gt's, EXTRA's) is made once for all
+    kinds.  Kinds must be distinct and at least one.
     """
     configs = {}
     for kind in kinds:
@@ -634,8 +637,8 @@ def topology_sweep(config: RunConfig, kinds=("line", "cycle", "complete")
     if not configs:
         raise ValueError("kinds: empty; name at least one topology kind")
     nets = {kind: build_network(c.topology) for kind, c in configs.items()}
-    obj = build_objective(config)
-    return {kind: _run(c, nets[kind], obj) for kind, c in configs.items()}
+    obj, starts = build_objective(config), {}
+    return {kind: _run(c, nets[kind], obj, starts) for kind, c in configs.items()}
 
 
 # ---------------------------------------------------------------------------

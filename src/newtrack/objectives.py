@@ -13,6 +13,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import expit
 
 
@@ -156,6 +157,13 @@ def lower_band(blocks: np.ndarray) -> np.ndarray:
     return skew.reshape(n, -1)[:, :2 * b * b].reshape(n, b, 2 * b)[:, :, :b].copy()
 
 
+# Largest sample-product cache LogisticFamily.hess_band keeps (n m p^2
+# doubles, p times the features): 61 KB on fig1 and 256 KB on topo-n10.  Its
+# one product reads the whole cache each round, so at about 1 MB it only
+# breaks even with the GEMM of hess_blocks, and past that it loses.
+PAIRS_BYTES = 1 << 19
+
+
 class LogisticFamily:
     """Stacked operations for a logistic dataset across all nodes.
 
@@ -207,24 +215,30 @@ class LogisticFamily:
         return self.hess_blocks(s * (1.0 - s))
 
     @functools.cached_property
-    def _pairs(self) -> np.ndarray:
+    def _pairs(self) -> np.ndarray | None:
         """Sample products in lower band layout, shape (n, m, p p):
-        F[i, j, c + d] F[i, j, c] at [i, j, c p + d], zero past the block."""
+        F[i, j, c + d] F[i, j, c] at [i, j, c p + d], zero past the block;
+        None past PAIRS_BYTES."""
         n, m, p = self._f.shape
-        # Built sample-innermost from the transposed features, zero-padded to
-        # 2p - 1 rows: row (c, d) of their skewed view is feature row c + d.
+        if n * m * p * p * 8 > PAIRS_BYTES:
+            return None
+        # Transposed features, zero-padded to 2p - 1 rows, sample innermost:
+        # row (c, d) of their skewed view is feature row c + d.
         ft = np.zeros((2 * p - 1, n * m))
         ft[:p] = self._f.reshape(-1, p).T
         row, col = ft.strides
-        skew = np.ndarray((p, p, n * m), buffer=ft, strides=(row, row, col))
+        skew = as_strided(ft, (p, p, n * m), (row, row, col), writeable=False)
         pairs = (skew * ft[:p, None]).reshape(p * p, n * m)
         return np.ascontiguousarray(pairs.T).reshape(n, m, p * p)
 
     def hess_band(self, curve: np.ndarray, eps: float) -> np.ndarray:
-        """hess_blocks(curve) + eps I in lower_band layout, from one product:
-        the curvature-weighted sum of the cached sample products."""
-        band = (curve[:, None, :] @ self._pairs).reshape(self.n, self.p, self.p)
-        band[:, :, 0] += self.ridge
+        """hess_blocks(curve) + eps I in lower_band layout: within the byte
+        budget, one product of the weights with the cached sample products."""
+        if self._pairs is None:
+            band = lower_band(self.hess_blocks(curve))
+        else:
+            band = (curve[:, None, :] @ self._pairs).reshape(self.n, self.p, self.p)
+            band[:, :, 0] += self.ridge
         band[:, :, 0] += eps
         return band
 
@@ -245,14 +259,22 @@ class LogisticFamily:
         return np.minimum(np.add.outer(i, i), self.m - 1)
 
     def grad_total(self, x: np.ndarray) -> np.ndarray:
-        s = expit(-(self._yf @ x))
-        return self.dataset.reg * x - np.einsum("nm,nmp->p", s, self._yf)
+        return self.grad_curvature_total(x)[0]
 
-    def hess_total(self, x: np.ndarray) -> np.ndarray:
+    def grad_curvature_total(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """grad_total(x) and the weights c = s (1 - s), of one sigmoid pass."""
         s = expit(-(self._yf @ x))
+        g = self.dataset.reg * x - np.einsum("nm,nmp->p", s, self._yf)
+        return g, s * (1.0 - s)
+
+    def hess_total(self, x: np.ndarray, curve: np.ndarray | None = None) -> np.ndarray:
+        """The total Hessian at x; curve: its weights, if at hand."""
+        if curve is None:
+            s = expit(-(self._yf @ x))
+            curve = s * (1.0 - s)
         # One GEMM over all n m samples: F' (c * F), F of shape (n m, p).
         f = self._f.reshape(-1, self.p)
-        h = f.T @ (f * (s * (1.0 - s)).reshape(-1, 1))
+        h = f.T @ (f * curve.reshape(-1, 1))
         return h + self.dataset.reg * np.eye(self.p)
 
 
@@ -305,7 +327,10 @@ class QuadraticFamily:
     def grad_total(self, x: np.ndarray) -> np.ndarray:
         return self.a.sum(axis=0) @ x + self.b.sum(axis=0)
 
-    def hess_total(self, x: np.ndarray) -> np.ndarray:
+    def grad_curvature_total(self, x: np.ndarray) -> tuple[np.ndarray, None]:
+        return self.grad_total(x), None
+
+    def hess_total(self, x: np.ndarray, curve: None = None) -> np.ndarray:
         return self.a.sum(axis=0)
 
     def optimum(self) -> np.ndarray:

@@ -732,9 +732,11 @@ def test_init_validation():
     generate_quadratic_set(n=4, p=3, seed=11),
 ], ids=["fig1", "quadratic"])
 def test_centralized_reference_evaluates_each_point_once(family, monkeypatch):
+    # One gradient pass per point, whose curvature weights the Hessian at an
+    # accepted point reuses: no point is evaluated twice.
     points = []
-    real = family.grad_total
-    monkeypatch.setattr(family, "grad_total",
+    real = family.grad_curvature_total
+    monkeypatch.setattr(family, "grad_curvature_total",
                         lambda x: points.append(x.tobytes()) or real(x))
     centralized_reference(family)
     assert len(points) == len(set(points)) > 1
@@ -810,7 +812,11 @@ def test_centralized_reference_rejects_a_singular_hessian():
             return x - 1.0
 
         @staticmethod
-        def hess_total(x):
+        def grad_curvature_total(x):
+            return x - 1.0, None
+
+        @staticmethod
+        def hess_total(x, curve=None):
             return np.ones((2, 2))
 
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):

@@ -525,8 +525,9 @@ METRIC_COLUMNS = ("rel_error", "gnorm_error", "tracking_residual", "kkt_primal",
 def per_round_trace(config, spec):
     """One method's trace columns but wall_ms, and its status, computed
     round by round on each iterate alone: a plain loop of nt_step or
-    gt_step with root @ x, alg.norm, the remainder identity and
-    conservation_residual."""
+    gt_step with root @ x, alg.norm, the remainder identity and the
+    conservation defect ||sum q - sum grad|| / (||sum grad|| + 1), which
+    conservation_residual must equal."""
     net, obj = harness.build_network(config.topology), harness.build_objective(config)
     family, root, w = obj.family, net.spectra.root, net.mix.w
     n, p = family.n, family.p
@@ -573,7 +574,9 @@ def per_round_trace(config, spec):
                     if t:
                         v = v + spec.alpha * root_x
                     gnorm = energy(state.x, v)
-                tracking = alg.conservation_residual(state)
+                rhs = state.grad.sum(axis=0)
+                tracking = alg.norm(state.q.sum(axis=0) - rhs) / (alg.norm(rhs) + 1.0)
+                assert alg.conservation_residual(state) == tracking
             for column, value in zip(METRIC_COLUMNS, (
                     rel, gnorm, tracking, alg.norm(root_x), dual, rem, bound,
                     t, t * method.vectors * n * p)):
@@ -644,6 +647,14 @@ def test_topology_sweep_matches_direct_run():
         topology=TopologySpec(kind="line", n=5)))
     assert out["line"].config.name == "tiny-line"
     assert out["line"].traces["nt"].rel_error == direct.traces["nt"].rel_error
+    # The second kind reuses the first's nt, gt and EXTRA starts; every
+    # trace column but wall_ms is that of a run of its own.
+    alone = run_experiment(dataclasses.replace(
+        cfg, name="tiny-complete", topology=TopologySpec(kind="complete", n=5)))
+    for name, trace in out["complete"].traces.items():
+        doc, expected = trace.to_doc(), alone.traces[name].to_doc()
+        del doc["wall_ms"], expected["wall_ms"]
+        assert doc == expected, name
     # The kinds share one objective: one digest and one x*.
     assert {rec.dataset_digest for rec in out.values()} == {direct.dataset_digest}
     for rec in out.values():
@@ -652,7 +663,7 @@ def test_topology_sweep_matches_direct_run():
 
 def test_topology_sweep_builds_one_objective(monkeypatch):
     calls = {"generate_logistic_data": 0, "convexity_bounds": 0,
-             "centralized_reference": 0}
+             "centralized_reference": 0, "nt_init": 0}
 
     def counted(owner, name):
         real = getattr(owner, name)
@@ -665,10 +676,12 @@ def test_topology_sweep_builds_one_objective(monkeypatch):
     counted(harness, "generate_logistic_data")
     counted(harness, "convexity_bounds")
     counted(alg, "centralized_reference")
+    counted(alg, "nt_init")
     out = topology_sweep(dataclasses.replace(preset("topo-n10"), iters=0))
     assert set(out) == {"line", "cycle", "complete"}
+    # nt's start reads no graph: one for the three kinds.
     assert calls == {"generate_logistic_data": 1, "convexity_bounds": 1,
-                     "centralized_reference": 1}
+                     "centralized_reference": 1, "nt_init": 1}
 
 
 def test_topology_sweep_random_needs_tau():

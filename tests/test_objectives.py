@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import expit
 
+from newtrack import objectives
 from newtrack.algorithms import centralized_reference
 from newtrack.objectives import (LogisticDataset, LogisticFamily,
                                  ObjectiveBounds, QuadraticFamily,
@@ -106,6 +107,20 @@ def test_hess_band_is_the_banded_shifted_hessian(n, p, extra, log_eps,
     assert np.array_equal(quad.hess_band(None, eps), expected)
     # The cached band stays as built: each call shifts a copy.
     assert np.array_equal(quad.hess_band(None, eps), expected)
+
+
+def test_hess_band_past_the_cache_budget_is_the_old_band(monkeypatch):
+    # A family whose sample products would exceed PAIRS_BYTES caches none
+    # and bands hess_blocks + eps I bit for bit; one within it caches them.
+    ds = generate_logistic_data(n=3, m=7, p=4, reg=1e-3, seed=5)
+    curve = 0.25 * np.random.default_rng(5).uniform(size=(3, 7))
+    expected = lower_band(LogisticFamily(ds).hess_blocks(curve))
+    expected[:, :, 0] += 0.7
+    assert LogisticFamily(ds)._pairs.shape == (3, 7, 16)
+    monkeypatch.setattr(objectives, "PAIRS_BYTES", 3 * 7 * 16 * 8 - 1)
+    fam = LogisticFamily(ds)
+    assert fam._pairs is None
+    assert np.array_equal(fam.hess_band(curve, 0.7), expected)
 
 
 def test_totals_are_sums_of_nodes():
