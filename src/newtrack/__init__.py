@@ -23,11 +23,9 @@ from .harness import (AlgorithmSpec, ConvergenceTrace, DataSpec, RunConfig,
                       RunRecord, TopologySpec, export_csv, load_record,
                       preset, run_checks, run_experiment, save_record,
                       topology_sweep, write_outputs)
-from .objectives import (DerivativeReport, LogisticDataset, LogisticFamily,
-                         LogisticObjective, ObjectiveBounds, QuadraticFamily,
-                         QuadraticObjective, convexity_bounds,
-                         derivative_check, generate_logistic_data,
-                         generate_quadratic_set, make_logistic)
+from .objectives import (LogisticDataset, LogisticFamily, ObjectiveBounds,
+                         QuadraticFamily, convexity_bounds,
+                         generate_logistic_data, generate_quadratic_set)
 from .topology import (Graph, MixingMatrix, SpectralStats, build_topology,
                        laplacian, metropolis_weights, spectral_stats,
                        topology_from_doc, topology_to_doc)

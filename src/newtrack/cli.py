@@ -104,16 +104,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    alpha, eps = args.alpha, args.eps
     if args.config or args.preset:
         config = _load_config(args)
         net, obj = build_network(config.topology), build_objective(config)
         nt = [a for a in config.algorithms if a.name == "nt"]
         if not nt:
             raise ValueError("config has no curvature-tracked algorithm to certify")
-        alpha = args.alpha if args.alpha is not None else nt[0].alpha
-        eps = args.eps if args.eps is not None else nt[0].eps
-        cert = analysis.rate_certificate(obj.bounds, net.spectra,
-                                         alpha, eps, config.beta, config.phi)
+        alpha = nt[0].alpha if alpha is None else alpha
+        eps = nt[0].eps if eps is None else eps
+        bounds, spectra = obj.bounds, net.spectra
     else:
         needed = (args.mu, args.lip, args.lambda_max, args.lambda_min_nz,
                   args.alpha, args.eps)
@@ -124,8 +124,7 @@ def _cmd_certify(args) -> int:
         bounds = ObjectiveBounds(mu=args.mu, lip=args.lip)
         spectra = SimpleNamespace(lambda_max=args.lambda_max,
                                   lambda_min_nz=args.lambda_min_nz)
-        cert = analysis.rate_certificate(bounds, spectra, args.alpha, args.eps,
-                                         args.beta, args.phi)
+    cert = analysis.rate_certificate(bounds, spectra, alpha, eps, args.beta, args.phi)
     _emit(cert.to_doc(), args.out)
     return 0
 
@@ -179,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
             for flag in ("--mu", "--lip", "--lambda-max", "--lambda-min-nz",
                          "--alpha", "--eps"):
                 sp.add_argument(flag, type=float, default=None)
+            # every mode: the certificate's free parameters, both > 1
             sp.add_argument("--beta", type=float, default=2.0)
             sp.add_argument("--phi", type=float, default=2.0)
 

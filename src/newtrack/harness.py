@@ -85,6 +85,14 @@ def _shaped(name: str, value, kind: type):
     return value
 
 
+def _known(doc: dict, spec: type, prefix: str = "") -> None:
+    """ValueError naming the first key of doc that is no field of spec."""
+    names = [f.name for f in dataclasses.fields(spec)]
+    for key in doc:
+        if key not in names:
+            raise ValueError(f"{prefix}{key}: unknown key; expected one of {names}")
+
+
 def _required(doc: dict, key: str, kind: type, prefix: str = ""):
     """doc[key] read by kind; ValueError names it."""
     value = _field(doc, key, prefix)
@@ -94,9 +102,9 @@ def _required(doc: dict, key: str, kind: type, prefix: str = ""):
         raise ValueError(f"{prefix}{key}: not a number: {value!r}") from None
 
 
-def _optional(doc: dict, key: str, kind: type, prefix: str = "", default=None):
-    """doc[key] read by kind, default if absent or null; ValueError names it."""
-    return default if doc.get(key) is None else _required(doc, key, kind, prefix)
+def _optional(doc: dict, key: str, kind: type, prefix: str = ""):
+    """doc[key] read by kind, None if absent or null; ValueError names it."""
+    return None if doc.get(key) is None else _required(doc, key, kind, prefix)
 
 
 def _at_least(name: str, value, low: int) -> None:
@@ -104,9 +112,9 @@ def _at_least(name: str, value, low: int) -> None:
         raise ValueError(f"{name}: must be >= {low}, got {value!r}")
 
 
-def _finite_above(name: str, value, low: float = 0) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > low):
-        raise ValueError(f"{name}: must be a finite number > {low}, got {value!r}")
+def _finite_above(name: str, value) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name}: must be a finite number > 0, got {value!r}")
 
 
 def _one_of(name: str, value, allowed) -> None:
@@ -142,6 +150,7 @@ class TopologySpec:
 
     @staticmethod
     def from_doc(doc: dict) -> "TopologySpec":
+        _known(doc, TopologySpec, "topology.")
         return TopologySpec(kind=_field(doc, "kind", "topology."),
                             n=_required(doc, "n", int, "topology."),
                             tau=_optional(doc, "tau", float, "topology."),
@@ -168,6 +177,7 @@ class DataSpec:
 
     @staticmethod
     def from_doc(doc: dict) -> "DataSpec":
+        _known(doc, DataSpec, "data.")
         return DataSpec(family=_field(doc, "family", "data."),
                         p=_required(doc, "p", int, "data."),
                         m=_optional(doc, "m", int, "data."),
@@ -183,6 +193,7 @@ class AlgorithmSpec:
 
     @staticmethod
     def from_doc(doc: dict, prefix: str = "") -> "AlgorithmSpec":
+        _known(doc, AlgorithmSpec, prefix)
         return AlgorithmSpec(name=_field(doc, "name", prefix),
                              alpha=_required(doc, "alpha", float, prefix),
                              eps=_optional(doc, "eps", float, prefix))
@@ -202,17 +213,11 @@ class RunConfig:
     algorithms: tuple[AlgorithmSpec, ...]
     iters: int
     stop_tol: float | None = None
-    ref_tol: float = 1e-12
-    beta: float = 2.0
-    phi: float = 2.0
 
     def __post_init__(self):
         _at_least("iters", self.iters, 0)
         if self.stop_tol is not None:
             _finite_above("stop_tol", self.stop_tol)
-        _finite_above("ref_tol", self.ref_tol)
-        _finite_above("beta", self.beta, 1)
-        _finite_above("phi", self.phi, 1)
         names = [a.name for a in self.algorithms]
         for i, spec in enumerate(self.algorithms):
             _one_of(f"algorithms[{i}].name", spec.name, METHODS)
@@ -226,12 +231,15 @@ class RunConfig:
                 _finite_above(f"algorithms[{i}].eps", spec.eps)
 
     def to_doc(self) -> dict:
-        """Fields in declaration order, nested specs as dicts; from_doc
-        reads it back."""
-        return dataclasses.asdict(self)
+        """Fields in declaration order, nested specs as dicts and the
+        algorithms as a list; from_doc reads it back."""
+        doc = dataclasses.asdict(self)
+        doc["algorithms"] = list(doc["algorithms"])
+        return doc
 
     @staticmethod
     def from_doc(doc: dict) -> "RunConfig":
+        _known(doc, RunConfig)
         return RunConfig(
             name=_field(doc, "name"),
             topology=TopologySpec.from_doc(_field(doc, "topology", kind=dict)),
@@ -242,9 +250,6 @@ class RunConfig:
                 for i, a in enumerate(_field(doc, "algorithms", kind=list))),
             iters=_required(doc, "iters", int),
             stop_tol=_optional(doc, "stop_tol", float),
-            ref_tol=_optional(doc, "ref_tol", float, default=1e-12),
-            beta=_optional(doc, "beta", float, default=2.0),
-            phi=_optional(doc, "phi", float, default=2.0),
         )
 
 
@@ -416,20 +421,19 @@ class Network(NamedTuple):
 @dataclass(frozen=True)
 class Objective:
     """Local objectives with their digest, (mu, L) bounds and minimizer x*,
-    solved to ref_tol on first read: certify, which never reads it, never solves."""
+    solved on first read: certify, which never reads it, never solves."""
 
     family: object  # LogisticFamily or QuadraticFamily
     digest: str
     bounds: ObjectiveBounds
-    ref_tol: float
 
     @functools.cached_property
     def x_star(self) -> np.ndarray:
-        return alg.centralized_reference(self.family, tol=self.ref_tol)
+        return alg.centralized_reference(self.family)
 
     @functools.cached_property
     def ref_residual(self) -> float:
-        return float(np.linalg.norm(self.family.grad_total(self.x_star)))
+        return float(np.linalg.norm(self.family.grad_curvature_total(self.x_star)[0]))
 
 
 def build_network(topo: TopologySpec) -> Network:
@@ -449,8 +453,7 @@ def build_objective(config: RunConfig) -> Objective:
     """Generate the config's local objectives over config.topology.n nodes
     and bound them; x* waits for its first read."""
     family = FAMILIES[config.data.family](config.topology.n, config.data)
-    return Objective(family, family.digest(), convexity_bounds(family),
-                     config.ref_tol)
+    return Objective(family, family.digest(), convexity_bounds(family))
 
 
 def run_experiment(config: RunConfig) -> RunRecord:
@@ -466,7 +469,7 @@ def _run(config: RunConfig, net: Network, obj: Objective,
         cert = None
         if spec.name == "nt":
             cert = analysis.rate_certificate(obj.bounds, net.spectra, spec.alpha,
-                                             spec.eps, config.beta, config.phi)
+                                             spec.eps)
             certificates[spec.name] = cert.to_doc()
         traces[spec.name] = _run_algorithm(spec, net, obj, cert, config,
                                            {} if starts is None else starts)
@@ -790,8 +793,7 @@ def _replay_checks(record: RunRecord, net: Network, obj: Objective,
         checks["remainder_bound"] = {"passed": rem.passed,
                                      "detail": {"violations": rem.violations,
                                                 "worst": rem.worst}}
-        cert = analysis.rate_certificate(obj.bounds, spectra, spec.alpha,
-                                         spec.eps, config.beta, config.phi)
+        cert = analysis.rate_certificate(obj.bounds, spectra, spec.alpha, spec.eps)
         v_star = analysis.dual_optimum(family, x_star, spectra.root)
         ident = analysis.stationarity_identity_check(
             xs, vs, family, mix.w, spectra.root, spec.alpha, spec.eps,

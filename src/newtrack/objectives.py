@@ -1,9 +1,8 @@
 """Per-node objective families: regularized logistic loss and quadratics.
 
-Each family exposes two views of the same problem: per-node objectives
-(value/grad/hess at a local point, used by derivative checks) and stacked
-operations over all nodes at once (used by the iteration loops).  Totals
-at a shared point feed the centralized reference solver.
+Each family exposes stacked operations over all nodes at once, one local
+point per node (used by the iteration loops), and totals at a shared
+point (used by the centralized reference solver).
 """
 
 from __future__ import annotations
@@ -15,11 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import expit
-
-
-def _softplus(z: np.ndarray) -> np.ndarray:
-    # log(1 + exp(z)) without overflow for large |z|.
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 @dataclass(frozen=True)
@@ -83,70 +77,6 @@ def generate_logistic_data(n: int, m: int, p: int, reg: float,
     return LogisticDataset(features=features, labels=labels, reg=reg)
 
 
-class LogisticObjective:
-    """Single-node regularized logistic loss.
-
-    f(x) = reg/(2 n_total) ||x||^2 + sum_j log(1 + exp(-(o_j' x) y_j)).
-    """
-
-    def __init__(self, features: np.ndarray, labels: np.ndarray,
-                 reg: float, n_total: int):
-        self.features = np.asarray(features, dtype=float)
-        self.labels = np.asarray(labels, dtype=float)
-        self.ridge = reg / n_total
-        self.p = self.features.shape[1]
-
-    def value(self, x: np.ndarray) -> float:
-        z = (self.features @ x) * self.labels
-        return 0.5 * self.ridge * float(x @ x) + float(np.sum(_softplus(-z)))
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        z = (self.features @ x) * self.labels
-        s = expit(-z)
-        return self.ridge * x - self.features.T @ (self.labels * s)
-
-    def hess(self, x: np.ndarray) -> np.ndarray:
-        z = (self.features @ x) * self.labels
-        s = expit(-z)
-        curve = s * (1.0 - s)
-        return self.ridge * np.eye(self.p) + \
-            (self.features * curve[:, None]).T @ self.features
-
-
-class QuadraticObjective:
-    """Single-node quadratic f(x) = x'Ax/2 + b'x with symmetric PD A."""
-
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
-            raise ValueError("need square A and matching b")
-        if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
-            raise ValueError("A must be symmetric")
-        try:
-            np.linalg.cholesky(a)
-        except np.linalg.LinAlgError as err:
-            raise ValueError("A must be positive definite") from err
-        self.a = a
-        self.b = b
-        self.p = b.shape[0]
-
-    def value(self, x: np.ndarray) -> float:
-        return 0.5 * float(x @ self.a @ x) + float(self.b @ x)
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.a @ x + self.b
-
-    def hess(self, x: np.ndarray) -> np.ndarray:
-        return self.a.copy()
-
-
-def make_logistic(dataset: LogisticDataset, node: int) -> LogisticObjective:
-    """Per-node view of a logistic dataset."""
-    return LogisticObjective(dataset.features[node], dataset.labels[node],
-                             dataset.reg, dataset.n)
-
-
 def lower_band(blocks: np.ndarray) -> np.ndarray:
     """Symmetric (n, b, b) blocks in lower band layout: out[i, c, d] =
     blocks[i, c + d, c], zero past the block (dpbsv's storage, transposed)."""
@@ -182,9 +112,6 @@ class LogisticFamily:
         self._ft = dataset.features.transpose(0, 2, 1)
         # Labels are +-1: y F is exact, and (y F) x is (F x) y bit for bit.
         self._yf = dataset.labels[:, :, None] * self._f
-
-    def node(self, i: int) -> LogisticObjective:
-        return make_logistic(self.dataset, i)
 
     def digest(self) -> str:
         return self.dataset.digest()
@@ -258,11 +185,9 @@ class LogisticFamily:
         i = np.arange(self.m)
         return np.minimum(np.add.outer(i, i), self.m - 1)
 
-    def grad_total(self, x: np.ndarray) -> np.ndarray:
-        return self.grad_curvature_total(x)[0]
-
     def grad_curvature_total(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """grad_total(x) and the weights c = s (1 - s), of one sigmoid pass."""
+        """The total gradient at x and the weights c = s (1 - s), of one
+        sigmoid pass."""
         s = expit(-(self._yf @ x))
         g = self.dataset.reg * x - np.einsum("nm,nmp->p", s, self._yf)
         return g, s * (1.0 - s)
@@ -279,7 +204,7 @@ class LogisticFamily:
 
 
 class QuadraticFamily:
-    """Stacked operations for per-node quadratics with a closed-form optimum."""
+    """Stacked operations for per-node quadratics x'A_i x / 2 + b_i'x, A_i SPD."""
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         a = np.asarray(a, dtype=float)
@@ -287,16 +212,16 @@ class QuadraticFamily:
         if a.ndim != 3 or b.ndim != 2 or a.shape[:2] != (b.shape[0], b.shape[1]) \
                 or a.shape[1] != a.shape[2]:
             raise ValueError("need A with shape (n, p, p) and b with shape (n, p)")
-        for i in range(a.shape[0]):
-            # Reuse the per-node validation (symmetry, positive definiteness).
-            QuadraticObjective(a[i], b[i])
+        if not np.allclose(a, a.transpose(0, 2, 1), rtol=0.0, atol=1e-12):
+            raise ValueError("A must be symmetric")
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError as err:
+            raise ValueError("A must be positive definite") from err
         self.a = a
         self.b = b
         self.n = b.shape[0]
         self.p = b.shape[1]
-
-    def node(self, i: int) -> QuadraticObjective:
-        return QuadraticObjective(self.a[i], self.b[i])
 
     def digest(self) -> str:
         """SHA-256 over the raw bytes of A, then b."""
@@ -324,18 +249,11 @@ class QuadraticFamily:
         band[:, :, 0] += eps
         return band
 
-    def grad_total(self, x: np.ndarray) -> np.ndarray:
-        return self.a.sum(axis=0) @ x + self.b.sum(axis=0)
-
     def grad_curvature_total(self, x: np.ndarray) -> tuple[np.ndarray, None]:
-        return self.grad_total(x), None
+        return self.a.sum(axis=0) @ x + self.b.sum(axis=0), None
 
     def hess_total(self, x: np.ndarray, curve: None = None) -> np.ndarray:
         return self.a.sum(axis=0)
-
-    def optimum(self) -> np.ndarray:
-        """Exact minimizer of the aggregate: -(sum A_i)^{-1} sum b_i."""
-        return -np.linalg.solve(self.a.sum(axis=0), self.b.sum(axis=0))
 
 
 def generate_quadratic_set(n: int, p: int, seed: int,
@@ -382,49 +300,3 @@ def convexity_bounds(family) -> ObjectiveBounds:
         return ObjectiveBounds(mu=float(np.min(lam[:, 0])),
                                lip=float(np.max(lam[:, -1])))
     raise TypeError(f"no convexity bounds known for {type(family).__name__}")
-
-
-@dataclass(frozen=True)
-class DerivativeReport:
-    """Finite-difference agreement for one objective at one point."""
-
-    grad_error: float
-    hess_error: float
-    grad_ok: bool
-    hess_ok: bool
-
-
-def derivative_check(obj, x: np.ndarray, step: float = 1e-6,
-                     directions: int = 5, seed: int = 0,
-                     grad_tol: float = 1e-5,
-                     hess_tol: float = 1e-4) -> DerivativeReport:
-    """Central-difference check of grad against value and hess against grad.
-
-    Reports relative errors; never raises on disagreement.  The step must
-    stay in [1e-7, 1e-4] so truncation and cancellation both stay small.
-    """
-    if not (1e-7 <= step <= 1e-4):
-        raise ValueError("step must lie in [1e-7, 1e-4]")
-    x = np.asarray(x, dtype=float)
-    p = x.shape[0]
-    fd = np.empty(p)
-    for k in range(p):
-        e = np.zeros(p)
-        e[k] = step
-        fd[k] = (obj.value(x + e) - obj.value(x - e)) / (2.0 * step)
-    g = obj.grad(x)
-    grad_error = float(np.linalg.norm(fd - g) / (np.linalg.norm(g) + 1e-12))
-
-    h = obj.hess(x)
-    rng = np.random.default_rng(seed)
-    hess_error = 0.0
-    for _ in range(directions):
-        v = rng.standard_normal(p)
-        v /= np.linalg.norm(v)
-        hv_fd = (obj.grad(x + step * v) - obj.grad(x - step * v)) / (2.0 * step)
-        hv = h @ v
-        err = float(np.linalg.norm(hv_fd - hv) / (np.linalg.norm(hv) + 1e-12))
-        hess_error = max(hess_error, err)
-    return DerivativeReport(grad_error=grad_error, hess_error=hess_error,
-                            grad_ok=grad_error < grad_tol,
-                            hess_ok=hess_error < hess_tol)

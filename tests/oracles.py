@@ -1,0 +1,126 @@
+"""Per-node oracles for the stacked families: single-node objectives, the
+quadratic aggregate's closed-form minimizer, and a central-difference check
+of each derivative against the one below it."""
+
+from collections import namedtuple
+
+import numpy as np
+from scipy.special import expit
+
+from newtrack.objectives import LogisticDataset, LogisticFamily
+
+
+def softplus(z: np.ndarray) -> np.ndarray:
+    # log(1 + exp(z)) without overflow for large |z|.
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+class LogisticObjective:
+    """Single-node regularized logistic loss.
+
+    f(x) = reg/(2 n_total) ||x||^2 + sum_j log(1 + exp(-(o_j' x) y_j)).
+    """
+
+    def __init__(self, features: np.ndarray, labels: np.ndarray,
+                 reg: float, n_total: int):
+        self.features = np.asarray(features, dtype=float)
+        self.labels = np.asarray(labels, dtype=float)
+        self.ridge = reg / n_total
+        self.p = self.features.shape[1]
+
+    def value(self, x: np.ndarray) -> float:
+        z = (self.features @ x) * self.labels
+        return 0.5 * self.ridge * float(x @ x) + float(np.sum(softplus(-z)))
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        s = expit(-(self.features @ x) * self.labels)
+        return self.ridge * x - self.features.T @ (self.labels * s)
+
+    def hess(self, x: np.ndarray) -> np.ndarray:
+        s = expit(-(self.features @ x) * self.labels)
+        return self.ridge * np.eye(self.p) + \
+            (self.features * (s * (1.0 - s))[:, None]).T @ self.features
+
+
+class QuadraticObjective:
+    """Single-node quadratic f(x) = x'Ax/2 + b'x with symmetric PD A."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
+            raise ValueError("need square A and matching b")
+        if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
+            raise ValueError("A must be symmetric")
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError as err:
+            raise ValueError("A must be positive definite") from err
+        self.a = a
+        self.b = b
+
+    def value(self, x: np.ndarray) -> float:
+        return 0.5 * float(x @ self.a @ x) + float(self.b @ x)
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        return self.a @ x + self.b
+
+    def hess(self, x: np.ndarray) -> np.ndarray:
+        return self.a.copy()
+
+
+def make_logistic(dataset: LogisticDataset, i: int) -> LogisticObjective:
+    """Node i's objective of a logistic dataset."""
+    return LogisticObjective(dataset.features[i], dataset.labels[i],
+                             dataset.reg, dataset.n)
+
+
+def node(family, i: int):
+    """Node i's objective of a LogisticFamily or a QuadraticFamily."""
+    if isinstance(family, LogisticFamily):
+        return make_logistic(family.dataset, i)
+    return QuadraticObjective(family.a[i], family.b[i])
+
+
+def optimum(family) -> np.ndarray:
+    """Exact minimizer of a QuadraticFamily's aggregate: -(sum A_i)^-1 sum b_i."""
+    return -np.linalg.solve(family.a.sum(axis=0), family.b.sum(axis=0))
+
+
+# Finite-difference agreement for one objective at one point.
+DerivativeReport = namedtuple("DerivativeReport",
+                              "grad_error hess_error grad_ok hess_ok")
+
+
+def derivative_check(obj, x: np.ndarray, step: float = 1e-6,
+                     directions: int = 5, seed: int = 0,
+                     grad_tol: float = 1e-5,
+                     hess_tol: float = 1e-4) -> DerivativeReport:
+    """Central-difference check of grad against value and hess against grad.
+
+    Reports relative errors; never raises on disagreement.  The step must
+    stay in [1e-7, 1e-4] so truncation and cancellation both stay small.
+    """
+    if not (1e-7 <= step <= 1e-4):
+        raise ValueError("step must lie in [1e-7, 1e-4]")
+    x = np.asarray(x, dtype=float)
+    p = x.shape[0]
+    fd = np.empty(p)
+    for k in range(p):
+        e = np.zeros(p)
+        e[k] = step
+        fd[k] = (obj.value(x + e) - obj.value(x - e)) / (2.0 * step)
+    g = obj.grad(x)
+    grad_error = float(np.linalg.norm(fd - g) / (np.linalg.norm(g) + 1e-12))
+    h = obj.hess(x)
+    rng = np.random.default_rng(seed)
+    hess_error = 0.0
+    for _ in range(directions):
+        v = rng.standard_normal(p)
+        v /= np.linalg.norm(v)
+        hv_fd = (obj.grad(x + step * v) - obj.grad(x - step * v)) / (2.0 * step)
+        hv = h @ v
+        err = float(np.linalg.norm(hv_fd - hv) / (np.linalg.norm(hv) + 1e-12))
+        hess_error = max(hess_error, err)
+    return DerivativeReport(grad_error, hess_error, grad_error < grad_tol,
+                            hess_error < hess_tol)

@@ -19,11 +19,11 @@ from newtrack.analysis import (approximation_error, contraction_check,
                                lemma_remainder_check, rate_certificate)
 from newtrack.harness import preset, run_experiment, topology_sweep
 from newtrack.objectives import (LogisticFamily, QuadraticFamily,
-                                 convexity_bounds, derivative_check,
-                                 generate_logistic_data,
-                                 generate_quadratic_set, make_logistic)
+                                 convexity_bounds, generate_logistic_data,
+                                 generate_quadratic_set)
 from newtrack.topology import (build_topology, metropolis_weights,
                                spectral_stats)
+from oracles import derivative_check, make_logistic, optimum
 
 
 def criterion(num: int, ok: bool, desc: str) -> None:
@@ -110,7 +110,7 @@ def test_criterion_03_certified_contraction():
         st = pd_step(st, fam, mix.w)
         xs.append(st.x)
         vs.append(st.v)
-    x_star = fam.optimum()
+    x_star = optimum(fam)
     v_star = dual_optimum(fam, x_star, stats.root)
     rep = contraction_check(xs, vs, x_star, v_star, mix.w, cert)
 

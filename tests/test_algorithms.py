@@ -36,6 +36,7 @@ from newtrack.objectives import (LogisticFamily, QuadraticFamily,
                                  generate_quadratic_set, lower_band)
 from newtrack.topology import (build_topology, laplacian, metropolis_weights,
                                spectral_stats)
+from oracles import node, optimum
 
 
 def scalar_family(b=-1.0):
@@ -102,16 +103,16 @@ def assert_nt_matches_plain_loop(fam, mix, alpha, eps):
     n, p, w = fam.n, fam.p, mix.w
 
     x = np.zeros((n, p))
-    g = np.array([fam.node(i).grad(x[i]) for i in range(n)])
-    h = np.array([fam.node(i).hess(x[i]) + eps * np.eye(p) for i in range(n)])
+    g = np.array([node(fam, i).grad(x[i]) for i in range(n)])
+    h = np.array([node(fam, i).hess(x[i]) + eps * np.eye(p) for i in range(n)])
     u = np.array([np.linalg.solve(h[i], g[i]) for i in range(n)])
 
     st = nt_init(fam, alpha, eps)
     assert_allclose(st.u, u, atol=1e-13)
     for _ in range(50):
         x1 = x - u
-        g1 = np.array([fam.node(i).grad(x1[i]) for i in range(n)])
-        h1 = np.array([fam.node(i).hess(x1[i]) + eps * np.eye(p)
+        g1 = np.array([node(fam, i).grad(x1[i]) for i in range(n)])
+        h1 = np.array([node(fam, i).hess(x1[i]) + eps * np.eye(p)
                        for i in range(n)])
         z = 2.0 * x1 - x
         dis = alpha * (z - slow_mix(w, z))
@@ -192,7 +193,7 @@ def test_conservation_on_random_instances(n, tau, m, p, quadratic, alpha, eps,
 def test_nt_fixed_point():
     fam, _, mix = cycle_setup(seed=2)
     eps = 1.5
-    x_star = fam.optimum()
+    x_star = optimum(fam)
     tile = np.tile(x_star, (fam.n, 1))
     st = NewtonTrackingState(x=tile, q=np.zeros_like(tile),
                              u=np.zeros_like(tile), grad=fam.grad_stack(tile),
@@ -299,12 +300,12 @@ def test_gradient_tracking_matches_plain_loop():
     w, alpha = mix.w, 0.05
     n = fam.n
     x = np.zeros((n, fam.p))
-    g = np.array([fam.node(i).grad(x[i]) for i in range(n)])
+    g = np.array([node(fam, i).grad(x[i]) for i in range(n)])
     y = g.copy()
     st = gt_init(fam, alpha)
     for _ in range(50):
         x = slow_mix(w, x) - alpha * y
-        g1 = np.array([fam.node(i).grad(x[i]) for i in range(n)])
+        g1 = np.array([node(fam, i).grad(x[i]) for i in range(n)])
         y = slow_mix(w, y) + g1 - g
         g = g1
         st = gt_step(st, fam, w)
@@ -346,7 +347,7 @@ def plain_loop_cases(seed):
 
 
 def local_grads(fam, x):
-    return np.array([fam.node(i).grad(x[i]) for i in range(fam.n)])
+    return np.array([node(fam, i).grad(x[i]) for i in range(fam.n)])
 
 
 def test_extra_matches_plain_loop():
@@ -411,7 +412,7 @@ def test_dlm_matches_plain_loop():
 
 def test_baseline_fixed_points():
     fam, graph, mix = cycle_setup(seed=10)
-    tile = np.tile(fam.optimum(), (fam.n, 1))
+    tile = np.tile(optimum(fam), (fam.n, 1))
     g_star = fam.grad_stack(tile)
     zero = np.zeros_like(tile)
 
@@ -745,7 +746,7 @@ def test_centralized_reference_evaluates_each_point_once(family, monkeypatch):
 def test_centralized_reference_quadratic_and_symmetry():
     fam = generate_quadratic_set(n=4, p=3, seed=11)
     ref = centralized_reference(fam, tol=1e-13)
-    assert np.max(np.abs(ref - fam.optimum())) < 1e-12
+    assert np.max(np.abs(ref - optimum(fam))) < 1e-12
 
     ds = generate_logistic_data(n=4, m=6, p=3, reg=1e-2, seed=12)
     from newtrack.objectives import LogisticDataset
@@ -753,7 +754,7 @@ def test_centralized_reference_quadratic_and_symmetry():
                               reg=ds.reg)
     a = centralized_reference(LogisticFamily(ds))
     b = centralized_reference(LogisticFamily(flipped))
-    assert np.linalg.norm(LogisticFamily(ds).grad_total(a)) <= 1e-12
+    assert np.linalg.norm(LogisticFamily(ds).grad_curvature_total(a)[0]) <= 1e-12
     assert_allclose(a, b, atol=1e-12)
 
 
@@ -762,7 +763,7 @@ def checked_reference(family, tol=1e-12, max_iter=200):
     checked wrappers (cho_factor, cho_solve) and np.linalg.norm: an oracle
     for its direct LAPACK calls, which must match it bit for bit."""
     x = np.zeros(family.p)
-    g = family.grad_total(x)
+    g = family.grad_curvature_total(x)[0]
     for _ in range(max_iter):
         gn = np.linalg.norm(g)
         if gn <= tol:
@@ -771,7 +772,7 @@ def checked_reference(family, tol=1e-12, max_iter=200):
         step = 1.0
         while step > 1e-12:
             xn = x - step * d
-            gxn = family.grad_total(xn)
+            gxn = family.grad_curvature_total(xn)[0]
             if np.linalg.norm(gxn) <= (1.0 - 0.25 * step) * gn:
                 break
             step *= 0.5
@@ -784,8 +785,8 @@ def test_centralized_reference_is_the_checked_loop_bit_for_bit(name):
     if name == "quadratic":
         family, tol = generate_quadratic_set(n=4, p=3, seed=11), 1e-13
     else:
-        cfg = harness.preset(name)
-        family, tol = harness.build_objective(cfg).family, cfg.ref_tol
+        # The harness solves at centralized_reference's default tol.
+        family, tol = harness.build_objective(harness.preset(name)).family, 1e-12
     assert centralized_reference(family, tol=tol).tobytes() == \
         checked_reference(family, tol=tol).tobytes()
 
@@ -806,10 +807,6 @@ def test_centralized_reference_rejects_a_singular_hessian():
     # its second pivot is exactly 0, so the factorization must fail.
     class Singular:
         p = 2
-
-        @staticmethod
-        def grad_total(x):
-            return x - 1.0
 
         @staticmethod
         def grad_curvature_total(x):

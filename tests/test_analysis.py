@@ -26,6 +26,7 @@ from newtrack.objectives import (LogisticFamily, ObjectiveBounds,
                                  generate_logistic_data)
 from newtrack.topology import (build_topology, metropolis_weights,
                                spectral_stats)
+from oracles import optimum
 
 UNIT_BOUNDS = ObjectiveBounds(mu=1.0, lip=1.0)
 
@@ -182,7 +183,7 @@ def test_g_norm_error_rejects_bad_metric():
 def test_kkt_residual_at_optimum():
     fam = identity_family()
     mix, stats = complete10()
-    x_star = fam.optimum()
+    x_star = optimum(fam)
     v_star = dual_optimum(fam, x_star, stats.root)
     assert np.max(np.abs(v_star.sum(axis=0))) < 1e-10
     tile = np.tile(x_star, (10, 1))
@@ -248,7 +249,7 @@ def test_remainder_bound_on_runs():
 def test_remainder_check_stationary_trajectory():
     fam = identity_family(seed=7)
     mix, _ = complete10()
-    tile = np.tile(fam.optimum(), (10, 1))
+    tile = np.tile(optimum(fam), (10, 1))
     rep = lemma_remainder_check([tile, tile, tile], fam, mix.w, 0.5,
                                 convexity_bounds(fam))
     assert rep.passed
@@ -273,7 +274,7 @@ def test_stationarity_identity_on_run():
     mix, stats = complete10()
     alpha, eps = 0.1, 5.0
     xs, vs = pd_trajectory(fam, mix, stats, alpha, eps, iters=80)
-    x_star = fam.optimum()
+    x_star = optimum(fam)
     v_star = dual_optimum(fam, x_star, stats.root)
     rep = stationarity_identity_check(xs, vs, fam, mix.w, stats.root,
                                       alpha, eps, x_star, v_star)
@@ -301,7 +302,7 @@ def test_contraction_certified_on_reference_problem():
     mix, stats = complete10()
     alpha, eps = 0.1, 5.0
     xs, vs = pd_trajectory(fam, mix, stats, alpha, eps, iters=200)
-    x_star = fam.optimum()
+    x_star = optimum(fam)
     v_star = dual_optimum(fam, x_star, stats.root)
 
     cert = reference_certificate()
@@ -319,7 +320,7 @@ def test_contraction_check_validates_metric_once(monkeypatch):
     fam = identity_family(seed=1)
     mix, stats = complete10()
     xs, vs = pd_trajectory(fam, mix, stats, alpha=0.1, eps=5.0, iters=30)
-    x_star = fam.optimum()
+    x_star = optimum(fam)
     v_star = dual_optimum(fam, x_star, stats.root)
     cert = reference_certificate()
     calls = []
@@ -341,13 +342,13 @@ def test_contraction_check_rejects_infeasible_and_flags_growth():
     _, bad_stats = complete10()
     infeasible = rate_certificate(UNIT_BOUNDS, bad_stats, alpha=1.0, eps=0.5)
     with pytest.raises(ValueError):
-        contraction_check(xs, vs, fam.optimum(),
-                          dual_optimum(fam, fam.optimum(), stats.root),
+        contraction_check(xs, vs, optimum(fam),
+                          dual_optimum(fam, optimum(fam), stats.root),
                           mix.w, infeasible)
 
     cert = reference_certificate()
-    rep = contraction_check(xs[::-1], vs[::-1], fam.optimum(),
-                            dual_optimum(fam, fam.optimum(), stats.root),
+    rep = contraction_check(xs[::-1], vs[::-1], optimum(fam),
+                            dual_optimum(fam, optimum(fam), stats.root),
                             mix.w, cert)
     assert rep.violations > 0
 

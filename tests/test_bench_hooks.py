@@ -4,6 +4,7 @@ traced runs without failing any library test, so this test resolves every
 hook point, and checks that set-up still goes through the hooks."""
 
 import dataclasses
+import importlib
 import sys
 from pathlib import Path
 
@@ -19,16 +20,39 @@ from newtrack.topology import (build_topology, metropolis_weights,
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_every_trace_target_resolves():
+def bench_module(name: str):
+    """A module of bench/, imported by name as bench/run.py imports it."""
     sys.path.insert(0, str(BENCH))
     try:
-        import layers
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH))
+
+
+def test_every_trace_target_resolves():
+    layers = bench_module("layers")
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in layers.targets(newtrack)
                if not callable(vars(owner).get(attr))]
     assert missing == []
+
+
+def test_benchmark_workloads_pass_their_gate(tmp_path):
+    """A library change the benchmark cannot run with (a removed name, a
+    config key that no longer loads) would show there only as a failed run.
+    So replay-n10 runs once through the benchmark's own gate at data seed 1,
+    with its iterations to tolerance, and both n = 100 workloads set up."""
+    workloads = bench_module("workloads")
+    replay = workloads.make("replay-n10", None, 1, tmp_path / "bench")
+    try:
+        replay.setup()
+        result = replay.collect(replay.op())
+    finally:
+        replay.close()
+    assert result.failures == []
+    assert result.to_tol == {"nt": (855, 68400)}
+    for name in ("nt-n100", "fo-n100"):
+        workloads.make(name, None, 1, tmp_path / "bench").setup()
 
 
 def run_fig1():

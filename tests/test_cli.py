@@ -236,6 +236,25 @@ def test_certify_preset_infeasible(capsys):
     assert doc["q_min"] < 0
 
 
+@pytest.mark.parametrize("mode", ["preset", "config", "explicit"])
+def test_certify_beta_and_phi_apply_in_every_mode(capsys, tmp_path, mode):
+    # The certificate's free parameters come from the flags alone, whether
+    # the bounds and spectra come from a preset, a config file or by hand.
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(tiny_config_doc()))
+    source = {"preset": ["--preset", "fig1"], "config": ["--config", str(path)],
+              "explicit": ["--mu", "1", "--lip", "1", "--lambda-max", "1.0",
+                           "--lambda-min-nz", "1.0", "--alpha", "0.1",
+                           "--eps", "5"]}[mode]
+    rc, out, _ = run_cli(capsys, "certify", *source, "--beta", "10", "--phi", "3")
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["beta"], doc["phi"]) == (10.0, 3.0)
+    rc, _, err = run_cli(capsys, "certify", *source, "--beta", "1")
+    assert rc == 1
+    assert json.loads(err)["message"] == "beta and phi must be greater than 1"
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------

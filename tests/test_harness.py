@@ -93,8 +93,10 @@ def test_unknown_preset():
 
 
 def test_config_doc_round_trip_all_presets():
+    # to_doc is from_doc's input as it stands, and as JSON writes it.
     for name in PRESET_NAMES:
         cfg = preset(name)
+        assert RunConfig.from_doc(cfg.to_doc()) == cfg
         doc = json.loads(json.dumps(cfg.to_doc()))
         assert RunConfig.from_doc(doc) == cfg
     tiny = tiny_config()
@@ -118,7 +120,7 @@ def test_tiny_run_traces():
         assert tr.scalars_sent == [per_round * t for t in range(len(tr))]
         assert tr.rel_error[-1] < 1e-4
     assert rec.traces["nt"].rel_error[-1] < 1e-12
-    assert rec.ref_residual <= tiny_config().ref_tol
+    assert rec.ref_residual <= 1e-12  # centralized_reference's default tol
 
 
 def test_dual_metrics_only_for_curvature_tracked():
@@ -253,14 +255,20 @@ def test_unknown_algorithm_and_family():
     ({"stop_tol": -1e-6}, "stop_tol"),
     ({"stop_tol": float("inf")}, "stop_tol"),
     ({"stop_tol": float("nan")}, "stop_tol"),
-    ({"ref_tol": 0.0}, "ref_tol"),
-    ({"ref_tol": -1e-12}, "ref_tol"),
-    ({"ref_tol": float("inf")}, "ref_tol"),
-    ({"beta": 1.0}, "beta"),
-    ({"beta": 0.5}, "beta"),
-    ({"beta": float("inf")}, "beta"),
-    ({"phi": 1.0}, "phi"),
-    ({"phi": float("nan")}, "phi"),
+    ({"iters": -1}, "iters"),
+    ({"algorithms": (AlgorithmSpec("gt", alpha=0.0),)}, "algorithms[0].alpha"),
+    ({"algorithms": (AlgorithmSpec("extra", alpha=0.1, eps=0.0),)},
+     "algorithms[0].eps"),
+    ({"algorithms": (AlgorithmSpec("gt", alpha=0.1, eps=float("inf")),)},
+     "algorithms[0].eps"),
+    ({"algorithms": (AlgorithmSpec("nt", alpha=1.0, eps=1.5),
+                     AlgorithmSpec("gt", alpha=0.1),
+                     AlgorithmSpec("nt", alpha=2.0, eps=1.0))}, "algorithms[2].name"),
+    ({"topology": {"kind": "random", "n": 5, "tau": float("nan"), "seed": 7}},
+     "topology.tau"),
+    ({"data": {"family": "logistic", "p": 8, "m": 12, "rho": -1e-3}}, "data.rho"),
+    ({"data": {"family": "logistic", "p": 8, "m": 12, "rho": float("inf")}},
+     "data.rho"),
     ({"topology": {"kind": "ring", "n": 5}}, "topology.kind"),
     ({"topology": {"kind": "cycle", "n": 1}}, "topology.n"),
     ({"topology": {"kind": "cycle", "n": 0}}, "topology.n"),
@@ -295,6 +303,38 @@ def test_config_validation_names_the_field(change, field):
                 for k, v in change.items()})
     with pytest.raises(ValueError, match=re.escape(f"{field}:")):
         RunConfig.from_doc(doc)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ref_tol", 0.0), ("ref_tol", -1e-12), ("ref_tol", float("inf")),
+    ("beta", 1.0), ("beta", 0.5), ("beta", float("inf")),
+    ("phi", 1.0), ("phi", float("nan")),
+    ("stop_tl", 1e-9), ("topology.colour", "red"), ("data.sead", 2),
+    ("algorithms[0].step", 0.1),
+])
+def test_unknown_config_key_is_named(field, value):
+    # A key no spec declares fails at load naming its path: a typo such as
+    # stop_tl cannot run without its stop, and a doc that still sets a
+    # removed field (ref_tol, beta, phi) fails instead of being ignored.
+    doc = tiny_config().to_doc()
+    owners = {"": doc, "topology": doc["topology"], "data": doc["data"],
+              "algorithms[0]": doc["algorithms"][0]}
+    owner, _, key = field.rpartition(".")
+    owners[owner][key] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(field)}: unknown key"):
+        RunConfig.from_doc(doc)
+
+
+def test_a_record_with_removed_config_keys_does_not_load(tmp_path):
+    # A record written while configs carried ref_tol, beta and phi holds
+    # them under "config"; it fails to load, and its config must be re-run.
+    path = tmp_path / "record.json"
+    save_record(run_experiment(tiny_config(iters=2)), path)
+    doc = json.loads(path.read_text())
+    doc["config"].update(ref_tol=1e-12, beta=2.0, phi=2.0)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="^ref_tol: unknown key"):
+        load_record(path)
 
 
 def test_a_random_topology_with_a_pinned_file_needs_no_tau(tmp_path):
@@ -537,8 +577,8 @@ def per_round_trace(config, spec):
     target = np.tile(obj.x_star, (n, 1))
     denom = max(alg.norm(target), 1e-300)
     is_nt = spec.name == "nt"
-    cert = analysis.rate_certificate(obj.bounds, net.spectra, spec.alpha, spec.eps,
-                                     config.beta, config.phi) if is_nt else None
+    cert = analysis.rate_certificate(obj.bounds, net.spectra, spec.alpha,
+                                     spec.eps) if is_nt else None
     feasible = is_nt and cert.feasible
     if feasible:
         energy = analysis.g_norm_metric(
@@ -829,7 +869,8 @@ def test_objective_solves_x_star_on_first_read(monkeypatch):
     obj = harness.build_objective(cfg)
     assert calls == {"bounds": 1}
     x_star = obj.x_star
-    assert obj.ref_residual == float(np.linalg.norm(obj.family.grad_total(x_star)))
+    grad = obj.family.grad_curvature_total(x_star)[0]
+    assert obj.ref_residual == float(np.linalg.norm(grad))
     assert obj.x_star is x_star and calls == {"bounds": 1, "reference": 1}
 
 

@@ -1,9 +1,12 @@
 """Objective families: values, derivatives, bounds, digests.
 
 Oracle values for the logistic loss are computed directly from the data
-arrays in the tests (sum of softplus terms, expit-weighted feature sums),
-independently of the vectorized implementations under test.
+arrays in the tests (sum of softplus terms, expit-weighted feature sums)
+and by the per-node objectives of tests/oracles.py, independently of the
+vectorized implementations under test.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -16,11 +19,10 @@ from newtrack import objectives
 from newtrack.algorithms import centralized_reference
 from newtrack.objectives import (LogisticDataset, LogisticFamily,
                                  ObjectiveBounds, QuadraticFamily,
-                                 QuadraticObjective, _softplus,
-                                 convexity_bounds, derivative_check,
-                                 generate_logistic_data,
-                                 generate_quadratic_set, lower_band,
-                                 make_logistic)
+                                 convexity_bounds, generate_logistic_data,
+                                 generate_quadratic_set, lower_band)
+from oracles import (QuadraticObjective, derivative_check, make_logistic,
+                     node, optimum, softplus)
 
 
 def small_dataset(seed=1):
@@ -76,7 +78,7 @@ def test_stacked_ops_match_per_node():
     g = fam.grad_stack(x)
     h = fam.hess_stack(x)
     for i in range(ds.n):
-        obj = fam.node(i)
+        obj = node(fam, i)
         assert_allclose(g[i], obj.grad(x[i]), atol=1e-14)
         assert_allclose(h[i], obj.hess(x[i]), atol=1e-14)
 
@@ -127,9 +129,9 @@ def test_totals_are_sums_of_nodes():
     ds = small_dataset()
     fam = LogisticFamily(ds)
     x = np.full(ds.p, 0.3)
-    g = sum(fam.node(i).grad(x) for i in range(ds.n))
-    h = sum(fam.node(i).hess(x) for i in range(ds.n))
-    assert_allclose(fam.grad_total(x), g, atol=1e-13)
+    g = sum(node(fam, i).grad(x) for i in range(ds.n))
+    h = sum(node(fam, i).hess(x) for i in range(ds.n))
+    assert_allclose(fam.grad_curvature_total(x)[0], g, atol=1e-13)
     assert_allclose(fam.hess_total(x), h, atol=1e-13)
 
 
@@ -149,8 +151,8 @@ def test_label_flip_symmetry():
 
 
 def test_softplus_extremes():
-    assert _softplus(np.array(1000.0)) == 1000.0
-    assert _softplus(np.array(-1000.0)) == 0.0
+    assert softplus(np.array(1000.0)) == 1000.0
+    assert softplus(np.array(-1000.0)) == 0.0
     ds = small_dataset()
     obj = make_logistic(ds, 0)
     x = np.full(ds.p, 1e3)
@@ -182,13 +184,33 @@ def test_quadratic_validation():
         QuadraticObjective(np.eye(2), np.zeros(3))
 
 
+@pytest.mark.parametrize("case", ["asymmetric", "indefinite", "short_b"])
+def test_quadratic_family_validation(case):
+    # The family checks the whole stack at once: one bad node of four
+    # fails it, with the message its node alone would give.
+    message = {"asymmetric": "A must be symmetric",
+               "indefinite": "A must be positive definite",
+               "short_b": "need A with shape (n, p, p) and b with shape (n, p)"}[case]
+    fam = generate_quadratic_set(n=4, p=3, seed=2)
+    a, b = fam.a.copy(), fam.b
+    if case == "asymmetric":
+        a[2, 0, 1] += 1e-6
+    elif case == "indefinite":
+        a[3] = np.diag([1.0, -0.5, 2.0])
+    else:
+        b = b[:, :2]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        QuadraticFamily(a, b)
+    QuadraticFamily(fam.a, fam.b)
+
+
 def test_quadratic_family_optimum_matches_reference():
     fam = generate_quadratic_set(n=3, p=4, seed=3)
-    x_star = fam.optimum()
-    assert_allclose(fam.grad_total(x_star), np.zeros(4), atol=1e-12)
+    x_star = optimum(fam)
+    assert_allclose(fam.grad_curvature_total(x_star)[0], np.zeros(4), atol=1e-12)
     ref = centralized_reference(fam, tol=1e-13)
     assert np.max(np.abs(ref - x_star)) < 1e-10
-    assert np.linalg.norm(fam.grad_total(ref)) <= 1e-13
+    assert np.linalg.norm(fam.grad_curvature_total(ref)[0]) <= 1e-13
 
 
 def test_generate_quadratic_set_eig_range():
@@ -215,7 +237,7 @@ def test_logistic_bounds_hold_at_sampled_points():
     for _ in range(20):
         x = rng.standard_normal(ds.p) * rng.uniform(0.1, 5.0)
         for i in range(ds.n):
-            lam = np.linalg.eigvalsh(fam.node(i).hess(x))
+            lam = np.linalg.eigvalsh(node(fam, i).hess(x))
             assert lam[0] >= bounds.mu - 1e-9
             assert lam[-1] <= bounds.lip + 1e-9
 
@@ -226,7 +248,7 @@ def test_logistic_lip_at_least_curvature_at_zero():
     ds = generate_logistic_data(n=5, m=10, p=4, reg=1e-3, seed=2)
     fam = LogisticFamily(ds)
     bounds = convexity_bounds(fam)
-    worst = max(np.linalg.eigvalsh(fam.node(i).hess(np.zeros(ds.p)))[-1]
+    worst = max(np.linalg.eigvalsh(node(fam, i).hess(np.zeros(ds.p)))[-1]
                 for i in range(ds.n))
     assert bounds.lip >= worst - 1e-12
     assert bounds.lip == pytest.approx(worst, rel=1e-12)
