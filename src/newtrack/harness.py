@@ -8,12 +8,12 @@ derived, so they are the one exception to byte determinism across runs.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import functools
 import json
 import math
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -70,12 +70,7 @@ METHODS = {
 }
 
 
-def _field(doc: dict, key: str, prefix: str = "", kind: type | None = None):
-    """doc[key]; ValueError names it if absent, or if kind is given and
-    it is not one."""
-    if key not in doc:
-        raise ValueError(f"{prefix}{key}: missing")
-    return doc[key] if kind is None else _shaped(f"{prefix}{key}", doc[key], kind)
+_hints = functools.cache(typing.get_type_hints)
 
 
 def _shaped(name: str, value, kind: type):
@@ -85,26 +80,67 @@ def _shaped(name: str, value, kind: type):
     return value
 
 
-def _known(doc: dict, spec: type, prefix: str = "") -> None:
-    """ValueError naming the first key of doc that is no field of spec."""
-    names = [f.name for f in dataclasses.fields(spec)]
-    for key in doc:
-        if key not in names:
-            raise ValueError(f"{prefix}{key}: unknown key; expected one of {names}")
+def _decode(kind, value, path: str):
+    """value, the JSON entry at path, read as the annotation kind.
 
-
-def _required(doc: dict, key: str, kind: type, prefix: str = ""):
-    """doc[key] read by kind; ValueError names it."""
-    value = _field(doc, key, prefix)
+    A dataclass is read from an object holding its fields and no other
+    key, where only a field whose default is None may be absent; tuples
+    and dicts of dataclasses entry by entry; an int, float or array from
+    numbers, which a string may spell (an int takes no bool or fraction);
+    bare dicts and lists as they stand.  A ValueError names the path.
+    """
+    origin, args = typing.get_origin(kind) or kind, typing.get_args(kind)
+    if type(None) in args:  # X | None
+        return None if value is None else _decode(args[0], value, path)
+    if dataclasses.is_dataclass(kind):
+        doc, prefix = _shaped(path or "document", value, dict), path and f"{path}."
+        fields, hints = dataclasses.fields(kind), _hints(kind)
+        names = [f.name for f in fields]
+        for key in doc:
+            if key not in names:
+                raise ValueError(f"{prefix}{key}: unknown key; expected one of {names}")
+        values = {}
+        for f in fields:
+            if f.name in doc:
+                values[f.name] = _decode(hints[f.name], doc[f.name], prefix + f.name)
+            elif f.default is not None:
+                raise ValueError(f"{prefix}{f.name}: missing")
+        return kind(**values)
+    if origin is tuple:
+        return tuple(_decode(args[0], entry, f"{path}[{i}]")
+                     for i, entry in enumerate(_shaped(path, value, list)))
+    if origin is dict and args:
+        return {key: _decode(args[1], entry, f"{path}.{key}")
+                for key, entry in _shaped(path, value, dict).items()}
+    if origin in (dict, list):
+        return _shaped(path, value, origin)
+    if kind is str:
+        if not isinstance(value, str):
+            raise ValueError(f"{path}: must be a string, got {value!r}")
+        return value
+    if kind is int and (isinstance(value, bool) or
+                        isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{path}: not an integer: {value!r}")
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{prefix}{key}: not a number: {value!r}") from None
+        return np.asarray(value, dtype=float) if kind is np.ndarray else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{path}: not a number: {value!r}") from None
 
 
-def _optional(doc: dict, key: str, kind: type, prefix: str = ""):
-    """doc[key] read by kind, None if absent or null; ValueError names it."""
-    return None if doc.get(key) is None else _required(doc, key, kind, prefix)
+def _encode(value):
+    """value as a JSON document: dataclasses as objects in field order,
+    tuples and dicts entry by entry, arrays by tolist.  A list is copied
+    shallowly: its entries are numbers or None, or lists of them."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {key: _encode(entry) for key, entry in value.items()}
+    if isinstance(value, tuple):
+        return [_encode(entry) for entry in value]
+    if isinstance(value, list):
+        return list(value)
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def _at_least(name: str, value, low: int) -> None:
@@ -148,15 +184,6 @@ class TopologySpec:
             if self.seed is None:
                 raise ValueError("topology.seed: a random topology needs a seed")
 
-    @staticmethod
-    def from_doc(doc: dict) -> "TopologySpec":
-        _known(doc, TopologySpec, "topology.")
-        return TopologySpec(kind=_field(doc, "kind", "topology."),
-                            n=_required(doc, "n", int, "topology."),
-                            tau=_optional(doc, "tau", float, "topology."),
-                            seed=_optional(doc, "seed", int, "topology."),
-                            file=doc.get("file"))
-
 
 @dataclass(frozen=True)
 class DataSpec:
@@ -175,28 +202,12 @@ class DataSpec:
             _at_least("data.m", self.m, 1)
             _finite_above("data.rho", self.rho)  # mu = rho / n must be > 0
 
-    @staticmethod
-    def from_doc(doc: dict) -> "DataSpec":
-        _known(doc, DataSpec, "data.")
-        return DataSpec(family=_field(doc, "family", "data."),
-                        p=_required(doc, "p", int, "data."),
-                        m=_optional(doc, "m", int, "data."),
-                        rho=_optional(doc, "rho", float, "data."),
-                        seed=_required(doc, "seed", int, "data."))
-
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
     name: str  # "nt", "gt", "extra", "dlm"
     alpha: float
     eps: float | None = None
-
-    @staticmethod
-    def from_doc(doc: dict, prefix: str = "") -> "AlgorithmSpec":
-        _known(doc, AlgorithmSpec, prefix)
-        return AlgorithmSpec(name=_field(doc, "name", prefix),
-                             alpha=_required(doc, "alpha", float, prefix),
-                             eps=_optional(doc, "eps", float, prefix))
 
 
 @dataclass(frozen=True)
@@ -231,26 +242,13 @@ class RunConfig:
                 _finite_above(f"algorithms[{i}].eps", spec.eps)
 
     def to_doc(self) -> dict:
-        """Fields in declaration order, nested specs as dicts and the
+        """Fields in declaration order, nested specs as objects and the
         algorithms as a list; from_doc reads it back."""
-        doc = dataclasses.asdict(self)
-        doc["algorithms"] = list(doc["algorithms"])
-        return doc
+        return _encode(self)
 
     @staticmethod
     def from_doc(doc: dict) -> "RunConfig":
-        _known(doc, RunConfig)
-        return RunConfig(
-            name=_field(doc, "name"),
-            topology=TopologySpec.from_doc(_field(doc, "topology", kind=dict)),
-            data=DataSpec.from_doc(_field(doc, "data", kind=dict)),
-            algorithms=tuple(
-                AlgorithmSpec.from_doc(_shaped(f"algorithms[{i}]", a, dict),
-                                       f"algorithms[{i}].")
-                for i, a in enumerate(_field(doc, "algorithms", kind=list))),
-            iters=_required(doc, "iters", int),
-            stop_tol=_optional(doc, "stop_tol", float),
-        )
+        return _decode(RunConfig, doc, "")
 
 
 @dataclass
@@ -298,10 +296,8 @@ class ConvergenceTrace:
         return None
 
     def to_doc(self) -> dict:
-        """Fields in declaration order, each column a shallow copy (its
-        entries are numbers or None, so nothing deeper needs copying)."""
-        return {f.name: copy.copy(getattr(self, f.name))
-                for f in dataclasses.fields(self)}
+        """Fields in declaration order, each column a shallow copy."""
+        return _encode(self)
 
 
 @dataclass
@@ -314,33 +310,15 @@ class RunRecord:
     ref_residual: float
     spectra: dict
     certificates: dict
-    traces: dict
+    traces: dict[str, ConvergenceTrace]
     topology: dict
 
     def to_doc(self) -> dict:
-        return {
-            "config": self.config.to_doc(),
-            "dataset_digest": self.dataset_digest,
-            "x_star": self.x_star.tolist(),
-            "ref_residual": self.ref_residual,
-            "spectra": self.spectra,
-            "certificates": self.certificates,
-            "traces": {k: v.to_doc() for k, v in self.traces.items()},
-            "topology": self.topology,
-        }
+        return _encode(self)
 
     @staticmethod
     def from_doc(doc: dict) -> "RunRecord":
-        return RunRecord(
-            config=RunConfig.from_doc(doc["config"]),
-            dataset_digest=doc["dataset_digest"],
-            x_star=np.asarray(doc["x_star"], dtype=float),
-            ref_residual=float(doc["ref_residual"]),
-            spectra=doc["spectra"],
-            certificates=doc["certificates"],
-            traces={k: ConvergenceTrace(**v) for k, v in doc["traces"].items()},
-            topology=doc["topology"],
-        )
+        return _decode(RunRecord, doc, "")
 
 
 def save_record(record: RunRecord, path) -> None:

@@ -298,10 +298,20 @@ def topology_to_doc(graph: Graph, mix: MixingMatrix) -> dict:
 
 
 def topology_from_doc(doc: dict) -> tuple[Graph, MixingMatrix]:
-    """Inverse of topology_to_doc; re-validates all invariants."""
-    graph = Graph(n=int(doc["n"]),
-                  edges=tuple(sorted((int(i), int(j)) for i, j in doc["edges"])))
-    w = np.asarray(doc["weights"], dtype=float)
+    """Inverse of topology_to_doc; re-validates all invariants.  A key
+    that is absent, or whose value cannot be read, raises a ValueError
+    naming it."""
+    def read(key, convert):
+        if key not in doc:
+            raise ValueError(f"{key}: missing")
+        try:
+            return convert(doc[key])
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{key}: {err}") from None
+
+    graph = Graph(n=read("n", int), edges=read("edges", lambda edges: tuple(
+        sorted((int(i), int(j)) for i, j in edges))))
+    w = read("weights", lambda weights: np.asarray(weights, dtype=float))
     if w.shape != (graph.n, graph.n):
         raise ValueError("weight matrix shape does not match n")
     return graph, MixingMatrix(w=w)

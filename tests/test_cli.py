@@ -4,8 +4,10 @@ Everything runs in-process through main(argv) so stdout/stderr can be
 captured cheaply; one subprocess smoke test covers the real entry point.
 """
 
+import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,7 @@ import pytest
 import newtrack
 from newtrack.cli import main
 from newtrack.harness import (AlgorithmSpec, DataSpec, RunConfig,
-                              TopologySpec, preset)
+                              TopologySpec, load_record, preset)
 
 
 def run_cli(capsys, *argv):
@@ -310,6 +312,42 @@ def test_check_missing_record(capsys, tmp_path):
                          str(tmp_path / "absent.json"))
     assert rc == 1
     assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+DELETE = object()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("spectra", DELETE, "spectra: missing"),
+    ("extra_field", 1, "extra_field: unknown key"),
+    ("traces", [], "traces: must be an object"),
+    ("traces.nt.bogus", 1, "traces.nt.bogus: unknown key"),
+    ("traces.nt.rel_error", DELETE, "traces.nt.rel_error: missing"),
+    ("x_star", "abc", "x_star: not a number"),
+], ids=["missing", "unknown", "traces-list", "trace-key", "trace-column", "x-star"])
+def test_malformed_record_fails_at_load_naming_the_path(capsys, tmp_path, key,
+                                                        value, message):
+    # A record is read like a config: a bad key fails at load, through the
+    # library and through check, with a ValueError naming its path.
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(tiny_config_doc(iters=3)))
+    run_cli(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path / "run"))
+    record = tmp_path / "run" / "record.json"
+    doc = json.loads(record.read_text())
+    *parents, last = key.split(".")
+    owner = functools.reduce(lambda d, k: d[k], parents, doc)
+    if value is DELETE:
+        del owner[last]
+    else:
+        owner[last] = value
+    record.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        load_record(record)
+    rc, out, err = run_cli(capsys, "check", "--record", str(record))
+    assert (rc, out) == (1, "")
+    failure = json.loads(err)
+    assert failure["error"] == "ValueError"
+    assert failure["message"].startswith(message)
 
 
 # ---------------------------------------------------------------------------

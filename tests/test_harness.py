@@ -1,5 +1,6 @@
 """Experiment harness: presets, runs, exports, and the invariant checks."""
 
+import copy
 import dataclasses
 import functools
 import json
@@ -243,6 +244,11 @@ def test_unknown_algorithm_and_family():
     assert KINDS == ("line", "cycle", "complete", "random")
 
 
+# Rows that only a file can hold: the loader checks the value's type, and
+# the constructor takes Python values as given.
+DOC_ONLY = [({"topology": {"kind": "cycle", "n": 5, "file": 5}}, "topology.file")]
+
+
 @pytest.mark.parametrize("change, field", [
     ({"iters": -5}, "iters"),
     ({"algorithms": (AlgorithmSpec("admm", alpha=0.1),)}, "algorithms[0].name"),
@@ -289,14 +295,16 @@ def test_unknown_algorithm_and_family():
      "data.rho"),
     ({"topology": {"kind": "random", "n": 10, "tau": 0.01, "seed": 7}},
      "topology.tau"),
+    *DOC_ONLY,
 ])
 def test_config_validation_names_the_field(change, field):
     # Nested changes are spec fields as keywords; the constructor gets the
     # spec, the doc gets the fields (seeds filled in, as a file must).
     specs = {"topology": TopologySpec, "data": DataSpec}
-    with pytest.raises(ValueError, match=re.escape(f"{field}:")):
-        dataclasses.replace(tiny_config(), **{
-            k: specs[k](**v) if k in specs else v for k, v in change.items()})
+    if (change, field) not in DOC_ONLY:
+        with pytest.raises(ValueError, match=re.escape(f"{field}:")):
+            dataclasses.replace(tiny_config(), **{
+                k: specs[k](**v) if k in specs else v for k, v in change.items()})
     doc = json.loads(json.dumps(tiny_config().to_doc()))
     doc.update({k: [dataclasses.asdict(a) for a in v] if k == "algorithms"
                 else {"seed": 0, **v} if k == "data" else v
@@ -333,7 +341,7 @@ def test_a_record_with_removed_config_keys_does_not_load(tmp_path):
     doc = json.loads(path.read_text())
     doc["config"].update(ref_tol=1e-12, beta=2.0, phi=2.0)
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="^ref_tol: unknown key"):
+    with pytest.raises(ValueError, match=r"^config\.ref_tol: unknown key"):
         load_record(path)
 
 
@@ -376,10 +384,16 @@ def test_missing_config_key_is_named(path):
     ("algorithms", [5], "algorithms[0]: must be an object"),
     ("algorithms", [{"name": "nt", "alpha": 1.0, "eps": 1.5}, "gt"],
      "algorithms[1]: must be an object"),
+    ("topology", {"kind": "cycle", "n": 10.7}, "topology.n: not an integer: 10.7"),
+    ("iters", 2.9, "iters: not an integer: 2.9"),
+    ("iters", True, "iters: not an integer: True"),
+    ("data", {"family": "quadratic", "p": 3, "seed": 1.5},
+     "data.seed: not an integer: 1.5"),
 ])
 def test_nested_value_that_is_no_object_is_named(key, value, message):
-    # A nested value of the wrong shape fails at load naming its field, not
-    # with a TypeError from reading keys of a number.
+    # A value of the wrong shape or type fails at load naming its field, not
+    # with a TypeError from reading keys of a number; an int field takes no
+    # fraction and no bool rather than truncating it.
     doc = json.loads(json.dumps(tiny_config().to_doc()))
     doc[key] = value
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -803,6 +817,86 @@ def test_trace_doc_is_a_shallow_copy_of_the_fields():
     assert json.dumps(doc) == json.dumps(dataclasses.asdict(trace))
     doc["rel_error"].append(0.0)
     assert len(doc["rel_error"]) == len(trace) + 1
+
+
+def test_record_doc_round_trip():
+    # Every record reads back to the doc it was written as: each preset at
+    # 3 iterations, the topo-n10 sweep, a run that stops at its tolerance
+    # and one that diverges.
+    records = [run_experiment(dataclasses.replace(preset(name), iters=3))
+               for name in PRESET_NAMES]
+    records += topology_sweep(preset("topo-n10")).values()
+    records.append(run_experiment(dataclasses.replace(tiny_config(), stop_tol=1e-6)))
+    records.append(run_experiment(dataclasses.replace(preset("fig1"), algorithms=(
+        AlgorithmSpec("nt", alpha=50.0, eps=0.01),))))
+    assert {"tol", "diverged"} <= {t.status for r in records for t in r.traces.values()}
+    for record in records:
+        doc = record.to_doc()
+        assert harness.RunRecord.from_doc(json.loads(json.dumps(doc))).to_doc() == doc
+
+
+@functools.cache
+def valid_docs() -> dict:
+    """A config doc and a record doc, each with the paths of its free
+    dicts (whose keys no schema declares) and of its maps (whose keys are
+    free, each entry of one schema)."""
+    record = json.loads(json.dumps(run_experiment(tiny_config(iters=3)).to_doc()))
+    return {"config": (json.loads(json.dumps(preset("fig1").to_doc())), (), ()),
+            "record": (record, [("spectra",), ("certificates",), ("topology",)],
+                       [("traces",)])}
+
+
+def schema_keys(doc, free, path=()):
+    """Path of each key of doc, walking objects and lists of objects but
+    not the free dicts."""
+    for key, value in doc.items():
+        at = (*path, key)
+        yield at
+        if at in free:
+            continue
+        for i, entry in enumerate(value if isinstance(value, list) else [value]):
+            if isinstance(entry, dict):
+                yield from schema_keys(entry, free,
+                                       (*at, i) if isinstance(value, list) else at)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_malformed_doc_fails_at_load_naming_the_path(data):
+    # Deleting a key whose value is not null, adding a key to an object, or
+    # giving a key a value of another JSON kind fails at load with a
+    # ValueError whose message starts with that key's path, never with a
+    # KeyError, TypeError or AttributeError from the reader.
+    kind = data.draw(st.sampled_from(["config", "record"]))
+    valid, free, maps = valid_docs()[kind]
+    doc = copy.deepcopy(valid)
+
+    def at(path):
+        return functools.reduce(lambda d, k: d[k], path, doc)
+    keys = list(schema_keys(doc, free))
+    op = data.draw(st.sampled_from(["delete", "add", "retype"]))
+    if op == "delete":  # a map's entry, or an optional field, may go
+        path = data.draw(st.sampled_from(
+            [p for p in keys if at(p) is not None and p[:-1] not in maps]))
+        del at(path[:-1])[path[-1]]
+    elif op == "add":
+        owner = data.draw(st.sampled_from(
+            [()] + [p for p in keys if isinstance(at(p), dict) and p not in free]))
+        path = (*owner, "bogus")
+        at(owner)["bogus"] = 1
+    else:
+        path = data.draw(st.sampled_from(keys))
+        value = at(path)  # a null may be an optional string: "abc" would fit
+        at(path[:-1])[path[-1]] = data.draw(st.sampled_from(
+            [v for v in ({}, [], "abc")[:2 if value is None else 3]
+             if type(v) is not type(value)]))
+    load = RunConfig.from_doc if kind == "config" else harness.RunRecord.from_doc
+    with pytest.raises(ValueError) as err:
+        load(doc)
+    # A range check names its field from the config's root, in a record too.
+    name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+    assert any(re.match(f"{re.escape(n)}[.:[]", str(err.value))
+               for n in (name, name.removeprefix("config."))), (op, str(err.value))
 
 
 # ---------------------------------------------------------------------------

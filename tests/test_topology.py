@@ -380,6 +380,23 @@ def test_topology_doc_round_trip():
     assert_array_equal(mix2.w, mix.w)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", None), ("edges", None), ("weights", None),
+    ("n", "ten"), ("edges", 5), ("edges", [[0, 1, 2]]), ("weights", "abc"),
+])
+def test_topology_doc_names_a_missing_or_malformed_key(key, value):
+    # A pinned file with a key absent (None here) or unreadable fails with a
+    # ValueError naming the key, not a bare KeyError or TypeError.
+    g = build_topology("line", 4)
+    doc = topology_to_doc(g, metropolis_weights(g))
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        topology_from_doc(doc)
+
+
 def test_topology_doc_shape_mismatch():
     g = build_topology("line", 4)
     doc = topology_to_doc(g, metropolis_weights(g))
