@@ -25,7 +25,7 @@ forms of extra and dlm live on as plain-loop oracles in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpbsv, dpotrf, dpotrs
@@ -84,14 +84,15 @@ def reg_solve(family, curve, eps: float, rhs: np.ndarray) -> np.ndarray:
 # Curvature-tracked method, q-form.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NewtonTrackingState:
+class NewtonTrackingState(NamedTuple):
     """Iterate x, tracked direction q, its step u = M^{-1} q, the gradient
     at x, and scale: None where M is hess(x) + eps I (nt), else the
     constant 1 / (c_i + eps) of a fixed curvature c_i per node.
 
     q sums gradient increments and disagreement corrections, so
-    sum_i q_i = sum_i grad_i at every iteration.  Treat arrays as read-only.
+    sum_i q_i = sum_i grad_i at every iteration.  Fields cannot be
+    assigned (state._replace makes a changed copy); treat arrays as
+    read-only.
     """
 
     x: np.ndarray
@@ -195,8 +196,7 @@ def conservation_residual(state: NewtonTrackingState) -> float:
 # Primal-dual form (analysis oracle: needs the global root of I - W).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimalDualState:
+class PrimalDualState(NamedTuple):
     """Primal iterate x, dual iterate v, and the cached root of I - W."""
 
     x: np.ndarray
@@ -230,8 +230,7 @@ def pd_step(state: PrimalDualState, family, w: np.ndarray) -> PrimalDualState:
 # First-order baselines.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GradientTrackingState:
+class GradientTrackingState(NamedTuple):
     """Iterate x, tracker y of the average gradient, and the gradient at x."""
 
     x: np.ndarray

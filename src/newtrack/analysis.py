@@ -129,16 +129,27 @@ def g_norm_metric(q_mat: np.ndarray, x_star: np.ndarray, v_star: np.ndarray,
     return energy
 
 
+def step_oracles(xs, family, w: np.ndarray, alpha: float) -> tuple[list, list]:
+    """The gradient at each iterate of a trajectory and the second-order
+    remainder of each step (see approximation_error): one gradient per
+    iterate and one Hessian per step, for checks that share them."""
+    grads = [family.grad_stack(x) for x in xs]
+    remainders = []
+    for x0, x1, g0, g1 in zip(xs[:-1], xs[1:], grads[:-1], grads[1:]):
+        d = x1 - x0
+        h0 = family.hess_stack(x0)
+        remainders.append(g0 - g1 + np.einsum("npq,nq->np", h0, d)
+                          - alpha * (d - w @ d))
+    return grads, remainders
+
+
 def approximation_error(x0: np.ndarray, x1: np.ndarray, family,
                         w: np.ndarray, alpha: float) -> np.ndarray:
     """Second-order remainder e of one step from x0 to x1.
 
     e = grad(x0) - grad(x1) + hess(x0)(x1 - x0) - alpha (I - W)(x1 - x0).
     """
-    d = x1 - x0
-    h0 = family.hess_stack(x0)
-    return family.grad_stack(x0) - family.grad_stack(x1) \
-        + np.einsum("npq,nq->np", h0, d) - alpha * (d - w @ d)
+    return step_oracles([x0, x1], family, w, alpha)[1][0]
 
 
 @dataclass(frozen=True)
@@ -155,18 +166,24 @@ class BoundReport:
 
 
 def lemma_remainder_check(xs, family, w: np.ndarray, alpha: float,
-                          bounds) -> BoundReport:
+                          bounds, lam_max: float | None = None,
+                          oracles: tuple | None = None) -> BoundReport:
     """Check ||e^t|| <= kappa ||x^{t+1} - x^t|| along a trajectory.
 
     kappa = 2 lip + alpha lam_max(I - W).  `worst` is the largest
-    observed ratio ||e|| / (kappa ||dx||).
+    observed ratio ||e|| / (kappa ||dx||).  lam_max (the network's
+    spectra hold it) and oracles (step_oracles of xs) are derived here
+    when not given.
     """
-    lam_max = float(np.linalg.eigvalsh(np.eye(w.shape[0]) - w)[-1])
+    if lam_max is None:
+        lam_max = float(np.linalg.eigvalsh(np.eye(w.shape[0]) - w)[-1])
+    if oracles is None:
+        oracles = step_oracles(xs, family, w, alpha)
     kappa = 2.0 * bounds.lip + alpha * lam_max
     violations = 0
     worst = 0.0
-    for x0, x1 in zip(xs[:-1], xs[1:]):
-        e_norm = float(np.linalg.norm(approximation_error(x0, x1, family, w, alpha)))
+    for x0, x1, e in zip(xs[:-1], xs[1:], oracles[1]):
+        e_norm = float(np.linalg.norm(e))
         allowed = kappa * float(np.linalg.norm(x1 - x0))
         if e_norm > allowed * (1.0 + 1e-10) + 1e-12:
             violations += 1
@@ -178,14 +195,18 @@ def lemma_remainder_check(xs, family, w: np.ndarray, alpha: float,
 
 def stationarity_identity_check(xs, vs, family, w: np.ndarray,
                                 root: np.ndarray, alpha: float, eps: float,
-                                x_star: np.ndarray,
-                                v_star: np.ndarray) -> BoundReport:
+                                x_star: np.ndarray, v_star: np.ndarray,
+                                oracles: tuple | None = None) -> BoundReport:
     """Exact per-step identity of the primal-dual recursion.
 
     grad(x^{t+1}) - grad at consensus + root (v^{t+1} - v*)
     + eps (x^{t+1} - x^t) + e^t must vanish; the residual is reported
-    relative to the largest gradient magnitude seen.
+    relative to the largest gradient magnitude seen.  oracles
+    (step_oracles of xs) are derived here when not given.
     """
+    if oracles is None:
+        oracles = step_oracles(xs, family, w, alpha)
+    grads, remainders = oracles
     tiled = np.tile(x_star, (family.n, 1))
     g_star = family.grad_stack(tiled)
     scale = 1.0
@@ -193,10 +214,10 @@ def stationarity_identity_check(xs, vs, family, w: np.ndarray,
     violations = 0
     for t in range(len(xs) - 1):
         x0, x1 = xs[t], xs[t + 1]
-        g1 = family.grad_stack(x1)
+        g1 = grads[t + 1]
         scale = max(scale, float(np.linalg.norm(g1)))
         r = g1 - g_star + root @ (vs[t + 1] - v_star) + eps * (x1 - x0) \
-            + approximation_error(x0, x1, family, w, alpha)
+            + remainders[t]
         res = float(np.linalg.norm(r)) / scale
         worst = max(worst, res)
         if res > 1e-8:
@@ -206,17 +227,20 @@ def stationarity_identity_check(xs, vs, family, w: np.ndarray,
 
 
 def contraction_check(xs, vs, x_star: np.ndarray, v_star: np.ndarray,
-                      w: np.ndarray, cert: RateCertificate) -> BoundReport:
+                      w: np.ndarray, cert: RateCertificate,
+                      energy: Callable | None = None) -> BoundReport:
     """Certified geometric decay of the primal-dual error metric.
 
     Asserts E_{t+1} <= E_t / (1 + delta_prime) + 1e-12 at every step.
     `worst` is the largest ratio E_{t+1} / E_t observed while the energy
-    stays above rounding noise.
+    stays above rounding noise.  energy (g_norm_metric of cert's Q) is
+    derived here when not given.
     """
     if not cert.feasible:
         raise ValueError("contraction check requires a feasible certificate")
-    energy = g_norm_metric(consensus_penalty_matrix(w, cert.alpha, cert.eps),
-                           x_star, v_star, cert.alpha)
+    if energy is None:
+        energy = g_norm_metric(consensus_penalty_matrix(w, cert.alpha, cert.eps),
+                               x_star, v_star, cert.alpha)
     energies = [energy(x, v) for x, v in zip(xs, vs)]
     bound = cert.contraction
     floor = 1e-14 * max(energies[0], 1.0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -141,7 +142,10 @@ def _cmd_check(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="newtrack",
         description="Decentralized consensus optimization with curvature "

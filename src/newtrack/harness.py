@@ -80,7 +80,7 @@ def _shaped(name: str, value, kind: type):
     return value
 
 
-def _decode(kind, value, path: str):
+def _decode(kind, value, path: str, root: str = ""):
     """value, the JSON entry at path, read as the annotation kind.
 
     A dataclass is read from an object holding its fields and no other
@@ -88,10 +88,12 @@ def _decode(kind, value, path: str):
     and dicts of dataclasses entry by entry; an int, float or array from
     numbers, which a string may spell (an int takes no bool or fraction);
     bare dicts and lists as they stand.  A ValueError names the path.
+    A range check of construction names its field from the config's
+    root, so its message gains root, the path of the enclosing RunConfig.
     """
     origin, args = typing.get_origin(kind) or kind, typing.get_args(kind)
     if type(None) in args:  # X | None
-        return None if value is None else _decode(args[0], value, path)
+        return None if value is None else _decode(args[0], value, path, root)
     if dataclasses.is_dataclass(kind):
         doc, prefix = _shaped(path or "document", value, dict), path and f"{path}."
         fields, hints = dataclasses.fields(kind), _hints(kind)
@@ -99,18 +101,26 @@ def _decode(kind, value, path: str):
         for key in doc:
             if key not in names:
                 raise ValueError(f"{prefix}{key}: unknown key; expected one of {names}")
+        if kind is RunConfig:
+            root = prefix
         values = {}
         for f in fields:
             if f.name in doc:
-                values[f.name] = _decode(hints[f.name], doc[f.name], prefix + f.name)
+                values[f.name] = _decode(hints[f.name], doc[f.name], prefix + f.name,
+                                         root)
             elif f.default is not None:
                 raise ValueError(f"{prefix}{f.name}: missing")
-        return kind(**values)
+        try:
+            return kind(**values)
+        except ValueError as err:
+            if not root:
+                raise
+            raise ValueError(f"{root}{err}") from None
     if origin is tuple:
-        return tuple(_decode(args[0], entry, f"{path}[{i}]")
+        return tuple(_decode(args[0], entry, f"{path}[{i}]", root)
                      for i, entry in enumerate(_shaped(path, value, list)))
     if origin is dict and args:
-        return {key: _decode(args[1], entry, f"{path}.{key}")
+        return {key: _decode(args[1], entry, f"{path}.{key}", root)
                 for key, entry in _shaped(path, value, dict).items()}
     if origin in (dict, list):
         return _shaped(path, value, origin)
@@ -321,8 +331,31 @@ class RunRecord:
         return _decode(RunRecord, doc, "")
 
 
+def _columns(record: RunRecord) -> dict:
+    """name -> field -> JSON text of each trace's fields: the one pass that
+    formats trace values, which record.json and the CSVs both read.  A NaN
+    or infinity raises ValueError."""
+    return {name: {f.name: json.dumps(getattr(trace, f.name), allow_nan=False)
+                   for f in dataclasses.fields(trace)}
+            for name, trace in record.traces.items()}
+
+
+def _object(items) -> str:
+    """The JSON object of (key, JSON text) pairs, laid out as json.dumps does."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in items) + "}"
+
+
+def _record_text(record: RunRecord, columns: dict) -> str:
+    """json.dumps(record.to_doc(), allow_nan=False) + a newline, byte for
+    byte, with the traces assembled from their columns' texts."""
+    traces = _object((name, _object(texts.items())) for name, texts in columns.items())
+    return _object((f.name, traces if f.name == "traces" else
+                    json.dumps(_encode(getattr(record, f.name)), allow_nan=False))
+                   for f in dataclasses.fields(record)) + "\n"
+
+
 def save_record(record: RunRecord, path) -> None:
-    Path(path).write_text(json.dumps(record.to_doc(), allow_nan=False) + "\n")
+    Path(path).write_text(_record_text(record, _columns(record)))
 
 
 def load_record(path) -> RunRecord:
@@ -434,22 +467,54 @@ def build_objective(config: RunConfig) -> Objective:
     return Objective(family, family.digest(), convexity_bounds(family))
 
 
+@dataclass(frozen=True)
+class Certified:
+    """nt's rate certificate on one network and objective, with the dual
+    optimum v* and the squared error of its metric, each derived on first
+    read: a trace reads v* and the metric only under a feasible certificate,
+    and a check re-running the config reads what the re-run derived."""
+
+    net: Network
+    obj: Objective
+    spec: AlgorithmSpec
+
+    @functools.cached_property
+    def cert(self) -> analysis.RateCertificate:
+        return analysis.rate_certificate(self.obj.bounds, self.net.spectra,
+                                         self.spec.alpha, self.spec.eps)
+
+    @functools.cached_property
+    def v_star(self) -> np.ndarray:
+        return analysis.dual_optimum(self.obj.family, self.obj.x_star,
+                                     self.net.spectra.root)
+
+    @functools.cached_property
+    def energy(self) -> Callable[[np.ndarray, np.ndarray], float]:
+        alpha = self.spec.alpha
+        return analysis.g_norm_metric(
+            analysis.consensus_penalty_matrix(self.net.mix.w, alpha, self.spec.eps),
+            self.obj.x_star, self.v_star, alpha)
+
+
 def run_experiment(config: RunConfig) -> RunRecord:
     """Build the config's network and objective, run every algorithm."""
     return _run(config, build_network(config.topology), build_objective(config))
 
 
 def _run(config: RunConfig, net: Network, obj: Objective,
-         starts: dict | None = None) -> RunRecord:
+         starts: dict | None = None, derived: dict | None = None) -> RunRecord:
+    """Run every algorithm of config; `derived`, if given, receives nt's
+    Certified under "nt"."""
     certificates = {}
     traces = {}
     for spec in config.algorithms:
-        cert = None
+        certified = None
         if spec.name == "nt":
-            cert = analysis.rate_certificate(obj.bounds, net.spectra, spec.alpha,
-                                             spec.eps)
-            certificates[spec.name] = cert.to_doc()
-        traces[spec.name] = _run_algorithm(spec, net, obj, cert, config,
+            certified = Certified(net, obj, spec)
+            certificates[spec.name] = certified.cert.to_doc()
+            if derived is not None:
+                derived[spec.name] = certified
+        traces[spec.name] = _run_algorithm(spec, net, obj, certified, config,
                                            {} if starts is None else starts)
     return RunRecord(config=config, dataset_digest=obj.digest, x_star=obj.x_star,
                      ref_residual=obj.ref_residual,
@@ -477,8 +542,9 @@ def _shift(prev, states: list, names: tuple) -> list:
     return [(both[:-1], both[1:]) for both in stacks]
 
 
-def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
-                   config: RunConfig, starts: dict) -> ConvergenceTrace:
+def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
+                   certified: Certified | None, config: RunConfig,
+                   starts: dict) -> ConvergenceTrace:
     """Run one method for config.iters rounds, recording every iterate.
 
     Each round records wall_ms and rel_error, which the stop tests read:
@@ -491,7 +557,7 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
     holds the t = 0 states that read no graph, shared by runs on one
     objective.
     """
-    family, w, root = obj.family, net.mix.w, net.spectra.root
+    family, root = obj.family, net.spectra.root
     n, p = family.n, family.p
     method = METHODS[spec.name]
     step = getattr(alg, f"{spec.name}_step")
@@ -506,11 +572,9 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
     # identity and a remainder; the others record None.  The dual iterate v
     # is kept only for the metric error under a feasible certificate.
     is_nt = spec.name == "nt"
-    feasible = cert is not None and cert.feasible
+    feasible = is_nt and certified.cert.feasible
     if feasible:
-        energy = analysis.g_norm_metric(
-            analysis.consensus_penalty_matrix(w, spec.alpha, spec.eps),
-            obj.x_star, analysis.dual_optimum(family, obj.x_star, root), spec.alpha)
+        energy = certified.energy
         v = np.zeros((n, p))
     fields = ("x", "grad", "q", "u") if is_nt else ("x",)
     size = max(1, BLOCK_BYTES // (len(fields) * n * p * 8))
@@ -538,7 +602,7 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
                 dual = alg.norms(r)
                 r += spec.eps * u0
                 rem = alg.norms(r)
-                bound = [cert.kappa * d for d in alg.norms(x - x0)]
+                bound = [certified.cert.kappa * d for d in alg.norms(x - x0)]
             if feasible:
                 gnorm = []
                 for state, rx in zip(states, root_x):
@@ -575,9 +639,9 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective, cert,
         for _ in range(config.iters):
             if reached():
                 break
-            tic = time.perf_counter()
+            tic = time.perf_counter_ns()
             state = step(state, family, op)
-            wall = (time.perf_counter() - tic) * 1e3
+            wall = (time.perf_counter_ns() - tic) / 1e6
             rel = alg.norm(state.x - target) / denom
             if not math.isfinite(rel):
                 trace.status = "diverged"
@@ -637,14 +701,19 @@ def export_csv(record: RunRecord, out_dir) -> list[Path]:
     Counts print as integers, metrics by repr, their shortest round-trip
     decimal form; undefined metrics leave the cell empty.
     """
-    out_dir = Path(out_dir)
+    return _write_csvs(record, _columns(record), Path(out_dir))
+
+
+def _write_csvs(record: RunRecord, columns: dict, out_dir: Path) -> list[Path]:
+    """export_csv with each cell cut from its column's JSON text, whose
+    numbers json.dumps spells as repr does: split on ", ", null as empty."""
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for name, trace in record.traces.items():
-        columns = [range(len(trace))] + [getattr(trace, c) for c in CSV_COLUMNS[1:]]
-        lines = [",".join(CSV_COLUMNS)]
-        lines += [",".join("" if v is None else repr(v) for v in row)
-                  for row in zip(*columns)]
+        texts = columns[name]
+        cells = [map(str, range(len(trace)))] + [
+            texts[c][1:-1].replace("null", "").split(", ") for c in CSV_COLUMNS[1:]]
+        lines = [",".join(CSV_COLUMNS)] + [",".join(row) for row in zip(*cells)]
         path = out_dir / f"{name}.csv"
         path.write_text("\n".join(lines) + "\n")
         paths.append(path)
@@ -674,12 +743,14 @@ print("wrote traces.png")
 
 
 def write_outputs(record: RunRecord, out_dir) -> dict:
-    """record.json + per-algorithm CSVs + a plot stub under out_dir."""
+    """record.json + per-algorithm CSVs + a plot stub under out_dir, from
+    one formatting pass over the traces."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    columns = _columns(record)
     record_path = out_dir / "record.json"
-    save_record(record, record_path)
-    csv_paths = export_csv(record, out_dir)
+    record_path.write_text(_record_text(record, columns))
+    csv_paths = _write_csvs(record, columns, out_dir)
     stub = out_dir / "plot.py"
     stub.write_text(PLOT_STUB)
     return {"record": str(record_path),
@@ -716,7 +787,8 @@ def run_checks(record: RunRecord, window: int = 100) -> CheckReport:
     checks = {}
     config = record.config
     net, obj = build_network(config.topology), build_objective(config)
-    doc, again = record.to_doc(), _run(config, net, obj).to_doc()
+    derived = {}
+    doc, again = record.to_doc(), _run(config, net, obj, None, derived).to_doc()
     fields = [key for key in doc if key != "traces" and doc[key] != again[key]]
     columns = [f"{name}.{column}"
                for name, trace in doc["traces"].items()
@@ -727,18 +799,20 @@ def run_checks(record: RunRecord, window: int = 100) -> CheckReport:
         "passed": not (fields or columns),
         "detail": {"digest_match": "dataset_digest" not in fields,
                    "trace_match": not columns, "mismatched": fields + columns}}
-    checks.update(_replay_checks(record, net, obj, window))
+    checks.update(_replay_checks(record, net, obj, window, derived))
     return CheckReport(checks=checks)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _replay_checks(record: RunRecord, net: Network, obj: Objective,
-                   window: int) -> dict:
+                   window: int, derived: dict) -> dict:
     """Identity and bound checks over up to `window` replayed steps.
 
     Replays cover the iterates the record holds, so they stop where a
     diverged run stopped; overflow on the way there shows as failed
-    checks, not as warnings.
+    checks, not as warnings.  The remainder and stationarity checks share
+    one gradient per replayed iterate and one Hessian per step; nt's
+    certificate, v* and metric are those the re-run derived.
     """
     checks = {}
     config = record.config
@@ -766,22 +840,23 @@ def _replay_checks(record: RunRecord, net: Network, obj: Objective,
         checks["equivalence"] = {"passed": equiv_worst < 1e-8,
                                  "detail": {"worst": equiv_worst,
                                             "steps": steps}}
+        oracles = analysis.step_oracles(xs, family, mix.w, spec.alpha)
         rem = analysis.lemma_remainder_check(xs, family, mix.w, spec.alpha,
-                                             obj.bounds)
+                                             obj.bounds, spectra.lambda_max, oracles)
         checks["remainder_bound"] = {"passed": rem.passed,
                                      "detail": {"violations": rem.violations,
                                                 "worst": rem.worst}}
-        cert = analysis.rate_certificate(obj.bounds, spectra, spec.alpha, spec.eps)
-        v_star = analysis.dual_optimum(family, x_star, spectra.root)
+        certified = derived["nt"]
+        cert, v_star = certified.cert, certified.v_star
         ident = analysis.stationarity_identity_check(
             xs, vs, family, mix.w, spectra.root, spec.alpha, spec.eps,
-            x_star, v_star)
+            x_star, v_star, oracles)
         checks["stationarity_identity"] = {
             "passed": ident.passed,
             "detail": {"worst": ident.worst}}
         if cert.feasible:
             contr = analysis.contraction_check(xs, vs, x_star, v_star,
-                                               mix.w, cert)
+                                               mix.w, cert, certified.energy)
             checks["contraction"] = {
                 "passed": contr.passed,
                 "detail": {"violations": contr.violations,

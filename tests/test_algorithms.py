@@ -11,9 +11,6 @@ A q-form step takes the operator D of its method: I - W for nt and EXTRA,
 the graph Laplacian for DLM.
 """
 
-import dataclasses
-
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -410,6 +407,20 @@ def test_dlm_matches_plain_loop():
 # Fixed points of the baselines.
 # ---------------------------------------------------------------------------
 
+def test_states_cannot_be_assigned():
+    fam, graph, mix = cycle_setup(seed=10)
+    states = [nt_init(fam, 1.0, 1.5), extra_init(fam, 0.1),
+              dlm_init(fam, graph, 0.1, 0.4), gt_init(fam, 0.05),
+              pd_init(fam, spectral_stats(mix).root, 1.0, 1.5)]
+    for state in states:
+        with pytest.raises(AttributeError):
+            state.x = np.ones_like(state.x)
+        with pytest.raises(AttributeError):
+            state.t = 1
+        moved = state._replace(t=3)
+        assert (moved.t, state.t) == (3, 0) and moved.x is state.x
+
+
 def test_baseline_fixed_points():
     fam, graph, mix = cycle_setup(seed=10)
     tile = np.tile(optimum(fam), (fam.n, 1))
@@ -424,7 +435,7 @@ def test_baseline_fixed_points():
     # The q-form fixed point: x = x*, q = u = 0, grad = g*.
     for method in ("extra", "dlm"):
         st, d = qform_start(method, fam, graph, mix, 0.1, 0.4)
-        st = dataclasses.replace(st, x=tile, q=zero, u=zero, grad=g_star, t=1)
+        st = st._replace(x=tile, q=zero, u=zero, grad=g_star, t=1)
         st = nt_step(st, fam, d)
         assert np.max(np.abs(st.x - tile)) < 1e-12, method
         assert np.max(np.abs(st.u)) < 1e-12, method

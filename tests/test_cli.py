@@ -314,6 +314,23 @@ def test_check_missing_record(capsys, tmp_path):
     assert json.loads(err)["error"] == "FileNotFoundError"
 
 
+def test_main_repeats_solve_check_sweep_in_one_process(capsys, tmp_path):
+    # One process may run the commands many times over (its parser is built
+    # once); each pass prints the same documents.
+    record = str(tmp_path / "solve" / "record.json")
+    runs = []
+    for _ in range(2):
+        runs.append([run_cli(capsys, *argv) for argv in (
+            ["solve", "--preset", "fig1", "--iters", "30",
+             "--out", str(tmp_path / "solve")],
+            ["check", "--record", record, "--window", "30"],
+            ["sweep", "--preset", "topo-n10", "--iters", "30",
+             "--out", str(tmp_path / "sweep")])])
+    assert [rc for rc, _, _ in runs[0]] == [0, 0, 0]
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][1][1])["passed"] is True
+
+
 DELETE = object()
 
 
@@ -324,18 +341,24 @@ DELETE = object()
     ("traces.nt.bogus", 1, "traces.nt.bogus: unknown key"),
     ("traces.nt.rel_error", DELETE, "traces.nt.rel_error: missing"),
     ("x_star", "abc", "x_star: not a number"),
-], ids=["missing", "unknown", "traces-list", "trace-key", "trace-column", "x-star"])
+    ("config.iters", -1, "config.iters: must be >= 0"),
+    ("config.topology.n", 1, "config.topology.n: must be >= 2"),
+    ("config.algorithms.0.eps", DELETE, "config.algorithms[0].eps: 'nt' needs eps"),
+], ids=["missing", "unknown", "traces-list", "trace-key", "trace-column", "x-star",
+        "config-range", "spec-range", "needs-eps"])
 def test_malformed_record_fails_at_load_naming_the_path(capsys, tmp_path, key,
                                                         value, message):
-    # A record is read like a config: a bad key fails at load, through the
-    # library and through check, with a ValueError naming its path.
+    # A record is read like a config: a bad key, or a config value out of
+    # range, fails at load, through the library and through check, with a
+    # ValueError naming its path in the record.
     cfg = tmp_path / "tiny.json"
     cfg.write_text(json.dumps(tiny_config_doc(iters=3)))
     run_cli(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path / "run"))
     record = tmp_path / "run" / "record.json"
     doc = json.loads(record.read_text())
     *parents, last = key.split(".")
-    owner = functools.reduce(lambda d, k: d[k], parents, doc)
+    owner = functools.reduce(lambda d, k: d[int(k) if isinstance(d, list) else k],
+                             parents, doc)
     if value is DELETE:
         del owner[last]
     else:
