@@ -18,7 +18,8 @@ from .analysis import (BoundReport, RateCertificate, RateFit,
                        approximation_error, consensus_penalty_matrix,
                        contraction_check, decay_window, dual_optimum,
                        fit_linear_rate, g_norm_metric, lemma_remainder_check,
-                       rate_certificate, stationarity_identity_check)
+                       rate_certificate, stationarity_identity_check,
+                       step_oracles)
 from .harness import (AlgorithmSpec, ConvergenceTrace, DataSpec, RunConfig,
                       RunRecord, TopologySpec, export_csv, load_record,
                       preset, run_checks, run_experiment, save_record,
