@@ -165,24 +165,16 @@ class BoundReport:
         return self.violations == 0
 
 
-def lemma_remainder_check(xs, family, w: np.ndarray, alpha: float,
-                          bounds, lam_max: float | None = None,
-                          oracles: tuple | None = None) -> BoundReport:
+def lemma_remainder_check(xs, remainders, kappa: float) -> BoundReport:
     """Check ||e^t|| <= kappa ||x^{t+1} - x^t|| along a trajectory.
 
-    kappa = 2 lip + alpha lam_max(I - W).  `worst` is the largest
-    observed ratio ||e|| / (kappa ||dx||).  lam_max (the network's
-    spectra hold it) and oracles (step_oracles of xs) are derived here
-    when not given.
+    remainders are the steps' e^t (step_oracles of xs) and kappa is
+    2 lip + alpha lam_max(I - W), the certificate's.  `worst` is the
+    largest observed ratio ||e|| / (kappa ||dx||).
     """
-    if lam_max is None:
-        lam_max = float(np.linalg.eigvalsh(np.eye(w.shape[0]) - w)[-1])
-    if oracles is None:
-        oracles = step_oracles(xs, family, w, alpha)
-    kappa = 2.0 * bounds.lip + alpha * lam_max
     violations = 0
     worst = 0.0
-    for x0, x1, e in zip(xs[:-1], xs[1:], oracles[1]):
+    for x0, x1, e in zip(xs[:-1], xs[1:], remainders):
         e_norm = float(np.linalg.norm(e))
         allowed = kappa * float(np.linalg.norm(x1 - x0))
         if e_norm > allowed * (1.0 + 1e-10) + 1e-12:
@@ -193,20 +185,16 @@ def lemma_remainder_check(xs, family, w: np.ndarray, alpha: float,
                        detail={"kappa": kappa, "steps": len(xs) - 1})
 
 
-def stationarity_identity_check(xs, vs, family, w: np.ndarray,
-                                root: np.ndarray, alpha: float, eps: float,
-                                x_star: np.ndarray, v_star: np.ndarray,
-                                oracles: tuple | None = None) -> BoundReport:
+def stationarity_identity_check(xs, vs, grads, remainders, family,
+                                root: np.ndarray, eps: float,
+                                x_star: np.ndarray, v_star: np.ndarray) -> BoundReport:
     """Exact per-step identity of the primal-dual recursion.
 
     grad(x^{t+1}) - grad at consensus + root (v^{t+1} - v*)
-    + eps (x^{t+1} - x^t) + e^t must vanish; the residual is reported
-    relative to the largest gradient magnitude seen.  oracles
-    (step_oracles of xs) are derived here when not given.
+    + eps (x^{t+1} - x^t) + e^t must vanish, with grads and remainders
+    the trajectory's step_oracles; the residual is reported relative to
+    the largest gradient magnitude seen.
     """
-    if oracles is None:
-        oracles = step_oracles(xs, family, w, alpha)
-    grads, remainders = oracles
     tiled = np.tile(x_star, (family.n, 1))
     g_star = family.grad_stack(tiled)
     scale = 1.0
@@ -226,21 +214,16 @@ def stationarity_identity_check(xs, vs, family, w: np.ndarray,
                        detail={"steps": len(xs) - 1})
 
 
-def contraction_check(xs, vs, x_star: np.ndarray, v_star: np.ndarray,
-                      w: np.ndarray, cert: RateCertificate,
-                      energy: Callable | None = None) -> BoundReport:
+def contraction_check(xs, vs, energy: Callable, cert: RateCertificate) -> BoundReport:
     """Certified geometric decay of the primal-dual error metric.
 
+    energy is the squared error of the metric (g_norm_metric of cert's Q).
     Asserts E_{t+1} <= E_t / (1 + delta_prime) + 1e-12 at every step.
     `worst` is the largest ratio E_{t+1} / E_t observed while the energy
-    stays above rounding noise.  energy (g_norm_metric of cert's Q) is
-    derived here when not given.
+    stays above rounding noise.
     """
     if not cert.feasible:
         raise ValueError("contraction check requires a feasible certificate")
-    if energy is None:
-        energy = g_norm_metric(consensus_penalty_matrix(w, cert.alpha, cert.eps),
-                               x_star, v_star, cert.alpha)
     energies = [energy(x, v) for x, v in zip(xs, vs)]
     bound = cert.contraction
     floor = 1e-14 * max(energies[0], 1.0)

@@ -334,10 +334,16 @@ class RunRecord:
 def _columns(record: RunRecord) -> dict:
     """name -> field -> JSON text of each trace's fields: the one pass that
     formats trace values, which record.json and the CSVs both read.  A NaN
-    or infinity raises ValueError."""
-    return {name: {f.name: json.dumps(getattr(trace, f.name), allow_nan=False)
-                   for f in dataclasses.fields(trace)}
-            for name, trace in record.traces.items()}
+    or infinity raises ValueError naming its column."""
+    columns = {}
+    for name, trace in record.traces.items():
+        texts = columns[name] = {}
+        for f in dataclasses.fields(trace):
+            try:
+                texts[f.name] = json.dumps(getattr(trace, f.name), allow_nan=False)
+            except ValueError:
+                raise ValueError(f"traces.{name}.{f.name}: not a finite number") from None
+    return columns
 
 
 def _object(items) -> str:
@@ -472,7 +478,7 @@ class Certified:
     """nt's rate certificate on one network and objective, with the dual
     optimum v* and the squared error of its metric, each derived on first
     read: a trace reads v* and the metric only under a feasible certificate,
-    and a check re-running the config reads what the re-run derived."""
+    and a check's re-run and replay share one."""
 
     net: Network
     obj: Objective
@@ -498,24 +504,27 @@ class Certified:
 
 def run_experiment(config: RunConfig) -> RunRecord:
     """Build the config's network and objective, run every algorithm."""
-    return _run(config, build_network(config.topology), build_objective(config))
+    net, obj = build_network(config.topology), build_objective(config)
+    return _run(config, net, obj, _certified(config, net, obj), {})
+
+
+def _certified(config: RunConfig, net: Network, obj: Objective) -> Certified | None:
+    """nt's Certified on net and obj, or None when config does not run nt."""
+    return next((Certified(net, obj, spec) for spec in config.algorithms
+                 if spec.name == "nt"), None)
 
 
 def _run(config: RunConfig, net: Network, obj: Objective,
-         starts: dict | None = None, derived: dict | None = None) -> RunRecord:
-    """Run every algorithm of config; `derived`, if given, receives nt's
-    Certified under "nt"."""
+         certified: Certified | None, starts: dict) -> RunRecord:
+    """Run every algorithm of config; nt's certificate and trace read
+    `certified` (see _certified)."""
     certificates = {}
     traces = {}
     for spec in config.algorithms:
-        certified = None
         if spec.name == "nt":
-            certified = Certified(net, obj, spec)
             certificates[spec.name] = certified.cert.to_doc()
-            if derived is not None:
-                derived[spec.name] = certified
-        traces[spec.name] = _run_algorithm(spec, net, obj, certified, config,
-                                           {} if starts is None else starts)
+        traces[spec.name] = _run_algorithm(
+            spec, net, obj, certified if spec.name == "nt" else None, config, starts)
     return RunRecord(config=config, dataset_digest=obj.digest, x_star=obj.x_star,
                      ref_residual=obj.ref_residual,
                      spectra={"lambda_max": net.spectra.lambda_max,
@@ -683,7 +692,8 @@ def topology_sweep(config: RunConfig, kinds=("line", "cycle", "complete")
         raise ValueError("kinds: empty; name at least one topology kind")
     nets = {kind: build_network(c.topology) for kind, c in configs.items()}
     obj, starts = build_objective(config), {}
-    return {kind: _run(c, nets[kind], obj, starts) for kind, c in configs.items()}
+    return {kind: _run(c, nets[kind], obj, _certified(c, nets[kind], obj), starts)
+            for kind, c in configs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -787,8 +797,8 @@ def run_checks(record: RunRecord, window: int = 100) -> CheckReport:
     checks = {}
     config = record.config
     net, obj = build_network(config.topology), build_objective(config)
-    derived = {}
-    doc, again = record.to_doc(), _run(config, net, obj, None, derived).to_doc()
+    certified = _certified(config, net, obj)
+    doc, again = record.to_doc(), _run(config, net, obj, certified, {}).to_doc()
     fields = [key for key in doc if key != "traces" and doc[key] != again[key]]
     columns = [f"{name}.{column}"
                for name, trace in doc["traces"].items()
@@ -799,20 +809,20 @@ def run_checks(record: RunRecord, window: int = 100) -> CheckReport:
         "passed": not (fields or columns),
         "detail": {"digest_match": "dataset_digest" not in fields,
                    "trace_match": not columns, "mismatched": fields + columns}}
-    checks.update(_replay_checks(record, net, obj, window, derived))
+    checks.update(_replay_checks(record, net, obj, window, certified))
     return CheckReport(checks=checks)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _replay_checks(record: RunRecord, net: Network, obj: Objective,
-                   window: int, derived: dict) -> dict:
+                   window: int, certified: Certified | None) -> dict:
     """Identity and bound checks over up to `window` replayed steps.
 
     Replays cover the iterates the record holds, so they stop where a
     diverged run stopped; overflow on the way there shows as failed
     checks, not as warnings.  The remainder and stationarity checks share
     one gradient per replayed iterate and one Hessian per step; nt's
-    certificate, v* and metric are those the re-run derived.
+    certificate, v* and metric are `certified`'s, as in the re-run.
     """
     checks = {}
     config = record.config
@@ -840,23 +850,20 @@ def _replay_checks(record: RunRecord, net: Network, obj: Objective,
         checks["equivalence"] = {"passed": equiv_worst < 1e-8,
                                  "detail": {"worst": equiv_worst,
                                             "steps": steps}}
-        oracles = analysis.step_oracles(xs, family, mix.w, spec.alpha)
-        rem = analysis.lemma_remainder_check(xs, family, mix.w, spec.alpha,
-                                             obj.bounds, spectra.lambda_max, oracles)
+        cert, v_star = certified.cert, certified.v_star
+        grads, remainders = analysis.step_oracles(xs, family, mix.w, spec.alpha)
+        rem = analysis.lemma_remainder_check(xs, remainders, cert.kappa)
         checks["remainder_bound"] = {"passed": rem.passed,
                                      "detail": {"violations": rem.violations,
                                                 "worst": rem.worst}}
-        certified = derived["nt"]
-        cert, v_star = certified.cert, certified.v_star
         ident = analysis.stationarity_identity_check(
-            xs, vs, family, mix.w, spectra.root, spec.alpha, spec.eps,
-            x_star, v_star, oracles)
+            xs, vs, grads, remainders, family, spectra.root, spec.eps,
+            x_star, v_star)
         checks["stationarity_identity"] = {
             "passed": ident.passed,
             "detail": {"worst": ident.worst}}
         if cert.feasible:
-            contr = analysis.contraction_check(xs, vs, x_star, v_star,
-                                               mix.w, cert, certified.energy)
+            contr = analysis.contraction_check(xs, vs, certified.energy, cert)
             checks["contraction"] = {
                 "passed": contr.passed,
                 "detail": {"violations": contr.violations,

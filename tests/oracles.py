@@ -7,6 +7,7 @@ from collections import namedtuple
 import numpy as np
 from scipy.special import expit
 
+from newtrack.analysis import lemma_remainder_check, step_oracles
 from newtrack.objectives import LogisticDataset, LogisticFamily
 
 
@@ -80,6 +81,15 @@ def node(family, i: int):
     if isinstance(family, LogisticFamily):
         return make_logistic(family.dataset, i)
     return QuadraticObjective(family.a[i], family.b[i])
+
+
+def remainder_report(xs, family, w: np.ndarray, alpha: float, bounds):
+    """lemma_remainder_check of a trajectory: its remainders from
+    step_oracles, kappa = 2 lip + alpha lam_max(I - W) with lam_max from
+    an eigvalsh of its own, independent of the network's spectra."""
+    lam_max = float(np.linalg.eigvalsh(np.eye(w.shape[0]) - w)[-1])
+    _, remainders = step_oracles(xs, family, w, alpha)
+    return lemma_remainder_check(xs, remainders, 2.0 * bounds.lip + alpha * lam_max)
 
 
 def optimum(family) -> np.ndarray:

@@ -14,16 +14,16 @@ import pytest
 
 from newtrack import analysis
 from newtrack.algorithms import nt_init, nt_step, pd_init, pd_step
-from newtrack.analysis import (approximation_error, contraction_check,
-                               decay_window, dual_optimum, fit_linear_rate,
-                               lemma_remainder_check, rate_certificate)
+from newtrack.analysis import (approximation_error, consensus_penalty_matrix,
+                               contraction_check, decay_window, dual_optimum,
+                               fit_linear_rate, g_norm_metric, rate_certificate)
 from newtrack.harness import preset, run_experiment, topology_sweep
 from newtrack.objectives import (LogisticFamily, QuadraticFamily,
                                  convexity_bounds, generate_logistic_data,
                                  generate_quadratic_set)
 from newtrack.topology import (build_topology, metropolis_weights,
                                spectral_stats)
-from oracles import derivative_check, make_logistic, optimum
+from oracles import derivative_check, make_logistic, optimum, remainder_report
 
 
 def criterion(num: int, ok: bool, desc: str) -> None:
@@ -112,7 +112,9 @@ def test_criterion_03_certified_contraction():
         vs.append(st.v)
     x_star = optimum(fam)
     v_star = dual_optimum(fam, x_star, stats.root)
-    rep = contraction_check(xs, vs, x_star, v_star, mix.w, cert)
+    energy = g_norm_metric(consensus_penalty_matrix(mix.w, alpha, eps),
+                           x_star, v_star, alpha)
+    rep = contraction_check(xs, vs, energy, cert)
 
     ok = (cert.feasible and abs(cert.delta - 0.18367) < 5e-6
           and rep.violations == 0)
@@ -140,13 +142,11 @@ def test_criterion_04_remainder_bound():
     qfam = generate_quadratic_set(n=5, p=3, seed=2)
     qmix = metropolis_weights(build_topology("cycle", 5))
     qxs, qgap = run_nt(qfam, qmix, 0.8, 1.2, 100)
-    qrep = lemma_remainder_check(qxs, qfam, qmix.w, 0.8,
-                                 convexity_bounds(qfam))
+    qrep = remainder_report(qxs, qfam, qmix.w, 0.8, convexity_bounds(qfam))
 
     lfam, lmix = fig1_problem()
     lxs, lgap = run_nt(lfam, lmix, 3.3, 3.0, 100)
-    lrep = lemma_remainder_check(lxs, lfam, lmix.w, 3.3,
-                                 convexity_bounds(lfam))
+    lrep = remainder_report(lxs, lfam, lmix.w, 3.3, convexity_bounds(lfam))
 
     ok = qrep.violations == 0 and lrep.violations == 0 \
         and qgap < 1e-10 and lgap < 1e-10

@@ -14,19 +14,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from newtrack import analysis
 from newtrack.algorithms import pd_init, pd_step
 from newtrack.analysis import (approximation_error, consensus_penalty_matrix,
                                contraction_check, decay_window, dual_optimum,
                                fit_linear_rate, g_norm_metric,
-                               lemma_remainder_check, rate_certificate,
-                               stationarity_identity_check)
+                               rate_certificate, stationarity_identity_check,
+                               step_oracles)
 from newtrack.objectives import (LogisticFamily, ObjectiveBounds,
                                  QuadraticFamily, convexity_bounds,
                                  generate_logistic_data)
 from newtrack.topology import (build_topology, metropolis_weights,
                                spectral_stats)
-from oracles import optimum
+from oracles import optimum, remainder_report
 
 UNIT_BOUNDS = ObjectiveBounds(mu=1.0, lip=1.0)
 
@@ -41,6 +40,12 @@ def identity_family(n=10, p=3, seed=0):
     rng = np.random.default_rng(seed)
     a = np.tile(np.eye(p), (n, 1, 1))
     return QuadraticFamily(a, rng.standard_normal((n, p)))
+
+
+def metric(mix, cert, x_star, v_star):
+    """The squared error of cert's metric on mix, for contraction_check."""
+    return g_norm_metric(consensus_penalty_matrix(mix.w, cert.alpha, cert.eps),
+                         x_star, v_star, cert.alpha)
 
 
 def reference_certificate(beta=2.0, phi=2.0):
@@ -231,7 +236,7 @@ def test_remainder_bound_on_runs():
     fam = identity_family(seed=5)
     mix, stats = complete10()
     xs, _ = pd_trajectory(fam, mix, stats, alpha=0.1, eps=5.0, iters=60)
-    rep = lemma_remainder_check(xs, fam, mix.w, 0.1, convexity_bounds(fam))
+    rep = remainder_report(xs, fam, mix.w, 0.1, convexity_bounds(fam))
     assert rep.passed
     assert rep.worst <= 1.0 + 1e-10
     assert rep.detail["steps"] == 60
@@ -241,8 +246,7 @@ def test_remainder_bound_on_runs():
     lmix = metropolis_weights(build_topology("cycle", 6))
     lstats = spectral_stats(lmix)
     lxs, _ = pd_trajectory(lfam, lmix, lstats, alpha=1.0, eps=1.0, iters=60)
-    lrep = lemma_remainder_check(lxs, lfam, lmix.w, 1.0,
-                                 convexity_bounds(lfam))
+    lrep = remainder_report(lxs, lfam, lmix.w, 1.0, convexity_bounds(lfam))
     assert lrep.passed
 
 
@@ -250,8 +254,8 @@ def test_remainder_check_stationary_trajectory():
     fam = identity_family(seed=7)
     mix, _ = complete10()
     tile = np.tile(optimum(fam), (10, 1))
-    rep = lemma_remainder_check([tile, tile, tile], fam, mix.w, 0.5,
-                                convexity_bounds(fam))
+    rep = remainder_report([tile, tile, tile], fam, mix.w, 0.5,
+                           convexity_bounds(fam))
     assert rep.passed
     assert rep.worst == 0.0
 
@@ -263,8 +267,8 @@ def test_remainder_check_flags_understated_bounds():
     fam = LogisticFamily(ds)
     mix = metropolis_weights(build_topology("cycle", 4))
     xs = [np.zeros((4, 3)), np.full((4, 3), 50.0)]
-    rep = lemma_remainder_check(xs, fam, mix.w, 1e-6,
-                                ObjectiveBounds(mu=1e-12, lip=1e-12))
+    rep = remainder_report(xs, fam, mix.w, 1e-6,
+                           ObjectiveBounds(mu=1e-12, lip=1e-12))
     assert rep.violations >= 1
     assert rep.worst > 1.0
 
@@ -276,8 +280,9 @@ def test_stationarity_identity_on_run():
     xs, vs = pd_trajectory(fam, mix, stats, alpha, eps, iters=80)
     x_star = optimum(fam)
     v_star = dual_optimum(fam, x_star, stats.root)
-    rep = stationarity_identity_check(xs, vs, fam, mix.w, stats.root,
-                                      alpha, eps, x_star, v_star)
+    grads, remainders = step_oracles(xs, fam, mix.w, alpha)
+    rep = stationarity_identity_check(xs, vs, grads, remainders, fam,
+                                      stats.root, eps, x_star, v_star)
     assert rep.passed
     assert rep.worst < 1e-8
 
@@ -288,8 +293,8 @@ def test_stationarity_identity_on_run():
         bad = v.copy()
         bad[0] += 0.1
         bad_vs.append(bad)
-    rep_bad = stationarity_identity_check(xs, bad_vs, fam, mix.w, stats.root,
-                                          alpha, eps, x_star, v_star)
+    rep_bad = stationarity_identity_check(xs, bad_vs, grads, remainders, fam,
+                                          stats.root, eps, x_star, v_star)
     assert rep_bad.violations > 0
 
 
@@ -306,14 +311,15 @@ def test_contraction_certified_on_reference_problem():
     v_star = dual_optimum(fam, x_star, stats.root)
 
     cert = reference_certificate()
-    rep = contraction_check(xs, vs, x_star, v_star, mix.w, cert)
+    rep = contraction_check(xs, vs, metric(mix, cert, x_star, v_star), cert)
     assert rep.violations == 0
     assert rep.worst <= cert.contraction
     energies = rep.detail["energies"]
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
 
     loose = reference_certificate(beta=10.0, phi=10.0)
-    assert contraction_check(xs, vs, x_star, v_star, mix.w, loose).passed
+    assert contraction_check(xs, vs, metric(mix, loose, x_star, v_star),
+                             loose).passed
 
 
 def test_contraction_check_validates_metric_once(monkeypatch):
@@ -323,12 +329,14 @@ def test_contraction_check_validates_metric_once(monkeypatch):
     x_star = optimum(fam)
     v_star = dual_optimum(fam, x_star, stats.root)
     cert = reference_certificate()
+    # Q's eigvalsh runs once, where the metric is built, not per energy.
     calls = []
-    real = analysis.g_norm_metric
-    monkeypatch.setattr(analysis, "g_norm_metric",
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda *args: calls.append(args) or real(*args))
-    rep = contraction_check(xs, vs, x_star, v_star, mix.w, cert)
+    rep = contraction_check(xs, vs, metric(mix, cert, x_star, v_star), cert)
     assert len(calls) == 1
+    monkeypatch.undo()
     q_mat = consensus_penalty_matrix(mix.w, cert.alpha, cert.eps)
     assert rep.detail["energies"] == [
         g_norm_metric(q_mat, x_star, v_star, cert.alpha)(x, v)
@@ -341,15 +349,13 @@ def test_contraction_check_rejects_infeasible_and_flags_growth():
     xs, vs = pd_trajectory(fam, mix, stats, alpha=0.1, eps=5.0, iters=30)
     _, bad_stats = complete10()
     infeasible = rate_certificate(UNIT_BOUNDS, bad_stats, alpha=1.0, eps=0.5)
-    with pytest.raises(ValueError):
-        contraction_check(xs, vs, optimum(fam),
-                          dual_optimum(fam, optimum(fam), stats.root),
-                          mix.w, infeasible)
-
     cert = reference_certificate()
-    rep = contraction_check(xs[::-1], vs[::-1], optimum(fam),
-                            dual_optimum(fam, optimum(fam), stats.root),
-                            mix.w, cert)
+    energy = metric(mix, cert, optimum(fam),
+                    dual_optimum(fam, optimum(fam), stats.root))
+    with pytest.raises(ValueError):
+        contraction_check(xs, vs, energy, infeasible)
+
+    rep = contraction_check(xs[::-1], vs[::-1], energy, cert)
     assert rep.violations > 0
 
 

@@ -873,12 +873,16 @@ def test_outputs_are_the_docs_bytes(tmp_path):
 def test_a_nan_in_a_trace_fails_before_any_record_is_written(tmp_path, column):
     rec = run_experiment(tiny_config(iters=4))
     getattr(rec.traces["nt"], column)[2] = math.nan
-    with pytest.raises(ValueError, match="not JSON compliant"):
+    message = rf"^traces\.nt\.{column}: not a finite number$"
+    with pytest.raises(ValueError, match=message):
         write_outputs(rec, tmp_path / "run")
-    with pytest.raises(ValueError, match="not JSON compliant"):
+    with pytest.raises(ValueError, match=message):
         save_record(rec, tmp_path / "saved.json")
+    with pytest.raises(ValueError, match=message):
+        export_csv(rec, tmp_path / "csv")
     assert not (tmp_path / "run" / "record.json").exists()
     assert not (tmp_path / "saved.json").exists()
+    assert not (tmp_path / "csv").exists()
 
 
 @functools.cache
