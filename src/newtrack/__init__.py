@@ -10,16 +10,14 @@ with CLI entry points.
 """
 
 from .algorithms import (GradientTrackingState, NewtonTrackingState,
-                         PrimalDualState, centralized_reference,
-                         conservation_residual, dlm_init, dlm_step,
-                         extra_init, extra_step, gt_init, gt_step, nt_init,
-                         nt_step, pd_init, pd_step, reg_solve)
+                         PrimalDualState, centralized_reference, dlm_init,
+                         dlm_step, extra_init, extra_step, gt_init, gt_step,
+                         nt_init, nt_step, pd_init, pd_step, reg_solve)
 from .analysis import (BoundReport, RateCertificate, RateFit,
-                       approximation_error, consensus_penalty_matrix,
-                       contraction_check, decay_window, dual_optimum,
-                       fit_linear_rate, g_norm_metric, lemma_remainder_check,
-                       rate_certificate, stationarity_identity_check,
-                       step_oracles)
+                       consensus_penalty_matrix, contraction_check,
+                       decay_window, dual_optimum, fit_linear_rate,
+                       g_norm_metric, lemma_remainder_check, rate_certificate,
+                       stationarity_identity_check)
 from .harness import (AlgorithmSpec, ConvergenceTrace, DataSpec, RunConfig,
                       RunRecord, TopologySpec, export_csv, load_record,
                       preset, run_checks, run_experiment, save_record,

@@ -187,11 +187,6 @@ def conservation_residuals(q: np.ndarray, grad: np.ndarray) -> list:
     return [a / (b + 1.0) for a, b in zip(norms(q.sum(axis=-2) - rhs), norms(rhs))]
 
 
-def conservation_residual(state: NewtonTrackingState) -> float:
-    """Relative defect of sum_i q_i = sum_i grad_i."""
-    return conservation_residuals(state.q[None], state.grad[None])[0]
-
-
 # ---------------------------------------------------------------------------
 # Primal-dual form (analysis oracle: needs the global root of I - W).
 # ---------------------------------------------------------------------------
@@ -264,12 +259,11 @@ def gt_step(state: GradientTrackingState, family,
                                  t=state.t + 1)
 
 
-def centralized_reference(family, tol: float = 1e-12,
-                          max_iter: int = 200) -> np.ndarray:
+def centralized_reference(family, tol: float = 1e-12) -> np.ndarray:
     """High-accuracy minimizer of sum_i f_i via damped Newton.
 
     Backtracks on the gradient norm; returns x with
-    ||sum_i grad f_i(x)|| <= tol.  Each point's gradient comes with its
+    ||sum_i grad f_i(x)|| <= tol within 200 Newton steps.  Each point's gradient comes with its
     curvature weights, which the Hessian at an accepted point reuses.
     Each Newton system is factored and solved by LAPACK directly (dpotrf,
     dpotrs: what cho_factor and cho_solve call, without their argument
@@ -277,7 +271,7 @@ def centralized_reference(family, tol: float = 1e-12,
     """
     x = np.zeros(family.p)
     g, curve = family.grad_curvature_total(x)
-    for _ in range(max_iter):
+    for _ in range(200):
         gn = norm(g)
         if gn <= tol:
             return x

@@ -129,29 +129,6 @@ def g_norm_metric(q_mat: np.ndarray, x_star: np.ndarray, v_star: np.ndarray,
     return energy
 
 
-def step_oracles(xs, family, w: np.ndarray, alpha: float) -> tuple[list, list]:
-    """The gradient at each iterate of a trajectory and the second-order
-    remainder of each step (see approximation_error): one gradient per
-    iterate and one Hessian per step, for checks that share them."""
-    grads = [family.grad_stack(x) for x in xs]
-    remainders = []
-    for x0, x1, g0, g1 in zip(xs[:-1], xs[1:], grads[:-1], grads[1:]):
-        d = x1 - x0
-        h0 = family.hess_stack(x0)
-        remainders.append(g0 - g1 + np.einsum("npq,nq->np", h0, d)
-                          - alpha * (d - w @ d))
-    return grads, remainders
-
-
-def approximation_error(x0: np.ndarray, x1: np.ndarray, family,
-                        w: np.ndarray, alpha: float) -> np.ndarray:
-    """Second-order remainder e of one step from x0 to x1.
-
-    e = grad(x0) - grad(x1) + hess(x0)(x1 - x0) - alpha (I - W)(x1 - x0).
-    """
-    return step_oracles([x0, x1], family, w, alpha)[1][0]
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Outcome of an inequality check along a trajectory."""
@@ -165,66 +142,69 @@ class BoundReport:
         return self.violations == 0
 
 
-def lemma_remainder_check(xs, remainders, kappa: float) -> BoundReport:
+def lemma_remainder_check(norms, bounds) -> BoundReport:
     """Check ||e^t|| <= kappa ||x^{t+1} - x^t|| along a trajectory.
 
-    remainders are the steps' e^t (step_oracles of xs) and kappa is
-    2 lip + alpha lam_max(I - W), the certificate's.  `worst` is the
-    largest observed ratio ||e|| / (kappa ||dx||).
+    norms are the steps' ||e^t|| and bounds their kappa ||x^{t+1} - x^t||,
+    with kappa = 2 lip + alpha lam_max(I - W), the certificate's: a trace's
+    remainder_norm and remainder_bound past t = 0.  `worst` is the largest
+    observed ratio ||e|| / (kappa ||dx||).
     """
     violations = 0
     worst = 0.0
-    for x0, x1, e in zip(xs[:-1], xs[1:], remainders):
-        e_norm = float(np.linalg.norm(e))
-        allowed = kappa * float(np.linalg.norm(x1 - x0))
+    for e_norm, allowed in zip(norms, bounds):
         if e_norm > allowed * (1.0 + 1e-10) + 1e-12:
             violations += 1
         if allowed > 0:
             worst = max(worst, e_norm / allowed)
     return BoundReport(violations=violations, worst=worst,
-                       detail={"kappa": kappa, "steps": len(xs) - 1})
+                       detail={"steps": len(norms)})
 
 
-def stationarity_identity_check(xs, vs, grads, remainders, family,
-                                root: np.ndarray, eps: float,
-                                x_star: np.ndarray, v_star: np.ndarray) -> BoundReport:
+def stationarity_identity_check(xs, vs, family, w: np.ndarray, root: np.ndarray,
+                                alpha: float, eps: float, x_star: np.ndarray,
+                                v_star: np.ndarray) -> BoundReport:
     """Exact per-step identity of the primal-dual recursion.
 
     grad(x^{t+1}) - grad at consensus + root (v^{t+1} - v*)
-    + eps (x^{t+1} - x^t) + e^t must vanish, with grads and remainders
-    the trajectory's step_oracles; the residual is reported relative to
-    the largest gradient magnitude seen.
+    + eps (x^{t+1} - x^t) + e^t must vanish, with e^t the step's
+    second-order remainder grad(x^t) - grad(x^{t+1}) + hess(x^t) dx
+    - alpha (I - W) dx: one gradient per iterate and one Hessian per step.
+    The residual is reported relative to the largest gradient magnitude seen.
     """
-    tiled = np.tile(x_star, (family.n, 1))
-    g_star = family.grad_stack(tiled)
+    g_star = family.grad_stack(np.tile(x_star, (family.n, 1)))
+    g0 = family.grad_stack(xs[0])
     scale = 1.0
     worst = 0.0
     violations = 0
     for t in range(len(xs) - 1):
         x0, x1 = xs[t], xs[t + 1]
-        g1 = grads[t + 1]
+        g1 = family.grad_stack(x1)
+        d = x1 - x0
+        e = g0 - g1 + np.einsum("npq,nq->np", family.hess_stack(x0), d) \
+            - alpha * (d - w @ d)
         scale = max(scale, float(np.linalg.norm(g1)))
-        r = g1 - g_star + root @ (vs[t + 1] - v_star) + eps * (x1 - x0) \
-            + remainders[t]
+        r = g1 - g_star + root @ (vs[t + 1] - v_star) + eps * d + e
         res = float(np.linalg.norm(r)) / scale
         worst = max(worst, res)
         if res > 1e-8:
             violations += 1
+        g0 = g1
     return BoundReport(violations=violations, worst=worst,
                        detail={"steps": len(xs) - 1})
 
 
-def contraction_check(xs, vs, energy: Callable, cert: RateCertificate) -> BoundReport:
+def contraction_check(energies, cert: RateCertificate) -> BoundReport:
     """Certified geometric decay of the primal-dual error metric.
 
-    energy is the squared error of the metric (g_norm_metric of cert's Q).
-    Asserts E_{t+1} <= E_t / (1 + delta_prime) + 1e-12 at every step.
-    `worst` is the largest ratio E_{t+1} / E_t observed while the energy
-    stays above rounding noise.
+    energies are the squared errors of the metric (g_norm_metric of cert's
+    Q) along a trajectory: a feasible trace's gnorm_error.  Asserts
+    E_{t+1} <= E_t / (1 + delta_prime) + 1e-12 at every step.  `worst` is
+    the largest ratio E_{t+1} / E_t observed while the energy stays above
+    rounding noise.
     """
     if not cert.feasible:
         raise ValueError("contraction check requires a feasible certificate")
-    energies = [energy(x, v) for x, v in zip(xs, vs)]
     bound = cert.contraction
     floor = 1e-14 * max(energies[0], 1.0)
     violations = 0

@@ -478,7 +478,7 @@ class Certified:
     """nt's rate certificate on one network and objective, with the dual
     optimum v* and the squared error of its metric, each derived on first
     read: a trace reads v* and the metric only under a feasible certificate,
-    and a check's re-run and replay share one."""
+    and a check's re-run and replay share one certificate and v*."""
 
     net: Network
     obj: Objective
@@ -788,9 +788,8 @@ def run_checks(record: RunRecord, window: int = 100) -> CheckReport:
     """Re-derive everything the record claims and test the core identities.
 
     Re-runs the config and compares every record field but the wall-clock
-    column (determinism), then replays short trajectories to test
-    conservation, formulation equivalence, the remainder bound, the
-    per-step stationarity identity, and (when certified) contraction.
+    column, a trace for each configured method included (determinism);
+    the other checks read that re-run (see _replay_checks).
     """
     if window < 0:
         raise ValueError(f"window: must be >= 0, got {window}")
@@ -798,72 +797,69 @@ def run_checks(record: RunRecord, window: int = 100) -> CheckReport:
     config = record.config
     net, obj = build_network(config.topology), build_objective(config)
     certified = _certified(config, net, obj)
-    doc, again = record.to_doc(), _run(config, net, obj, certified, {}).to_doc()
+    rerun = _run(config, net, obj, certified, {})
+    doc, again = record.to_doc(), rerun.to_doc()
     fields = [key for key in doc if key != "traces" and doc[key] != again[key]]
-    columns = [f"{name}.{column}"
-               for name, trace in doc["traces"].items()
-               for column, values in trace.items()
-               if column != "wall_ms"
-               and again["traces"].get(name, {}).get(column) != values]
+    columns = [name for name in again["traces"] if name not in doc["traces"]] + [
+        f"{name}.{column}"
+        for name, trace in doc["traces"].items()
+        for column, values in trace.items()
+        if column != "wall_ms"
+        and again["traces"].get(name, {}).get(column) != values]
     checks["determinism"] = {
         "passed": not (fields or columns),
         "detail": {"digest_match": "dataset_digest" not in fields,
                    "trace_match": not columns, "mismatched": fields + columns}}
-    checks.update(_replay_checks(record, net, obj, window, certified))
+    checks.update(_replay_checks(rerun, net, obj, window, certified))
     return CheckReport(checks=checks)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _replay_checks(record: RunRecord, net: Network, obj: Objective,
+def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
                    window: int, certified: Certified | None) -> dict:
-    """Identity and bound checks over up to `window` replayed steps.
+    """Identity and bound checks over up to `window` steps of the re-run.
 
-    Replays cover the iterates the record holds, so they stop where a
-    diverged run stopped; overflow on the way there shows as failed
-    checks, not as warnings.  The remainder and stationarity checks share
-    one gradient per replayed iterate and one Hessian per step; nt's
-    certificate, v* and metric are `certified`'s, as in the re-run.
+    nt's conservation, remainder and contraction checks bound its trace's
+    tracking_residual, remainder_norm / remainder_bound and gnorm_error,
+    which determinism compares with the record's.  Equivalence and the
+    stationarity identity replay nt and its primal-dual form, tracker_mean
+    replays gt, each over the iterates the trace holds: a diverged run's
+    overflow shows as failed checks, not as warnings.
     """
     checks = {}
-    config = record.config
-    mix, spectra = net.mix, net.spectra
-    family, x_star = obj.family, obj.x_star
-
-    specs = {s.name: s for s in config.algorithms}
+    mix, spectra, family = net.mix, net.spectra, obj.family
+    specs = {s.name: s for s in rerun.config.algorithms}
     if "nt" in specs:
-        spec = specs["nt"]
-        steps = min(len(record.traces["nt"]) - 1, window)
+        spec, trace = specs["nt"], rerun.traces["nt"]
+        steps = min(len(trace) - 1, window)
+        cert = certified.cert
+        cons = max(trace.tracking_residual[:steps + 1])
+        checks["conservation"] = {"passed": cons < 1e-9, "detail": {"worst": cons}}
         state = alg.nt_init(family, spec.alpha, spec.eps)
         pd = alg.pd_init(family, spectra.root, spec.alpha, spec.eps)
         xs, vs = [pd.x], [pd.v]
-        cons_worst = alg.conservation_residual(state)
         equiv_worst = 0.0
         for _ in range(steps):
             state = alg.nt_step(state, family, mix.disagreement)
             pd = alg.pd_step(pd, family, mix.w)
             xs.append(pd.x)
             vs.append(pd.v)
-            cons_worst = max(cons_worst, alg.conservation_residual(state))
             equiv_worst = max(equiv_worst, float(np.max(np.abs(state.x - pd.x))))
-        checks["conservation"] = {"passed": cons_worst < 1e-9,
-                                  "detail": {"worst": cons_worst}}
         checks["equivalence"] = {"passed": equiv_worst < 1e-8,
                                  "detail": {"worst": equiv_worst,
                                             "steps": steps}}
-        cert, v_star = certified.cert, certified.v_star
-        grads, remainders = analysis.step_oracles(xs, family, mix.w, spec.alpha)
-        rem = analysis.lemma_remainder_check(xs, remainders, cert.kappa)
+        rem = analysis.lemma_remainder_check(trace.remainder_norm[1:steps + 1],
+                                             trace.remainder_bound[1:steps + 1])
         checks["remainder_bound"] = {"passed": rem.passed,
                                      "detail": {"violations": rem.violations,
                                                 "worst": rem.worst}}
         ident = analysis.stationarity_identity_check(
-            xs, vs, grads, remainders, family, spectra.root, spec.eps,
-            x_star, v_star)
-        checks["stationarity_identity"] = {
-            "passed": ident.passed,
-            "detail": {"worst": ident.worst}}
+            xs, vs, family, mix.w, spectra.root, spec.alpha, spec.eps,
+            obj.x_star, certified.v_star)
+        checks["stationarity_identity"] = {"passed": ident.passed,
+                                           "detail": {"worst": ident.worst}}
         if cert.feasible:
-            contr = analysis.contraction_check(xs, vs, certified.energy, cert)
+            contr = analysis.contraction_check(trace.gnorm_error[:steps + 1], cert)
             checks["contraction"] = {
                 "passed": contr.passed,
                 "detail": {"violations": contr.violations,
@@ -872,12 +868,12 @@ def _replay_checks(record: RunRecord, net: Network, obj: Objective,
 
     if "gt" in specs:
         state = alg.gt_init(family, specs["gt"].alpha)
-        worst = 0.0
-        for _ in range(min(len(record.traces["gt"]) - 1, window)):
+        ys, grads = [state.y], [state.grad]
+        for _ in range(min(len(rerun.traces["gt"]) - 1, window)):
             state = alg.gt_step(state, family, mix.w)
-            g = state.grad
-            diff = np.linalg.norm(state.y.mean(axis=0) - g.mean(axis=0))
-            worst = max(worst, float(diff / (np.linalg.norm(g.mean(axis=0)) + 1.0)))
+            ys.append(state.y)
+            grads.append(state.grad)
+        worst = max(alg.conservation_residuals(np.array(ys), np.array(grads)))
         checks["tracker_mean"] = {"passed": worst < 1e-9,
                                   "detail": {"worst": worst}}
     return checks

@@ -256,15 +256,13 @@ class QuadraticFamily:
         return self.a.sum(axis=0)
 
 
-def generate_quadratic_set(n: int, p: int, seed: int,
-                           eig_range: tuple[float, float] = (0.5, 2.0)
-                           ) -> QuadraticFamily:
-    """Random SPD quadratics with eigenvalues drawn from eig_range."""
+def generate_quadratic_set(n: int, p: int, seed: int) -> QuadraticFamily:
+    """Random SPD quadratics with eigenvalues drawn from [0.5, 2]."""
     rng = np.random.default_rng(seed)
     a = np.empty((n, p, p))
     for i in range(n):
         q, _ = np.linalg.qr(rng.standard_normal((p, p)))
-        eigs = rng.uniform(eig_range[0], eig_range[1], size=p)
+        eigs = rng.uniform(0.5, 2.0, size=p)
         ai = (q * eigs) @ q.T
         a[i] = 0.5 * (ai + ai.T)
     b = rng.standard_normal((n, p))

@@ -14,16 +14,17 @@ import pytest
 
 from newtrack import analysis
 from newtrack.algorithms import nt_init, nt_step, pd_init, pd_step
-from newtrack.analysis import (approximation_error, consensus_penalty_matrix,
-                               contraction_check, decay_window, dual_optimum,
-                               fit_linear_rate, g_norm_metric, rate_certificate)
+from newtrack.analysis import (consensus_penalty_matrix, contraction_check,
+                               decay_window, dual_optimum, fit_linear_rate,
+                               g_norm_metric, rate_certificate)
 from newtrack.harness import preset, run_experiment, topology_sweep
 from newtrack.objectives import (LogisticFamily, QuadraticFamily,
                                  convexity_bounds, generate_logistic_data,
                                  generate_quadratic_set)
 from newtrack.topology import (build_topology, metropolis_weights,
                                spectral_stats)
-from oracles import derivative_check, make_logistic, optimum, remainder_report
+from oracles import (approximation_error, derivative_check, make_logistic, optimum,
+                     remainder_report)
 
 
 def criterion(num: int, ok: bool, desc: str) -> None:
@@ -114,7 +115,7 @@ def test_criterion_03_certified_contraction():
     v_star = dual_optimum(fam, x_star, stats.root)
     energy = g_norm_metric(consensus_penalty_matrix(mix.w, alpha, eps),
                            x_star, v_star, alpha)
-    rep = contraction_check(xs, vs, energy, cert)
+    rep = contraction_check([energy(x, v) for x, v in zip(xs, vs)], cert)
 
     ok = (cert.feasible and abs(cert.delta - 0.18367) < 5e-6
           and rep.violations == 0)

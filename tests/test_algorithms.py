@@ -22,7 +22,7 @@ from scipy.special import expit
 
 from newtrack import harness, objectives
 from newtrack.algorithms import (GradientTrackingState, NewtonTrackingState,
-                                 centralized_reference, conservation_residual,
+                                 centralized_reference, conservation_residuals,
                                  dlm_init, dlm_step, extra_init, extra_step,
                                  gt_init, gt_step, norm, nt_init, nt_step,
                                  pd_init, pd_step, reg_solve, solve_spd_blocks)
@@ -130,6 +130,11 @@ def test_nt_matches_plain_loop_oracle_with_fewer_samples_than_features():
     fam = wide_logistic(n=5)
     mix = metropolis_weights(build_topology("cycle", 5))
     assert_nt_matches_plain_loop(fam, mix, alpha=0.8, eps=1.2)
+
+
+def conservation_residual(state):
+    """Relative defect of sum_i q_i = sum_i grad_i at one state."""
+    return conservation_residuals(state.q[None], state.grad[None])[0]
 
 
 def assert_conservation_along_run(fam):

@@ -15,17 +15,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from newtrack.algorithms import pd_init, pd_step
-from newtrack.analysis import (approximation_error, consensus_penalty_matrix,
-                               contraction_check, decay_window, dual_optimum,
-                               fit_linear_rate, g_norm_metric,
-                               rate_certificate, stationarity_identity_check,
-                               step_oracles)
+from newtrack.analysis import (consensus_penalty_matrix, contraction_check,
+                               decay_window, dual_optimum, fit_linear_rate,
+                               g_norm_metric, rate_certificate,
+                               stationarity_identity_check)
 from newtrack.objectives import (LogisticFamily, ObjectiveBounds,
                                  QuadraticFamily, convexity_bounds,
                                  generate_logistic_data)
 from newtrack.topology import (build_topology, metropolis_weights,
                                spectral_stats)
-from oracles import optimum, remainder_report
+from oracles import approximation_error, optimum, remainder_report
 
 UNIT_BOUNDS = ObjectiveBounds(mu=1.0, lip=1.0)
 
@@ -43,9 +42,14 @@ def identity_family(n=10, p=3, seed=0):
 
 
 def metric(mix, cert, x_star, v_star):
-    """The squared error of cert's metric on mix, for contraction_check."""
+    """The squared error of cert's metric on mix, whose values along a
+    trajectory contraction_check bounds."""
     return g_norm_metric(consensus_penalty_matrix(mix.w, cert.alpha, cert.eps),
                          x_star, v_star, cert.alpha)
+
+
+def energies_along(xs, vs, energy):
+    return [energy(x, v) for x, v in zip(xs, vs)]
 
 
 def reference_certificate(beta=2.0, phi=2.0):
@@ -280,9 +284,8 @@ def test_stationarity_identity_on_run():
     xs, vs = pd_trajectory(fam, mix, stats, alpha, eps, iters=80)
     x_star = optimum(fam)
     v_star = dual_optimum(fam, x_star, stats.root)
-    grads, remainders = step_oracles(xs, fam, mix.w, alpha)
-    rep = stationarity_identity_check(xs, vs, grads, remainders, fam,
-                                      stats.root, eps, x_star, v_star)
+    rep = stationarity_identity_check(xs, vs, fam, mix.w, stats.root, alpha,
+                                      eps, x_star, v_star)
     assert rep.passed
     assert rep.worst < 1e-8
 
@@ -293,8 +296,8 @@ def test_stationarity_identity_on_run():
         bad = v.copy()
         bad[0] += 0.1
         bad_vs.append(bad)
-    rep_bad = stationarity_identity_check(xs, bad_vs, grads, remainders, fam,
-                                          stats.root, eps, x_star, v_star)
+    rep_bad = stationarity_identity_check(xs, bad_vs, fam, mix.w, stats.root,
+                                          alpha, eps, x_star, v_star)
     assert rep_bad.violations > 0
 
 
@@ -311,15 +314,16 @@ def test_contraction_certified_on_reference_problem():
     v_star = dual_optimum(fam, x_star, stats.root)
 
     cert = reference_certificate()
-    rep = contraction_check(xs, vs, metric(mix, cert, x_star, v_star), cert)
+    rep = contraction_check(energies_along(xs, vs, metric(mix, cert, x_star, v_star)),
+                            cert)
     assert rep.violations == 0
     assert rep.worst <= cert.contraction
     energies = rep.detail["energies"]
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
 
     loose = reference_certificate(beta=10.0, phi=10.0)
-    assert contraction_check(xs, vs, metric(mix, loose, x_star, v_star),
-                             loose).passed
+    assert contraction_check(
+        energies_along(xs, vs, metric(mix, loose, x_star, v_star)), loose).passed
 
 
 def test_contraction_check_validates_metric_once(monkeypatch):
@@ -334,7 +338,8 @@ def test_contraction_check_validates_metric_once(monkeypatch):
     real = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda *args: calls.append(args) or real(*args))
-    rep = contraction_check(xs, vs, metric(mix, cert, x_star, v_star), cert)
+    rep = contraction_check(energies_along(xs, vs, metric(mix, cert, x_star, v_star)),
+                            cert)
     assert len(calls) == 1
     monkeypatch.undo()
     q_mat = consensus_penalty_matrix(mix.w, cert.alpha, cert.eps)
@@ -353,9 +358,9 @@ def test_contraction_check_rejects_infeasible_and_flags_growth():
     energy = metric(mix, cert, optimum(fam),
                     dual_optimum(fam, optimum(fam), stats.root))
     with pytest.raises(ValueError):
-        contraction_check(xs, vs, energy, infeasible)
+        contraction_check(energies_along(xs, vs, energy), infeasible)
 
-    rep = contraction_check(xs[::-1], vs[::-1], energy, cert)
+    rep = contraction_check(energies_along(xs[::-1], vs[::-1], energy), cert)
     assert rep.violations > 0
 
 

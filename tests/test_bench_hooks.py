@@ -140,3 +140,27 @@ def test_each_method_steps_through_its_own_name(monkeypatch):
         iters=3)
     harness.run_experiment(config)
     assert calls == {"nt": 3, "gt": 3, "extra": 3, "dlm": 3}
+
+
+def test_check_evaluates_oracles_inside_the_analysis_layers(capsys, tmp_path):
+    """The benchmark attributes time by the innermost wrapped caller, so a
+    gradient or Hessian the check evaluates outside a wrapped analysis
+    function counts as harness.check self time.  Traced under the
+    benchmark's targets, every oracle span of `check` on a 30-round fig1
+    record sits directly under analysis.check or analysis.certificate."""
+    layers, tracer = bench_module("layers"), bench_module("tracer")
+    out = tmp_path / "fig1"
+    assert newtrack.cli.main(["solve", "--preset", "fig1", "--iters", "30",
+                              "--out", str(out)]) == 0
+    with tracer.Tracer().installed(layers.targets(newtrack)) as traced:
+        assert newtrack.cli.main(["check", "--record", str(out / "record.json")]) == 0
+        spans = traced.take()
+    capsys.readouterr()
+    parents = {}
+    for span in spans:
+        if span.name in ("objectives.grad_stack", "objectives.hess_stack"):
+            parent = spans[span.parent].name
+            parents[span.name, parent] = parents.get((span.name, parent), 0) + 1
+    assert parents == {("objectives.grad_stack", "analysis.certificate"): 1,
+                       ("objectives.grad_stack", "analysis.check"): 32,
+                       ("objectives.hess_stack", "analysis.check"): 30}

@@ -296,6 +296,29 @@ def test_check_flags_tampering(capsys, tmp_path):
     assert "determinism" in failure["failed"]
 
 
+@pytest.mark.parametrize("method", ["extra", "gt", "nt"])
+def test_check_flags_a_record_that_lacks_a_configured_trace(capsys, tmp_path, method):
+    # A record that lacks one configured method's trace still loads; its
+    # check names the method under determinism and exits 2.
+    doc = tiny_config_doc(iters=10)
+    doc["algorithms"].append({"name": "extra", "alpha": 0.1, "eps": None})
+    cfg = tmp_path / "three.json"
+    cfg.write_text(json.dumps(doc))
+    run_cli(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path / "run"))
+    record = tmp_path / "run" / "record.json"
+    doc = json.loads(record.read_text())
+    assert list(doc["traces"]) == ["nt", "gt", "extra"]
+    del doc["traces"][method]
+    record.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "check", "--record", str(record))
+    assert rc == 2
+    determinism = json.loads(out)["checks"]["determinism"]
+    assert determinism["passed"] is False
+    assert determinism["detail"]["mismatched"] == [method]
+    assert determinism["detail"]["trace_match"] is False
+    assert json.loads(err) == {"error": "check_failed", "failed": ["determinism"]}
+
+
 def test_check_rejects_a_negative_window(capsys, tmp_path):
     cfg = tmp_path / "tiny.json"
     cfg.write_text(json.dumps(tiny_config_doc(iters=5)))

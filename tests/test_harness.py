@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from newtrack import algorithms as alg
 from newtrack import analysis, harness
-from newtrack.analysis import approximation_error
 from newtrack.harness import (CSV_COLUMNS, PRESET_NAMES, AlgorithmSpec,
                               ConvergenceTrace, DataSpec, RunConfig,
                               TopologySpec, export_csv, load_record, preset,
@@ -23,6 +22,7 @@ from newtrack.harness import (CSV_COLUMNS, PRESET_NAMES, AlgorithmSpec,
 from newtrack.objectives import LogisticFamily, generate_logistic_data
 from newtrack.topology import (KINDS, build_topology, metropolis_weights,
                                topology_to_doc)
+from oracles import approximation_error
 
 
 def tiny_config(iters=200):
@@ -581,7 +581,7 @@ def per_round_trace(config, spec):
     round by round on each iterate alone: a plain loop of nt_step or
     gt_step with root @ x, alg.norm, the remainder identity and the
     conservation defect ||sum q - sum grad|| / (||sum grad|| + 1), which
-    conservation_residual must equal."""
+    conservation_residuals must equal."""
     net, obj = harness.build_network(config.topology), harness.build_objective(config)
     family, root, w = obj.family, net.spectra.root, net.mix.w
     n, p = family.n, family.p
@@ -630,7 +630,8 @@ def per_round_trace(config, spec):
                     gnorm = energy(state.x, v)
                 rhs = state.grad.sum(axis=0)
                 tracking = alg.norm(state.q.sum(axis=0) - rhs) / (alg.norm(rhs) + 1.0)
-                assert alg.conservation_residual(state) == tracking
+                assert alg.conservation_residuals(state.q[None],
+                                                  state.grad[None]) == [tracking]
             for column, value in zip(METRIC_COLUMNS, (
                     rel, gnorm, tracking, alg.norm(root_x), dual, rem, bound,
                     t, t * method.vectors * n * p)):
@@ -1000,11 +1001,41 @@ def test_run_checks_build_the_problem_once(monkeypatch):
                      "centralized_reference": 1}
 
 
+@pytest.mark.parametrize("column, check, bad", [
+    ("tracking_residual", "conservation", lambda trace, k: 1e-6),
+    ("remainder_norm", "remainder_bound",
+     lambda trace, k: 2.0 * trace.remainder_bound[k] + 1.0),
+    ("gnorm_error", "contraction", lambda trace, k: 2.0 * trace.gnorm_error[k - 1] + 1.0),
+], ids=["conservation", "remainder_bound", "contraction"])
+def test_replay_checks_bound_the_reruns_columns(monkeypatch, column, check, bad):
+    # conservation, remainder_bound and contraction read the re-run's nt
+    # columns up to the window: a value past its bound at step k fails the
+    # check once the window reaches k, and determinism, as the record holds
+    # the true value; every other check still passes.
+    rec = run_experiment(feasible_config())
+    k, real = 10, harness._run
+
+    def corrupted(*args):
+        rerun = real(*args)
+        trace = rerun.traces["nt"]
+        getattr(trace, column)[k] = bad(trace, k)
+        return rerun
+
+    monkeypatch.setattr(harness, "_run", corrupted)
+    report = run_checks(rec, window=k)
+    assert [name for name, c in report.checks.items() if not c["passed"]] == \
+        ["determinism", check]
+    assert report.checks["determinism"]["detail"]["mismatched"] == [f"nt.{column}"]
+    assert report.checks[check]["detail"].get("violations") in (None, 1)
+    assert run_checks(rec, window=k - 1).checks[check]["passed"]
+
+
 def test_replay_checks_evaluate_each_iterate_once(monkeypatch):
-    # The remainder and stationarity checks share one gradient per replayed
-    # iterate x^0..x^12 and one Hessian per step; two more gradients sit at
-    # consensus (v* and the identity's grad at x*).  The re-run's nt steps
-    # and the reference solve call neither oracle.
+    # The stationarity check takes one gradient per replayed iterate
+    # x^0..x^12 and one Hessian per step (the remainder check reads the
+    # re-run's columns); two more gradients sit at consensus (v* and the
+    # identity's grad at x*).  The re-run's nt steps and the reference solve
+    # call neither oracle.
     rec = run_experiment(dataclasses.replace(preset("fig1"), iters=20))
     calls = {}
     for name in ("grad_stack", "hess_stack"):

@@ -214,12 +214,12 @@ def test_quadratic_family_optimum_matches_reference():
 
 
 def test_generate_quadratic_set_eig_range():
-    fam = generate_quadratic_set(n=5, p=6, seed=0, eig_range=(0.5, 2.0))
+    fam = generate_quadratic_set(n=5, p=6, seed=0)
     for i in range(fam.n):
         lam = np.linalg.eigvalsh(fam.a[i])
         assert lam[0] >= 0.5 - 1e-12
         assert lam[-1] <= 2.0 + 1e-12
-    again = generate_quadratic_set(n=5, p=6, seed=0, eig_range=(0.5, 2.0))
+    again = generate_quadratic_set(n=5, p=6, seed=0)
     assert np.array_equal(fam.a, again.a)
     assert np.array_equal(fam.b, again.b)
 
