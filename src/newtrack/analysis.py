@@ -10,6 +10,7 @@ reported as data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -64,13 +65,20 @@ def rate_certificate(bounds, spectra, alpha: float, eps: float,
     beta and phi are free parameters strictly greater than 1; any valid
     pair certifies, larger delta_prime just means a tighter factor.
     """
+    mu, lip = bounds.mu, bounds.lip
+    lam_max, lam_min = spectra.lambda_max, spectra.lambda_min_nz
+    for name, value in (("mu", mu), ("lip", lip), ("alpha", alpha), ("eps", eps),
+                        ("lambda_max", lam_max), ("lambda_min_nz", lam_min),
+                        ("beta", beta), ("phi", phi)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name}: must be finite, got {value}")
     if alpha <= 0 or eps <= 0:
         raise ValueError("alpha and eps must be positive")
     if beta <= 1.0 or phi <= 1.0:
         raise ValueError("beta and phi must be greater than 1")
-    mu, lip = bounds.mu, bounds.lip
-    lam_max = spectra.lambda_max
-    lam_min = spectra.lambda_min_nz
+    if not 0.0 < lam_min <= lam_max:
+        raise ValueError(f"lambda_min_nz: must be in (0, lambda_max = {lam_max}], "
+                         f"got {lam_min}")
     q_min = eps - alpha * lam_max
     q_max = eps
     kappa = 2.0 * lip + alpha * lam_max
@@ -129,54 +137,51 @@ def g_norm_metric(q_mat: np.ndarray, x_star: np.ndarray, v_star: np.ndarray,
     return energy
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Outcome of an inequality check along a trajectory."""
+def _ratio_check(nums, dens, scale: float) -> tuple[int, float]:
+    """Violations of num <= den * scale + 1e-12 over paired steps, and the
+    largest ratio num / den among steps whose den stays above rounding
+    noise, 1e-14 max(dens[0], 1)."""
+    floor = 1e-14 * max([*dens[:1], 1.0])
+    violations = 0
+    worst = 0.0
+    for num, den in zip(nums, dens):
+        if num > den * scale + 1e-12:
+            violations += 1
+        if den > floor:
+            worst = max(worst, num / den)
+    return violations, worst
 
-    violations: int
-    worst: float
-    detail: dict
 
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-
-def lemma_remainder_check(norms, bounds) -> BoundReport:
+def lemma_remainder_check(norms, bounds) -> dict:
     """Check ||e^t|| <= kappa ||x^{t+1} - x^t|| along a trajectory.
 
     norms are the steps' ||e^t|| and bounds their kappa ||x^{t+1} - x^t||,
     with kappa = 2 lip + alpha lam_max(I - W), the certificate's: a trace's
-    remainder_norm and remainder_bound past t = 0.  `worst` is the largest
-    observed ratio ||e|| / (kappa ||dx||).
+    remainder_norm and remainder_bound past t = 0.  Returns the report
+    entry; `worst` is the largest ratio ||e|| / (kappa ||dx||) over the
+    steps whose bound stays above rounding noise.
     """
-    violations = 0
-    worst = 0.0
-    for e_norm, allowed in zip(norms, bounds):
-        if e_norm > allowed * (1.0 + 1e-10) + 1e-12:
-            violations += 1
-        if allowed > 0:
-            worst = max(worst, e_norm / allowed)
-    return BoundReport(violations=violations, worst=worst,
-                       detail={"steps": len(norms)})
+    violations, worst = _ratio_check(norms, bounds, 1.0 + 1e-10)
+    return {"passed": violations == 0,
+            "detail": {"violations": violations, "worst": worst}}
 
 
 def stationarity_identity_check(xs, vs, family, w: np.ndarray, root: np.ndarray,
                                 alpha: float, eps: float, x_star: np.ndarray,
-                                v_star: np.ndarray) -> BoundReport:
+                                v_star: np.ndarray) -> dict:
     """Exact per-step identity of the primal-dual recursion.
 
     grad(x^{t+1}) - grad at consensus + root (v^{t+1} - v*)
     + eps (x^{t+1} - x^t) + e^t must vanish, with e^t the step's
     second-order remainder grad(x^t) - grad(x^{t+1}) + hess(x^t) dx
     - alpha (I - W) dx: one gradient per iterate and one Hessian per step.
-    The residual is reported relative to the largest gradient magnitude seen.
+    Returns the report entry; `worst` is the residual relative to the
+    largest gradient magnitude seen, and must stay within 1e-8.
     """
     g_star = family.grad_stack(np.tile(x_star, (family.n, 1)))
     g0 = family.grad_stack(xs[0])
     scale = 1.0
     worst = 0.0
-    violations = 0
     for t in range(len(xs) - 1):
         x0, x1 = xs[t], xs[t + 1]
         g1 = family.grad_stack(x1)
@@ -185,37 +190,27 @@ def stationarity_identity_check(xs, vs, family, w: np.ndarray, root: np.ndarray,
             - alpha * (d - w @ d)
         scale = max(scale, float(np.linalg.norm(g1)))
         r = g1 - g_star + root @ (vs[t + 1] - v_star) + eps * d + e
-        res = float(np.linalg.norm(r)) / scale
-        worst = max(worst, res)
-        if res > 1e-8:
-            violations += 1
+        worst = max(worst, float(np.linalg.norm(r)) / scale)
         g0 = g1
-    return BoundReport(violations=violations, worst=worst,
-                       detail={"steps": len(xs) - 1})
+    return {"passed": worst <= 1e-8, "detail": {"worst": worst}}
 
 
-def contraction_check(energies, cert: RateCertificate) -> BoundReport:
+def contraction_check(energies, cert: RateCertificate) -> dict:
     """Certified geometric decay of the primal-dual error metric.
 
     energies are the squared errors of the metric (g_norm_metric of cert's
     Q) along a trajectory: a feasible trace's gnorm_error.  Asserts
-    E_{t+1} <= E_t / (1 + delta_prime) + 1e-12 at every step.  `worst` is
-    the largest ratio E_{t+1} / E_t observed while the energy stays above
-    rounding noise.
+    E_{t+1} <= E_t / (1 + delta_prime) + 1e-12 at every step.  Returns the
+    report entry; `worst_ratio` is the largest ratio E_{t+1} / E_t observed
+    while the energy stays above rounding noise.
     """
     if not cert.feasible:
         raise ValueError("contraction check requires a feasible certificate")
     bound = cert.contraction
-    floor = 1e-14 * max(energies[0], 1.0)
-    violations = 0
-    worst = 0.0
-    for e0, e1 in zip(energies[:-1], energies[1:]):
-        if e1 > e0 * bound + 1e-12:
-            violations += 1
-        if e0 > floor:
-            worst = max(worst, e1 / e0)
-    return BoundReport(violations=violations, worst=worst,
-                       detail={"bound": bound, "energies": energies})
+    violations, worst = _ratio_check(energies[1:], energies[:-1], bound)
+    return {"passed": violations == 0,
+            "detail": {"violations": violations, "worst_ratio": worst,
+                       "bound": bound}}
 
 
 @dataclass(frozen=True)

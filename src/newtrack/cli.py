@@ -133,9 +133,9 @@ def _cmd_certify(args) -> int:
 def _cmd_check(args) -> int:
     record = load_record(args.record)
     report = run_checks(record, window=args.window)
-    _emit(report.to_doc())
-    if not report.passed:
-        failed = [k for k, v in report.checks.items() if not v["passed"]]
+    _emit(report)
+    if not report["passed"]:
+        failed = [k for k, v in report["checks"].items() if not v["passed"]]
         print(json.dumps({"error": "check_failed", "failed": failed}),
               file=sys.stderr)
         return 2

@@ -772,24 +772,14 @@ def write_outputs(record: RunRecord, out_dir) -> dict:
 # Invariant suite over a recorded run.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckReport:
-    checks: dict
-
-    @property
-    def passed(self) -> bool:
-        return all(c["passed"] for c in self.checks.values())
-
-    def to_doc(self) -> dict:
-        return {"passed": self.passed, "checks": self.checks}
-
-
-def run_checks(record: RunRecord, window: int = 100) -> CheckReport:
+def run_checks(record: RunRecord, window: int = 100) -> dict:
     """Re-derive everything the record claims and test the core identities.
 
     Re-runs the config and compares every record field but the wall-clock
     column, a trace for each configured method included (determinism);
-    the other checks read that re-run (see _replay_checks).
+    the other checks read that re-run (see _replay_checks).  Returns the
+    report document {"passed", "checks"}, each check an entry
+    {"passed", "detail"}.
     """
     if window < 0:
         raise ValueError(f"window: must be >= 0, got {window}")
@@ -811,7 +801,7 @@ def run_checks(record: RunRecord, window: int = 100) -> CheckReport:
         "detail": {"digest_match": "dataset_digest" not in fields,
                    "trace_match": not columns, "mismatched": fields + columns}}
     checks.update(_replay_checks(rerun, net, obj, window, certified))
-    return CheckReport(checks=checks)
+    return {"passed": all(c["passed"] for c in checks.values()), "checks": checks}
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -832,7 +822,6 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
     if "nt" in specs:
         spec, trace = specs["nt"], rerun.traces["nt"]
         steps = min(len(trace) - 1, window)
-        cert = certified.cert
         cons = max(trace.tracking_residual[:steps + 1])
         checks["conservation"] = {"passed": cons < 1e-9, "detail": {"worst": cons}}
         state = alg.nt_init(family, spec.alpha, spec.eps)
@@ -848,23 +837,14 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
         checks["equivalence"] = {"passed": equiv_worst < 1e-8,
                                  "detail": {"worst": equiv_worst,
                                             "steps": steps}}
-        rem = analysis.lemma_remainder_check(trace.remainder_norm[1:steps + 1],
-                                             trace.remainder_bound[1:steps + 1])
-        checks["remainder_bound"] = {"passed": rem.passed,
-                                     "detail": {"violations": rem.violations,
-                                                "worst": rem.worst}}
-        ident = analysis.stationarity_identity_check(
+        checks["remainder_bound"] = analysis.lemma_remainder_check(
+            trace.remainder_norm[1:steps + 1], trace.remainder_bound[1:steps + 1])
+        checks["stationarity_identity"] = analysis.stationarity_identity_check(
             xs, vs, family, mix.w, spectra.root, spec.alpha, spec.eps,
             obj.x_star, certified.v_star)
-        checks["stationarity_identity"] = {"passed": ident.passed,
-                                           "detail": {"worst": ident.worst}}
-        if cert.feasible:
-            contr = analysis.contraction_check(trace.gnorm_error[:steps + 1], cert)
-            checks["contraction"] = {
-                "passed": contr.passed,
-                "detail": {"violations": contr.violations,
-                           "worst_ratio": contr.worst,
-                           "bound": cert.contraction}}
+        if certified.cert.feasible:
+            checks["contraction"] = analysis.contraction_check(
+                trace.gnorm_error[:steps + 1], certified.cert)
 
     if "gt" in specs:
         state = alg.gt_init(family, specs["gt"].alpha)

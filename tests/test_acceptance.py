@@ -118,10 +118,11 @@ def test_criterion_03_certified_contraction():
     rep = contraction_check([energy(x, v) for x, v in zip(xs, vs)], cert)
 
     ok = (cert.feasible and abs(cert.delta - 0.18367) < 5e-6
-          and rep.violations == 0)
+          and rep["detail"]["violations"] == 0)
     criterion(3, ok, f"metric error contracts by 1/(1+delta') in all 200 "
                      f"iterations (delta {cert.delta:.5f}, violations "
-                     f"{rep.violations}, worst ratio {rep.worst:.6f})")
+                     f"{rep['detail']['violations']}, worst ratio "
+                     f"{rep['detail']['worst_ratio']:.6f})")
 
 
 def test_criterion_04_remainder_bound():
@@ -149,11 +150,11 @@ def test_criterion_04_remainder_bound():
     lxs, lgap = run_nt(lfam, lmix, 3.3, 3.0, 100)
     lrep = remainder_report(lxs, lfam, lmix.w, 3.3, convexity_bounds(lfam))
 
-    ok = qrep.violations == 0 and lrep.violations == 0 \
+    ok = qrep["detail"]["violations"] == 0 and lrep["detail"]["violations"] == 0 \
         and qgap < 1e-10 and lgap < 1e-10
     criterion(4, ok, "second-order remainder stays within kappa ||dx|| over "
-                     f"100 iterations (worst ratios quadratic {qrep.worst:.3f}, "
-                     f"logistic {lrep.worst:.3f}) and is the q-form's own "
+                     f"100 iterations (worst ratios quadratic {qrep['detail']['worst']:.3f}, "
+                     f"logistic {lrep['detail']['worst']:.3f}) and is the q-form's own "
                      f"(worst gaps {qgap:.1e}, {lgap:.1e})")
 
 

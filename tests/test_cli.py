@@ -213,6 +213,30 @@ def test_certify_explicit_reference_values(capsys):
     assert doc["contraction"] == pytest.approx(0.9997556686384108, rel=1e-12)
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lambda-min-nz", "0", "lambda_min_nz: must be in (0, lambda_max = 1.0], got 0.0"),
+    ("--lambda-min-nz", "-0.5", "lambda_min_nz: must be in (0, lambda_max = 1.0], got -0.5"),
+    ("--lambda-min-nz", "1.5", "lambda_min_nz: must be in (0, lambda_max = 1.0], got 1.5"),
+    ("--lambda-max", "nan", "lambda_max: must be finite, got nan"),
+    ("--lambda-max", "inf", "lambda_max: must be finite, got inf"),
+    ("--lip", "inf", "lip: must be finite, got inf"),
+    ("--eps", "nan", "eps: must be finite, got nan"),
+    ("--beta", "inf", "beta: must be finite, got inf"),
+], ids=["lambda-min-zero", "lambda-min-negative", "lambdas-out-of-order",
+        "lambda-max-nan", "lambda-max-inf", "lip-inf", "eps-nan", "beta-inf"])
+def test_certify_explicit_rejects_bad_inputs(capsys, flag, value, message):
+    # Spectra out of order, a zero or negative lambda_min_nz, or a non-finite
+    # number fails with one JSON error line naming the quantity; none
+    # prints a certificate.
+    args = {"--mu": "1", "--lip": "1", "--lambda-max": "1.0",
+            "--lambda-min-nz": "1.0", "--alpha": "0.1", "--eps": "5"}
+    args[flag] = value
+    rc, out, err = run_cli(capsys, "certify",
+                           *(s for kv in args.items() for s in kv))
+    assert (rc, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
 def test_certify_explicit_needs_all_numbers(capsys):
     rc, _, err = run_cli(capsys, "certify", "--mu", "1", "--lip", "1")
     assert rc == 1

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newtrack import algorithms as alg
-from newtrack import analysis, harness
+from newtrack import analysis, cli, harness
 from newtrack.harness import (CSV_COLUMNS, PRESET_NAMES, AlgorithmSpec,
                               ConvergenceTrace, DataSpec, RunConfig,
                               TopologySpec, export_csv, load_record, preset,
@@ -501,10 +501,10 @@ def test_divergence_stops_and_record_is_strict_json(tmp_path):
     # The check replays only the recorded iterates, so its report stays
     # finite: it reproduces the run and flags the blow-up.
     rep = run_checks(back)
-    assert rep.checks["determinism"]["passed"]
-    assert rep.checks["equivalence"]["detail"]["steps"] == 38
-    assert not rep.passed
-    json.dumps(rep.to_doc(), allow_nan=False)
+    assert rep["checks"]["determinism"]["passed"]
+    assert rep["checks"]["equivalence"]["detail"]["steps"] == 38
+    assert not rep["passed"]
+    json.dumps(rep, allow_nan=False)
 
 
 def test_qform_remainder_matches_hessian_reference():
@@ -956,17 +956,44 @@ def test_malformed_doc_fails_at_load_naming_the_path(data):
 def test_run_checks_pass_on_fresh_records():
     rec = run_experiment(tiny_config(iters=30))
     rep = run_checks(rec, window=30)
-    assert rep.passed
     expected = {"determinism", "conservation", "equivalence",
                 "remainder_bound", "stationarity_identity", "tracker_mean"}
-    assert set(rep.checks) == expected  # no contraction: infeasible cert
-    doc = rep.to_doc()
-    assert doc["passed"] is True
+    assert set(rep["checks"]) == expected  # no contraction: infeasible cert
+    assert rep["passed"] is True
 
     feas = run_checks(run_experiment(feasible_config()), window=30)
-    assert feas.passed
-    assert "contraction" in feas.checks
-    assert feas.checks["contraction"]["passed"]
+    assert feas["passed"]
+    assert "contraction" in feas["checks"]
+    assert feas["checks"]["contraction"]["passed"]
+
+
+@pytest.mark.parametrize("config, names", [
+    (tiny_config(30), ["determinism", "conservation", "equivalence",
+                       "remainder_bound", "stationarity_identity",
+                       "tracker_mean"]),
+    (feasible_config(), ["determinism", "conservation", "equivalence",
+                         "remainder_bound", "stationarity_identity",
+                         "contraction"]),
+], ids=["tiny", "feasible"])
+def test_check_report_shape(capsys, tmp_path, config, names):
+    # The document `check` prints: its top-level keys, its checks in order,
+    # and each check's detail keys in order.
+    details = {"determinism": ["digest_match", "trace_match", "mismatched"],
+               "conservation": ["worst"],
+               "equivalence": ["worst", "steps"],
+               "remainder_bound": ["violations", "worst"],
+               "stationarity_identity": ["worst"],
+               "contraction": ["violations", "worst_ratio", "bound"],
+               "tracker_mean": ["worst"]}
+    save_record(run_experiment(config), tmp_path / "record.json")
+    assert cli.main(["check", "--record", str(tmp_path / "record.json"),
+                     "--window", "30"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["passed", "checks"]
+    assert list(doc["checks"]) == names
+    for name, check in doc["checks"].items():
+        assert list(check) == ["passed", "detail"], name
+        assert list(check["detail"]) == details[name], name
 
 
 def test_run_checks_pass_with_fewer_samples_than_features():
@@ -976,9 +1003,20 @@ def test_run_checks_pass_with_fewer_samples_than_features():
     cfg = dataclasses.replace(cfg, iters=40, algorithms=tuple(
         a for a in cfg.algorithms if a.name == "nt"))
     report = run_checks(run_experiment(cfg), window=40)
-    assert report.passed, report.checks
+    assert report["passed"], report["checks"]
     assert {"equivalence", "stationarity_identity",
-            "remainder_bound"} <= set(report.checks)
+            "remainder_bound"} <= set(report["checks"])
+
+
+def test_remainder_worst_skips_rounding_level_steps():
+    # tiny's nt reaches x* within 100 rounds; its late steps' kappa ||dx||
+    # sink to 1e-16, where ||e|| / (kappa ||dx||) is a ratio of rounding
+    # errors (0.79 at step 98).  `worst` reads only the steps above the
+    # floor 1e-14 max(first bound, 1); violations count every step.
+    report = run_checks(run_experiment(tiny_config()), window=100)
+    rem = report["checks"]["remainder_bound"]
+    assert rem["passed"] and rem["detail"]["violations"] == 0
+    assert rem["detail"]["worst"] <= 0.2
 
 
 def counting(calls, name, fn):
@@ -996,7 +1034,7 @@ def test_run_checks_build_the_problem_once(monkeypatch):
                         (alg, "centralized_reference")):
         monkeypatch.setattr(owner, name,
                             counting(calls, name, getattr(owner, name)))
-    assert run_checks(rec, window=20).passed
+    assert run_checks(rec, window=20)["passed"]
     assert calls == {"build_topology": 1, "generate_logistic_data": 1,
                      "centralized_reference": 1}
 
@@ -1023,11 +1061,11 @@ def test_replay_checks_bound_the_reruns_columns(monkeypatch, column, check, bad)
 
     monkeypatch.setattr(harness, "_run", corrupted)
     report = run_checks(rec, window=k)
-    assert [name for name, c in report.checks.items() if not c["passed"]] == \
+    assert [name for name, c in report["checks"].items() if not c["passed"]] == \
         ["determinism", check]
-    assert report.checks["determinism"]["detail"]["mismatched"] == [f"nt.{column}"]
-    assert report.checks[check]["detail"].get("violations") in (None, 1)
-    assert run_checks(rec, window=k - 1).checks[check]["passed"]
+    assert report["checks"]["determinism"]["detail"]["mismatched"] == [f"nt.{column}"]
+    assert report["checks"][check]["detail"].get("violations") in (None, 1)
+    assert run_checks(rec, window=k - 1)["checks"][check]["passed"]
 
 
 def test_replay_checks_evaluate_each_iterate_once(monkeypatch):
@@ -1042,7 +1080,7 @@ def test_replay_checks_evaluate_each_iterate_once(monkeypatch):
         monkeypatch.setattr(LogisticFamily, name,
                             counting(calls, name, getattr(LogisticFamily, name)))
     report = run_checks(rec, window=12)
-    assert report.passed
+    assert report["passed"]
     assert calls == {"grad_stack": 13 + 2, "hess_stack": 12}
 
 
@@ -1056,7 +1094,7 @@ def test_run_checks_derive_the_certificate_once(monkeypatch):
         monkeypatch.setattr(analysis, name,
                             counting(calls, name, getattr(analysis, name)))
     report = run_checks(rec, window=30)
-    assert report.passed and "contraction" in report.checks
+    assert report["passed"] and "contraction" in report["checks"]
     assert calls == {"rate_certificate": 1, "dual_optimum": 1,
                      "consensus_penalty_matrix": 1, "g_norm_metric": 1}
 
@@ -1114,8 +1152,8 @@ def test_run_checks_catch_tampered_trace(tmp_path):
         bump(doc, *path)
         (tmp_path / "tampered.json").write_text(json.dumps(doc))
         rep = run_checks(load_record(tmp_path / "tampered.json"), window=10)
-        det = rep.checks["determinism"]
-        assert not rep.passed and not det["passed"], field
+        det = rep["checks"]["determinism"]
+        assert not rep["passed"] and not det["passed"], field
         assert det["detail"]["mismatched"] == [field]
         assert det["detail"]["trace_match"] is ("." not in field)
         assert det["detail"]["digest_match"] is True
@@ -1128,9 +1166,9 @@ def test_run_checks_compare_every_trace_column(tmp_path):
     doc["traces"]["gt"]["kkt_primal"][5] *= 1.0 + 1e-9
     (tmp_path / "record.json").write_text(json.dumps(doc))
     rep = run_checks(load_record(tmp_path / "record.json"), window=10)
-    det = rep.checks["determinism"]
+    det = rep["checks"]["determinism"]
     assert not det["passed"]
     assert det["detail"]["mismatched"] == ["gt.kkt_primal"]
     # wall-clock columns are measured, so they alone may differ
     rec.traces["gt"].wall_ms[5] += 1.0
-    assert run_checks(rec, window=10).checks["determinism"]["passed"]
+    assert run_checks(rec, window=10)["checks"]["determinism"]["passed"]
