@@ -8,8 +8,9 @@ functions are pure: they read (state, family, operator) and return a
 fresh state, so runs replay and formulations compare trajectory for
 trajectory.  Every init starts at x = 0; every step is one round.
 
-One q-form, x1 = x - M^{-1} q and q1 = q + g1 - g + alpha D (2 x1 - x)
-from q = grad(0), serves three methods; M is a local curvature plus eps I:
+One q-form, x1 = x - M^{-1} q and q1 = q + g1 - g + alpha (2 dx1 - dx) from
+q = grad(0), with dx = D x carried so that D x1 is a round's one exchange,
+serves three methods; M is a local curvature plus eps I:
 
     method  curvature     eps   alpha    D
     nt      hess_i(x)     eps   alpha    I - W   (solved by reg_solve)
@@ -86,8 +87,9 @@ def reg_solve(family, curve, eps: float, rhs: np.ndarray) -> np.ndarray:
 
 class NewtonTrackingState(NamedTuple):
     """Iterate x, tracked direction q, its step u = M^{-1} q, the gradient
-    at x, and scale: None where M is hess(x) + eps I (nt), else the
-    constant 1 / (c_i + eps) of a fixed curvature c_i per node.
+    at x, the exchange dx = D x of the iterate, and scale: None where M is
+    hess(x) + eps I (nt), else the constant 1 / (c_i + eps) of a fixed
+    curvature c_i per node.
 
     q sums gradient increments and disagreement corrections, so
     sum_i q_i = sum_i grad_i at every iteration.  Fields cannot be
@@ -99,6 +101,7 @@ class NewtonTrackingState(NamedTuple):
     q: np.ndarray
     u: np.ndarray
     grad: np.ndarray
+    dx: np.ndarray
     alpha: float
     eps: float
     t: int = 0
@@ -115,12 +118,12 @@ def _direction(family, curve, eps: float, scale, q: np.ndarray) -> np.ndarray:
 
 
 def _start(family, alpha: float, eps: float, fixed=None) -> NewtonTrackingState:
-    """x = 0, q = grad(0), u = M^{-1} q; fixed: a constant curvature per node."""
+    """x = 0 = D x, q = grad(0), u = M^{-1} q; fixed: a curvature per node."""
     scale = None if fixed is None else 1.0 / (fixed + eps)
     x = np.zeros((family.n, family.p))
     g, curve = _oracle(family, scale, x)
     return NewtonTrackingState(x, g, _direction(family, curve, eps, scale, g), g,
-                               alpha, eps, 0, scale)
+                               x, alpha, eps, 0, scale)
 
 
 def nt_init(family, alpha: float, eps: float) -> NewtonTrackingState:
@@ -145,15 +148,15 @@ def dlm_init(family, graph: Graph, alpha: float, eps: float) -> NewtonTrackingSt
 
 
 def nt_step(state: NewtonTrackingState, family, d: np.ndarray) -> NewtonTrackingState:
-    """One round: x advances by -u; q takes the gradient increment and
-    alpha D (2 x1 - x), the round's one exchange, with D = d as
-    harness.Method names it; u becomes M^{-1} q at x1."""
+    """One round: x advances by -u; its one exchange is dx1 = D x1, with
+    D = d as harness.Method names it; q takes the gradient increment and
+    alpha (2 dx1 - dx); u becomes M^{-1} q at x1."""
     x1 = state.x - state.u
     g1, curve = _oracle(family, state.scale, x1)
-    z = 2.0 * x1 - state.x
-    q1 = state.q + (g1 - state.grad) + state.alpha * (d @ z)
+    dx1 = d @ x1
+    q1 = state.q + (g1 - state.grad) + state.alpha * (2.0 * dx1 - state.dx)
     u1 = _direction(family, curve, state.eps, state.scale, q1)
-    return NewtonTrackingState(x1, q1, u1, g1, state.alpha, state.eps,
+    return NewtonTrackingState(x1, q1, u1, g1, dx1, state.alpha, state.eps,
                                state.t + 1, state.scale)
 
 

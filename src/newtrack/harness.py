@@ -245,8 +245,9 @@ class RunConfig:
             if spec.name in names[:i]:
                 raise ValueError(f"algorithms[{i}].name: {spec.name!r} appears "
                                  "twice; its traces would collide")
-            if METHODS[spec.name].needs_eps and spec.eps is None:
-                raise ValueError(f"algorithms[{i}].eps: {spec.name!r} needs eps")
+            if METHODS[spec.name].needs_eps != (spec.eps is not None):
+                takes = "needs eps" if spec.eps is None else "takes no eps"
+                raise ValueError(f"algorithms[{i}].eps: {spec.name!r} {takes}")
             _finite_above(f"algorithms[{i}].alpha", spec.alpha)
             if spec.eps is not None:
                 _finite_above(f"algorithms[{i}].eps", spec.eps)
@@ -533,8 +534,8 @@ def _run(config: RunConfig, net: Network, obj: Objective,
                      topology=topology_to_doc(net.graph, net.mix))
 
 
-# Bytes of the iterates one block of trace metrics stacks: x, q, grad and u
-# for nt, x for the others.  That is 23 nt rounds at n p = 80 (fig1,
+# Bytes of the iterates one block of trace metrics stacks: x, grad, q, u and
+# dx for nt, x for the others.  That is 18 nt rounds at n p = 80 (fig1,
 # topo-n10) and one round of any method at n p = 4000 (fig5-n100).
 BLOCK_BYTES = 60_000
 
@@ -585,7 +586,7 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
     if feasible:
         energy = certified.energy
         v = np.zeros((n, p))
-    fields = ("x", "grad", "q", "u") if is_nt else ("x",)
+    fields = ("x", "grad", "q", "u", "dx") if is_nt else ("x",)
     size = max(1, BLOCK_BYTES // (len(fields) * n * p * 8))
     prev = None  # the iterate before the block
 
@@ -596,19 +597,14 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
         root_x = root @ x
         gnorm = tracking = dual = rem = bound = [None] * len(states)
         if is_nt:
-            (g0, g), (q0, q), (u0, _) = nt_pairs
+            (_, g), (_, q), (u0, _), (_, dx) = nt_pairs
             tracking = alg.conservation_residuals(q, g)
-            if prev is None:  # x^0 = 0, where kkt_dual is ||q||
-                dual = alg.norms(q)
-            else:
-                # From q1 = q0 + g1 - g0 + alpha (I - W)(2 x1 - x0) and
-                # x1 = x0 - u0: r = g0 - g1 - q0 + alpha (I - W) u0 is
-                # -(q1 - alpha (I - W) x1), and, with q0 = (H + eps I) u0,
+            r = spec.alpha * dx
+            r -= q
+            dual = alg.norms(r)
+            if prev is not None:
+                # r = g0 - g1 - q0 + alpha D u0 and q0 = (H + eps I) u0, so
                 # r + eps u0 is the second-order remainder of the step.
-                r = g0 - g
-                r -= q0
-                r += spec.alpha * (op @ u0)
-                dual = alg.norms(r)
                 r += spec.eps * u0
                 rem = alg.norms(r)
                 bound = [certified.cert.kappa * d for d in alg.norms(x - x0)]

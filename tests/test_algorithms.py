@@ -199,7 +199,7 @@ def test_nt_fixed_point():
     tile = np.tile(x_star, (fam.n, 1))
     st = NewtonTrackingState(x=tile, q=np.zeros_like(tile),
                              u=np.zeros_like(tile), grad=fam.grad_stack(tile),
-                             alpha=0.7, eps=eps, t=0)
+                             dx=mix.disagreement @ tile, alpha=0.7, eps=eps, t=0)
     assert conservation_residual(st) < 1e-12
     nxt = nt_step(st, fam, mix.disagreement)
     assert np.max(np.abs(nxt.x - tile)) < 1e-12

@@ -296,6 +296,12 @@ DOC_ONLY = [({"topology": {"kind": "cycle", "n": 5, "file": 5}}, "topology.file"
     ({"topology": {"kind": "random", "n": 10, "tau": 0.01, "seed": 7}},
      "topology.tau"),
     *DOC_ONLY,
+    # EXTRA and gt read no eps: one set there would change no number, yet
+    # the trace would record it.
+    ({"algorithms": (AlgorithmSpec("extra", alpha=0.07, eps=5.0),)},
+     "algorithms[0].eps"),
+    ({"algorithms": (AlgorithmSpec("nt", alpha=1.0, eps=1.5),
+                     AlgorithmSpec("gt", alpha=0.1, eps=1.0))}, "algorithms[1].eps"),
 ])
 def test_config_validation_names_the_field(change, field):
     # Nested changes are spec fields as keywords; the constructor gets the
@@ -617,11 +623,9 @@ def per_round_trace(config, spec):
             root_x = root @ state.x
             dual = rem = bound = gnorm = tracking = None
             if is_nt:
-                if prev is None:
-                    dual = alg.norm(state.q)
-                else:
-                    r = prev.grad - state.grad - prev.q + spec.alpha * (op @ prev.u)
-                    dual = alg.norm(r)
+                r = spec.alpha * (op @ state.x) - state.q
+                dual = alg.norm(r)
+                if prev is not None:
                     rem = alg.norm(r + spec.eps * prev.u)
                     bound = cert.kappa * alg.norm(state.x - prev.x)
                 if feasible:
@@ -646,17 +650,17 @@ def per_round_trace(config, spec):
 
 
 @pytest.mark.parametrize("config, expect", [
-    # 100 rounds: four full blocks of 23 and a partial one of 8.
+    # 100 rounds: five full blocks of 18 and a partial one of 10.
     (dataclasses.replace(preset("fig1"), iters=100), {"nt": ("budget", 101)}),
     # 10 nodes, p = 8: blocks of 93 rounds, the last of 14.
     (dataclasses.replace(preset("fig1"), iters=200, algorithms=(
         AlgorithmSpec("gt", alpha=0.16), AlgorithmSpec("extra", alpha=0.07),
         AlgorithmSpec("dlm", alpha=0.1, eps=0.1))),
      {"gt": ("budget", 201), "extra": ("budget", 201), "dlm": ("budget", 201)}),
-    # Stops at t = 211, four rounds into the tenth block.
+    # Stops at t = 211, thirteen rounds into the twelfth block.
     (dataclasses.replace(preset("fig1"), iters=400, stop_tol=1e-6),
      {"nt": ("tol", 212)}),
-    # Diverges 15 rounds into the second block.
+    # Diverges 2 rounds into the third block.
     (dataclasses.replace(preset("fig1"), algorithms=(
         AlgorithmSpec("nt", alpha=50.0, eps=0.01),)), {"nt": ("diverged", 39)}),
     (feasible_config(), {"nt": ("budget", 61)}),
@@ -683,6 +687,27 @@ def test_block_metrics_equal_per_round_metrics(config, expect):
         assert len(trace.wall_ms) == len(trace)
         if config.name == "feas":
             assert all(isinstance(g, float) for g in trace.gnorm_error)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 8), tau=st.floats(0.5, 1.0), m=st.integers(1, 8),
+       p=st.integers(1, 8), alpha=st.floats(0.05, 1.0), eps=st.floats(1.0, 3.0),
+       seed=st.integers(0, 2 ** 16))
+def test_block_metrics_equal_per_round_metrics_on_random_instances(n, tau, m, p,
+                                                                    alpha, eps, seed):
+    # Random connected graphs, logistic data on both sides of m < p and step
+    # sizes where nt is stable: the driver's block columns are the
+    # round-by-round ones bit for bit.
+    config = RunConfig(name="prop",
+                       topology=TopologySpec(kind="random", n=n, tau=tau, seed=seed),
+                       data=DataSpec(family="logistic", p=p, m=m, rho=1e-3, seed=seed),
+                       algorithms=(AlgorithmSpec("nt", alpha, eps),), iters=30)
+    trace = run_experiment(config).traces["nt"]
+    cols, status = per_round_trace(config, config.algorithms[0])
+    assert (trace.status, len(trace)) == (status, len(cols["rel_error"]))
+    for column in ("rel_error", "kkt_primal", "kkt_dual", "remainder_norm",
+                   "remainder_bound", "tracking_residual"):
+        assert getattr(trace, column) == cols[column], column
 
 
 def test_first_below():
