@@ -211,57 +211,3 @@ def contraction_check(energies, cert: RateCertificate) -> dict:
     return {"passed": violations == 0,
             "detail": {"violations": violations, "worst_ratio": worst,
                        "bound": bound}}
-
-
-@dataclass(frozen=True)
-class RateFit:
-    """Least-squares line through log10(error) against iteration."""
-
-    slope: float
-    r_squared: float
-    start: int
-    stop: int
-
-
-def decay_window(errors, start_below: float = 0.5,
-                 stop_below: float = 1e-8) -> tuple[int, int]:
-    """Half-open index window where the error decays from start_below
-    down to stop_below (or to the last positive entry)."""
-    errors = np.asarray(errors, dtype=float)
-    start = None
-    stop = errors.shape[0]
-    for t, e in enumerate(errors):
-        if start is None and e <= start_below:
-            start = t
-        if e <= stop_below:
-            stop = t + 1
-            break
-        if e <= 0:
-            stop = t
-            break
-    if start is None or stop - start < 3:
-        raise ValueError("no usable decay window in the error sequence")
-    return start, stop
-
-
-def fit_linear_rate(errors, window: tuple[int, int] | None = None) -> RateFit:
-    """Fit log10(errors[t]) = a + slope * t over the given index window.
-
-    All entries in the window must be positive.  A constant sequence
-    fits exactly with slope 0.
-    """
-    errors = np.asarray(errors, dtype=float)
-    start, stop = window if window is not None else (0, errors.shape[0])
-    seg = errors[start:stop]
-    if seg.shape[0] < 2:
-        raise ValueError("need at least two points to fit a rate")
-    if np.any(seg <= 0):
-        raise ValueError("rate fit window contains nonpositive errors")
-    t = np.arange(start, stop, dtype=float)
-    y = np.log10(seg)
-    slope, intercept = np.polyfit(t, y, 1)
-    pred = intercept + slope * t
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(slope=float(slope), r_squared=r_squared, start=start, stop=stop)

@@ -43,8 +43,8 @@ FAMILIES = {
 class Method(NamedTuple):
     """How a run starts a method, what its rounds exchange and send.
 
-    `init(family, graph, spec)` returns the state at t = 0, reading the
-    graph only where reads_graph is set (dlm's degrees); the step is
+    `init(family, graph, spec)` returns the state at t = 0 (only dlm's
+    reads the graph: its degrees); the step is
     `algorithms.<name>_step(state, family, exchange(net))`: W for gt,
     I - W for nt and extra, the Laplacian for dlm (the q-form's D).  Both
     are looked up on the algorithms module at call time, so wrappers
@@ -55,7 +55,6 @@ class Method(NamedTuple):
     exchange: Callable  # Network -> the n x n operator a step is handed
     vectors: int  # (n, p) arrays exchanged per round
     needs_eps: bool
-    reads_graph: bool = False
 
 
 METHODS = {
@@ -66,7 +65,7 @@ METHODS = {
     "extra": Method(lambda fam, graph, s: alg.extra_init(fam, s.alpha),
                     lambda net: net.mix.disagreement, 1, False),
     "dlm": Method(lambda fam, graph, s: alg.dlm_init(fam, graph, s.alpha, s.eps),
-                  lambda net: laplacian(net.graph), 1, True, True),
+                  lambda net: laplacian(net.graph), 1, True),
 }
 
 
@@ -211,6 +210,10 @@ class DataSpec:
         if self.family == "logistic":
             _at_least("data.m", self.m, 1)
             _finite_above("data.rho", self.rho)  # mu = rho / n must be > 0
+        else:  # set, they would change no number, yet the record would keep them
+            for name in ("m", "rho"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"data.{name}: {self.family!r} takes no {name}")
 
 
 @dataclass(frozen=True)
@@ -239,6 +242,8 @@ class RunConfig:
         _at_least("iters", self.iters, 0)
         if self.stop_tol is not None:
             _finite_above("stop_tol", self.stop_tol)
+        if not self.algorithms:
+            raise ValueError("algorithms: empty; name at least one method")
         names = [a.name for a in self.algorithms]
         for i, spec in enumerate(self.algorithms):
             _one_of(f"algorithms[{i}].name", spec.name, METHODS)
@@ -361,10 +366,6 @@ def _record_text(record: RunRecord, columns: dict) -> str:
                    for f in dataclasses.fields(record)) + "\n"
 
 
-def save_record(record: RunRecord, path) -> None:
-    Path(path).write_text(_record_text(record, _columns(record)))
-
-
 def load_record(path) -> RunRecord:
     return RunRecord.from_doc(json.loads(Path(path).read_text()))
 
@@ -474,58 +475,23 @@ def build_objective(config: RunConfig) -> Objective:
     return Objective(family, family.digest(), convexity_bounds(family))
 
 
-@dataclass(frozen=True)
-class Certified:
-    """nt's rate certificate on one network and objective, with the dual
-    optimum v* and the squared error of its metric, each derived on first
-    read: a trace reads v* and the metric only under a feasible certificate,
-    and a check's re-run and replay share one certificate and v*."""
-
-    net: Network
-    obj: Objective
-    spec: AlgorithmSpec
-
-    @functools.cached_property
-    def cert(self) -> analysis.RateCertificate:
-        return analysis.rate_certificate(self.obj.bounds, self.net.spectra,
-                                         self.spec.alpha, self.spec.eps)
-
-    @functools.cached_property
-    def v_star(self) -> np.ndarray:
-        return analysis.dual_optimum(self.obj.family, self.obj.x_star,
-                                     self.net.spectra.root)
-
-    @functools.cached_property
-    def energy(self) -> Callable[[np.ndarray, np.ndarray], float]:
-        alpha = self.spec.alpha
-        return analysis.g_norm_metric(
-            analysis.consensus_penalty_matrix(self.net.mix.w, alpha, self.spec.eps),
-            self.obj.x_star, self.v_star, alpha)
-
-
 def run_experiment(config: RunConfig) -> RunRecord:
     """Build the config's network and objective, run every algorithm."""
-    net, obj = build_network(config.topology), build_objective(config)
-    return _run(config, net, obj, _certified(config, net, obj), {})
+    return _run(config, build_network(config.topology), build_objective(config))
 
 
-def _certified(config: RunConfig, net: Network, obj: Objective) -> Certified | None:
-    """nt's Certified on net and obj, or None when config does not run nt."""
-    return next((Certified(net, obj, spec) for spec in config.algorithms
-                 if spec.name == "nt"), None)
-
-
-def _run(config: RunConfig, net: Network, obj: Objective,
-         certified: Certified | None, starts: dict) -> RunRecord:
-    """Run every algorithm of config; nt's certificate and trace read
-    `certified` (see _certified)."""
+def _run(config: RunConfig, net: Network, obj: Objective) -> RunRecord:
+    """Run every algorithm of config on net and obj; nt's trace reads its
+    rate certificate, which the record keeps."""
     certificates = {}
     traces = {}
     for spec in config.algorithms:
+        cert = None
         if spec.name == "nt":
-            certificates[spec.name] = certified.cert.to_doc()
-        traces[spec.name] = _run_algorithm(
-            spec, net, obj, certified if spec.name == "nt" else None, config, starts)
+            cert = analysis.rate_certificate(obj.bounds, net.spectra,
+                                             spec.alpha, spec.eps)
+            certificates[spec.name] = cert.to_doc()
+        traces[spec.name] = _run_algorithm(spec, net, obj, cert, config)
     return RunRecord(config=config, dataset_digest=obj.digest, x_star=obj.x_star,
                      ref_residual=obj.ref_residual,
                      spectra={"lambda_max": net.spectra.lambda_max,
@@ -553,8 +519,8 @@ def _shift(prev, states: list, names: tuple) -> list:
 
 
 def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
-                   certified: Certified | None, config: RunConfig,
-                   starts: dict) -> ConvergenceTrace:
+                   cert: analysis.RateCertificate | None,
+                   config: RunConfig) -> ConvergenceTrace:
     """Run one method for config.iters rounds, recording every iterate.
 
     Each round records wall_ms and rel_error, which the stop tests read:
@@ -563,9 +529,8 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
     are computed per block of up to BLOCK_BYTES of stacked iterates, from
     (T, n, p) stacks (views of the state's arrays in a block of one):
     root @ x as a broadcast matmul, norms by one vecdot over rows, node
-    sums over axis 1, each bit for bit the per-iterate value.  `starts`
-    holds the t = 0 states that read no graph, shared by runs on one
-    objective.
+    sums over axis 1, each bit for bit the per-iterate value.  cert is
+    nt's rate certificate (None for the others).
     """
     family, root = obj.family, net.spectra.root
     n, p = family.n, family.p
@@ -580,11 +545,14 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
     # Only nt's trace records kkt_dual = ||q - alpha (I - W) x|| (the
     # primal-dual ||grad + root v|| in exact arithmetic), the conservation
     # identity and a remainder; the others record None.  The dual iterate v
-    # is kept only for the metric error under a feasible certificate.
+    # and the metric, with its optimum v*, are kept only under a feasible
+    # certificate.
     is_nt = spec.name == "nt"
-    feasible = is_nt and certified.cert.feasible
+    feasible = is_nt and cert.feasible
     if feasible:
-        energy = certified.energy
+        energy = analysis.g_norm_metric(
+            analysis.consensus_penalty_matrix(net.mix.w, spec.alpha, spec.eps),
+            obj.x_star, analysis.dual_optimum(family, obj.x_star, root), spec.alpha)
         v = np.zeros((n, p))
     fields = ("x", "grad", "q", "u", "dx") if is_nt else ("x",)
     size = max(1, BLOCK_BYTES // (len(fields) * n * p * 8))
@@ -607,7 +575,7 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
                 # r + eps u0 is the second-order remainder of the step.
                 r += spec.eps * u0
                 rem = alg.norms(r)
-                bound = [certified.cert.kappa * d for d in alg.norms(x - x0)]
+                bound = [cert.kappa * d for d in alg.norms(x - x0)]
             if feasible:
                 gnorm = []
                 for state, rx in zip(states, root_x):
@@ -627,13 +595,7 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
     def reached() -> bool:
         return config.stop_tol is not None and trace.rel_error[-1] <= config.stop_tol
 
-    # Runs on one objective (a sweep's kinds) share a start that reads no
-    # graph through `starts`, keyed by spec; states are never written.
-    state = starts.get(spec)
-    if state is None:
-        state = method.init(family, net.graph, spec)
-        if not method.reads_graph:
-            starts[spec] = state
+    state = method.init(family, net.graph, spec)
     trace.rel_error.append(alg.norm(state.x - target) / denom)
     trace.wall_ms.append(0.0)
     block = []
@@ -671,9 +633,8 @@ def topology_sweep(config: RunConfig, kinds=("line", "cycle", "complete")
                    ) -> dict:
     """Re-run one config across topology kinds; returns kind -> RunRecord.
 
-    Every kind's network is built before the one objective they share;
-    a start that reads no graph (nt's, gt's, EXTRA's) is made once for all
-    kinds.  Kinds must be distinct and at least one.
+    Every kind's network is built before the one objective they share.
+    Kinds must be distinct and at least one.
     """
     configs = {}
     for kind in kinds:
@@ -687,9 +648,8 @@ def topology_sweep(config: RunConfig, kinds=("line", "cycle", "complete")
     if not configs:
         raise ValueError("kinds: empty; name at least one topology kind")
     nets = {kind: build_network(c.topology) for kind, c in configs.items()}
-    obj, starts = build_objective(config), {}
-    return {kind: _run(c, nets[kind], obj, _certified(c, nets[kind], obj), starts)
-            for kind, c in configs.items()}
+    obj = build_objective(config)
+    return {kind: _run(c, nets[kind], obj) for kind, c in configs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -699,31 +659,6 @@ def topology_sweep(config: RunConfig, kinds=("line", "cycle", "complete")
 CSV_COLUMNS = ("iter", "comm_rounds", "scalars_sent", "rel_error",
                "gnorm_error", "tracking_residual", "kkt_primal", "kkt_dual",
                "wall_ms")
-
-
-def export_csv(record: RunRecord, out_dir) -> list[Path]:
-    """One CSV per algorithm with the fixed column set; returns the paths.
-
-    Counts print as integers, metrics by repr, their shortest round-trip
-    decimal form; undefined metrics leave the cell empty.
-    """
-    return _write_csvs(record, _columns(record), Path(out_dir))
-
-
-def _write_csvs(record: RunRecord, columns: dict, out_dir: Path) -> list[Path]:
-    """export_csv with each cell cut from its column's JSON text, whose
-    numbers json.dumps spells as repr does: split on ", ", null as empty."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, trace in record.traces.items():
-        texts = columns[name]
-        cells = [map(str, range(len(trace)))] + [
-            texts[c][1:-1].replace("null", "").split(", ") for c in CSV_COLUMNS[1:]]
-        lines = [",".join(CSV_COLUMNS)] + [",".join(row) for row in zip(*cells)]
-        path = out_dir / f"{name}.csv"
-        path.write_text("\n".join(lines) + "\n")
-        paths.append(path)
-    return paths
 
 
 PLOT_STUB = '''#!/usr/bin/env python3
@@ -750,18 +685,31 @@ print("wrote traces.png")
 
 def write_outputs(record: RunRecord, out_dir) -> dict:
     """record.json + per-algorithm CSVs + a plot stub under out_dir, from
-    one formatting pass over the traces."""
+    one formatting pass over the traces; a NaN fails before a file is written.
+
+    Each CSV has the fixed column set: counts print as integers, metrics by
+    repr, their shortest round-trip decimal form, and undefined metrics
+    leave the cell empty.  Each cell is cut from its column's JSON text,
+    whose numbers json.dumps spells as repr does: split on ", ", null as
+    empty.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     columns = _columns(record)
     record_path = out_dir / "record.json"
     record_path.write_text(_record_text(record, columns))
-    csv_paths = _write_csvs(record, columns, out_dir)
+    csv_paths = []
+    for name, trace in record.traces.items():
+        texts = columns[name]
+        cells = [map(str, range(len(trace)))] + [
+            texts[c][1:-1].replace("null", "").split(", ") for c in CSV_COLUMNS[1:]]
+        lines = [",".join(CSV_COLUMNS)] + [",".join(row) for row in zip(*cells)]
+        path = out_dir / f"{name}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        csv_paths.append(str(path))
     stub = out_dir / "plot.py"
     stub.write_text(PLOT_STUB)
-    return {"record": str(record_path),
-            "csv": [str(p) for p in csv_paths],
-            "plot": str(stub)}
+    return {"record": str(record_path), "csv": csv_paths, "plot": str(stub)}
 
 
 # ---------------------------------------------------------------------------
@@ -782,8 +730,7 @@ def run_checks(record: RunRecord, window: int = 100) -> dict:
     checks = {}
     config = record.config
     net, obj = build_network(config.topology), build_objective(config)
-    certified = _certified(config, net, obj)
-    rerun = _run(config, net, obj, certified, {})
+    rerun = _run(config, net, obj)
     doc, again = record.to_doc(), rerun.to_doc()
     fields = [key for key in doc if key != "traces" and doc[key] != again[key]]
     columns = [name for name in again["traces"] if name not in doc["traces"]] + [
@@ -796,13 +743,13 @@ def run_checks(record: RunRecord, window: int = 100) -> dict:
         "passed": not (fields or columns),
         "detail": {"digest_match": "dataset_digest" not in fields,
                    "trace_match": not columns, "mismatched": fields + columns}}
-    checks.update(_replay_checks(rerun, net, obj, window, certified))
+    checks.update(_replay_checks(rerun, net, obj, window))
     return {"passed": all(c["passed"] for c in checks.values()), "checks": checks}
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
-                   window: int, certified: Certified | None) -> dict:
+                   window: int) -> dict:
     """Identity and bound checks over up to `window` steps of the re-run.
 
     nt's conservation, remainder and contraction checks bound its trace's
@@ -810,7 +757,8 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
     which determinism compares with the record's.  Equivalence and the
     stationarity identity replay nt and its primal-dual form, tracker_mean
     replays gt, each over the iterates the trace holds: a diverged run's
-    overflow shows as failed checks, not as warnings.
+    overflow shows as failed checks, not as warnings.  nt's certificate
+    and v* are derived again from net and obj.
     """
     checks = {}
     mix, spectra, family = net.mix, net.spectra, obj.family
@@ -837,10 +785,11 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
             trace.remainder_norm[1:steps + 1], trace.remainder_bound[1:steps + 1])
         checks["stationarity_identity"] = analysis.stationarity_identity_check(
             xs, vs, family, mix.w, spectra.root, spec.alpha, spec.eps,
-            obj.x_star, certified.v_star)
-        if certified.cert.feasible:
+            obj.x_star, analysis.dual_optimum(family, obj.x_star, spectra.root))
+        cert = analysis.rate_certificate(obj.bounds, spectra, spec.alpha, spec.eps)
+        if cert.feasible:
             checks["contraction"] = analysis.contraction_check(
-                trace.gnorm_error[:steps + 1], certified.cert)
+                trace.gnorm_error[:steps + 1], cert)
 
     if "gt" in specs:
         state = alg.gt_init(family, specs["gt"].alpha)

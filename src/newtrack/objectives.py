@@ -192,11 +192,9 @@ class LogisticFamily:
         g = self.dataset.reg * x - np.einsum("nm,nmp->p", s, self._yf)
         return g, s * (1.0 - s)
 
-    def hess_total(self, x: np.ndarray, curve: np.ndarray | None = None) -> np.ndarray:
-        """The total Hessian at x; curve: its weights, if at hand."""
-        if curve is None:
-            s = expit(-(self._yf @ x))
-            curve = s * (1.0 - s)
+    def hess_total(self, x: np.ndarray, curve: np.ndarray) -> np.ndarray:
+        """The total Hessian at x from its weights curve, which
+        grad_curvature_total(x) returns."""
         # One GEMM over all n m samples: F' (c * F), F of shape (n m, p).
         f = self._f.reshape(-1, self.p)
         h = f.T @ (f * curve.reshape(-1, 1))
@@ -252,7 +250,7 @@ class QuadraticFamily:
     def grad_curvature_total(self, x: np.ndarray) -> tuple[np.ndarray, None]:
         return self.a.sum(axis=0) @ x + self.b.sum(axis=0), None
 
-    def hess_total(self, x: np.ndarray, curve: None = None) -> np.ndarray:
+    def hess_total(self, x: np.ndarray, curve: None) -> np.ndarray:
         return self.a.sum(axis=0)
 
 

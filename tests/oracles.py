@@ -1,9 +1,11 @@
 """Per-node oracles for the stacked families: single-node objectives, the
 quadratic aggregate's closed-form minimizer, a central-difference check
 of each derivative against the one below it, and the Hessian-based
-second-order remainder of a step."""
+second-order remainder of a step, and a log-linear fit of an error
+sequence's decay rate."""
 
 from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -152,3 +154,57 @@ def derivative_check(obj, x: np.ndarray, step: float = 1e-6,
         hess_error = max(hess_error, err)
     return DerivativeReport(grad_error, hess_error, grad_error < grad_tol,
                             hess_error < hess_tol)
+
+
+@dataclass(frozen=True)
+class RateFit:
+    """Least-squares line through log10(error) against iteration."""
+
+    slope: float
+    r_squared: float
+    start: int
+    stop: int
+
+
+def decay_window(errors, start_below: float = 0.5,
+                 stop_below: float = 1e-8) -> tuple[int, int]:
+    """Half-open index window where the error decays from start_below
+    down to stop_below (or to the last positive entry)."""
+    errors = np.asarray(errors, dtype=float)
+    start = None
+    stop = errors.shape[0]
+    for t, e in enumerate(errors):
+        if start is None and e <= start_below:
+            start = t
+        if e <= stop_below:
+            stop = t + 1
+            break
+        if e <= 0:
+            stop = t
+            break
+    if start is None or stop - start < 3:
+        raise ValueError("no usable decay window in the error sequence")
+    return start, stop
+
+
+def fit_linear_rate(errors, window: tuple[int, int] | None = None) -> RateFit:
+    """Fit log10(errors[t]) = a + slope * t over the given index window.
+
+    All entries in the window must be positive.  A constant sequence
+    fits exactly with slope 0.
+    """
+    errors = np.asarray(errors, dtype=float)
+    start, stop = window if window is not None else (0, errors.shape[0])
+    seg = errors[start:stop]
+    if seg.shape[0] < 2:
+        raise ValueError("need at least two points to fit a rate")
+    if np.any(seg <= 0):
+        raise ValueError("rate fit window contains nonpositive errors")
+    t = np.arange(start, stop, dtype=float)
+    y = np.log10(seg)
+    slope, intercept = np.polyfit(t, y, 1)
+    pred = intercept + slope * t
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return RateFit(slope=float(slope), r_squared=r_squared, start=start, stop=stop)

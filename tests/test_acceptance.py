@@ -15,16 +15,15 @@ import pytest
 from newtrack import analysis
 from newtrack.algorithms import nt_init, nt_step, pd_init, pd_step
 from newtrack.analysis import (consensus_penalty_matrix, contraction_check,
-                               decay_window, dual_optimum, fit_linear_rate,
-                               g_norm_metric, rate_certificate)
+                               dual_optimum, g_norm_metric, rate_certificate)
 from newtrack.harness import preset, run_experiment, topology_sweep
 from newtrack.objectives import (LogisticFamily, QuadraticFamily,
                                  convexity_bounds, generate_logistic_data,
                                  generate_quadratic_set)
 from newtrack.topology import (build_topology, metropolis_weights,
                                spectral_stats)
-from oracles import (approximation_error, derivative_check, make_logistic, optimum,
-                     remainder_report)
+from oracles import (approximation_error, decay_window, derivative_check,
+                     fit_linear_rate, make_logistic, optimum, remainder_report)
 
 
 def criterion(num: int, ok: bool, desc: str) -> None:

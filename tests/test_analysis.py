@@ -16,15 +16,15 @@ from numpy.testing import assert_allclose
 
 from newtrack.algorithms import pd_init, pd_step
 from newtrack.analysis import (consensus_penalty_matrix, contraction_check,
-                               decay_window, dual_optimum, fit_linear_rate,
-                               g_norm_metric, rate_certificate,
+                               dual_optimum, g_norm_metric, rate_certificate,
                                stationarity_identity_check)
 from newtrack.objectives import (LogisticFamily, ObjectiveBounds,
                                  QuadraticFamily, convexity_bounds,
                                  generate_logistic_data)
 from newtrack.topology import (build_topology, metropolis_weights,
                                spectral_stats)
-from oracles import approximation_error, optimum, remainder_report
+from oracles import (approximation_error, decay_window, fit_linear_rate, optimum,
+                     remainder_report)
 
 UNIT_BOUNDS = ObjectiveBounds(mu=1.0, lip=1.0)
 

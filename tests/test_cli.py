@@ -391,8 +391,9 @@ DELETE = object()
     ("config.iters", -1, "config.iters: must be >= 0"),
     ("config.topology.n", 1, "config.topology.n: must be >= 2"),
     ("config.algorithms.0.eps", DELETE, "config.algorithms[0].eps: 'nt' needs eps"),
+    ("config.algorithms", [], "config.algorithms: empty; name at least one method"),
 ], ids=["missing", "unknown", "traces-list", "trace-key", "trace-column", "x-star",
-        "config-range", "spec-range", "needs-eps"])
+        "config-range", "spec-range", "needs-eps", "no-method"])
 def test_malformed_record_fails_at_load_naming_the_path(capsys, tmp_path, key,
                                                         value, message):
     # A record is read like a config: a bad key, or a config value out of

@@ -6,6 +6,7 @@ import functools
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +17,8 @@ from newtrack import algorithms as alg
 from newtrack import analysis, cli, harness
 from newtrack.harness import (CSV_COLUMNS, PRESET_NAMES, AlgorithmSpec,
                               ConvergenceTrace, DataSpec, RunConfig,
-                              TopologySpec, export_csv, load_record, preset,
-                              run_checks, run_experiment, save_record,
-                              topology_sweep, write_outputs)
+                              TopologySpec, load_record, preset, run_checks,
+                              run_experiment, topology_sweep, write_outputs)
 from newtrack.objectives import LogisticFamily, generate_logistic_data
 from newtrack.topology import (KINDS, build_topology, metropolis_weights,
                                topology_to_doc)
@@ -302,6 +302,13 @@ DOC_ONLY = [({"topology": {"kind": "cycle", "n": 5, "file": 5}}, "topology.file"
      "algorithms[0].eps"),
     ({"algorithms": (AlgorithmSpec("nt", alpha=1.0, eps=1.5),
                      AlgorithmSpec("gt", alpha=0.1, eps=1.0))}, "algorithms[1].eps"),
+    # A config with no method would solve x* for nothing and write no trace.
+    ({"algorithms": ()}, "algorithms"),
+    # Quadratic data reads neither m nor rho: set, they would change no
+    # number, yet the record would keep them.
+    ({"data": {"family": "quadratic", "p": 3, "m": -3}}, "data.m"),
+    ({"data": {"family": "quadratic", "p": 3, "rho": -1.0}}, "data.rho"),
+    ({"data": {"family": "quadratic", "p": 3, "m": 12, "rho": 1e-3}}, "data.m"),
 ])
 def test_config_validation_names_the_field(change, field):
     # Nested changes are spec fields as keywords; the constructor gets the
@@ -343,7 +350,7 @@ def test_a_record_with_removed_config_keys_does_not_load(tmp_path):
     # A record written while configs carried ref_tol, beta and phi holds
     # them under "config"; it fails to load, and its config must be re-run.
     path = tmp_path / "record.json"
-    save_record(run_experiment(tiny_config(iters=2)), path)
+    write_outputs(run_experiment(tiny_config(iters=2)), tmp_path)
     doc = json.loads(path.read_text())
     doc["config"].update(ref_tol=1e-12, beta=2.0, phi=2.0)
     path.write_text(json.dumps(doc))
@@ -494,7 +501,7 @@ def test_divergence_stops_and_record_is_strict_json(tmp_path):
     assert nt.status == "diverged"
     assert len(nt) == 39  # iterate 39 is the first with a non-finite error
     assert all(np.isfinite(nt.rel_error))
-    save_record(rec, tmp_path / "record.json")
+    write_outputs(rec, tmp_path)
 
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
@@ -727,8 +734,8 @@ def test_topology_sweep_matches_direct_run():
         topology=TopologySpec(kind="line", n=5)))
     assert out["line"].config.name == "tiny-line"
     assert out["line"].traces["nt"].rel_error == direct.traces["nt"].rel_error
-    # The second kind reuses the first's nt, gt and EXTRA starts; every
-    # trace column but wall_ms is that of a run of its own.
+    # Every trace column but wall_ms of the second kind is that of a run of
+    # its own.
     alone = run_experiment(dataclasses.replace(
         cfg, name="tiny-complete", topology=TopologySpec(kind="complete", n=5)))
     for name, trace in out["complete"].traces.items():
@@ -759,9 +766,9 @@ def test_topology_sweep_builds_one_objective(monkeypatch):
     counted(alg, "nt_init")
     out = topology_sweep(dataclasses.replace(preset("topo-n10"), iters=0))
     assert set(out) == {"line", "cycle", "complete"}
-    # nt's start reads no graph: one for the three kinds.
+    # Each kind's run builds its own t = 0 state: one nt start per kind.
     assert calls == {"generate_logistic_data": 1, "convexity_bounds": 1,
-                     "centralized_reference": 1, "nt_init": 1}
+                     "centralized_reference": 1, "nt_init": 3}
 
 
 def test_topology_sweep_random_needs_tau():
@@ -780,9 +787,9 @@ def test_topology_sweep_random_needs_tau():
 
 def test_csv_format_and_reexport(tmp_path):
     rec = run_experiment(tiny_config(iters=10))
-    paths = export_csv(rec, tmp_path / "a")
-    assert sorted(p.name for p in paths) == ["dlm.csv", "extra.csv",
-                                             "gt.csv", "nt.csv"]
+    paths = write_outputs(rec, tmp_path / "a")["csv"]
+    assert sorted(Path(p).name for p in paths) == ["dlm.csv", "extra.csv",
+                                                   "gt.csv", "nt.csv"]
     nt_csv = (tmp_path / "a" / "nt.csv").read_text()
     lines = nt_csv.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -797,7 +804,7 @@ def test_csv_format_and_reexport(tmp_path):
     assert fields[CSV_COLUMNS.index("tracking_residual")] == ""
     assert fields[CSV_COLUMNS.index("kkt_dual")] == ""
 
-    again = export_csv(rec, tmp_path / "b")
+    write_outputs(rec, tmp_path / "b")
     assert (tmp_path / "b" / "nt.csv").read_text() == nt_csv
 
 
@@ -806,7 +813,7 @@ def test_csv_deterministic_outside_wall_clock(tmp_path):
     texts = []
     for tag in ("x", "y"):
         rec = run_experiment(tiny_config(iters=10))
-        export_csv(rec, tmp_path / tag)
+        write_outputs(rec, tmp_path / tag)
         rows = (tmp_path / tag / "nt.csv").read_text().strip().split("\n")
         scrubbed = []
         for row in rows[1:]:
@@ -832,8 +839,8 @@ def test_write_outputs_and_record_round_trip(tmp_path):
         assert back.traces[name].rel_error == rec.traces[name].rel_error
         assert back.traces[name].wall_ms == rec.traces[name].wall_ms
 
-    save_record(back, tmp_path / "again.json")
-    assert (tmp_path / "again.json").read_text() == \
+    write_outputs(back, tmp_path / "again")
+    assert (tmp_path / "again" / "record.json").read_text() == \
         (tmp_path / "run" / "record.json").read_text()
 
 
@@ -879,20 +886,15 @@ def csv_by_repr(trace) -> str:
 
 def test_outputs_are_the_docs_bytes(tmp_path):
     # The one formatting pass writes record.json as json.dumps of the doc
-    # and each CSV as the row-by-row repr formula, byte for byte, through
-    # write_outputs, save_record and export_csv alike.
+    # and each CSV as the row-by-row repr formula, byte for byte.
     for i, record in enumerate(sample_records()):
         out = tmp_path / str(i)
         files = write_outputs(record, out)
         expected = json.dumps(record.to_doc(), allow_nan=False) + "\n"
         assert (out / "record.json").read_text() == expected
-        save_record(record, out / "saved.json")
-        assert (out / "saved.json").read_text() == expected
-        export_csv(record, out / "csv")
         assert len(files["csv"]) == len(record.traces)
         for name, trace in record.traces.items():
             assert (out / f"{name}.csv").read_text() == csv_by_repr(trace), name
-            assert (out / "csv" / f"{name}.csv").read_text() == csv_by_repr(trace)
 
 
 @pytest.mark.parametrize("column", ["rel_error", "kkt_dual", "wall_ms"])
@@ -902,13 +904,7 @@ def test_a_nan_in_a_trace_fails_before_any_record_is_written(tmp_path, column):
     message = rf"^traces\.nt\.{column}: not a finite number$"
     with pytest.raises(ValueError, match=message):
         write_outputs(rec, tmp_path / "run")
-    with pytest.raises(ValueError, match=message):
-        save_record(rec, tmp_path / "saved.json")
-    with pytest.raises(ValueError, match=message):
-        export_csv(rec, tmp_path / "csv")
     assert not (tmp_path / "run" / "record.json").exists()
-    assert not (tmp_path / "saved.json").exists()
-    assert not (tmp_path / "csv").exists()
 
 
 @functools.cache
@@ -1010,7 +1006,7 @@ def test_check_report_shape(capsys, tmp_path, config, names):
                "stationarity_identity": ["worst"],
                "contraction": ["violations", "worst_ratio", "bound"],
                "tracker_mean": ["worst"]}
-    save_record(run_experiment(config), tmp_path / "record.json")
+    write_outputs(run_experiment(config), tmp_path)
     assert cli.main(["check", "--record", str(tmp_path / "record.json"),
                      "--window", "30"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -1109,9 +1105,10 @@ def test_replay_checks_evaluate_each_iterate_once(monkeypatch):
     assert calls == {"grad_stack": 13 + 2, "hess_stack": 12}
 
 
-def test_run_checks_derive_the_certificate_once(monkeypatch):
-    # On a feasible record the re-run's trace and the replayed checks share
-    # one certificate, v*, Q and metric.
+def test_run_checks_derive_the_certificate_in_rerun_and_replay(monkeypatch):
+    # On a feasible record the re-run derives nt's certificate and v* for
+    # its trace, and the replayed checks derive both again (microseconds
+    # each); only the re-run's metric builds Q.
     rec = run_experiment(feasible_config())
     calls = {}
     for name in ("rate_certificate", "dual_optimum", "consensus_penalty_matrix",
@@ -1120,7 +1117,7 @@ def test_run_checks_derive_the_certificate_once(monkeypatch):
                             counting(calls, name, getattr(analysis, name)))
     report = run_checks(rec, window=30)
     assert report["passed"] and "contraction" in report["checks"]
-    assert calls == {"rate_certificate": 1, "dual_optimum": 1,
+    assert calls == {"rate_certificate": 2, "dual_optimum": 2,
                      "consensus_penalty_matrix": 1, "g_norm_metric": 1}
 
 
@@ -1166,7 +1163,7 @@ def test_run_checks_catch_tampered_trace(tmp_path):
         functools.reduce(lambda d, k: d[k], parents, doc)[key] += 1e-9
 
     rec = run_experiment(tiny_config(iters=20))
-    save_record(rec, tmp_path / "record.json")
+    write_outputs(rec, tmp_path)
     for field, path in (("nt.rel_error", ("traces", "nt", "rel_error", -1)),
                         ("x_star", ("x_star", 0)),
                         ("ref_residual", ("ref_residual",)),
@@ -1186,7 +1183,7 @@ def test_run_checks_catch_tampered_trace(tmp_path):
 
 def test_run_checks_compare_every_trace_column(tmp_path):
     rec = run_experiment(tiny_config(iters=20))
-    save_record(rec, tmp_path / "record.json")
+    write_outputs(rec, tmp_path)
     doc = json.loads((tmp_path / "record.json").read_text())
     doc["traces"]["gt"]["kkt_primal"][5] *= 1.0 + 1e-9
     (tmp_path / "record.json").write_text(json.dumps(doc))

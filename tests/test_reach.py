@@ -1,0 +1,75 @@
+"""The library keeps what its commands reach: every function, method and
+class defined in src/newtrack has a reader in the library or the
+benchmark, not only in the tests or the package's exports."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted(p for p in (ROOT / "src" / "newtrack").glob("*.py")
+                 if p.name != "__init__.py")
+READERS = LIBRARY + sorted((ROOT / "bench").glob("*.py"))
+
+# module.name -> why that definition may stay without a reader.
+ALLOWED = {}
+
+
+def references(tree) -> list[str]:
+    """The name each ast.Name, ast.Attribute and string constant in tree
+    spells: a string covers a callable looked up or wrapped by its name."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.append(node.value)
+    return names
+
+
+def unreached(library, readers) -> list[str]:
+    """module.name of each def and class in library (methods too, dunders
+    not) whose name no file of readers references outside its own body."""
+    trees = {path: ast.parse(path.read_text()) for path in {*library, *readers}}
+    counts = Counter(name for path in readers for name in references(trees[path]))
+    missing = []
+    for path in library:
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if counts[name] == references(node).count(name):
+                missing.append(f"{path.stem}.{name}")
+    return missing
+
+
+def test_every_library_definition_has_a_reader():
+    missing = [name for name in unreached(LIBRARY, READERS) if name not in ALLOWED]
+    assert missing == [], "defined in src/newtrack, read only by tests or exports"
+
+
+def test_unreached_flags_a_definition_only_its_own_body_reads(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "class Box:\n"
+        "    def __len__(self):\n"
+        "        return 0\n\n"
+        "    def size(self):\n"
+        "        return self.size\n\n"
+        "def used():\n"
+        "    return Box()\n\n"
+        "def recurse(k):\n"
+        "    return recurse(k - 1)\n\n"
+        "def unused():\n"
+        "    return used()\n\n"
+        "def wrapped():\n"
+        "    return 1\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text("TARGETS = [('mod', 'wrapped')]\n")
+    assert sorted(unreached([module], [module, reader])) == \
+        ["mod.recurse", "mod.size", "mod.unused"]
