@@ -21,9 +21,9 @@ from .harness import (AlgorithmSpec, ConvergenceTrace, DataSpec, RunConfig,
                       RunRecord, TopologySpec, load_record, preset,
                       run_checks, run_experiment, topology_sweep,
                       write_outputs)
-from .objectives import (LogisticDataset, LogisticFamily, ObjectiveBounds,
-                         QuadraticFamily, convexity_bounds,
-                         generate_logistic_data, generate_quadratic_set)
+from .objectives import (LogisticFamily, ObjectiveBounds, QuadraticFamily,
+                         convexity_bounds, generate_logistic_data,
+                         generate_quadratic_set)
 from .topology import (Graph, MixingMatrix, SpectralStats, build_topology,
                        laplacian, metropolis_weights, spectral_stats,
                        topology_from_doc, topology_to_doc)

@@ -70,7 +70,7 @@ def reg_solve(family, curve, eps: float, rhs: np.ndarray) -> np.ndarray:
     solve_spd_blocks.
     """
     if isinstance(family, LogisticFamily) and family.m < family.p:
-        f = family.dataset.features
+        f = family.features
         a = family.ridge + eps
         root_c = np.sqrt(curve)
         # k[i, c, d] = root_c[c + d] G[c + d, c] root_c[c], G 0 past the block.

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import algorithms as alg
 from . import analysis
-from .objectives import (LogisticFamily, ObjectiveBounds, convexity_bounds,
+from .objectives import (ObjectiveBounds, convexity_bounds,
                          generate_logistic_data, generate_quadratic_set)
 from .topology import (KINDS, Graph, MixingMatrix, SpectralStats,
                        build_topology, edge_budget, laplacian,
@@ -34,8 +34,7 @@ from .topology import (KINDS, Graph, MixingMatrix, SpectralStats,
 # looked up on this module at call time, so wrappers installed here see
 # every call.
 FAMILIES = {
-    "logistic": lambda n, d: LogisticFamily(
-        generate_logistic_data(n, d.m, d.p, d.rho, d.seed)),
+    "logistic": lambda n, d: generate_logistic_data(n, d.m, d.p, d.rho, d.seed),
     "quadratic": lambda n, d: generate_quadratic_set(n, d.p, d.seed),
 }
 
@@ -85,7 +84,7 @@ def _decode(kind, value, path: str, root: str = ""):
     A dataclass is read from an object holding its fields and no other
     key, where only a field whose default is None may be absent; tuples
     and dicts of dataclasses entry by entry; an int, float or array from
-    numbers, which a string may spell (an int takes no bool or fraction);
+    numbers, which a string may spell (no bool; an int no fraction);
     bare dicts and lists as they stand.  A ValueError names the path.
     A range check of construction names its field from the config's
     root, so its message gains root, the path of the enclosing RunConfig.
@@ -130,6 +129,8 @@ def _decode(kind, value, path: str, root: str = ""):
     if kind is int and (isinstance(value, bool) or
                         isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{path}: not an integer: {value!r}")
+    if isinstance(value, bool):
+        raise ValueError(f"{path}: not a number: {value!r}")
     try:
         return np.asarray(value, dtype=float) if kind is np.ndarray else kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -181,6 +182,8 @@ class TopologySpec:
     def __post_init__(self):
         _one_of("topology.kind", self.kind, KINDS)
         _at_least("topology.n", self.n, 2)  # I - W needs a nonzero eigenvalue
+        if self.seed is not None:
+            _at_least("topology.seed", self.seed, 0)
         if self.kind == "random" and self.file is None:
             if self.tau is None or not 0.0 < self.tau <= 1.0:
                 raise ValueError("topology.tau: a random topology needs tau in "
@@ -207,6 +210,7 @@ class DataSpec:
     def __post_init__(self):
         _one_of("data.family", self.family, FAMILIES)
         _at_least("data.p", self.p, 1)
+        _at_least("data.seed", self.seed, 0)
         if self.family == "logistic":
             _at_least("data.m", self.m, 1)
             _finite_above("data.rho", self.rho)  # mu = rho / n must be > 0
@@ -685,7 +689,7 @@ print("wrote traces.png")
 
 def write_outputs(record: RunRecord, out_dir) -> dict:
     """record.json + per-algorithm CSVs + a plot stub under out_dir, from
-    one formatting pass over the traces; a NaN fails before a file is written.
+    one formatting pass over the traces; a NaN fails before out_dir is made.
 
     Each CSV has the fixed column set: counts print as integers, metrics by
     repr, their shortest round-trip decimal form, and undefined metrics
@@ -693,9 +697,9 @@ def write_outputs(record: RunRecord, out_dir) -> dict:
     whose numbers json.dumps spells as repr does: split on ", ", null as
     empty.
     """
+    columns = _columns(record)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    columns = _columns(record)
     record_path = out_dir / "record.json"
     record_path.write_text(_record_text(record, columns))
     csv_paths = []

@@ -1,8 +1,9 @@
 """Per-node objective families: regularized logistic loss and quadratics.
 
-Each family exposes stacked operations over all nodes at once, one local
-point per node (used by the iteration loops), and totals at a shared
-point (used by the centralized reference solver).
+Each family is one class that holds and validates its own data and is
+built by its generator.  It exposes stacked operations over all nodes at
+once, one local point per node (used by the iteration loops), and totals
+at a shared point (used by the centralized reference solver).
 """
 
 from __future__ import annotations
@@ -16,53 +17,8 @@ from numpy.lib.stride_tricks import as_strided
 from scipy.special import expit
 
 
-@dataclass(frozen=True)
-class LogisticDataset:
-    """Synthetic binary classification data split across n nodes.
-
-    features has shape (n, m, p); labels has shape (n, m) with entries in
-    {-1, +1}.  reg is the total ridge weight, shared across nodes as
-    reg / n each.
-    """
-
-    features: np.ndarray
-    labels: np.ndarray
-    reg: float
-
-    def __post_init__(self):
-        f, lab = self.features, self.labels
-        if f.ndim != 3:
-            raise ValueError("features must have shape (n, m, p)")
-        if lab.shape != f.shape[:2]:
-            raise ValueError("labels must have shape (n, m)")
-        if not np.all(np.abs(lab) == 1):
-            raise ValueError("labels must be +1 or -1")
-        if self.reg < 0:
-            raise ValueError("reg must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def p(self) -> int:
-        return self.features.shape[2]
-
-    def digest(self) -> str:
-        """SHA-256 over the raw array bytes and the ridge weight."""
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.features).tobytes())
-        h.update(np.ascontiguousarray(self.labels).tobytes())
-        h.update(np.float64(self.reg).tobytes())
-        return "sha256:" + h.hexdigest()
-
-
 def generate_logistic_data(n: int, m: int, p: int, reg: float,
-                           seed: int) -> LogisticDataset:
+                           seed: int) -> LogisticFamily:
     """Normal features with unit expected square norm, labels uniform on {-1, +1}.
 
     Entries are i.i.d. N(0, 1/p), so each sample vector has E||o||^2 = 1
@@ -74,7 +30,7 @@ def generate_logistic_data(n: int, m: int, p: int, reg: float,
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n, m, p)) / np.sqrt(p)
     labels = rng.integers(0, 2, size=(n, m)) * 2.0 - 1.0
-    return LogisticDataset(features=features, labels=labels, reg=reg)
+    return LogisticFamily(features, labels, reg)
 
 
 def lower_band(blocks: np.ndarray) -> np.ndarray:
@@ -95,26 +51,39 @@ PAIRS_BYTES = 1 << 19
 
 
 class LogisticFamily:
-    """Stacked operations for a logistic dataset across all nodes.
-
-    Node i's Hessian is ridge I + F_i' diag(c_i) F_i, F_i = features[i]
-    of shape (m, p) and c_i in [0, 1/4]^m the weights grad_curvature
-    returns with the gradient: rank at most m above the ridge.
+    """Logistic losses of n nodes, holding their own data: features of
+    shape (n, m, p), labels of shape (n, m) in {-1, +1}, and the total
+    ridge weight reg, shared across nodes as reg / n each.  Node i's
+    Hessian is ridge I + F_i' diag(c_i) F_i, F_i = features[i] and c_i in
+    [0, 1/4]^m the weights grad_curvature returns with the gradient: rank
+    at most m above the ridge.
     """
 
-    def __init__(self, dataset: LogisticDataset):
-        self.dataset = dataset
-        self.n = dataset.n
-        self.m = dataset.m
-        self.p = dataset.p
-        self.ridge = dataset.reg / dataset.n
-        self._f = dataset.features
-        self._ft = dataset.features.transpose(0, 2, 1)
+    def __init__(self, features: np.ndarray, labels: np.ndarray, reg: float):
+        if features.ndim != 3:
+            raise ValueError("features must have shape (n, m, p)")
+        if labels.shape != features.shape[:2]:
+            raise ValueError("labels must have shape (n, m)")
+        if not np.all(np.abs(labels) == 1):
+            raise ValueError("labels must be +1 or -1")
+        if reg < 0:
+            raise ValueError("reg must be nonnegative")
+        self.features = features
+        self.labels = labels
+        self.reg = reg
+        self.n, self.m, self.p = features.shape
+        self.ridge = reg / self.n
+        self._ft = features.transpose(0, 2, 1)
         # Labels are +-1: y F is exact, and (y F) x is (F x) y bit for bit.
-        self._yf = dataset.labels[:, :, None] * self._f
+        self._yf = labels[:, :, None] * features
 
     def digest(self) -> str:
-        return self.dataset.digest()
+        """SHA-256 over the raw array bytes and the ridge weight."""
+        h = hashlib.sha256()
+        h.update(np.ascontiguousarray(self.features).tobytes())
+        h.update(np.ascontiguousarray(self.labels).tobytes())
+        h.update(np.float64(self.reg).tobytes())
+        return "sha256:" + h.hexdigest()
 
     def _sigmoid(self, x: np.ndarray) -> np.ndarray:
         # s = expit(-y F x); x has shape (n, p), one local point per node.
@@ -133,7 +102,7 @@ class LogisticFamily:
 
     def hess_blocks(self, curve: np.ndarray) -> np.ndarray:
         """Stacked Hessians from the weights grad_curvature returned."""
-        h = self._ft @ (self._f * curve[:, :, None])
+        h = self._ft @ (self.features * curve[:, :, None])
         h.reshape(self.n, -1)[:, ::self.p + 1] += self.ridge
         return h
 
@@ -146,13 +115,13 @@ class LogisticFamily:
         """Sample products in lower band layout, shape (n, m, p p):
         F[i, j, c + d] F[i, j, c] at [i, j, c p + d], zero past the block;
         None past PAIRS_BYTES."""
-        n, m, p = self._f.shape
+        n, m, p = self.features.shape
         if n * m * p * p * 8 > PAIRS_BYTES:
             return None
         # Transposed features, zero-padded to 2p - 1 rows, sample innermost:
         # row (c, d) of their skewed view is feature row c + d.
         ft = np.zeros((2 * p - 1, n * m))
-        ft[:p] = self._f.reshape(-1, p).T
+        ft[:p] = self.features.reshape(-1, p).T
         row, col = ft.strides
         skew = as_strided(ft, (p, p, n * m), (row, row, col), writeable=False)
         pairs = (skew * ft[:p, None]).reshape(p * p, n * m)
@@ -172,7 +141,7 @@ class LogisticFamily:
     @functools.cached_property
     def gram(self) -> np.ndarray:
         """Per-node sample Gram matrices F_i F_i', shape (n, m, m)."""
-        return self._f @ self._ft
+        return self.features @ self._ft
 
     @functools.cached_property
     def gram_band(self) -> np.ndarray:
@@ -189,16 +158,16 @@ class LogisticFamily:
         """The total gradient at x and the weights c = s (1 - s), of one
         sigmoid pass."""
         s = expit(-(self._yf @ x))
-        g = self.dataset.reg * x - np.einsum("nm,nmp->p", s, self._yf)
+        g = self.reg * x - np.einsum("nm,nmp->p", s, self._yf)
         return g, s * (1.0 - s)
 
     def hess_total(self, x: np.ndarray, curve: np.ndarray) -> np.ndarray:
         """The total Hessian at x from its weights curve, which
         grad_curvature_total(x) returns."""
         # One GEMM over all n m samples: F' (c * F), F of shape (n m, p).
-        f = self._f.reshape(-1, self.p)
+        f = self.features.reshape(-1, self.p)
         h = f.T @ (f * curve.reshape(-1, 1))
-        return h + self.dataset.reg * np.eye(self.p)
+        return h + self.reg * np.eye(self.p)
 
 
 class QuadraticFamily:
@@ -288,7 +257,7 @@ def convexity_bounds(family) -> ObjectiveBounds:
     if isinstance(family, LogisticFamily):
         # F_i' F_i and F_i F_i' share their nonzero eigenvalues: take the
         # smaller Gram, for m < p the one the Woodbury solve caches.
-        gram = family.gram if family.m < family.p else family._ft @ family._f
+        gram = family.gram if family.m < family.p else family._ft @ family.features
         gram_max = float(np.max(np.linalg.eigvalsh(gram)[:, -1]))
         return ObjectiveBounds(mu=family.ridge, lip=family.ridge + 0.25 * gram_max)
     if isinstance(family, QuadraticFamily):

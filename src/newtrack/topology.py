@@ -314,4 +314,12 @@ def topology_from_doc(doc: dict) -> tuple[Graph, MixingMatrix]:
     w = read("weights", lambda weights: np.asarray(weights, dtype=float))
     if w.shape != (graph.n, graph.n):
         raise ValueError("weight matrix shape does not match n")
+    # Each node mixes with its neighbours alone: off the diagonal, w is
+    # nonzero exactly on the edges, where the Laplacian exchanges.
+    stray = (w != 0) != (graph.adjacency() != 0)
+    np.fill_diagonal(stray, False)
+    if stray.any():
+        i, j = np.argwhere(stray)[0]
+        raise ValueError(f"weights: w[{i}, {j}] = {float(w[i, j])!r} but ({i}, {j}) "
+                         f"is {'not ' if w[i, j] else ''}an edge")
     return graph, MixingMatrix(w=w)

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import expit
 
 from newtrack.analysis import lemma_remainder_check
-from newtrack.objectives import LogisticDataset, LogisticFamily
+from newtrack.objectives import LogisticFamily
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -73,16 +73,16 @@ class QuadraticObjective:
         return self.a.copy()
 
 
-def make_logistic(dataset: LogisticDataset, i: int) -> LogisticObjective:
-    """Node i's objective of a logistic dataset."""
-    return LogisticObjective(dataset.features[i], dataset.labels[i],
-                             dataset.reg, dataset.n)
+def make_logistic(family: LogisticFamily, i: int) -> LogisticObjective:
+    """Node i's objective of a logistic family."""
+    return LogisticObjective(family.features[i], family.labels[i],
+                             family.reg, family.n)
 
 
 def node(family, i: int):
     """Node i's objective of a LogisticFamily or a QuadraticFamily."""
     if isinstance(family, LogisticFamily):
-        return make_logistic(family.dataset, i)
+        return make_logistic(family, i)
     return QuadraticObjective(family.a[i], family.b[i])
 
 

@@ -17,9 +17,8 @@ from newtrack.algorithms import nt_init, nt_step, pd_init, pd_step
 from newtrack.analysis import (consensus_penalty_matrix, contraction_check,
                                dual_optimum, g_norm_metric, rate_certificate)
 from newtrack.harness import preset, run_experiment, topology_sweep
-from newtrack.objectives import (LogisticFamily, QuadraticFamily,
-                                 convexity_bounds, generate_logistic_data,
-                                 generate_quadratic_set)
+from newtrack.objectives import (QuadraticFamily, convexity_bounds,
+                                 generate_logistic_data, generate_quadratic_set)
 from newtrack.topology import (build_topology, metropolis_weights,
                                spectral_stats)
 from oracles import (approximation_error, decay_window, derivative_check,
@@ -55,7 +54,7 @@ def fig1_problem():
     graph = build_topology("random", 10, tau=0.5, seed=7)
     mix = metropolis_weights(graph)
     data = generate_logistic_data(n=10, m=12, p=8, reg=1e-3, seed=1)
-    return LogisticFamily(data), mix
+    return data, mix
 
 
 def test_criterion_01_formulation_equivalence():

@@ -50,8 +50,7 @@ def cycle_setup(n=5, p=3, seed=0):
 
 def wide_logistic(n=6, m=3, p=7, seed=3):
     # Fewer samples than features per node (m < p): reg_solve's Woodbury path.
-    return LogisticFamily(generate_logistic_data(n=n, m=m, p=p, reg=1e-3,
-                                                 seed=seed))
+    return generate_logistic_data(n=n, m=m, p=p, reg=1e-3, seed=seed)
 
 
 def dense_reg_solve(fam, x, eps, rhs):
@@ -316,8 +315,7 @@ def test_gradient_tracking_matches_plain_loop():
 
 
 def test_tracker_mean_equals_gradient_mean():
-    ds = generate_logistic_data(n=6, m=8, p=4, reg=1e-3, seed=4)
-    fam = LogisticFamily(ds)
+    fam = generate_logistic_data(n=6, m=8, p=4, reg=1e-3, seed=4)
     w = metropolis_weights(build_topology("cycle", 6)).w
     st = gt_init(fam, 0.1)
     for _ in range(30):
@@ -451,8 +449,7 @@ def test_baseline_fixed_points():
 # ---------------------------------------------------------------------------
 
 def test_all_methods_reach_the_same_consensus():
-    ds = generate_logistic_data(n=6, m=8, p=4, reg=1e-3, seed=2)
-    fam = LogisticFamily(ds)
+    fam = generate_logistic_data(n=6, m=8, p=4, reg=1e-3, seed=2)
     graph = build_topology("cycle", 6)
     mix = metropolis_weights(graph)
     tile = np.tile(centralized_reference(fam, tol=1e-13), (6, 1))
@@ -612,15 +609,14 @@ def skew_band_solve(blocks, rhs):
 
 def curvature(fam, x):
     # A sigmoid pass of reg_solve's own.
-    s = expit(-((fam.dataset.features @ x[:, :, None])[:, :, 0] *
-                fam.dataset.labels))
+    s = expit(-((fam.features @ x[:, :, None])[:, :, 0] * fam.labels))
     return s * (1.0 - s)
 
 
 def full_block_reg_solve(fam, x, eps, rhs):
     # reg_solve as first written: the full K or hess + eps I with np.eye
     # shifts, then skew_band_solve.
-    f, curve = fam.dataset.features, curvature(fam, x)
+    f, curve = fam.features, curvature(fam, x)
     if fam.m < fam.p:
         a = fam.ridge + eps
         root_c = np.sqrt(curve)
@@ -639,8 +635,8 @@ def sample_sum_reg_solve(fam, x, eps, rhs):
     # sample's full outer product skew-packed, then weighted by c_j in one
     # product, the association (and the layout) of the family's cached
     # products; then the ridge and eps shifts on the diagonal.
-    n, m, p = fam.dataset.features.shape
-    f = fam.dataset.features
+    n, m, p = fam.features.shape
+    f = fam.features
     outer = f[:, :, :, None] * f[:, :, None, :]
     pairs = np.ascontiguousarray(skew_pack(outer.reshape(n * m, p, p)))
     pairs = pairs.reshape(n, m, p * p)
@@ -681,7 +677,7 @@ def test_reg_solve_is_bit_identical_to_full_block_form(n, m, p, log_eps, scale,
 def test_one_sigmoid_pass_per_round(monkeypatch, n, m, p):
     # The gradient and the curvature weights of an iterate share one expit
     # call, on the dense path (fig1) and the m < p path (fig5 shape).
-    fam = LogisticFamily(generate_logistic_data(n=n, m=m, p=p, reg=1e-3, seed=1))
+    fam = generate_logistic_data(n=n, m=m, p=p, reg=1e-3, seed=1)
     mix = metropolis_weights(build_topology("cycle", n))
     nt = nt_init(fam, 0.5, 1.0)
     pd = pd_init(fam, spectral_stats(mix).root, 0.5, 1.0)
@@ -745,7 +741,7 @@ def test_init_validation():
 
 
 @pytest.mark.parametrize("family", [
-    LogisticFamily(generate_logistic_data(n=10, m=12, p=8, reg=1e-3, seed=1)),
+    generate_logistic_data(n=10, m=12, p=8, reg=1e-3, seed=1),
     generate_quadratic_set(n=4, p=3, seed=11),
 ], ids=["fig1", "quadratic"])
 def test_centralized_reference_evaluates_each_point_once(family, monkeypatch):
@@ -765,12 +761,11 @@ def test_centralized_reference_quadratic_and_symmetry():
     assert np.max(np.abs(ref - optimum(fam))) < 1e-12
 
     ds = generate_logistic_data(n=4, m=6, p=3, reg=1e-2, seed=12)
-    from newtrack.objectives import LogisticDataset
-    flipped = LogisticDataset(features=-ds.features, labels=-ds.labels,
-                              reg=ds.reg)
-    a = centralized_reference(LogisticFamily(ds))
-    b = centralized_reference(LogisticFamily(flipped))
-    assert np.linalg.norm(LogisticFamily(ds).grad_curvature_total(a)[0]) <= 1e-12
+    flipped = LogisticFamily(features=-ds.features, labels=-ds.labels,
+                             reg=ds.reg)
+    a = centralized_reference(ds)
+    b = centralized_reference(flipped)
+    assert np.linalg.norm(ds.grad_curvature_total(a)[0]) <= 1e-12
     assert_allclose(a, b, atol=1e-12)
 
 
@@ -813,8 +808,7 @@ def test_centralized_reference_is_the_checked_loop_bit_for_bit(name):
        reg=st.floats(1e-4, 1.0), seed=st.integers(0, 2 ** 16))
 def test_centralized_reference_is_the_checked_loop_on_random_data(n, m, p, reg,
                                                                    seed):
-    family = LogisticFamily(generate_logistic_data(n=n, m=m, p=p, reg=reg,
-                                                   seed=seed))
+    family = generate_logistic_data(n=n, m=m, p=p, reg=reg, seed=seed)
     assert centralized_reference(family).tobytes() == \
         checked_reference(family).tobytes()
 

@@ -18,9 +18,8 @@ from newtrack.algorithms import pd_init, pd_step
 from newtrack.analysis import (consensus_penalty_matrix, contraction_check,
                                dual_optimum, g_norm_metric, rate_certificate,
                                stationarity_identity_check)
-from newtrack.objectives import (LogisticFamily, ObjectiveBounds,
-                                 QuadraticFamily, convexity_bounds,
-                                 generate_logistic_data)
+from newtrack.objectives import (ObjectiveBounds, QuadraticFamily,
+                                 convexity_bounds, generate_logistic_data)
 from newtrack.topology import (build_topology, metropolis_weights,
                                spectral_stats)
 from oracles import (approximation_error, decay_window, fit_linear_rate, optimum,
@@ -245,8 +244,7 @@ def test_remainder_bound_on_runs():
     assert rep["passed"]
     assert rep["detail"]["worst"] <= 1.0 + 1e-10
 
-    ds = generate_logistic_data(n=6, m=8, p=4, reg=1e-3, seed=6)
-    lfam = LogisticFamily(ds)
+    lfam = generate_logistic_data(n=6, m=8, p=4, reg=1e-3, seed=6)
     lmix = metropolis_weights(build_topology("cycle", 6))
     lstats = spectral_stats(lmix)
     lxs, _ = pd_trajectory(lfam, lmix, lstats, alpha=1.0, eps=1.0, iters=60)
@@ -267,8 +265,7 @@ def test_remainder_check_stationary_trajectory():
 def test_remainder_check_flags_understated_bounds():
     # The checker must report violations when handed constants that are
     # too small for the data, not repair them.
-    ds = generate_logistic_data(n=4, m=6, p=3, reg=0.0, seed=8)
-    fam = LogisticFamily(ds)
+    fam = generate_logistic_data(n=4, m=6, p=3, reg=0.0, seed=8)
     mix = metropolis_weights(build_topology("cycle", 4))
     xs = [np.zeros((4, 3)), np.full((4, 3), 50.0)]
     rep = remainder_report(xs, fam, mix.w, 1e-6,

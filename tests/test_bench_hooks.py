@@ -12,8 +12,7 @@ import pytest
 
 import newtrack.cli  # binds newtrack; targets() reads newtrack.cli too
 from newtrack import algorithms, harness
-from newtrack.objectives import (LogisticFamily, generate_logistic_data,
-                                 generate_quadratic_set)
+from newtrack.objectives import generate_logistic_data, generate_quadratic_set
 from newtrack.topology import (build_topology, metropolis_weights,
                                spectral_stats)
 
@@ -89,8 +88,8 @@ def test_setup_hooks_are_on_the_run_path(monkeypatch, entry, references):
 
 
 @pytest.mark.parametrize("family, b", [
-    (LogisticFamily(generate_logistic_data(n=10, m=12, p=8, reg=1e-3, seed=1)), 8),
-    (LogisticFamily(generate_logistic_data(n=100, m=10, p=40, reg=1e-3, seed=1)), 10),
+    (generate_logistic_data(n=10, m=12, p=8, reg=1e-3, seed=1), 8),
+    (generate_logistic_data(n=100, m=10, p=40, reg=1e-3, seed=1), 10),
     (generate_quadratic_set(n=6, p=3, seed=1), 3)],
     ids=["fig1", "fig5-shape", "quadratic"])
 def test_local_solves_go_through_solve_spd_blocks(monkeypatch, family, b):

@@ -174,6 +174,16 @@ def test_data_seed_override_changes_digest(capsys, tmp_path):
         json.loads(out_b)["dataset_digest"]
 
 
+def test_a_negative_seed_flag_fails_naming_the_field(capsys):
+    # numpy's generators would reject it at set-up, naming no field.
+    for flag, field in (("--seed-data", "data.seed"),
+                        ("--seed-topology", "topology.seed")):
+        rc, _, err = run_cli(capsys, "solve", "--preset", "fig1", flag, "-1")
+        assert rc == 1
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": f"{field}: must be >= 0, got -1"}
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -388,12 +398,13 @@ DELETE = object()
     ("traces.nt.bogus", 1, "traces.nt.bogus: unknown key"),
     ("traces.nt.rel_error", DELETE, "traces.nt.rel_error: missing"),
     ("x_star", "abc", "x_star: not a number"),
+    ("traces.nt.alpha", True, "traces.nt.alpha: not a number: True"),
     ("config.iters", -1, "config.iters: must be >= 0"),
     ("config.topology.n", 1, "config.topology.n: must be >= 2"),
     ("config.algorithms.0.eps", DELETE, "config.algorithms[0].eps: 'nt' needs eps"),
     ("config.algorithms", [], "config.algorithms: empty; name at least one method"),
 ], ids=["missing", "unknown", "traces-list", "trace-key", "trace-column", "x-star",
-        "config-range", "spec-range", "needs-eps", "no-method"])
+        "bool-float", "config-range", "spec-range", "needs-eps", "no-method"])
 def test_malformed_record_fails_at_load_naming_the_path(capsys, tmp_path, key,
                                                         value, message):
     # A record is read like a config: a bad key, or a config value out of

@@ -309,6 +309,11 @@ DOC_ONLY = [({"topology": {"kind": "cycle", "n": 5, "file": 5}}, "topology.file"
     ({"data": {"family": "quadratic", "p": 3, "m": -3}}, "data.m"),
     ({"data": {"family": "quadratic", "p": 3, "rho": -1.0}}, "data.rho"),
     ({"data": {"family": "quadratic", "p": 3, "m": 12, "rho": 1e-3}}, "data.m"),
+    # numpy's generators take no negative seed, and would not name the field.
+    ({"data": {"family": "quadratic", "p": 3, "seed": -1}}, "data.seed"),
+    ({"topology": {"kind": "random", "n": 5, "tau": 0.5, "seed": -1}},
+     "topology.seed"),
+    ({"topology": {"kind": "cycle", "n": 5, "seed": -1}}, "topology.seed"),
 ])
 def test_config_validation_names_the_field(change, field):
     # Nested changes are spec fields as keywords; the constructor gets the
@@ -402,11 +407,23 @@ def test_missing_config_key_is_named(path):
     ("iters", True, "iters: not an integer: True"),
     ("data", {"family": "quadratic", "p": 3, "seed": 1.5},
      "data.seed: not an integer: 1.5"),
+    ("algorithms", [{"name": "nt", "alpha": True, "eps": 1.5}],
+     "algorithms[0].alpha: not a number: True"),
+    ("algorithms", [{"name": "dlm", "alpha": 0.4, "eps": False}],
+     "algorithms[0].eps: not a number: False"),
+    ("stop_tol", True, "stop_tol: not a number: True"),
+    ("topology", {"kind": "random", "n": 5, "tau": True, "seed": 7},
+     "topology.tau: not a number: True"),
+    ("data", {"family": "logistic", "p": 3, "m": 4, "rho": True, "seed": 0},
+     "data.rho: not a number: True"),
+    ("data", {"family": "quadratic", "p": 3, "seed": -1},
+     "data.seed: must be >= 0, got -1"),
 ])
 def test_nested_value_that_is_no_object_is_named(key, value, message):
     # A value of the wrong shape or type fails at load naming its field, not
     # with a TypeError from reading keys of a number; an int field takes no
-    # fraction and no bool rather than truncating it.
+    # fraction and no bool rather than truncating it, and a float field no
+    # bool rather than reading true as 1.0.
     doc = json.loads(json.dumps(tiny_config().to_doc()))
     doc[key] = value
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -524,8 +541,7 @@ def test_qform_remainder_matches_hessian_reference():
     cfg = dataclasses.replace(preset("fig1"), iters=100)
     rec = run_experiment(cfg)
     mix = metropolis_weights(build_topology("random", 10, tau=0.5, seed=7))
-    family = LogisticFamily(generate_logistic_data(n=10, m=12, p=8,
-                                                   reg=1e-3, seed=1))
+    family = generate_logistic_data(n=10, m=12, p=8, reg=1e-3, seed=1)
     spec = cfg.algorithms[0]
     state = alg.nt_init(family, spec.alpha, spec.eps)
     worst = 0.0
@@ -904,7 +920,7 @@ def test_a_nan_in_a_trace_fails_before_any_record_is_written(tmp_path, column):
     message = rf"^traces\.nt\.{column}: not a finite number$"
     with pytest.raises(ValueError, match=message):
         write_outputs(rec, tmp_path / "run")
-    assert not (tmp_path / "run" / "record.json").exists()
+    assert not (tmp_path / "run").exists()  # nor an empty directory
 
 
 @functools.cache

@@ -17,9 +17,9 @@ from scipy.special import expit
 
 from newtrack import objectives
 from newtrack.algorithms import centralized_reference
-from newtrack.objectives import (LogisticDataset, LogisticFamily,
-                                 ObjectiveBounds, QuadraticFamily,
-                                 convexity_bounds, generate_logistic_data,
+from newtrack.objectives import (LogisticFamily, ObjectiveBounds,
+                                 QuadraticFamily, convexity_bounds,
+                                 generate_logistic_data,
                                  generate_quadratic_set, lower_band)
 from oracles import (QuadraticObjective, derivative_check, make_logistic,
                      node, optimum, softplus)
@@ -51,8 +51,8 @@ def test_logistic_grad_at_zero_oracle():
 
 
 def test_logistic_single_sample_grad_frozen():
-    ds = LogisticDataset(features=np.array([[[1.0, 0.0]]]),
-                         labels=np.array([[1.0]]), reg=0.0)
+    ds = LogisticFamily(features=np.array([[[1.0, 0.0]]]),
+                        labels=np.array([[1.0]]), reg=0.0)
     obj = make_logistic(ds, 0)
     g = obj.grad(np.array([10.0, 0.0]))
     assert_allclose(g, [-expit(-10.0), 0.0], atol=1e-18)
@@ -71,13 +71,12 @@ def test_logistic_hessian_floor_is_ridge():
 
 
 def test_stacked_ops_match_per_node():
-    ds = small_dataset()
-    fam = LogisticFamily(ds)
+    fam = small_dataset()
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((ds.n, ds.p))
+    x = rng.standard_normal((fam.n, fam.p))
     g = fam.grad_stack(x)
     h = fam.hess_stack(x)
-    for i in range(ds.n):
+    for i in range(fam.n):
         obj = node(fam, i)
         assert_allclose(g[i], obj.grad(x[i]), atol=1e-14)
         assert_allclose(h[i], obj.hess(x[i]), atol=1e-14)
@@ -93,8 +92,7 @@ def test_hess_band_is_the_banded_shifted_hessian(n, p, extra, log_eps,
     # band of hess_blocks + eps I within rounding (it sums c_j (F_jr F_jc)
     # where hess_blocks sums F_jr (c_j F_jc)); the quadratic band is exact.
     m = p + extra
-    fam = LogisticFamily(generate_logistic_data(n=n, m=m, p=p, reg=1e-3,
-                                                seed=seed))
+    fam = generate_logistic_data(n=n, m=m, p=p, reg=1e-3, seed=seed)
     rng = np.random.default_rng(seed)
     curve = 0.25 * 10.0 ** log_scale * rng.uniform(size=(n, m))
     eps = 10.0 ** log_eps
@@ -116,21 +114,20 @@ def test_hess_band_past_the_cache_budget_is_the_old_band(monkeypatch):
     # and bands hess_blocks + eps I bit for bit; one within it caches them.
     ds = generate_logistic_data(n=3, m=7, p=4, reg=1e-3, seed=5)
     curve = 0.25 * np.random.default_rng(5).uniform(size=(3, 7))
-    expected = lower_band(LogisticFamily(ds).hess_blocks(curve))
+    expected = lower_band(ds.hess_blocks(curve))
     expected[:, :, 0] += 0.7
-    assert LogisticFamily(ds)._pairs.shape == (3, 7, 16)
+    assert ds._pairs.shape == (3, 7, 16)
     monkeypatch.setattr(objectives, "PAIRS_BYTES", 3 * 7 * 16 * 8 - 1)
-    fam = LogisticFamily(ds)
+    fam = LogisticFamily(ds.features, ds.labels, ds.reg)
     assert fam._pairs is None
     assert np.array_equal(fam.hess_band(curve, 0.7), expected)
 
 
 def test_totals_are_sums_of_nodes():
-    ds = small_dataset()
-    fam = LogisticFamily(ds)
-    x = np.full(ds.p, 0.3)
-    g = sum(node(fam, i).grad(x) for i in range(ds.n))
-    h = sum(node(fam, i).hess(x) for i in range(ds.n))
+    fam = small_dataset()
+    x = np.full(fam.p, 0.3)
+    g = sum(node(fam, i).grad(x) for i in range(fam.n))
+    h = sum(node(fam, i).hess(x) for i in range(fam.n))
     assert_allclose(fam.grad_curvature_total(x)[0], g, atol=1e-13)
     assert_allclose(fam.hess_total(x, fam.grad_curvature_total(x)[1]), h, atol=1e-13)
 
@@ -139,8 +136,8 @@ def test_label_flip_symmetry():
     # The loss depends on labels only through y * (o . x), so flipping
     # all labels and negating all features leaves the objective unchanged.
     ds = small_dataset()
-    flipped = LogisticDataset(features=-ds.features, labels=-ds.labels,
-                              reg=ds.reg)
+    flipped = LogisticFamily(features=-ds.features, labels=-ds.labels,
+                             reg=ds.reg)
     rng = np.random.default_rng(9)
     for _ in range(5):
         x = rng.standard_normal(ds.p)
@@ -229,14 +226,13 @@ def test_generate_quadratic_set_eig_range():
 # ---------------------------------------------------------------------------
 
 def test_logistic_bounds_hold_at_sampled_points():
-    ds = generate_logistic_data(n=5, m=10, p=4, reg=1e-3, seed=2)
-    fam = LogisticFamily(ds)
+    fam = generate_logistic_data(n=5, m=10, p=4, reg=1e-3, seed=2)
     bounds = convexity_bounds(fam)
-    assert bounds.mu == pytest.approx(ds.reg / ds.n, rel=1e-15)
+    assert bounds.mu == pytest.approx(fam.reg / fam.n, rel=1e-15)
     rng = np.random.default_rng(7)
     for _ in range(20):
-        x = rng.standard_normal(ds.p) * rng.uniform(0.1, 5.0)
-        for i in range(ds.n):
+        x = rng.standard_normal(fam.p) * rng.uniform(0.1, 5.0)
+        for i in range(fam.n):
             lam = np.linalg.eigvalsh(node(fam, i).hess(x))
             assert lam[0] >= bounds.mu - 1e-9
             assert lam[-1] <= bounds.lip + 1e-9
@@ -245,11 +241,10 @@ def test_logistic_bounds_hold_at_sampled_points():
 def test_logistic_lip_at_least_curvature_at_zero():
     # At x = 0 the logistic curvature factor is exactly 1/4, so the bound
     # must dominate the largest local Hessian eigenvalue there.
-    ds = generate_logistic_data(n=5, m=10, p=4, reg=1e-3, seed=2)
-    fam = LogisticFamily(ds)
+    fam = generate_logistic_data(n=5, m=10, p=4, reg=1e-3, seed=2)
     bounds = convexity_bounds(fam)
-    worst = max(np.linalg.eigvalsh(node(fam, i).hess(np.zeros(ds.p)))[-1]
-                for i in range(ds.n))
+    worst = max(np.linalg.eigvalsh(node(fam, i).hess(np.zeros(fam.p)))[-1]
+                for i in range(fam.n))
     assert bounds.lip >= worst - 1e-12
     assert bounds.lip == pytest.approx(worst, rel=1e-12)
 
@@ -258,7 +253,7 @@ def test_logistic_lip_at_least_curvature_at_zero():
 def test_logistic_bounds_match_per_node_loop(m, p):
     ds = generate_logistic_data(n=7, m=m, p=p, reg=1e-3, seed=3)
     gram_max = max(np.linalg.eigvalsh(f.T @ f)[-1] for f in ds.features)
-    bounds = convexity_bounds(LogisticFamily(ds))
+    bounds = convexity_bounds(ds)
     assert bounds.mu == ds.reg / ds.n
     assert bounds.lip == pytest.approx(ds.reg / ds.n + 0.25 * gram_max,
                                        rel=1e-12)
@@ -359,14 +354,14 @@ def test_generator_feature_scale_contract():
 
 def test_dataset_validation():
     with pytest.raises(ValueError):
-        LogisticDataset(features=np.zeros((2, 3)), labels=np.ones((2, 3)),
-                        reg=0.0)
+        LogisticFamily(features=np.zeros((2, 3)), labels=np.ones((2, 3)),
+                       reg=0.0)
     with pytest.raises(ValueError):
-        LogisticDataset(features=np.zeros((2, 3, 1)),
-                        labels=np.full((2, 3), 0.5), reg=0.0)
+        LogisticFamily(features=np.zeros((2, 3, 1)),
+                       labels=np.full((2, 3), 0.5), reg=0.0)
     with pytest.raises(ValueError):
-        LogisticDataset(features=np.zeros((2, 3, 1)), labels=np.ones((2, 3)),
-                        reg=-1.0)
+        LogisticFamily(features=np.zeros((2, 3, 1)), labels=np.ones((2, 3)),
+                       reg=-1.0)
 
 
 def test_dataset_digest():
@@ -374,16 +369,18 @@ def test_dataset_digest():
     again = generate_logistic_data(n=3, m=4, p=2, reg=1e-2, seed=8)
     assert again.digest() == ds.digest()
     assert ds.digest().startswith("sha256:")
-    bumped = LogisticDataset(features=ds.features + 1e-12, labels=ds.labels,
-                             reg=ds.reg)
+    bumped = LogisticFamily(features=ds.features + 1e-12, labels=ds.labels,
+                            reg=ds.reg)
     assert bumped.digest() != ds.digest()
 
 
 def test_family_digests():
-    # A family's digest names its data: the logistic one is its dataset's,
-    # the quadratic one hashes A, then b, and moves with either.
+    # A family's digest names its data: a logistic family built afresh from
+    # the same arrays shares it, and the quadratic one hashes A, then b, and
+    # moves with either.
     ds = generate_logistic_data(n=3, m=4, p=2, reg=1e-2, seed=8)
-    assert LogisticFamily(ds).digest() == ds.digest()
+    again = LogisticFamily(ds.features, ds.labels, ds.reg)
+    assert again.digest() == ds.digest()
     fam = generate_quadratic_set(n=3, p=4, seed=3)
     assert fam.digest() == generate_quadratic_set(n=3, p=4, seed=3).digest()
     assert fam.digest().startswith("sha256:")

@@ -21,7 +21,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from newtrack.harness import PRESET_NAMES, build_network, preset
-from newtrack.topology import (Graph, MixingMatrix, ZERO_EIG_TOL,
+from newtrack.topology import (KINDS, Graph, MixingMatrix, ZERO_EIG_TOL,
                                _random_spanning_tree, build_topology,
                                laplacian, metropolis_weights, spectral_stats,
                                topology_from_doc, topology_to_doc)
@@ -394,6 +394,33 @@ def test_topology_doc_names_a_missing_or_malformed_key(key, value):
     else:
         doc[key] = value
     with pytest.raises(ValueError, match=f"^{key}: "):
+        topology_from_doc(doc)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_written_topology_doc_loads(kind):
+    g = build_topology(kind, 10, tau=0.5, seed=3)
+    g2, mix2 = topology_from_doc(topology_to_doc(g, metropolis_weights(g)))
+    assert g2.edges == g.edges
+    assert_array_equal(mix2.w, metropolis_weights(g).w)
+
+
+def test_topology_doc_weights_follow_the_edges():
+    # A pinned doc mixes only along its edges: the complete graph's weights
+    # on a line's edges, or a zero weight on an edge, fail naming the first
+    # offending pair in row order.
+    g = build_topology("line", 10)
+    doc = topology_to_doc(g, metropolis_weights(g))
+    doc["weights"] = np.full((10, 10), 0.1).tolist()
+    with pytest.raises(ValueError, match=re.escape(
+            "weights: w[0, 2] = 0.1 but (0, 2) is not an edge")):
+        topology_from_doc(doc)
+    g = build_topology("cycle", 4)
+    doc = topology_to_doc(g, metropolis_weights(g))
+    doc["weights"] = [[0.5, 0.5, 0.0, 0.0], [0.5, 0.0, 0.0, 0.5],
+                      [0.0, 0.0, 0.5, 0.5], [0.0, 0.5, 0.5, 0.0]]
+    with pytest.raises(ValueError, match=re.escape(
+            "weights: w[0, 3] = 0.0 but (0, 3) is an edge")):
         topology_from_doc(doc)
 
 
