@@ -13,10 +13,9 @@ from .algorithms import (GradientTrackingState, NewtonTrackingState,
                          PrimalDualState, centralized_reference, dlm_init,
                          dlm_step, extra_init, extra_step, gt_init, gt_step,
                          nt_init, nt_step, pd_init, pd_step, reg_solve)
-from .analysis import (RateCertificate, consensus_penalty_matrix,
-                       contraction_check, dual_optimum, g_norm_metric,
-                       lemma_remainder_check, rate_certificate,
-                       stationarity_identity_check)
+from .analysis import (consensus_penalty_matrix, contraction_check,
+                       dual_optimum, g_norm_metric, lemma_remainder_check,
+                       rate_certificate, stationarity_identity_check)
 from .harness import (AlgorithmSpec, ConvergenceTrace, DataSpec, RunConfig,
                       RunRecord, TopologySpec, load_record, preset,
                       run_checks, run_experiment, topology_sweep,

@@ -11,59 +11,26 @@ reported as data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class RateCertificate:
-    """Feasibility and contraction constants for one parameter choice.
-
-    q_min and q_max bound the spectrum of Q = eps I - alpha (I - W);
-    kappa = 2 lip + alpha lam_max bounds the linearization error;
-    delta and delta_prime are defined only where their formulas are
-    (delta needs q_min > 0, delta_prime needs feasibility).  The
-    sufficient condition is q_min > 4 lip^2 / mu.
-    """
-
-    mu: float
-    lip: float
-    alpha: float
-    eps: float
-    lam_max: float
-    lam_min_nz: float
-    beta: float
-    phi: float
-    q_min: float
-    q_max: float
-    kappa: float
-    feasible: bool
-    delta: float | None
-    delta_prime: float | None
-
-    @property
-    def contraction(self) -> float:
-        """Certified per-step factor 1 / (1 + delta_prime)."""
-        if self.delta_prime is None:
-            raise ValueError("certificate is infeasible; no contraction factor")
-        return 1.0 / (1.0 + self.delta_prime)
-
-    def to_doc(self) -> dict:
-        """Fields in declaration order, then the contraction factor (None
-        when infeasible).  Every field is a scalar, so nothing is copied."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["contraction"] = self.contraction if self.feasible else None
-        return doc
-
-
 def rate_certificate(bounds, spectra, alpha: float, eps: float,
-                     beta: float = 2.0, phi: float = 2.0) -> RateCertificate:
-    """Evaluate the sufficient condition and contraction constants.
+                     beta: float = 2.0, phi: float = 2.0) -> dict:
+    """The certificate document: feasibility and contraction constants for
+    one parameter choice.
 
-    beta and phi are free parameters strictly greater than 1; any valid
-    pair certifies, larger delta_prime just means a tighter factor.
+    Its keys are the inputs mu, lip, alpha, eps, lam_max, lam_min_nz, beta
+    and phi, then: q_min and q_max, which bound the spectrum of
+    Q = eps I - alpha (I - W); kappa = 2 lip + alpha lam_max, which bounds
+    the linearization error; feasible, the sufficient condition
+    q_min > 4 lip^2 / mu; delta and delta_prime, None where their formulas
+    are undefined (delta needs q_min > 0, delta_prime needs feasibility);
+    and contraction, the certified per-step factor 1 / (1 + delta_prime),
+    None when infeasible.  beta and phi are free parameters strictly
+    greater than 1; any valid pair certifies, larger delta_prime just
+    means a tighter factor.
     """
     mu, lip = bounds.mu, bounds.lip
     lam_max, lam_min = spectra.lambda_max, spectra.lambda_min_nz
@@ -92,11 +59,11 @@ def rate_certificate(bounds, spectra, alpha: float, eps: float,
         second_den = beta * eps ** 2 / (beta - 1.0) \
             + beta * phi * kappa ** 2 / (phi - 1.0)
         delta_prime = min(first, second_num / second_den)
-    return RateCertificate(mu=mu, lip=lip, alpha=alpha, eps=eps,
-                           lam_max=lam_max, lam_min_nz=lam_min,
-                           beta=beta, phi=phi, q_min=q_min, q_max=q_max,
-                           kappa=kappa, feasible=feasible, delta=delta,
-                           delta_prime=delta_prime)
+    return {"mu": mu, "lip": lip, "alpha": alpha, "eps": eps, "lam_max": lam_max,
+            "lam_min_nz": lam_min, "beta": beta, "phi": phi, "q_min": q_min,
+            "q_max": q_max, "kappa": kappa, "feasible": feasible, "delta": delta,
+            "delta_prime": delta_prime,
+            "contraction": None if delta_prime is None else 1.0 / (1.0 + delta_prime)}
 
 
 def consensus_penalty_matrix(w: np.ndarray, alpha: float, eps: float) -> np.ndarray:
@@ -195,7 +162,7 @@ def stationarity_identity_check(xs, vs, family, w: np.ndarray, root: np.ndarray,
     return {"passed": worst <= 1e-8, "detail": {"worst": worst}}
 
 
-def contraction_check(energies, cert: RateCertificate) -> dict:
+def contraction_check(energies, cert: dict) -> dict:
     """Certified geometric decay of the primal-dual error metric.
 
     energies are the squared errors of the metric (g_norm_metric of cert's
@@ -204,9 +171,9 @@ def contraction_check(energies, cert: RateCertificate) -> dict:
     report entry; `worst_ratio` is the largest ratio E_{t+1} / E_t observed
     while the energy stays above rounding noise.
     """
-    if not cert.feasible:
+    if not cert["feasible"]:
         raise ValueError("contraction check requires a feasible certificate")
-    bound = cert.contraction
+    bound = cert["contraction"]
     violations, worst = _ratio_check(energies[1:], energies[:-1], bound)
     return {"passed": violations == 0,
             "detail": {"violations": violations, "worst_ratio": worst,

@@ -125,8 +125,8 @@ def _cmd_certify(args) -> int:
         bounds = ObjectiveBounds(mu=args.mu, lip=args.lip)
         spectra = SimpleNamespace(lambda_max=args.lambda_max,
                                   lambda_min_nz=args.lambda_min_nz)
-    cert = analysis.rate_certificate(bounds, spectra, alpha, eps, args.beta, args.phi)
-    _emit(cert.to_doc(), args.out)
+    _emit(analysis.rate_certificate(bounds, spectra, alpha, eps, args.beta, args.phi),
+          args.out)
     return 0
 
 

@@ -84,10 +84,11 @@ def _decode(kind, value, path: str, root: str = ""):
     A dataclass is read from an object holding its fields and no other
     key, where only a field whose default is None may be absent; tuples
     and dicts of dataclasses entry by entry; an int, float or array from
-    numbers, which a string may spell (no bool; an int no fraction);
-    bare dicts and lists as they stand.  A ValueError names the path.
-    A range check of construction names its field from the config's
-    root, so its message gains root, the path of the enclosing RunConfig.
+    numbers, which a string may spell (no bool or null, in an array
+    neither; an int no fraction); bare dicts and lists as they stand.  A ValueError
+    names the path.  A range check of construction names its field from
+    the config's root, so its message gains root, the path of the
+    enclosing RunConfig.
     """
     origin, args = typing.get_origin(kind) or kind, typing.get_args(kind)
     if type(None) in args:  # X | None
@@ -129,8 +130,9 @@ def _decode(kind, value, path: str, root: str = ""):
     if kind is int and (isinstance(value, bool) or
                         isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{path}: not an integer: {value!r}")
-    if isinstance(value, bool):
-        raise ValueError(f"{path}: not a number: {value!r}")
+    for entry in np.ravel(np.array(value, dtype=object)) if kind is np.ndarray else [value]:
+        if isinstance(entry, bool) or entry is None:  # else read as 1.0, nan
+            raise ValueError(f"{path}: not a number: {entry!r}")
     try:
         return np.asarray(value, dtype=float) if kind is np.ndarray else kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -153,12 +155,21 @@ def _encode(value):
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
+def _number(name: str, value, kind: type = float) -> None:
+    """The loader's rules (None passes): no bool, and an int field holds an int."""
+    if isinstance(value, bool) or kind is int and not isinstance(value, (int, type(None))):
+        raise ValueError(f"{name}: not {'an integer' if kind is int else 'a number'}: "
+                         f"{value!r}")
+
+
 def _at_least(name: str, value, low: int) -> None:
+    _number(name, value, int)
     if value is None or value < low:
         raise ValueError(f"{name}: must be >= {low}, got {value!r}")
 
 
 def _finite_above(name: str, value) -> None:
+    _number(name, value)
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name}: must be a finite number > 0, got {value!r}")
 
@@ -182,6 +193,7 @@ class TopologySpec:
     def __post_init__(self):
         _one_of("topology.kind", self.kind, KINDS)
         _at_least("topology.n", self.n, 2)  # I - W needs a nonzero eigenvalue
+        _number("topology.tau", self.tau)
         if self.seed is not None:
             _at_least("topology.seed", self.seed, 0)
         if self.kind == "random" and self.file is None:
@@ -492,9 +504,8 @@ def _run(config: RunConfig, net: Network, obj: Objective) -> RunRecord:
     for spec in config.algorithms:
         cert = None
         if spec.name == "nt":
-            cert = analysis.rate_certificate(obj.bounds, net.spectra,
-                                             spec.alpha, spec.eps)
-            certificates[spec.name] = cert.to_doc()
+            cert = certificates[spec.name] = analysis.rate_certificate(
+                obj.bounds, net.spectra, spec.alpha, spec.eps)
         traces[spec.name] = _run_algorithm(spec, net, obj, cert, config)
     return RunRecord(config=config, dataset_digest=obj.digest, x_star=obj.x_star,
                      ref_residual=obj.ref_residual,
@@ -523,8 +534,7 @@ def _shift(prev, states: list, names: tuple) -> list:
 
 
 def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
-                   cert: analysis.RateCertificate | None,
-                   config: RunConfig) -> ConvergenceTrace:
+                   cert: dict | None, config: RunConfig) -> ConvergenceTrace:
     """Run one method for config.iters rounds, recording every iterate.
 
     Each round records wall_ms and rel_error, which the stop tests read:
@@ -534,7 +544,7 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
     (T, n, p) stacks (views of the state's arrays in a block of one):
     root @ x as a broadcast matmul, norms by one vecdot over rows, node
     sums over axis 1, each bit for bit the per-iterate value.  cert is
-    nt's rate certificate (None for the others).
+    nt's rate certificate document (None for the others).
     """
     family, root = obj.family, net.spectra.root
     n, p = family.n, family.p
@@ -552,7 +562,7 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
     # and the metric, with its optimum v*, are kept only under a feasible
     # certificate.
     is_nt = spec.name == "nt"
-    feasible = is_nt and cert.feasible
+    feasible = is_nt and cert["feasible"]
     if feasible:
         energy = analysis.g_norm_metric(
             analysis.consensus_penalty_matrix(net.mix.w, spec.alpha, spec.eps),
@@ -579,7 +589,7 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
                 # r + eps u0 is the second-order remainder of the step.
                 r += spec.eps * u0
                 rem = alg.norms(r)
-                bound = [cert.kappa * d for d in alg.norms(x - x0)]
+                bound = [cert["kappa"] * d for d in alg.norms(x - x0)]
             if feasible:
                 gnorm = []
                 for state, rx in zip(states, root_x):
@@ -762,7 +772,7 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
     stationarity identity replay nt and its primal-dual form, tracker_mean
     replays gt, each over the iterates the trace holds: a diverged run's
     overflow shows as failed checks, not as warnings.  nt's certificate
-    and v* are derived again from net and obj.
+    is the re-run's, and v* is derived again from net and obj.
     """
     checks = {}
     mix, spectra, family = net.mix, net.spectra, obj.family
@@ -790,8 +800,8 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
         checks["stationarity_identity"] = analysis.stationarity_identity_check(
             xs, vs, family, mix.w, spectra.root, spec.alpha, spec.eps,
             obj.x_star, analysis.dual_optimum(family, obj.x_star, spectra.root))
-        cert = analysis.rate_certificate(obj.bounds, spectra, spec.alpha, spec.eps)
-        if cert.feasible:
+        cert = rerun.certificates["nt"]
+        if cert["feasible"]:
             checks["contraction"] = analysis.contraction_check(
                 trace.gnorm_error[:steps + 1], cert)
 

@@ -309,8 +309,13 @@ def topology_from_doc(doc: dict) -> tuple[Graph, MixingMatrix]:
         except (TypeError, ValueError) as err:
             raise ValueError(f"{key}: {err}") from None
 
-    graph = Graph(n=read("n", int), edges=read("edges", lambda edges: tuple(
-        sorted((int(i), int(j)) for i, j in edges))))
+    def whole(value) -> int:  # as a config's int field: no bool, no fraction
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"not an integer: {value!r}")
+        return int(value)
+
+    graph = Graph(n=read("n", whole), edges=read("edges", lambda edges: tuple(
+        sorted((whole(i), whole(j)) for i, j in edges))))
     w = read("weights", lambda weights: np.asarray(weights, dtype=float))
     if w.shape != (graph.n, graph.n):
         raise ValueError("weight matrix shape does not match n")

@@ -115,10 +115,10 @@ def test_criterion_03_certified_contraction():
                            x_star, v_star, alpha)
     rep = contraction_check([energy(x, v) for x, v in zip(xs, vs)], cert)
 
-    ok = (cert.feasible and abs(cert.delta - 0.18367) < 5e-6
+    ok = (cert["feasible"] and abs(cert["delta"] - 0.18367) < 5e-6
           and rep["detail"]["violations"] == 0)
     criterion(3, ok, f"metric error contracts by 1/(1+delta') in all 200 "
-                     f"iterations (delta {cert.delta:.5f}, violations "
+                     f"iterations (delta {cert['delta']:.5f}, violations "
                      f"{rep['detail']['violations']}, worst ratio "
                      f"{rep['detail']['worst_ratio']:.6f})")
 

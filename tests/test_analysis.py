@@ -7,7 +7,6 @@ threshold is 4 lip^2 / mu = 4 < 4.9, delta = 1 - 4/4.9, and delta_prime
 is the minimum of the two branch formulas typed out in the test.
 """
 
-import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,8 +42,8 @@ def identity_family(n=10, p=3, seed=0):
 def metric(mix, cert, x_star, v_star):
     """The squared error of cert's metric on mix, whose values along a
     trajectory contraction_check bounds."""
-    return g_norm_metric(consensus_penalty_matrix(mix.w, cert.alpha, cert.eps),
-                         x_star, v_star, cert.alpha)
+    return g_norm_metric(consensus_penalty_matrix(mix.w, cert["alpha"], cert["eps"]),
+                         x_star, v_star, cert["alpha"])
 
 
 def energies_along(xs, vs, energy):
@@ -63,21 +62,21 @@ def reference_certificate(beta=2.0, phi=2.0):
 
 def test_reference_certificate_hand_computed():
     cert = reference_certificate()
-    assert cert.q_min == pytest.approx(4.9, rel=1e-15)
-    assert cert.q_max == 5.0
-    assert cert.kappa == pytest.approx(2.1, rel=1e-15)
-    assert cert.feasible
+    assert cert["q_min"] == pytest.approx(4.9, rel=1e-15)
+    assert cert["q_max"] == 5.0
+    assert cert["kappa"] == pytest.approx(2.1, rel=1e-15)
+    assert cert["feasible"]
 
     delta = 1.0 - 4.0 / 4.9
     first = delta / ((1.0 + delta) * (5.0 + 4.0 / 0.1))
     second = 0.1 * delta ** 2 * 4.9 / (2.0 * 25.0 + 4.0 * 2.1 ** 2)
-    assert cert.delta == pytest.approx(delta, rel=1e-14)
-    assert cert.delta_prime == pytest.approx(min(first, second), rel=1e-14)
+    assert cert["delta"] == pytest.approx(delta, rel=1e-14)
+    assert cert["delta_prime"] == pytest.approx(min(first, second), rel=1e-14)
 
     # frozen values; the second branch is the binding one here
-    assert cert.delta == pytest.approx(0.1836734693877552, rel=1e-12)
-    assert cert.delta_prime == pytest.approx(0.00024439107399316945, rel=1e-12)
-    assert cert.contraction == pytest.approx(0.9997556686384108, rel=1e-12)
+    assert cert["delta"] == pytest.approx(0.1836734693877552, rel=1e-12)
+    assert cert["delta_prime"] == pytest.approx(0.00024439107399316945, rel=1e-12)
+    assert cert["contraction"] == pytest.approx(0.9997556686384108, rel=1e-12)
 
 
 def test_feasibility_threshold_is_strict():
@@ -85,34 +84,39 @@ def test_feasibility_threshold_is_strict():
     # gives q_min = 4, exactly on the threshold 4 lip^2 / mu: must not pass.
     stats = SimpleNamespace(lambda_max=1.0, lambda_min_nz=1.0)
     cert = rate_certificate(UNIT_BOUNDS, stats, alpha=1.0, eps=5.0)
-    assert cert.q_min == 4.0
-    assert not cert.feasible
-    assert cert.delta == 0.0
-    assert cert.delta_prime is None
-    with pytest.raises(ValueError):
-        cert.contraction
+    assert cert["q_min"] == 4.0
+    assert not cert["feasible"]
+    assert cert["delta"] == 0.0
+    assert cert["delta_prime"] is None
+    assert cert["contraction"] is None
 
 
 def test_negative_q_min_leaves_delta_undefined():
     stats = SimpleNamespace(lambda_max=1.0, lambda_min_nz=1.0)
     cert = rate_certificate(UNIT_BOUNDS, stats, alpha=1.0, eps=0.5)
-    assert cert.q_min < 0
-    assert not cert.feasible
-    assert cert.delta is None
-    assert cert.delta_prime is None
+    assert cert["q_min"] < 0
+    assert not cert["feasible"]
+    assert cert["delta"] is None
+    assert cert["delta_prime"] is None
 
 
 @pytest.mark.parametrize("feasible", [True, False])
 def test_certificate_doc_is_its_fields_then_contraction(feasible):
+    # The inputs, the derived constants, then the contraction factor, which
+    # is 1 / (1 + delta_prime) when feasible and None (as are delta_prime
+    # and, below q_min = 0, delta) when not.
     stats = SimpleNamespace(lambda_max=1.0, lambda_min_nz=1.0)
     cert = reference_certificate() if feasible else \
         rate_certificate(UNIT_BOUNDS, stats, alpha=1.0, eps=0.5)
-    assert cert.feasible is feasible
-    expected = {**dataclasses.asdict(cert),
-                "contraction": cert.contraction if feasible else None}
-    doc = cert.to_doc()
-    assert list(doc.items()) == list(expected.items())
-    assert [type(v) for v in doc.values()] == [type(v) for v in expected.values()]
+    assert type(cert) is dict
+    assert cert["feasible"] is feasible
+    assert list(cert) == ["mu", "lip", "alpha", "eps", "lam_max", "lam_min_nz",
+                          "beta", "phi", "q_min", "q_max", "kappa", "feasible",
+                          "delta", "delta_prime", "contraction"]
+    derived = [float] * 3 + [bool] + [float if feasible else type(None)] * 3
+    assert [type(v) for v in cert.values()] == [float] * 8 + derived
+    if feasible:
+        assert cert["contraction"] == 1.0 / (1.0 + cert["delta_prime"])
 
 
 def test_certificate_parameter_validation():
@@ -131,8 +135,8 @@ def test_delta_prime_monotone_in_connectivity():
     for lam_min in np.linspace(0.1, 1.0, 10):
         stats = SimpleNamespace(lambda_max=1.0, lambda_min_nz=float(lam_min))
         cert = rate_certificate(UNIT_BOUNDS, stats, alpha=1.0, eps=9.0)
-        assert cert.feasible
-        vals.append(cert.delta_prime)
+        assert cert["feasible"]
+        vals.append(cert["delta_prime"])
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -141,7 +145,7 @@ def test_delta_shrinks_with_lambda_max():
     for lam_max in np.linspace(1.0, 1.9, 10):
         stats = SimpleNamespace(lambda_max=float(lam_max), lambda_min_nz=1.0)
         cert = rate_certificate(UNIT_BOUNDS, stats, alpha=1.0, eps=9.0)
-        vals.append(cert.delta)
+        vals.append(cert["delta"])
     assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
@@ -314,7 +318,7 @@ def test_contraction_certified_on_reference_problem():
     energies = energies_along(xs, vs, metric(mix, cert, x_star, v_star))
     rep = contraction_check(energies, cert)
     assert rep["detail"]["violations"] == 0
-    assert rep["detail"]["worst_ratio"] <= cert.contraction
+    assert rep["detail"]["worst_ratio"] <= cert["contraction"]
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
 
     loose = reference_certificate(beta=10.0, phi=10.0)
@@ -338,9 +342,9 @@ def test_contraction_check_validates_metric_once(monkeypatch):
     contraction_check(energies, cert)
     assert len(calls) == 1
     monkeypatch.undo()
-    q_mat = consensus_penalty_matrix(mix.w, cert.alpha, cert.eps)
+    q_mat = consensus_penalty_matrix(mix.w, cert["alpha"], cert["eps"])
     assert energies == [
-        g_norm_metric(q_mat, x_star, v_star, cert.alpha)(x, v)
+        g_norm_metric(q_mat, x_star, v_star, cert["alpha"])(x, v)
         for x, v in zip(xs, vs)]
 
 

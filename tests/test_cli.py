@@ -272,6 +272,19 @@ def test_certify_preset_infeasible(capsys):
     assert doc["q_min"] < 0
 
 
+def test_certify_prints_the_certificate_the_record_keeps(capsys, tmp_path):
+    # One document: certify's output is the record's certificates.nt, key
+    # for key in order, value for value.
+    rc, out, _ = run_cli(capsys, "certify", "--preset", "fig1")
+    assert rc == 0
+    rc, _, _ = run_cli(capsys, "solve", "--preset", "fig1", "--iters", "0",
+                       "--out", str(tmp_path))
+    assert rc == 0
+    record = json.loads((tmp_path / "record.json").read_text())
+    assert list(json.loads(out).items()) == list(record["certificates"]["nt"].items())
+    assert out == json.dumps(record["certificates"]["nt"], indent=2) + "\n"
+
+
 @pytest.mark.parametrize("mode", ["preset", "config", "explicit"])
 def test_certify_beta_and_phi_apply_in_every_mode(capsys, tmp_path, mode):
     # The certificate's free parameters come from the flags alone, whether
@@ -398,13 +411,16 @@ DELETE = object()
     ("traces.nt.bogus", 1, "traces.nt.bogus: unknown key"),
     ("traces.nt.rel_error", DELETE, "traces.nt.rel_error: missing"),
     ("x_star", "abc", "x_star: not a number"),
+    ("x_star", [1.0, True, 0.5], "x_star: not a number: True"),
+    ("x_star", [1.0, None, 0.5], "x_star: not a number: None"),
     ("traces.nt.alpha", True, "traces.nt.alpha: not a number: True"),
     ("config.iters", -1, "config.iters: must be >= 0"),
     ("config.topology.n", 1, "config.topology.n: must be >= 2"),
     ("config.algorithms.0.eps", DELETE, "config.algorithms[0].eps: 'nt' needs eps"),
     ("config.algorithms", [], "config.algorithms: empty; name at least one method"),
 ], ids=["missing", "unknown", "traces-list", "trace-key", "trace-column", "x-star",
-        "bool-float", "config-range", "spec-range", "needs-eps", "no-method"])
+        "bool-array", "null-array", "bool-float", "config-range", "spec-range", "needs-eps",
+        "no-method"])
 def test_malformed_record_fails_at_load_naming_the_path(capsys, tmp_path, key,
                                                         value, message):
     # A record is read like a config: a bad key, or a config value out of

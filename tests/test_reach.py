@@ -1,6 +1,7 @@
 """The library keeps what its commands reach: every function, method and
 class defined in src/newtrack has a reader in the library or the
-benchmark, not only in the tests or the package's exports."""
+benchmark, not only in the tests or the package's exports.  And every
+source file parses under the oldest Python the package supports."""
 
 import ast
 from collections import Counter
@@ -73,3 +74,38 @@ def test_unreached_flags_a_definition_only_its_own_body_reads(tmp_path):
     reader.write_text("TARGETS = [('mod', 'wrapped')]\n")
     assert sorted(unreached([module], [module, reader])) == \
         ["mod.recurse", "mod.size", "mod.unused"]
+
+
+
+# requires-python in pyproject.toml; no CI run has been seen on 3.10, so
+# its grammar is checked here on whatever Python runs the tests.
+OLDEST = (3, 10)
+SOURCES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+
+
+def grammar_errors(paths, version=OLDEST) -> list[str]:
+    """path:line: message for each file that does not parse under version's
+    grammar."""
+    errors = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(), filename=str(path), feature_version=version)
+        except SyntaxError as err:
+            errors.append(f"{path}:{err.lineno}: {err.msg}")
+    return errors
+
+
+def test_every_source_file_parses_as_the_oldest_supported_python():
+    assert len(SOURCES) >= 24
+    assert grammar_errors(SOURCES) == []
+
+
+def test_grammar_errors_flags_newer_syntax(tmp_path):
+    # except* is 3.11 grammar; match is 3.10's own.
+    newer = tmp_path / "newer.py"
+    newer.write_text("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    older = tmp_path / "older.py"
+    older.write_text("match 1:\n    case _:\n        pass\n")
+    found = grammar_errors([newer, older])
+    assert len(found) == 1 and found[0].startswith(f"{newer}:")
+    assert "3.11" in found[0]

@@ -397,6 +397,25 @@ def test_topology_doc_names_a_missing_or_malformed_key(key, value):
         topology_from_doc(doc)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n", 4.9, "n: not an integer: 4.9"),
+    ("n", True, "n: not an integer: True"),
+    ("edges", [[0, 1.7], [1, 2], [2, 3]], "edges: not an integer: 1.7"),
+    ("edges", [[0, 1], [True, 2], [2, 3]], "edges: not an integer: True"),
+])
+def test_topology_doc_refuses_a_fraction_or_bool_for_an_integer(key, value, message):
+    # A pinned 4-node line read with int() alone would truncate "n": 4.9 to
+    # 4 nodes and the edge [0, 1.7] to (0, 1).
+    g = build_topology("line", 4)
+    doc = {**topology_to_doc(g, metropolis_weights(g)), key: value}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        topology_from_doc(doc)
+    # A whole number spelt as a float still reads as the int it is.
+    whole = {"n": 4.0, "edges": [[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]]}[key]
+    g2, _ = topology_from_doc({**doc, key: whole})
+    assert (g2.n, g2.edges) == (4, g.edges)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_every_written_topology_doc_loads(kind):
     g = build_topology(kind, 10, tau=0.5, seed=3)
