@@ -75,9 +75,13 @@ def reg_solve(family, curve, eps: float, rhs: np.ndarray) -> np.ndarray:
         root_c = np.sqrt(curve)
         # k[i, c, d] = root_c[c + d] G[c + d, c] root_c[c], G 0 past the block.
         k = root_c[:, family.band_rows] * family.gram_band * root_c[:, :, None]
-        k[:, :, 0] += a
-        y = solve_spd_blocks(k, root_c * (f @ rhs[:, :, None])[:, :, 0])
-        return (rhs - ((root_c * y)[:, None, :] @ f)[:, 0, :]) / a
+        diag = k[:, :, 0]
+        diag += a
+        y = solve_spd_blocks(k, root_c * np.matvec(f, rhs))
+        u = np.vecmat(root_c * y, f)
+        np.subtract(rhs, u, out=u)
+        u /= a
+        return u
     return solve_spd_blocks(family.hess_band(curve, eps), rhs)
 
 
@@ -154,7 +158,13 @@ def nt_step(state: NewtonTrackingState, family, d: np.ndarray) -> NewtonTracking
     x1 = state.x - state.u
     g1, curve = _oracle(family, state.scale, x1)
     dx1 = d @ x1
-    q1 = state.q + (g1 - state.grad) + state.alpha * (2.0 * dx1 - state.dx)
+    # q + (g1 - g) + alpha (2 dx1 - dx) in place: the same sums, bit for bit.
+    q1 = g1 - state.grad
+    q1 += state.q
+    push = 2.0 * dx1
+    push -= state.dx
+    push *= state.alpha
+    q1 += push
     u1 = _direction(family, curve, state.eps, state.scale, q1)
     return NewtonTrackingState(x1, q1, u1, g1, dx1, state.alpha, state.eps,
                                state.t + 1, state.scale)
@@ -186,8 +196,10 @@ def norms(a: np.ndarray) -> list:
 def conservation_residuals(q: np.ndarray, grad: np.ndarray) -> list:
     """Relative defect of sum_i q_i = sum_i grad_i for each (n, p) pair of
     (T, n, p) stacks."""
-    rhs = grad.sum(axis=-2)
-    return [a / (b + 1.0) for a, b in zip(norms(q.sum(axis=-2) - rhs), norms(rhs))]
+    rhs = np.add.reduce(grad, axis=-2)
+    defect = np.add.reduce(q, axis=-2)
+    defect -= rhs
+    return [a / (b + 1.0) for a, b in zip(norms(defect), norms(rhs))]
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +267,12 @@ def gt_step(state: GradientTrackingState, family,
     the single-vector methods.  The tracker average stays equal to the
     network-average gradient at the current iterates.
     """
-    x1 = w @ state.x - state.alpha * state.y
+    x1 = w @ state.x
+    x1 -= state.alpha * state.y
     g1 = family.grad_stack(x1)
-    y1 = w @ state.y + g1 - state.grad
+    y1 = w @ state.y
+    y1 += g1
+    y1 -= state.grad
     return GradientTrackingState(x=x1, y=y1, grad=g1, alpha=state.alpha,
                                  t=state.t + 1)
 

@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .algorithms import norm
+
 
 def rate_certificate(bounds, spectra, alpha: float, eps: float,
                      beta: float = 2.0, phi: float = 2.0) -> dict:
@@ -155,9 +157,9 @@ def stationarity_identity_check(xs, vs, family, w: np.ndarray, root: np.ndarray,
         d = x1 - x0
         e = g0 - g1 + np.einsum("npq,nq->np", family.hess_stack(x0), d) \
             - alpha * (d - w @ d)
-        scale = max(scale, float(np.linalg.norm(g1)))
+        scale = max(scale, norm(g1))
         r = g1 - g_star + root @ (vs[t + 1] - v_star) + eps * d + e
-        worst = max(worst, float(np.linalg.norm(r)) / scale)
+        worst = max(worst, norm(r) / scale)
         g0 = g1
     return {"passed": worst <= 1e-8, "detail": {"worst": worst}}
 

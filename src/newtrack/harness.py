@@ -529,7 +529,9 @@ def _shift(prev, states: list, names: tuple) -> list:
     if len(states) == 1:
         return [(None if prev is None else getattr(prev, name)[None],
                  getattr(states[0], name)[None]) for name in names]
-    stacks = (np.array([getattr(s, name) for s in (prev, *states)]) for name in names)
+    shape = (len(states) + 1, *prev.x.shape)
+    stacks = (np.concatenate([getattr(s, name) for s in (prev, *states)]).reshape(shape)
+              for name in names)
     return [(both[:-1], both[1:]) for both in stacks]
 
 
@@ -606,12 +608,14 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
         trace.scalars_sent += range(t0 * per_round, t1 * per_round, per_round)
         prev = last
 
+    stop_tol, rel_error, wall_ms = config.stop_tol, trace.rel_error, trace.wall_ms
+
     def reached() -> bool:
-        return config.stop_tol is not None and trace.rel_error[-1] <= config.stop_tol
+        return stop_tol is not None and rel_error[-1] <= stop_tol
 
     state = method.init(family, net.graph, spec)
-    trace.rel_error.append(alg.norm(state.x - target) / denom)
-    trace.wall_ms.append(0.0)
+    rel_error.append(alg.norm(state.x - target) / denom)
+    wall_ms.append(0.0)
     block = []
     # A diverging run overflows on its way to the first non-finite
     # rel_error; the trace reports that as status "diverged".
@@ -627,8 +631,8 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
             if not math.isfinite(rel):
                 trace.status = "diverged"
                 break
-            trace.rel_error.append(rel)
-            trace.wall_ms.append(wall)
+            rel_error.append(rel)
+            wall_ms.append(wall)
             block.append(state)
             if len(block) == size:
                 record(block)

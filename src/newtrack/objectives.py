@@ -74,8 +74,9 @@ class LogisticFamily:
         self.n, self.m, self.p = features.shape
         self.ridge = reg / self.n
         self._ft = features.transpose(0, 2, 1)
-        # Labels are +-1: y F is exact, and (y F) x is (F x) y bit for bit.
-        self._yf = labels[:, :, None] * features
+        # Labels are +-1, so -y F is exact, and (-y F) x is -((F x) y) bit for
+        # bit: rounding is symmetric under negation.
+        self._nyf = -labels[:, :, None] * features
 
     def digest(self) -> str:
         """SHA-256 over the raw array bytes and the ridge weight."""
@@ -87,10 +88,12 @@ class LogisticFamily:
 
     def _sigmoid(self, x: np.ndarray) -> np.ndarray:
         # s = expit(-y F x); x has shape (n, p), one local point per node.
-        return expit(-(self._yf @ x[:, :, None])[:, :, 0])
+        return expit(np.matvec(self._nyf, x))
 
     def _grad(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return self.ridge * x - (s[:, None, :] @ self._yf)[:, 0, :]
+        g = np.vecmat(s, self._nyf)
+        g += self.ridge * x
+        return g
 
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         return self._grad(x, self._sigmoid(x))
@@ -103,7 +106,8 @@ class LogisticFamily:
     def hess_blocks(self, curve: np.ndarray) -> np.ndarray:
         """Stacked Hessians from the weights grad_curvature returned."""
         h = self._ft @ (self.features * curve[:, :, None])
-        h.reshape(self.n, -1)[:, ::self.p + 1] += self.ridge
+        diag = h.reshape(self.n, -1)[:, ::self.p + 1]
+        diag += self.ridge
         return h
 
     def hess_stack(self, x: np.ndarray) -> np.ndarray:
@@ -132,10 +136,13 @@ class LogisticFamily:
         budget, one product of the weights with the cached sample products."""
         if self._pairs is None:
             band = lower_band(self.hess_blocks(curve))
+            diag = band[:, :, 0]
         else:
-            band = (curve[:, None, :] @ self._pairs).reshape(self.n, self.p, self.p)
-            band[:, :, 0] += self.ridge
-        band[:, :, 0] += eps
+            band = np.vecmat(curve, self._pairs).reshape(self.n, self.p, self.p)
+            diag = band[:, :, 0]
+            diag += self.ridge
+        # Through one view: band[:, :, 0] += eps also writes the slice back.
+        diag += eps
         return band
 
     @functools.cached_property
@@ -157,8 +164,8 @@ class LogisticFamily:
     def grad_curvature_total(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The total gradient at x and the weights c = s (1 - s), of one
         sigmoid pass."""
-        s = expit(-(self._yf @ x))
-        g = self.reg * x - np.einsum("nm,nmp->p", s, self._yf)
+        s = expit(self._nyf @ x)
+        g = self.reg * x + np.einsum("nm,nmp->p", s, self._nyf)
         return g, s * (1.0 - s)
 
     def hess_total(self, x: np.ndarray, curve: np.ndarray) -> np.ndarray:

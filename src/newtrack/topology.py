@@ -314,9 +314,15 @@ def topology_from_doc(doc: dict) -> tuple[Graph, MixingMatrix]:
             raise ValueError(f"not an integer: {value!r}")
         return int(value)
 
+    def numbers(value) -> np.ndarray:  # as a record's array field: no bool, no null
+        for entry in np.ravel(np.array(value, dtype=object)):
+            if isinstance(entry, bool) or entry is None:  # else read as 0.0, nan
+                raise ValueError(f"not a number: {entry!r}")
+        return np.asarray(value, dtype=float)
+
     graph = Graph(n=read("n", whole), edges=read("edges", lambda edges: tuple(
         sorted((whole(i), whole(j)) for i, j in edges))))
-    w = read("weights", lambda weights: np.asarray(weights, dtype=float))
+    w = read("weights", numbers)
     if w.shape != (graph.n, graph.n):
         raise ValueError("weight matrix shape does not match n")
     # Each node mixes with its neighbours alone: off the diagonal, w is

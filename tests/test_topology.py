@@ -443,6 +443,18 @@ def test_topology_doc_weights_follow_the_edges():
         topology_from_doc(doc)
 
 
+@pytest.mark.parametrize("entry", [False, None])
+def test_topology_doc_weights_refuse_bool_and_null(entry):
+    # As in a record's array fields.  With 0.0 in its place this line's
+    # matrix is valid, so false would load as 0.0; null would load as nan
+    # and fail as an asymmetric matrix.
+    g = build_topology("line", 3)
+    doc = topology_to_doc(g, metropolis_weights(g))
+    doc["weights"] = [[0.5, 0.5, 0.0], [0.5, entry, 0.5], [0.0, 0.5, 0.5]]
+    with pytest.raises(ValueError, match=re.escape(f"weights: not a number: {entry!r}")):
+        topology_from_doc(doc)
+
+
 def test_topology_doc_shape_mismatch():
     g = build_topology("line", 4)
     doc = topology_to_doc(g, metropolis_weights(g))
