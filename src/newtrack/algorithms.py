@@ -58,13 +58,16 @@ def reg_solve(family, curve, eps: float, rhs: np.ndarray) -> np.ndarray:
 
     The data shape picks the path.  A logistic node with fewer samples than
     features (m < p) has hess_i = ridge I + F_i' C_i F_i with C_i =
-    diag(curve_i) of rank at most m.  With a = ridge + eps and
-    S = C_i^(1/2), the Woodbury identity gives
+    diag(curve_i) of rank at most m.  With a = ridge + eps, the Woodbury
+    identity gives
 
-        u_i = (r_i - F_i' S K_i^{-1} S F_i r_i) / a,   K_i = a I + S F_i F_i' S,
+        u_i = (r_i - F_i' w_i) / a,   (F_i F_i' + a C_i^{-1}) w_i = F_i r_i,
 
-    an m x m system that is SPD for every c >= 0, built in band layout, so
-    the p x p Hessian is never formed.  Every other family solves its
+    an m x m system on the cached Gram band, so the p x p Hessian is never
+    formed.  A weight of 0 (a margin past about 36, where s rounds to 1) or
+    below about 1e-308 puts an infinite entry on the diagonal; the banded
+    Cholesky then sets that w entry to exactly 0, the c -> 0 limit.  A NaN
+    weight gives a NaN u without raising.  Every other family solves its
     hess_band: the banded hess_i + eps I, which a logistic family sums from
     cached sample products in one matmul.  Both factor through
     solve_spd_blocks.
@@ -72,13 +75,12 @@ def reg_solve(family, curve, eps: float, rhs: np.ndarray) -> np.ndarray:
     if isinstance(family, LogisticFamily) and family.m < family.p:
         f = family.features
         a = family.ridge + eps
-        root_c = np.sqrt(curve)
-        # k[i, c, d] = root_c[c + d] G[c + d, c] root_c[c], G 0 past the block.
-        k = root_c[:, family.band_rows] * family.gram_band * root_c[:, :, None]
+        k = family.gram_band.copy()
         diag = k[:, :, 0]
-        diag += a
-        y = solve_spd_blocks(k, root_c * np.matvec(f, rhs))
-        u = np.vecmat(root_c * y, f)
+        with np.errstate(divide="ignore", over="ignore"):
+            diag += a / curve
+        w = solve_spd_blocks(k, np.matvec(f, rhs))
+        u = np.vecmat(w, f)
         np.subtract(rhs, u, out=u)
         u /= a
         return u

@@ -143,24 +143,25 @@ def stationarity_identity_check(xs, vs, family, w: np.ndarray, root: np.ndarray,
     grad(x^{t+1}) - grad at consensus + root (v^{t+1} - v*)
     + eps (x^{t+1} - x^t) + e^t must vanish, with e^t the step's
     second-order remainder grad(x^t) - grad(x^{t+1}) + hess(x^t) dx
-    - alpha (I - W) dx: one gradient per iterate and one Hessian per step.
+    - alpha (I - W) dx: one gradient and its curvature weights per iterate,
+    of one sigmoid pass, and one Hessian per step from the weights.
     Returns the report entry; `worst` is the residual relative to the
     largest gradient magnitude seen, and must stay within 1e-8.
     """
     g_star = family.grad_stack(np.tile(x_star, (family.n, 1)))
-    g0 = family.grad_stack(xs[0])
+    g0, c0 = family.grad_curvature(xs[0])
     scale = 1.0
     worst = 0.0
     for t in range(len(xs) - 1):
         x0, x1 = xs[t], xs[t + 1]
-        g1 = family.grad_stack(x1)
+        g1, c1 = family.grad_curvature(x1)
         d = x1 - x0
-        e = g0 - g1 + np.einsum("npq,nq->np", family.hess_stack(x0), d) \
+        e = g0 - g1 + np.einsum("npq,nq->np", family.hess_blocks(c0), d) \
             - alpha * (d - w @ d)
         scale = max(scale, norm(g1))
         r = g1 - g_star + root @ (vs[t + 1] - v_star) + eps * d + e
         worst = max(worst, norm(r) / scale)
-        g0 = g1
+        g0, c0 = g1, c1
     return {"passed": worst <= 1e-8, "detail": {"worst": worst}}
 
 

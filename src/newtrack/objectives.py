@@ -155,12 +155,6 @@ class LogisticFamily:
         """gram in lower band layout, for the m < p local solve."""
         return lower_band(self.gram)
 
-    @functools.cached_property
-    def band_rows(self) -> np.ndarray:
-        """min(c + d, m - 1) at [c, d]: the sample row of gram_band[:, c, d]."""
-        i = np.arange(self.m)
-        return np.minimum(np.add.outer(i, i), self.m - 1)
-
     def grad_curvature_total(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The total gradient at x and the weights c = s (1 - s), of one
         sigmoid pass."""
@@ -210,8 +204,11 @@ class QuadraticFamily:
     def grad_curvature(self, x: np.ndarray) -> tuple[np.ndarray, None]:
         return self.grad_stack(x), None  # constant Hessians need no weights
 
-    def hess_stack(self, x: np.ndarray) -> np.ndarray:
+    def hess_blocks(self, curve: None) -> np.ndarray:
         return self.a.copy()
+
+    def hess_stack(self, x: np.ndarray) -> np.ndarray:
+        return self.hess_blocks(None)
 
     @functools.cached_property
     def _band(self) -> np.ndarray:

@@ -11,6 +11,8 @@ A q-form step takes the operator D of its method: I - W for nt and EXTRA,
 the graph Laplacian for DLM.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,13 @@ def dense_reg_solve(fam, x, eps, rhs):
     h = fam.hess_stack(x)
     return np.array([np.linalg.solve(h[i] + eps * np.eye(fam.p), rhs[i])
                      for i in range(fam.n)])
+
+
+def dense_curve_solve(fam, curve, eps, rhs):
+    # Plain per-node solve against ridge I + F' diag(c) F + eps I, for any c.
+    return np.array([np.linalg.solve((fam.ridge + eps) * np.eye(fam.p)
+                                     + f.T @ (c[:, None] * f), r)
+                     for f, c, r in zip(fam.features, curve, rhs)])
 
 
 def slow_mix(w, arr):
@@ -585,6 +594,45 @@ def test_reg_solve_matches_dense_property(n, m, p, log_eps, scale, seed):
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 8), extra=st.integers(1, 8),
+       log_eps=st.floats(-4.0, 1.0), log_scale=st.floats(-2.0, 4.0),
+       planted=st.lists(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300]), max_size=4),
+       seed=st.integers(0, 2 ** 16))
+def test_woodbury_solve_takes_the_limit_of_vanishing_weights(
+        n, m, extra, log_eps, log_scale, planted, seed):
+    # A margin past about 36 rounds a weight to exactly 0, one past about 708
+    # to a subnormal; a few are also planted.  a / c is then infinite or
+    # huge, and the m < p solve must still match the dense one, warning-free.
+    p = m + extra
+    fam = wide_logistic(n=n, m=m, p=p, seed=seed)
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** log_scale * rng.standard_normal((n, p))
+    rhs = rng.standard_normal((n, p))
+    eps = 10.0 ** log_eps
+    curve = fam.grad_curvature(x)[1]
+    planted = planted[:curve.size]
+    curve.flat[rng.choice(curve.size, len(planted), replace=False)] = planted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = reg_solve(fam, curve, eps, rhs)
+    expected = dense_curve_solve(fam, curve, eps, rhs)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_woodbury_solve_carries_a_nan_weight_without_raising():
+    # A NaN weight is no number to solve with: its node's direction is NaN,
+    # for the run's divergence check to stop on, with no error or warning.
+    fam = wide_logistic()
+    rng = np.random.default_rng(5)
+    curve = fam.grad_curvature(rng.standard_normal((fam.n, fam.p)))[1]
+    curve[2, 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = reg_solve(fam, curve, 0.1, rng.standard_normal((fam.n, fam.p)))
+    assert np.isnan(got[2]).all()
+
+
 def skew_pack(blocks):
     # Full symmetric blocks in band layout, as first written: columns
     # written as rows of width 2b - 1, read back at width 2b.
@@ -614,16 +662,17 @@ def curvature(fam, x):
 
 
 def full_block_reg_solve(fam, x, eps, rhs):
-    # reg_solve as first written: the full K or hess + eps I with np.eye
-    # shifts, then skew_band_solve.
+    # reg_solve with full blocks: G + diag(a / c) or hess + eps I with
+    # np.eye shifts, then skew_band_solve.
     f, curve = fam.features, curvature(fam, x)
     if fam.m < fam.p:
         a = fam.ridge + eps
-        root_c = np.sqrt(curve)
-        k = root_c[:, :, None] * (f @ f.transpose(0, 2, 1)) * root_c[:, None, :]
-        k += a * np.eye(fam.m)
-        y = skew_band_solve(k, root_c * (f @ rhs[:, :, None])[:, :, 0])
-        return (rhs - ((root_c * y)[:, None, :] @ f)[:, 0, :]) / a
+        k = f @ f.transpose(0, 2, 1)
+        i = np.arange(fam.m)
+        with np.errstate(divide="ignore", over="ignore"):
+            k[:, i, i] += a / curve
+        w = skew_band_solve(k, (f @ rhs[:, :, None])[:, :, 0])
+        return (rhs - (w[:, None, :] @ f)[:, 0, :]) / a
     h = f.transpose(0, 2, 1) @ (f * curve[:, :, None])
     h += fam.ridge * np.eye(fam.p)
     h += eps * np.eye(fam.p)

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from newtrack.algorithms import pd_init, pd_step
+from newtrack.algorithms import centralized_reference, pd_init, pd_step
 from newtrack.analysis import (consensus_penalty_matrix, contraction_check,
                                dual_optimum, g_norm_metric, rate_certificate,
                                stationarity_identity_check)
-from newtrack.objectives import (ObjectiveBounds, QuadraticFamily,
+from newtrack.objectives import (LogisticFamily, ObjectiveBounds, QuadraticFamily,
                                  convexity_bounds, generate_logistic_data)
 from newtrack.topology import (build_topology, metropolis_weights,
                                spectral_stats)
@@ -300,6 +300,39 @@ def test_stationarity_identity_on_run():
     rep_bad = stationarity_identity_check(xs, bad_vs, fam, mix.w, stats.root,
                                           alpha, eps, x_star, v_star)
     assert not rep_bad["passed"]
+
+
+@pytest.mark.parametrize("m, p", [(12, 8), (4, 8)], ids=["dense", "low-rank"])
+def test_stationarity_identity_takes_one_sigmoid_pass_per_iterate(monkeypatch, m, p):
+    # grad_curvature gives each iterate's gradient and Hessian weights in one
+    # sigmoid pass, and one more pass is the gradient at x*: len(xs) + 1,
+    # where grad_stack and hess_stack made 2 len(xs).  The worst residual is
+    # bit for bit that of the grad_stack and hess_stack form.
+    fam = generate_logistic_data(n=10, m=m, p=p, reg=1e-2, seed=1)
+    mix, stats = complete10()
+    alpha, eps = 0.5, 2.0
+    xs, vs = pd_trajectory(fam, mix, stats, alpha, eps, iters=15)
+    x_star = centralized_reference(fam)
+    v_star = dual_optimum(fam, x_star, stats.root)
+
+    g_star = fam.grad_stack(np.tile(x_star, (fam.n, 1)))
+    scale, worst = 1.0, 0.0
+    for t in range(len(xs) - 1):
+        g1 = fam.grad_stack(xs[t + 1])
+        r = g1 - g_star + stats.root @ (vs[t + 1] - v_star) \
+            + eps * (xs[t + 1] - xs[t]) \
+            + approximation_error(xs[t], xs[t + 1], fam, mix.w, alpha)
+        scale = max(scale, float(np.linalg.norm(g1)))
+        worst = max(worst, float(np.linalg.norm(r)) / scale)
+
+    calls = []
+    real = LogisticFamily._sigmoid
+    monkeypatch.setattr(LogisticFamily, "_sigmoid",
+                        lambda self, x: calls.append(x) or real(self, x))
+    rep = stationarity_identity_check(xs, vs, fam, mix.w, stats.root, alpha,
+                                      eps, x_star, v_star)
+    assert len(calls) == len(xs) + 1
+    assert rep == {"passed": True, "detail": {"worst": worst}}
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,8 @@ def test_check_evaluates_oracles_inside_the_analysis_layers(capsys, tmp_path):
         if span.name in ("objectives.grad_stack", "objectives.hess_stack"):
             parent = spans[span.parent].name
             parents[span.name, parent] = parents.get((span.name, parent), 0) + 1
+    # The stationarity check's per-iterate grad_curvature and hess_blocks are
+    # not wrapped, so their time is analysis.check's own; its one wrapped
+    # oracle call is the gradient at x*.
     assert parents == {("objectives.grad_stack", "analysis.certificate"): 1,
-                       ("objectives.grad_stack", "analysis.check"): 32,
-                       ("objectives.hess_stack", "analysis.check"): 30}
+                       ("objectives.grad_stack", "analysis.check"): 1}

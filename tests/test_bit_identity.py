@@ -61,11 +61,11 @@ def frozen_reg_solve(fam, curve, eps, rhs):
     if fam.m < fam.p:
         f = fam.features
         a = fam.ridge + eps
-        root_c = np.sqrt(curve)
-        k = root_c[:, fam.band_rows] * fam.gram_band * root_c[:, :, None]
-        k[:, :, 0] += a
-        y = alg.solve_spd_blocks(k, root_c * (f @ rhs[:, :, None])[:, :, 0])
-        return (rhs - ((root_c * y)[:, None, :] @ f)[:, 0, :]) / a
+        k = fam.gram_band.copy()
+        with np.errstate(divide="ignore", over="ignore"):
+            k[:, :, 0] += a / curve
+        w = alg.solve_spd_blocks(k, (f @ rhs[:, :, None])[:, :, 0])
+        return (rhs - (w[:, None, :] @ f)[:, 0, :]) / a
     return alg.solve_spd_blocks(frozen_hess_band(fam, curve, eps), rhs)
 
 

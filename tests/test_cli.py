@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import newtrack
+from newtrack import algorithms
 from newtrack.cli import main
 from newtrack.harness import (AlgorithmSpec, DataSpec, RunConfig,
                               TopologySpec, load_record, preset)
@@ -470,6 +471,36 @@ def test_diverging_run_keeps_stderr_json(tmp_path):
         if proc.stderr:
             assert isinstance(json.loads(proc.stderr), dict)
     assert json.loads(proc.stderr)["error"] == "check_failed"
+
+
+def test_diverging_low_rank_run_writes_one_json_line(capsys, monkeypatch, tmp_path):
+    # fig4-n50's data (m 10 < p 20) on 10 nodes, nt at alpha=50, eps=0.01:
+    # from the third solve on every curvature weight is exactly 0, so the
+    # m < p solve divides by zero, and the iterates overflow before the run
+    # stops.  Neither may leak a warning (an error under the tests' filter,
+    # which main would report): solve writes no stderr, and check's one line
+    # is its failure.
+    doc = {**preset("fig4-n50").to_doc(), "iters": 400,
+           "algorithms": [{"name": "nt", "alpha": 50.0, "eps": 0.01}]}
+    doc["topology"] = {**doc["topology"], "n": 10}
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(doc))
+    zero = []
+    real = algorithms.reg_solve
+    monkeypatch.setattr(algorithms, "reg_solve", lambda family, curve, eps, rhs:
+                        zero.append(bool((curve == 0).any()))
+                        or real(family, curve, eps, rhs))
+    out = tmp_path / "out"
+    rc, stdout, err = run_cli(capsys, "solve", "--config", str(path),
+                              "--out", str(out))
+    assert (rc, err) == (0, "")
+    assert json.loads(stdout)["status"] == {"nt": "diverged"}
+    assert any(zero)
+    rc, stdout, err = run_cli(capsys, "check", "--record", str(out / "record.json"))
+    assert rc == 2
+    json.loads(stdout)
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "check_failed"
 
 
 @pytest.mark.parametrize("key, text", [("alpha", "nan"), ("eps", "inf")])

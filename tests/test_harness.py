@@ -1144,19 +1144,20 @@ def test_replay_checks_bound_the_reruns_columns(monkeypatch, column, check, bad)
 
 
 def test_replay_checks_evaluate_each_iterate_once(monkeypatch):
-    # The stationarity check takes one gradient per replayed iterate
-    # x^0..x^12 and one Hessian per step (the remainder check reads the
-    # re-run's columns); two more gradients sit at consensus (v* and the
-    # identity's grad at x*).  The re-run's nt steps and the reference solve
-    # call neither oracle.
+    # The stationarity check builds one Hessian per step from the weights
+    # its grad_curvature gave at x^0..x^11 (the remainder check reads the
+    # re-run's columns); two gradients sit at consensus (v* and the
+    # identity's grad at x*).  Nothing calls hess_stack, and the re-run's
+    # nt steps and the reference solve call neither grad_stack nor
+    # hess_blocks (fig1's band is one product with the cached pairs).
     rec = run_experiment(dataclasses.replace(preset("fig1"), iters=20))
     calls = {}
-    for name in ("grad_stack", "hess_stack"):
+    for name in ("grad_stack", "hess_stack", "hess_blocks"):
         monkeypatch.setattr(LogisticFamily, name,
                             counting(calls, name, getattr(LogisticFamily, name)))
     report = run_checks(rec, window=12)
     assert report["passed"]
-    assert calls == {"grad_stack": 13 + 2, "hess_stack": 12}
+    assert calls == {"grad_stack": 2, "hess_blocks": 12}
 
 
 def test_run_checks_read_the_certificate_of_the_rerun(monkeypatch):
