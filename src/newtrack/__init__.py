@@ -18,13 +18,12 @@ from .analysis import (consensus_penalty_matrix, contraction_check,
                        rate_certificate, stationarity_identity_check)
 from .harness import (AlgorithmSpec, ConvergenceTrace, DataSpec, RunConfig,
                       RunRecord, TopologySpec, load_record, preset,
-                      run_checks, run_experiment, topology_sweep,
-                      write_outputs)
+                      run_checks, run_experiment, topology_from_doc,
+                      topology_sweep, topology_to_doc, write_outputs)
 from .objectives import (LogisticFamily, ObjectiveBounds, QuadraticFamily,
                          convexity_bounds, generate_logistic_data,
                          generate_quadratic_set)
 from .topology import (Graph, MixingMatrix, SpectralStats, build_topology,
-                       laplacian, metropolis_weights, spectral_stats,
-                       topology_from_doc, topology_to_doc)
+                       laplacian, metropolis_weights, spectral_stats)
 
 __version__ = "0.1.0"

@@ -11,28 +11,39 @@ reported as data.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, TypedDict
 
 import numpy as np
 
 from .algorithms import norm
 
 
-def rate_certificate(bounds, spectra, alpha: float, eps: float,
-                     beta: float = 2.0, phi: float = 2.0) -> dict:
-    """The certificate document: feasibility and contraction constants for
-    one parameter choice.
+class Certificate(TypedDict):
+    """Feasibility and contraction constants: the inputs, then what follows."""
 
-    Its keys are the inputs mu, lip, alpha, eps, lam_max, lam_min_nz, beta
-    and phi, then: q_min and q_max, which bound the spectrum of
-    Q = eps I - alpha (I - W); kappa = 2 lip + alpha lam_max, which bounds
-    the linearization error; feasible, the sufficient condition
-    q_min > 4 lip^2 / mu; delta and delta_prime, None where their formulas
-    are undefined (delta needs q_min > 0, delta_prime needs feasibility);
-    and contraction, the certified per-step factor 1 / (1 + delta_prime),
-    None when infeasible.  beta and phi are free parameters strictly
-    greater than 1; any valid pair certifies, larger delta_prime just
-    means a tighter factor.
+    mu: float
+    lip: float
+    alpha: float
+    eps: float
+    lam_max: float
+    lam_min_nz: float
+    beta: float
+    phi: float
+    q_min: float  # q_min and q_max bound the spectrum of Q = eps I - alpha (I - W)
+    q_max: float
+    kappa: float  # 2 lip + alpha lam_max: bounds the linearization error
+    feasible: bool  # the sufficient condition q_min > 4 lip^2 / mu
+    delta: float | None  # None unless q_min > 0
+    delta_prime: float | None  # None unless feasible
+    contraction: float | None  # the certified per-step factor 1 / (1 + delta_prime)
+
+
+def rate_certificate(bounds, spectra, alpha: float, eps: float,
+                     beta: float = 2.0, phi: float = 2.0) -> Certificate:
+    """The certificate document for one parameter choice.
+
+    beta and phi are free parameters strictly greater than 1; any valid
+    pair certifies, larger delta_prime just means a tighter factor.
     """
     mu, lip = bounds.mu, bounds.lip
     lam_max, lam_min = spectra.lambda_max, spectra.lambda_min_nz
@@ -61,11 +72,11 @@ def rate_certificate(bounds, spectra, alpha: float, eps: float,
         second_den = beta * eps ** 2 / (beta - 1.0) \
             + beta * phi * kappa ** 2 / (phi - 1.0)
         delta_prime = min(first, second_num / second_den)
-    return {"mu": mu, "lip": lip, "alpha": alpha, "eps": eps, "lam_max": lam_max,
-            "lam_min_nz": lam_min, "beta": beta, "phi": phi, "q_min": q_min,
-            "q_max": q_max, "kappa": kappa, "feasible": feasible, "delta": delta,
-            "delta_prime": delta_prime,
-            "contraction": None if delta_prime is None else 1.0 / (1.0 + delta_prime)}
+    return Certificate(mu=mu, lip=lip, alpha=alpha, eps=eps, lam_max=lam_max,
+                       lam_min_nz=lam_min, beta=beta, phi=phi, q_min=q_min,
+                       q_max=q_max, kappa=kappa, feasible=feasible, delta=delta,
+                       delta_prime=delta_prime,
+                       contraction=None if delta_prime is None else 1.0 / (1.0 + delta_prime))
 
 
 def consensus_penalty_matrix(w: np.ndarray, alpha: float, eps: float) -> np.ndarray:
@@ -165,7 +176,7 @@ def stationarity_identity_check(xs, vs, family, w: np.ndarray, root: np.ndarray,
     return {"passed": worst <= 1e-8, "detail": {"worst": worst}}
 
 
-def contraction_check(energies, cert: dict) -> dict:
+def contraction_check(energies, cert: Certificate) -> dict:
     """Certified geometric decay of the primal-dual error metric.
 
     energies are the squared errors of the metric (g_norm_metric of cert's

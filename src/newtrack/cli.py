@@ -20,9 +20,9 @@ from types import SimpleNamespace
 from . import analysis
 from .harness import (PRESET_NAMES, RunConfig, TopologySpec, build_network,
                       build_objective, load_record, preset, run_checks,
-                      run_experiment, topology_sweep, write_outputs)
+                      run_experiment, topology_sweep, topology_to_doc,
+                      write_outputs)
 from .objectives import ObjectiveBounds
-from .topology import topology_to_doc
 
 
 def _load_config(args) -> RunConfig:
@@ -65,11 +65,8 @@ def _summary(record) -> dict:
 def _cmd_spectra(args) -> int:
     net = build_network(TopologySpec(kind=args.kind, n=args.n, tau=args.tau,
                                      seed=args.seed_topology))
-    doc = topology_to_doc(net.graph, net.mix)
-    doc["lambda_max"] = net.spectra.lambda_max
-    doc["lambda_min_nz"] = net.spectra.lambda_min_nz
-    doc["kind"] = args.kind
-    _emit(doc, args.out)
+    _emit({**topology_to_doc(net.graph, net.mix), "lambda_max": net.spectra.lambda_max,
+           "lambda_min_nz": net.spectra.lambda_min_nz, "kind": args.kind}, args.out)
     return 0
 
 

@@ -16,7 +16,7 @@ import time
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TypedDict
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .objectives import (ObjectiveBounds, convexity_bounds,
                          generate_logistic_data, generate_quadratic_set)
 from .topology import (KINDS, Graph, MixingMatrix, SpectralStats,
                        build_topology, edge_budget, laplacian,
-                       metropolis_weights, spectral_stats, topology_from_doc,
-                       topology_to_doc)
+                       metropolis_weights, spectral_stats)
 
 
 # Data family -> (n, DataSpec) -> its local objectives.  The generators are
@@ -81,52 +80,51 @@ def _shaped(name: str, value, kind: type):
 def _decode(kind, value, path: str, root: str = ""):
     """value, the JSON entry at path, read as the annotation kind.
 
-    A dataclass is read from an object holding its fields and no other
-    key, where only a field whose default is None may be absent; tuples
-    and dicts of dataclasses entry by entry; an int, float or array from
-    numbers, which a string may spell (no bool or null, in an array
-    neither; an int no fraction); bare dicts and lists as they stand.  A ValueError
-    names the path.  A range check of construction names its field from
-    the config's root, so its message gains root, the path of the
-    enclosing RunConfig.
+    A dataclass or TypedDict is read from an object holding its keys and
+    no other, where only a dataclass field whose default is None may be
+    absent; tuples, lists and dicts of a kind entry by entry; a bool from
+    true or false alone; an int, float or array from numbers, which a
+    string may spell (no bool or null, in an array neither; an int no
+    fraction); bare lists as they stand.  A ValueError names the path.  A
+    range check of construction names its field from the config's root,
+    so its message gains root, the path of the enclosing RunConfig.
     """
+    if type(value) is kind:  # a str, bool, int, float or list as declared
+        return value
     origin, args = typing.get_origin(kind) or kind, typing.get_args(kind)
     if type(None) in args:  # X | None
         return None if value is None else _decode(args[0], value, path, root)
-    if dataclasses.is_dataclass(kind):
+    if dataclasses.is_dataclass(kind) or typing.is_typeddict(kind):
         doc, prefix = _shaped(path or "document", value, dict), path and f"{path}."
-        fields, hints = dataclasses.fields(kind), _hints(kind)
-        names = [f.name for f in fields]
+        hints = _hints(kind)
         for key in doc:
-            if key not in names:
-                raise ValueError(f"{prefix}{key}: unknown key; expected one of {names}")
+            if key not in hints:
+                raise ValueError(f"{prefix}{key}: unknown key; expected one of {list(hints)}")
         if kind is RunConfig:
             root = prefix
         values = {}
-        for f in fields:
-            if f.name in doc:
-                values[f.name] = _decode(hints[f.name], doc[f.name], prefix + f.name,
-                                         root)
-            elif f.default is not None:
-                raise ValueError(f"{prefix}{f.name}: missing")
+        for name, hint in hints.items():
+            if name in doc:
+                values[name] = _decode(hint, doc[name], prefix + name, root)
+            elif getattr(kind, name, "required") is not None:  # a default of None
+                raise ValueError(f"{prefix}{name}: missing")
         try:
             return kind(**values)
         except ValueError as err:
             if not root:
                 raise
             raise ValueError(f"{root}{err}") from None
-    if origin is tuple:
-        return tuple(_decode(args[0], entry, f"{path}[{i}]", root)
-                     for i, entry in enumerate(_shaped(path, value, list)))
+    if origin in (tuple, list) and args:
+        return origin(_decode(args[0], entry, f"{path}[{i}]", root)
+                      for i, entry in enumerate(_shaped(path, value, list)))
     if origin is dict and args:
         return {key: _decode(args[1], entry, f"{path}.{key}", root)
                 for key, entry in _shaped(path, value, dict).items()}
-    if origin in (dict, list):
-        return _shaped(path, value, origin)
-    if kind is str:
-        if not isinstance(value, str):
-            raise ValueError(f"{path}: must be a string, got {value!r}")
-        return value
+    if origin is list:
+        return _shaped(path, value, list)
+    if kind in (str, bool):
+        raise ValueError(f"{path}: must be a {'string' if kind is str else 'boolean'}, "
+                         f"got {value!r}")
     if kind is int and (isinstance(value, bool) or
                         isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{path}: not an integer: {value!r}")
@@ -332,6 +330,51 @@ class ConvergenceTrace:
         return _encode(self)
 
 
+class Spectra(TypedDict):
+    """The extreme nonzero eigenvalues of I - W (see SpectralStats)."""
+
+    lambda_max: float
+    lambda_min_nz: float
+
+
+class PinnedTopology(TypedDict):
+    """A graph and its mixing weights W, as a record keeps them and a
+    config's topology.file pins them: edges as sorted pairs i < j."""
+
+    n: int
+    edges: list[list[int]]
+    weights: list[list[float]]
+
+
+def topology_to_doc(graph: Graph, mix: MixingMatrix) -> PinnedTopology:
+    """The document pinning graph and its weights; topology_from_doc reads it."""
+    return PinnedTopology(n=graph.n, edges=graph.edge_index.tolist(),
+                          weights=mix.w.tolist())
+
+
+def topology_from_doc(doc: dict, n: int | None = None) -> tuple[Graph, MixingMatrix]:
+    """Inverse of topology_to_doc: its keys read by the loader's rules
+    (other keys, which spectra --out writes, ignored), then the graph's.
+    With n given, a doc of another size fails before any graph is built."""
+    doc = {k: doc[k] for k in _hints(PinnedTopology) if k in _shaped("document", doc, dict)}
+    if n is not None and (size := _decode(int, doc.get("n", n), "n")) != n:
+        raise ValueError(f"topology.n: {n} but the pinned file has {size} nodes")
+    doc = _decode(PinnedTopology, doc, "")
+    graph = Graph(n=doc["n"], edges=tuple(sorted(map(tuple, doc["edges"]))))
+    if list(map(len, doc["weights"])) != [graph.n] * graph.n:
+        raise ValueError(f"weights: must be {graph.n} rows of {graph.n} numbers")
+    w = np.array(doc["weights"])
+    # Each node mixes with its neighbours alone: off the diagonal, w is
+    # nonzero exactly on the edges, where the Laplacian exchanges.
+    stray = (w != 0) != (graph.adjacency() != 0)
+    np.fill_diagonal(stray, False)
+    if stray.any():
+        i, j = np.argwhere(stray)[0]
+        raise ValueError(f"weights: w[{i}, {j}] = {float(w[i, j])!r} but ({i}, {j}) "
+                         f"is {'not ' if w[i, j] else ''}an edge")
+    return graph, MixingMatrix(w=w)
+
+
 @dataclass
 class RunRecord:
     """Outputs of run_experiment, serializable to a single JSON file."""
@@ -340,10 +383,10 @@ class RunRecord:
     dataset_digest: str
     x_star: np.ndarray
     ref_residual: float
-    spectra: dict
-    certificates: dict
+    spectra: Spectra
+    certificates: dict[str, analysis.Certificate]
     traces: dict[str, ConvergenceTrace]
-    topology: dict
+    topology: PinnedTopology
 
     def to_doc(self) -> dict:
         return _encode(self)
@@ -474,10 +517,7 @@ class Objective:
 def build_network(topo: TopologySpec) -> Network:
     """Build, or load from a pinned file, the network a topology spec names."""
     if topo.file is not None:
-        graph, mix = topology_from_doc(json.loads(Path(topo.file).read_text()))
-        if graph.n != topo.n:
-            raise ValueError(f"topology.n: {topo.n} but the pinned file has "
-                             f"{graph.n} nodes")
+        graph, mix = topology_from_doc(json.loads(Path(topo.file).read_text()), topo.n)
     else:
         graph = build_topology(topo.kind, topo.n, tau=topo.tau, seed=topo.seed)
         mix = metropolis_weights(graph)
@@ -509,8 +549,8 @@ def _run(config: RunConfig, net: Network, obj: Objective) -> RunRecord:
         traces[spec.name] = _run_algorithm(spec, net, obj, cert, config)
     return RunRecord(config=config, dataset_digest=obj.digest, x_star=obj.x_star,
                      ref_residual=obj.ref_residual,
-                     spectra={"lambda_max": net.spectra.lambda_max,
-                              "lambda_min_nz": net.spectra.lambda_min_nz},
+                     spectra=Spectra(lambda_max=net.spectra.lambda_max,
+                                     lambda_min_nz=net.spectra.lambda_min_nz),
                      certificates=certificates, traces=traces,
                      topology=topology_to_doc(net.graph, net.mix))
 
@@ -536,7 +576,7 @@ def _shift(prev, states: list, names: tuple) -> list:
 
 
 def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
-                   cert: dict | None, config: RunConfig) -> ConvergenceTrace:
+                   cert: analysis.Certificate | None, config: RunConfig) -> ConvergenceTrace:
     """Run one method for config.iters rounds, recording every iterate.
 
     Each round records wall_ms and rel_error, which the stop tests read:

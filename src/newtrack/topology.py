@@ -287,50 +287,3 @@ def spectral_stats(mix: MixingMatrix) -> SpectralStats:
                          lambda_min_nz=float(lam[1]),
                          root=root)
 
-
-def topology_to_doc(graph: Graph, mix: MixingMatrix) -> dict:
-    """JSON-serializable document pinning a topology and its weights."""
-    return {
-        "n": graph.n,
-        "edges": graph.edge_index.tolist(),
-        "weights": mix.w.tolist(),
-    }
-
-
-def topology_from_doc(doc: dict) -> tuple[Graph, MixingMatrix]:
-    """Inverse of topology_to_doc; re-validates all invariants.  A key
-    that is absent, or whose value cannot be read, raises a ValueError
-    naming it."""
-    def read(key, convert):
-        if key not in doc:
-            raise ValueError(f"{key}: missing")
-        try:
-            return convert(doc[key])
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"{key}: {err}") from None
-
-    def whole(value) -> int:  # as a config's int field: no bool, no fraction
-        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"not an integer: {value!r}")
-        return int(value)
-
-    def numbers(value) -> np.ndarray:  # as a record's array field: no bool, no null
-        for entry in np.ravel(np.array(value, dtype=object)):
-            if isinstance(entry, bool) or entry is None:  # else read as 0.0, nan
-                raise ValueError(f"not a number: {entry!r}")
-        return np.asarray(value, dtype=float)
-
-    graph = Graph(n=read("n", whole), edges=read("edges", lambda edges: tuple(
-        sorted((whole(i), whole(j)) for i, j in edges))))
-    w = read("weights", numbers)
-    if w.shape != (graph.n, graph.n):
-        raise ValueError("weight matrix shape does not match n")
-    # Each node mixes with its neighbours alone: off the diagonal, w is
-    # nonzero exactly on the edges, where the Laplacian exchanges.
-    stray = (w != 0) != (graph.adjacency() != 0)
-    np.fill_diagonal(stray, False)
-    if stray.any():
-        i, j = np.argwhere(stray)[0]
-        raise ValueError(f"weights: w[{i}, {j}] = {float(w[i, j])!r} but ({i}, {j}) "
-                         f"is {'not ' if w[i, j] else ''}an edge")
-    return graph, MixingMatrix(w=w)

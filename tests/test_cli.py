@@ -419,9 +419,13 @@ DELETE = object()
     ("config.topology.n", 1, "config.topology.n: must be >= 2"),
     ("config.algorithms.0.eps", DELETE, "config.algorithms[0].eps: 'nt' needs eps"),
     ("config.algorithms", [], "config.algorithms: empty; name at least one method"),
+    ("certificates.nt.mu", True, "certificates.nt.mu: not a number: True"),
+    ("certificates.nt.feasible", 1, "certificates.nt.feasible: must be a boolean"),
+    ("spectra.lambda_max", None, "spectra.lambda_max: not a number: None"),
+    ("topology.weights.0.1", False, "topology.weights[0][1]: not a number: False"),
 ], ids=["missing", "unknown", "traces-list", "trace-key", "trace-column", "x-star",
         "bool-array", "null-array", "bool-float", "config-range", "spec-range", "needs-eps",
-        "no-method"])
+        "no-method", "bool-certificate", "int-feasible", "null-spectrum", "bool-weight"])
 def test_malformed_record_fails_at_load_naming_the_path(capsys, tmp_path, key,
                                                         value, message):
     # A record is read like a config: a bad key, or a config value out of
@@ -433,12 +437,13 @@ def test_malformed_record_fails_at_load_naming_the_path(capsys, tmp_path, key,
     record = tmp_path / "run" / "record.json"
     doc = json.loads(record.read_text())
     *parents, last = key.split(".")
-    owner = functools.reduce(lambda d, k: d[int(k) if isinstance(d, list) else k],
-                             parents, doc)
+    def entry(d, k):
+        return int(k) if isinstance(d, list) else k
+    owner = functools.reduce(lambda d, k: d[entry(d, k)], parents, doc)
     if value is DELETE:
         del owner[last]
     else:
-        owner[last] = value
+        owner[entry(owner, last)] = value
     record.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         load_record(record)

@@ -14,14 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newtrack import algorithms as alg
-from newtrack import analysis, cli, harness
+from newtrack import analysis, cli, harness, topology
 from newtrack.harness import (CSV_COLUMNS, PRESET_NAMES, AlgorithmSpec,
                               ConvergenceTrace, DataSpec, RunConfig,
                               TopologySpec, load_record, preset, run_checks,
-                              run_experiment, topology_sweep, write_outputs)
+                              run_experiment, topology_sweep, topology_to_doc,
+                              write_outputs)
 from newtrack.objectives import LogisticFamily, generate_logistic_data
-from newtrack.topology import (KINDS, build_topology, metropolis_weights,
-                               topology_to_doc)
+from newtrack.topology import KINDS, build_topology, metropolis_weights
 from oracles import approximation_error
 
 
@@ -223,6 +223,20 @@ def test_pinned_topology_must_match_config_size(tmp_path):
                        match=re.escape("topology.n: 9 but the pinned file has "
                                        "5 nodes")):
         run_experiment(cfg)
+
+
+def test_pinned_topology_of_another_size_builds_no_graph(tmp_path, monkeypatch):
+    # The sizes are compared first: the file's graph, its connectivity
+    # squaring and the eigendecomposition of I - W cost n^3 at its n.
+    g = build_topology("line", 60)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(topology_to_doc(g, metropolis_weights(g))))
+    calls = []
+    monkeypatch.setattr(topology, "_connected", lambda *a: calls.append(a) or True)
+    with pytest.raises(ValueError, match=re.escape(
+            "topology.n: 10 but the pinned file has 60 nodes")):
+        harness.build_network(TopologySpec(kind="line", n=10, file=str(path)))
+    assert calls == []
 
 
 def test_unknown_algorithm_and_family():
@@ -963,27 +977,21 @@ def test_a_nan_in_a_trace_fails_before_any_record_is_written(tmp_path, column):
 
 @functools.cache
 def valid_docs() -> dict:
-    """A config doc and a record doc, each with the paths of its free
-    dicts (whose keys no schema declares) and of its maps (whose keys are
-    free, each entry of one schema)."""
+    """A config doc and a record doc, each with the paths of its maps
+    (whose keys are free, each entry of one schema)."""
     record = json.loads(json.dumps(run_experiment(tiny_config(iters=3)).to_doc()))
-    return {"config": (json.loads(json.dumps(preset("fig1").to_doc())), (), ()),
-            "record": (record, [("spectra",), ("certificates",), ("topology",)],
-                       [("traces",)])}
+    return {"config": (json.loads(json.dumps(preset("fig1").to_doc())), ()),
+            "record": (record, [("traces",), ("certificates",)])}
 
 
-def schema_keys(doc, free, path=()):
-    """Path of each key of doc, walking objects and lists of objects but
-    not the free dicts."""
+def schema_keys(doc, path=()):
+    """Path of each key of doc, walking objects and lists of objects."""
     for key, value in doc.items():
         at = (*path, key)
         yield at
-        if at in free:
-            continue
         for i, entry in enumerate(value if isinstance(value, list) else [value]):
             if isinstance(entry, dict):
-                yield from schema_keys(entry, free,
-                                       (*at, i) if isinstance(value, list) else at)
+                yield from schema_keys(entry, (*at, i) if isinstance(value, list) else at)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -994,12 +1002,12 @@ def test_malformed_doc_fails_at_load_naming_the_path(data):
     # ValueError whose message starts with that key's path, never with a
     # KeyError, TypeError or AttributeError from the reader.
     kind = data.draw(st.sampled_from(["config", "record"]))
-    valid, free, maps = valid_docs()[kind]
+    valid, maps = valid_docs()[kind]
     doc = copy.deepcopy(valid)
 
     def at(path):
         return functools.reduce(lambda d, k: d[k], path, doc)
-    keys = list(schema_keys(doc, free))
+    keys = list(schema_keys(doc))
     op = data.draw(st.sampled_from(["delete", "add", "retype"]))
     if op == "delete":  # a map's entry, or an optional field, may go
         path = data.draw(st.sampled_from(
@@ -1007,7 +1015,7 @@ def test_malformed_doc_fails_at_load_naming_the_path(data):
         del at(path[:-1])[path[-1]]
     elif op == "add":
         owner = data.draw(st.sampled_from(
-            [()] + [p for p in keys if isinstance(at(p), dict) and p not in free]))
+            [()] + [p for p in keys if isinstance(at(p), dict)]))
         path = (*owner, "bogus")
         at(owner)["bogus"] = 1
     else:

@@ -20,11 +20,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from newtrack.harness import PRESET_NAMES, build_network, preset
+from newtrack.harness import (PRESET_NAMES, build_network, preset,
+                              topology_from_doc, topology_to_doc)
 from newtrack.topology import (KINDS, Graph, MixingMatrix, ZERO_EIG_TOL,
                                _random_spanning_tree, build_topology,
-                               laplacian, metropolis_weights, spectral_stats,
-                               topology_from_doc, topology_to_doc)
+                               laplacian, metropolis_weights, spectral_stats)
 
 
 def scipy_connected(graph):
@@ -386,22 +386,24 @@ def test_topology_doc_round_trip():
 ])
 def test_topology_doc_names_a_missing_or_malformed_key(key, value):
     # A pinned file with a key absent (None here) or unreadable fails with a
-    # ValueError naming the key, not a bare KeyError or TypeError.
+    # ValueError naming the key, not a bare KeyError or TypeError.  Graph
+    # refuses an edge that is no pair.
     g = build_topology("line", 4)
     doc = topology_to_doc(g, metropolis_weights(g))
     if value is None:
         del doc[key]
     else:
         doc[key] = value
-    with pytest.raises(ValueError, match=f"^{key}: "):
+    message = "edges must be pairs" if value == [[0, 1, 2]] else f"{key}: "
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         topology_from_doc(doc)
 
 
 @pytest.mark.parametrize("key, value, message", [
     ("n", 4.9, "n: not an integer: 4.9"),
     ("n", True, "n: not an integer: True"),
-    ("edges", [[0, 1.7], [1, 2], [2, 3]], "edges: not an integer: 1.7"),
-    ("edges", [[0, 1], [True, 2], [2, 3]], "edges: not an integer: True"),
+    ("edges", [[0, 1.7], [1, 2], [2, 3]], "edges[0][1]: not an integer: 1.7"),
+    ("edges", [[0, 1], [True, 2], [2, 3]], "edges[1][0]: not an integer: True"),
 ])
 def test_topology_doc_refuses_a_fraction_or_bool_for_an_integer(key, value, message):
     # A pinned 4-node line read with int() alone would truncate "n": 4.9 to
@@ -451,7 +453,7 @@ def test_topology_doc_weights_refuse_bool_and_null(entry):
     g = build_topology("line", 3)
     doc = topology_to_doc(g, metropolis_weights(g))
     doc["weights"] = [[0.5, 0.5, 0.0], [0.5, entry, 0.5], [0.0, 0.5, 0.5]]
-    with pytest.raises(ValueError, match=re.escape(f"weights: not a number: {entry!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"weights[1][1]: not a number: {entry!r}")):
         topology_from_doc(doc)
 
 
@@ -460,4 +462,9 @@ def test_topology_doc_shape_mismatch():
     doc = topology_to_doc(g, metropolis_weights(g))
     doc["weights"] = doc["weights"][:3]
     with pytest.raises(ValueError):
+        topology_from_doc(doc)
+    # Ragged rows are named as the key, not by numpy's array message.
+    doc["weights"] = topology_to_doc(g, metropolis_weights(g))["weights"]
+    doc["weights"][2] = doc["weights"][2][:3]
+    with pytest.raises(ValueError, match=re.escape("weights: must be 4 rows of 4 numbers")):
         topology_from_doc(doc)
