@@ -209,11 +209,14 @@ def conservation_residuals(q: np.ndarray, grad: np.ndarray) -> list:
 # ---------------------------------------------------------------------------
 
 class PrimalDualState(NamedTuple):
-    """Primal iterate x, dual iterate v, and the cached root of I - W."""
+    """Primal iterate x, dual iterate v, the cached root of I - W, and the
+    gradient at x with its curvature weights, grad_curvature's."""
 
     x: np.ndarray
     v: np.ndarray
     root: np.ndarray
+    grad: np.ndarray
+    curve: np.ndarray | None
     alpha: float
     eps: float
     t: int = 0
@@ -222,20 +225,19 @@ class PrimalDualState(NamedTuple):
 def pd_init(family, root: np.ndarray, alpha: float, eps: float) -> PrimalDualState:
     if alpha <= 0 or eps <= 0:
         raise ValueError("alpha and eps must be positive")
-    shape = (family.n, family.p)
-    return PrimalDualState(x=np.zeros(shape), v=np.zeros(shape), root=root,
-                           alpha=alpha, eps=eps, t=0)
+    x = np.zeros((family.n, family.p))
+    return PrimalDualState(x, np.zeros_like(x), root, *family.grad_curvature(x),
+                           alpha, eps)
 
 
 def pd_step(state: PrimalDualState, family, w: np.ndarray) -> PrimalDualState:
     """Regularized Newton descent on the augmented Lagrangian, then a dual
     ascent step along the root of I - W."""
-    g, curve = family.grad_curvature(state.x)
-    rhs = g + state.root @ state.v + state.alpha * (state.x - w @ state.x)
-    x1 = state.x - reg_solve(family, curve, state.eps, rhs)
+    rhs = state.grad + state.root @ state.v + state.alpha * (state.x - w @ state.x)
+    x1 = state.x - reg_solve(family, state.curve, state.eps, rhs)
     v1 = state.v + state.alpha * (state.root @ x1)
-    return PrimalDualState(x=x1, v=v1, root=state.root,
-                           alpha=state.alpha, eps=state.eps, t=state.t + 1)
+    return PrimalDualState(x1, v1, state.root, *family.grad_curvature(x1),
+                           state.alpha, state.eps, state.t + 1)
 
 
 # ---------------------------------------------------------------------------

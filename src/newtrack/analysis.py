@@ -146,33 +146,30 @@ def lemma_remainder_check(norms, bounds) -> dict:
             "detail": {"violations": violations, "worst": worst}}
 
 
-def stationarity_identity_check(xs, vs, family, w: np.ndarray, root: np.ndarray,
-                                alpha: float, eps: float, x_star: np.ndarray,
-                                v_star: np.ndarray) -> dict:
-    """Exact per-step identity of the primal-dual recursion.
+def stationarity_identity_check(states, family, w: np.ndarray,
+                                x_star: np.ndarray, v_star: np.ndarray) -> dict:
+    """Exact per-step identity of the primal-dual recursion along states,
+    a trajectory of algorithms.PrimalDualState.
 
     grad(x^{t+1}) - grad at consensus + root (v^{t+1} - v*)
     + eps (x^{t+1} - x^t) + e^t must vanish, with e^t the step's
     second-order remainder grad(x^t) - grad(x^{t+1}) + hess(x^t) dx
-    - alpha (I - W) dx: one gradient and its curvature weights per iterate,
-    of one sigmoid pass, and one Hessian per step from the weights.
+    - alpha (I - W) dx: each iterate's gradient and curvature weights
+    are its state's, and one Hessian per step comes from the weights.
     Returns the report entry; `worst` is the residual relative to the
     largest gradient magnitude seen, and must stay within 1e-8.
     """
+    root, alpha, eps = states[0].root, states[0].alpha, states[0].eps
     g_star = family.grad_stack(np.tile(x_star, (family.n, 1)))
-    g0, c0 = family.grad_curvature(xs[0])
     scale = 1.0
     worst = 0.0
-    for t in range(len(xs) - 1):
-        x0, x1 = xs[t], xs[t + 1]
-        g1, c1 = family.grad_curvature(x1)
-        d = x1 - x0
-        e = g0 - g1 + np.einsum("npq,nq->np", family.hess_blocks(c0), d) \
+    for s0, s1 in zip(states, states[1:]):
+        d = s1.x - s0.x
+        e = s0.grad - s1.grad + np.einsum("npq,nq->np", family.hess_blocks(s0.curve), d) \
             - alpha * (d - w @ d)
-        scale = max(scale, norm(g1))
-        r = g1 - g_star + root @ (vs[t + 1] - v_star) + eps * d + e
+        scale = max(scale, norm(s1.grad))
+        r = s1.grad - g_star + root @ (s1.v - v_star) + eps * d + e
         worst = max(worst, norm(r) / scale)
-        g0, c0 = g1, c1
     return {"passed": worst <= 1e-8, "detail": {"worst": worst}}
 
 

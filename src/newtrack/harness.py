@@ -77,6 +77,15 @@ def _shaped(name: str, value, kind: type):
     return value
 
 
+@functools.cache
+def _form(kind) -> tuple:
+    """kind's origin and arguments, and the types a JSON value of kind is
+    taken as, unread: a scalar kind's, or X's and None's for X | None."""
+    origin, args = typing.get_origin(kind) or kind, typing.get_args(kind)
+    exact = frozenset(args if type(None) in args else (kind,))
+    return origin, args, exact if exact <= {str, bool, int, float, type(None)} else frozenset()
+
+
 def _decode(kind, value, path: str, root: str = ""):
     """value, the JSON entry at path, read as the annotation kind.
 
@@ -85,15 +94,25 @@ def _decode(kind, value, path: str, root: str = ""):
     absent; tuples, lists and dicts of a kind entry by entry; a bool from
     true or false alone; an int, float or array from numbers, which a
     string may spell (no bool or null, in an array neither; an int no
-    fraction); bare lists as they stand.  A ValueError names the path.  A
+    fraction); a scalar of exactly a declared type, or a list of them
+    (one scan of types), as it stands.  A ValueError names the path.  A
     range check of construction names its field from the config's root,
     so its message gains root, the path of the enclosing RunConfig.
     """
-    if type(value) is kind:  # a str, bool, int, float or list as declared
+    origin, args, exact = _form(kind)
+    if type(value) in exact:
         return value
-    origin, args = typing.get_origin(kind) or kind, typing.get_args(kind)
     if type(None) in args:  # X | None
         return None if value is None else _decode(args[0], value, path, root)
+    if origin in (tuple, list) and args:
+        entries = _shaped(path, value, list)
+        if origin is list and _form(args[0])[2].issuperset(map(type, entries)):
+            return entries
+        return origin(_decode(args[0], entry, f"{path}[{i}]", root)
+                      for i, entry in enumerate(entries))
+    if origin is dict and args:
+        return {key: _decode(args[1], entry, f"{path}.{key}", root)
+                for key, entry in _shaped(path, value, dict).items()}
     if dataclasses.is_dataclass(kind) or typing.is_typeddict(kind):
         doc, prefix = _shaped(path or "document", value, dict), path and f"{path}."
         hints = _hints(kind)
@@ -114,14 +133,6 @@ def _decode(kind, value, path: str, root: str = ""):
             if not root:
                 raise
             raise ValueError(f"{root}{err}") from None
-    if origin in (tuple, list) and args:
-        return origin(_decode(args[0], entry, f"{path}[{i}]", root)
-                      for i, entry in enumerate(_shaped(path, value, list)))
-    if origin is dict and args:
-        return {key: _decode(args[1], entry, f"{path}.{key}", root)
-                for key, entry in _shaped(path, value, dict).items()}
-    if origin is list:
-        return _shaped(path, value, list)
     if kind in (str, bool):
         raise ValueError(f"{path}: must be a {'string' if kind is str else 'boolean'}, "
                          f"got {value!r}")
@@ -304,16 +315,16 @@ class ConvergenceTrace:
     alpha: float
     eps: float | None
     status: str = "budget"
-    rel_error: list = field(default_factory=list)
-    gnorm_error: list = field(default_factory=list)
-    tracking_residual: list = field(default_factory=list)
-    kkt_primal: list = field(default_factory=list)
-    kkt_dual: list = field(default_factory=list)
-    remainder_norm: list = field(default_factory=list)
-    remainder_bound: list = field(default_factory=list)
-    comm_rounds: list = field(default_factory=list)
-    scalars_sent: list = field(default_factory=list)
-    wall_ms: list = field(default_factory=list)
+    rel_error: list[float] = field(default_factory=list)
+    gnorm_error: list[float | None] = field(default_factory=list)
+    tracking_residual: list[float | None] = field(default_factory=list)
+    kkt_primal: list[float] = field(default_factory=list)
+    kkt_dual: list[float | None] = field(default_factory=list)
+    remainder_norm: list[float | None] = field(default_factory=list)
+    remainder_bound: list[float | None] = field(default_factory=list)
+    comm_rounds: list[int] = field(default_factory=list)
+    scalars_sent: list[int] = field(default_factory=list)
+    wall_ms: list[float] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.rel_error)
@@ -393,7 +404,14 @@ class RunRecord:
 
     @staticmethod
     def from_doc(doc: dict) -> "RunRecord":
-        return _decode(RunRecord, doc, "")
+        """doc by the loader's rules, its topology then as a pinned file's."""
+        record = _decode(RunRecord, doc, "")
+        try:
+            topology_from_doc(record.topology, record.config.topology.n)
+        except ValueError as err:  # a size message names the config's field
+            owner = "config" if str(err).startswith("topology.") else "topology"
+            raise ValueError(f"{owner}.{err}") from None
+        return record
 
 
 def _columns(record: RunRecord) -> dict:
@@ -827,14 +845,11 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
         cons = max(trace.tracking_residual[:steps + 1])
         checks["conservation"] = {"passed": cons < 1e-9, "detail": {"worst": cons}}
         state = alg.nt_init(family, spec.alpha, spec.eps)
-        pd = alg.pd_init(family, spectra.root, spec.alpha, spec.eps)
-        xs, vs = [pd.x], [pd.v]
+        pds = [alg.pd_init(family, spectra.root, spec.alpha, spec.eps)]
         equiv_worst = 0.0
         for _ in range(steps):
             state = alg.nt_step(state, family, mix.disagreement)
-            pd = alg.pd_step(pd, family, mix.w)
-            xs.append(pd.x)
-            vs.append(pd.v)
+            pds.append(pd := alg.pd_step(pds[-1], family, mix.w))
             equiv_worst = max(equiv_worst, float(np.max(np.abs(state.x - pd.x))))
         checks["equivalence"] = {"passed": equiv_worst < 1e-8,
                                  "detail": {"worst": equiv_worst,
@@ -842,8 +857,8 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
         checks["remainder_bound"] = analysis.lemma_remainder_check(
             trace.remainder_norm[1:steps + 1], trace.remainder_bound[1:steps + 1])
         checks["stationarity_identity"] = analysis.stationarity_identity_check(
-            xs, vs, family, mix.w, spectra.root, spec.alpha, spec.eps,
-            obj.x_star, analysis.dual_optimum(family, obj.x_star, spectra.root))
+            pds, family, mix.w, obj.x_star,
+            analysis.dual_optimum(family, obj.x_star, spectra.root))
         cert = rerun.certificates["nt"]
         if cert["feasible"]:
             checks["contraction"] = analysis.contraction_check(

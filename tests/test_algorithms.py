@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpbsv
 from scipy.special import expit
@@ -737,6 +737,24 @@ def test_one_sigmoid_pass_per_round(monkeypatch, n, m, p):
     assert len(calls) == 1
     pd_step(pd, fam, mix.w)
     assert len(calls) == 2
+
+
+def test_pd_states_carry_the_oracle_at_their_iterate(monkeypatch):
+    # pd_init evaluates grad_curvature at x = 0 and each pd_step at its x1,
+    # once each; a step reads its state's gradient and weights, and so
+    # does the stationarity check.
+    fam = generate_logistic_data(n=6, m=4, p=3, reg=1e-3, seed=2)
+    mix = metropolis_weights(build_topology("cycle", 6))
+    calls = []
+    real = fam.grad_curvature
+    monkeypatch.setattr(fam, "grad_curvature", lambda x: calls.append(x) or real(x))
+    state = pd_init(fam, spectral_stats(mix).root, 0.5, 1.0)
+    for t in range(4):
+        assert len(calls) == t + 1 and calls[-1] is state.x
+        g, curve = real(state.x)
+        assert_array_equal(state.grad, g)
+        assert_array_equal(state.curve, curve)
+        state = pd_step(state, fam, mix.w)
 
 
 @pytest.mark.parametrize("method", ["nt", "extra", "dlm"])

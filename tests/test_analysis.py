@@ -214,16 +214,16 @@ def test_kkt_residual_at_optimum():
 # Remainder and identity checks along trajectories.
 # ---------------------------------------------------------------------------
 
-def pd_trajectory(fam, mix, stats, alpha, eps, iters):
-    xs, vs = [], []
-    st = pd_init(fam, stats.root, alpha, eps)
-    xs.append(st.x.copy())
-    vs.append(st.v.copy())
+def pd_states(fam, mix, stats, alpha, eps, iters):
+    states = [pd_init(fam, stats.root, alpha, eps)]
     for _ in range(iters):
-        st = pd_step(st, fam, mix.w)
-        xs.append(st.x.copy())
-        vs.append(st.v.copy())
-    return xs, vs
+        states.append(pd_step(states[-1], fam, mix.w))
+    return states
+
+
+def pd_trajectory(fam, mix, stats, alpha, eps, iters):
+    states = pd_states(fam, mix, stats, alpha, eps, iters)
+    return [s.x for s in states], [s.v for s in states]
 
 
 def test_quadratic_remainder_is_pure_network_term():
@@ -282,32 +282,30 @@ def test_stationarity_identity_on_run():
     fam = identity_family(seed=9)
     mix, stats = complete10()
     alpha, eps = 0.1, 5.0
-    xs, vs = pd_trajectory(fam, mix, stats, alpha, eps, iters=80)
+    states = pd_states(fam, mix, stats, alpha, eps, iters=80)
     x_star = optimum(fam)
     v_star = dual_optimum(fam, x_star, stats.root)
-    rep = stationarity_identity_check(xs, vs, fam, mix.w, stats.root, alpha,
-                                      eps, x_star, v_star)
+    rep = stationarity_identity_check(states, fam, mix.w, x_star, v_star)
     assert rep["passed"]
     assert rep["detail"]["worst"] < 1e-8
 
     # A constant shift lies in the kernel of the root and stays invisible;
     # corrupt a single node's dual so the defect is actually observable.
-    bad_vs = []
-    for v in vs:
-        bad = v.copy()
-        bad[0] += 0.1
-        bad_vs.append(bad)
-    rep_bad = stationarity_identity_check(xs, bad_vs, fam, mix.w, stats.root,
-                                          alpha, eps, x_star, v_star)
+    shift = np.zeros_like(states[0].v)
+    shift[0] = 0.1
+    bad = [s._replace(v=s.v + shift) for s in states]
+    rep_bad = stationarity_identity_check(bad, fam, mix.w, x_star, v_star)
     assert not rep_bad["passed"]
 
 
 @pytest.mark.parametrize("m, p", [(12, 8), (4, 8)], ids=["dense", "low-rank"])
 def test_stationarity_identity_takes_one_sigmoid_pass_per_iterate(monkeypatch, m, p):
-    # grad_curvature gives each iterate's gradient and Hessian weights in one
-    # sigmoid pass, and one more pass is the gradient at x*: len(xs) + 1,
-    # where grad_stack and hess_stack made 2 len(xs).  The worst residual is
-    # bit for bit that of the grad_stack and hess_stack form.
+    # Each primal-dual state carries grad_curvature at its iterate, one
+    # sigmoid pass that its step and the check both read, and the check
+    # adds one pass for the gradient at x*: len(states) + 1 over the
+    # trajectory and the check, where evaluating each iterate again in the
+    # check made 2 len(states).  The worst residual is bit for bit that of
+    # the grad_stack and hess_stack form.
     fam = generate_logistic_data(n=10, m=m, p=p, reg=1e-2, seed=1)
     mix, stats = complete10()
     alpha, eps = 0.5, 2.0
@@ -329,9 +327,10 @@ def test_stationarity_identity_takes_one_sigmoid_pass_per_iterate(monkeypatch, m
     real = LogisticFamily._sigmoid
     monkeypatch.setattr(LogisticFamily, "_sigmoid",
                         lambda self, x: calls.append(x) or real(self, x))
-    rep = stationarity_identity_check(xs, vs, fam, mix.w, stats.root, alpha,
-                                      eps, x_star, v_star)
-    assert len(calls) == len(xs) + 1
+    states = pd_states(fam, mix, stats, alpha, eps, iters=15)
+    assert len(calls) == len(states)
+    rep = stationarity_identity_check(states, fam, mix.w, x_star, v_star)
+    assert len(calls) == len(states) + 1
     assert rep == {"passed": True, "detail": {"worst": worst}}
 
 

@@ -4,6 +4,7 @@ Everything runs in-process through main(argv) so stdout/stderr can be
 captured cheaply; one subprocess smoke test covers the real entry point.
 """
 
+import dataclasses
 import functools
 import json
 import os
@@ -13,12 +14,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import newtrack
 from newtrack import algorithms
 from newtrack.cli import main
 from newtrack.harness import (AlgorithmSpec, DataSpec, RunConfig,
-                              TopologySpec, load_record, preset)
+                              TopologySpec, load_record, preset, run_experiment)
 
 
 def run_cli(capsys, *argv):
@@ -423,9 +426,13 @@ DELETE = object()
     ("certificates.nt.feasible", 1, "certificates.nt.feasible: must be a boolean"),
     ("spectra.lambda_max", None, "spectra.lambda_max: not a number: None"),
     ("topology.weights.0.1", False, "topology.weights[0][1]: not a number: False"),
+    ("traces.nt.rel_error.1", True, "traces.nt.rel_error[1]: not a number: True"),
+    ("traces.nt.kkt_dual.2", "abc", "traces.nt.kkt_dual[2]: not a number: 'abc'"),
+    ("topology.edges.0", [0], "topology.edges must be pairs (i, j)"),
 ], ids=["missing", "unknown", "traces-list", "trace-key", "trace-column", "x-star",
         "bool-array", "null-array", "bool-float", "config-range", "spec-range", "needs-eps",
-        "no-method", "bool-certificate", "int-feasible", "null-spectrum", "bool-weight"])
+        "no-method", "bool-certificate", "int-feasible", "null-spectrum", "bool-weight",
+        "bool-trace-entry", "string-trace-entry", "edge-no-pair"])
 def test_malformed_record_fails_at_load_naming_the_path(capsys, tmp_path, key,
                                                         value, message):
     # A record is read like a config: a bad key, or a config value out of
@@ -452,6 +459,58 @@ def test_malformed_record_fails_at_load_naming_the_path(capsys, tmp_path, key,
     failure = json.loads(err)
     assert failure["error"] == "ValueError"
     assert failure["message"].startswith(message)
+
+
+COLUMNS = ("rel_error", "gnorm_error", "tracking_residual", "kkt_primal", "kkt_dual",
+           "remainder_norm", "remainder_bound", "comm_rounds", "scalars_sent", "wall_ms")
+
+
+@functools.cache
+def fig1_record_text() -> str:
+    return json.dumps(run_experiment(dataclasses.replace(preset("fig1"), iters=4)).to_doc())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_planted_entry_fails_at_load_naming_its_path(capsys, tmp_path, data):
+    # One bad entry anywhere in a short fig1 record: a boolean or a string
+    # in any trace column, a null where a column holds numbers only, a
+    # fraction in a count, an edge that is no pair, or a weight off the
+    # edges.  load_record names its path, and check exits 1 with that
+    # message as its one line on stderr, before any re-run.
+    doc = json.loads(fig1_record_text())
+    trace = doc["traces"]["nt"]
+    bad = data.draw(st.sampled_from(["bool", "string", "null", "fraction", "edge", "weight"]))
+    if bad in ("edge", "weight"):
+        topo = doc["topology"]
+        if bad == "edge":
+            topo["edges"][data.draw(st.integers(0, len(topo["edges"]) - 1))] = \
+                data.draw(st.sampled_from([[], [0], [0, 1, 2]]))
+            message = "topology.edges must be pairs (i, j)"
+        else:
+            pairs = [(i, j) for i in range(topo["n"]) for j in range(i + 1, topo["n"])
+                     if [i, j] not in topo["edges"]]
+            i, j = data.draw(st.sampled_from(pairs))
+            topo["weights"][i][j] = topo["weights"][j][i] = 0.01
+            message = "topology.weights: w["
+    else:
+        column = data.draw(st.sampled_from(
+            {"bool": COLUMNS, "string": COLUMNS, "null": ("rel_error", "kkt_primal", "wall_ms"),
+             "fraction": ("comm_rounds", "scalars_sent")}[bad]))
+        t = data.draw(st.integers(0, len(trace[column]) - 1))
+        trace[column][t] = data.draw({
+            "bool": st.booleans(), "string": st.sampled_from(["abc", "", "1.5.2"]),
+            "null": st.none(), "fraction": st.sampled_from([0.5, 1.25, 7.000001])}[bad])
+        message = f"traces.nt.{column}[{t}]: not "
+    record = tmp_path / "record.json"
+    record.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_record(record)
+    assert str(err.value).startswith(message), (bad, str(err.value))
+    rc, out, err_text = run_cli(capsys, "check", "--record", str(record))
+    assert (rc, out, err_text.count("\n")) == (1, "", 1)
+    assert json.loads(err_text) == {"error": "ValueError", "message": str(err.value)}
 
 
 # ---------------------------------------------------------------------------

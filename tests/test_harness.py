@@ -1152,20 +1152,23 @@ def test_replay_checks_bound_the_reruns_columns(monkeypatch, column, check, bad)
 
 
 def test_replay_checks_evaluate_each_iterate_once(monkeypatch):
-    # The stationarity check builds one Hessian per step from the weights
-    # its grad_curvature gave at x^0..x^11 (the remainder check reads the
-    # re-run's columns); two gradients sit at consensus (v* and the
-    # identity's grad at x*).  Nothing calls hess_stack, and the re-run's
-    # nt steps and the reference solve call neither grad_stack nor
-    # hess_blocks (fig1's band is one product with the cached pairs).
+    # grad_curvature runs once per iterate: 21 for the re-run's nt, 13 for
+    # the replayed nt and 13 for its primal-dual form, whose states carry
+    # it, so the stationarity check, which built its own for x^0..x^12,
+    # calls none and builds one Hessian per step from the states' weights
+    # (the remainder check reads the re-run's columns).  Two gradients sit
+    # at consensus (v* and the identity's grad at x*).  Nothing calls
+    # hess_stack, and the re-run's nt steps and the reference solve call
+    # neither grad_stack nor hess_blocks (fig1's band is one product with
+    # the cached pairs).
     rec = run_experiment(dataclasses.replace(preset("fig1"), iters=20))
     calls = {}
-    for name in ("grad_stack", "hess_stack", "hess_blocks"):
+    for name in ("grad_stack", "grad_curvature", "hess_stack", "hess_blocks"):
         monkeypatch.setattr(LogisticFamily, name,
                             counting(calls, name, getattr(LogisticFamily, name)))
     report = run_checks(rec, window=12)
     assert report["passed"]
-    assert calls == {"grad_stack": 2, "hess_blocks": 12}
+    assert calls == {"grad_stack": 2, "grad_curvature": 21 + 13 + 13, "hess_blocks": 12}
 
 
 def test_run_checks_read_the_certificate_of_the_rerun(monkeypatch):
@@ -1232,9 +1235,14 @@ def test_run_checks_catch_tampered_trace(tmp_path):
                         ("ref_residual", ("ref_residual",)),
                         ("spectra", ("spectra", "lambda_max")),
                         ("certificates", ("certificates", "nt", "q_min")),
-                        ("topology", ("topology", "weights", 0, 0))):
+                        ("topology", ("topology", "weights", 0, 1))):
         doc = json.loads((tmp_path / "record.json").read_text())
         bump(doc, *path)
+        if field == "topology":  # along the edge (0, 1): W stays a mixing matrix
+            w = doc["topology"]["weights"]
+            w[1][0] = w[0][1]
+            w[0][0] -= 1e-9
+            w[1][1] -= 1e-9
         (tmp_path / "tampered.json").write_text(json.dumps(doc))
         rep = run_checks(load_record(tmp_path / "tampered.json"), window=10)
         det = rep["checks"]["determinism"]
@@ -1242,6 +1250,12 @@ def test_run_checks_catch_tampered_trace(tmp_path):
         assert det["detail"]["mismatched"] == [field]
         assert det["detail"]["trace_match"] is ("." not in field)
         assert det["detail"]["digest_match"] is True
+    # A weight that a pinned file could not hold fails at load instead.
+    doc = json.loads((tmp_path / "record.json").read_text())
+    bump(doc, "topology", "weights", 0, 0)
+    (tmp_path / "tampered.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="^topology.mixing matrix rows must sum to 1$"):
+        load_record(tmp_path / "tampered.json")
 
 
 def test_run_checks_compare_every_trace_column(tmp_path):
