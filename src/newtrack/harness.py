@@ -738,24 +738,22 @@ CSV_COLUMNS = ("iter", "comm_rounds", "scalars_sent", "rel_error",
 
 
 PLOT_STUB = '''#!/usr/bin/env python3
-"""Quick look at exported traces: python plot.py"""
-import csv
-import glob
+"""Quick look at the traces of the record beside this file: python plot.py"""
+import json
+from pathlib import Path
 
 import matplotlib.pyplot as plt
 
-for path in sorted(glob.glob("*.csv")):
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    iters = [int(r["iter"]) for r in rows if r["rel_error"]]
-    err = [float(r["rel_error"]) for r in rows if r["rel_error"]]
-    plt.semilogy(iters, err, label=path[:-4])
+here = Path(__file__).parent
+record = json.loads((here / "record.json").read_text())
+for name, trace in record["traces"].items():
+    plt.semilogy(trace["rel_error"], label=name)
 plt.xlabel("iteration")
 plt.ylabel("relative error")
 plt.legend()
 plt.tight_layout()
-plt.savefig("traces.png", dpi=150)
-print("wrote traces.png")
+plt.savefig(here / "traces.png", dpi=150)
+print("wrote", here / "traces.png")
 '''
 
 
@@ -833,7 +831,8 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
     which determinism compares with the record's.  Equivalence and the
     stationarity identity replay nt and its primal-dual form, tracker_mean
     replays gt, each over the iterates the trace holds: a diverged run's
-    overflow shows as failed checks, not as warnings.  nt's certificate
+    overflow shows as failed checks, not as warnings.  nt and gt start and
+    exchange as their METHODS entries wire the run.  nt's certificate
     is the re-run's, and v* is derived again from net and obj.
     """
     checks = {}
@@ -844,11 +843,12 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
         steps = min(len(trace) - 1, window)
         cons = max(trace.tracking_residual[:steps + 1])
         checks["conservation"] = {"passed": cons < 1e-9, "detail": {"worst": cons}}
-        state = alg.nt_init(family, spec.alpha, spec.eps)
+        method = METHODS["nt"]
+        state, op = method.init(family, net.graph, spec), method.exchange(net)
         pds = [alg.pd_init(family, spectra.root, spec.alpha, spec.eps)]
         equiv_worst = 0.0
         for _ in range(steps):
-            state = alg.nt_step(state, family, mix.disagreement)
+            state = alg.nt_step(state, family, op)
             pds.append(pd := alg.pd_step(pds[-1], family, mix.w))
             equiv_worst = max(equiv_worst, float(np.max(np.abs(state.x - pd.x))))
         checks["equivalence"] = {"passed": equiv_worst < 1e-8,
@@ -865,10 +865,11 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
                 trace.gnorm_error[:steps + 1], cert)
 
     if "gt" in specs:
-        state = alg.gt_init(family, specs["gt"].alpha)
+        method = METHODS["gt"]
+        state, op = method.init(family, net.graph, specs["gt"]), method.exchange(net)
         ys, grads = [state.y], [state.grad]
         for _ in range(min(len(rerun.traces["gt"]) - 1, window)):
-            state = alg.gt_step(state, family, mix.w)
+            state = alg.gt_step(state, family, op)
             ys.append(state.y)
             grads.append(state.grad)
         worst = max(alg.conservation_residuals(np.array(ys), np.array(grads)))

@@ -170,8 +170,6 @@ def _random_spanning_tree(n: int, rng: np.random.Generator) -> list[tuple[int, i
     """Uniformly random labeled tree on n nodes via a random Pruefer sequence."""
     if n == 1:
         return []
-    if n == 2:
-        return [(0, 1)]
     seq = rng.integers(0, n, size=n - 2)
     degree = np.ones(n, dtype=np.int64)
     for v in seq:

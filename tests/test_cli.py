@@ -104,6 +104,32 @@ def test_solve_preset_with_overrides(capsys, tmp_path):
     assert (out_dir / "plot.py").exists()
 
 
+def test_plot_stub_draws_only_the_methods_of_its_record(capsys, tmp_path):
+    # A fig1 run written over a fig4-n50 run's directory leaves gt.csv,
+    # extra.csv and dlm.csv behind; the stub draws fig1's nt alone.
+    # matplotlib is not a dependency: a stand-in pyplot logs each label.
+    out_dir, fake = tmp_path / "run", tmp_path / "fake" / "matplotlib"
+    fake.mkdir(parents=True)
+    (fake / "__init__.py").write_text("")
+    (fake / "pyplot.py").write_text(
+        "import os\n"
+        "def semilogy(*args, label):\n"
+        "    with open(os.environ['PLOT_LOG'], 'a') as fh:\n"
+        "        fh.write(label + '\\n')\n"
+        "def __getattr__(name):\n"
+        "    return lambda *args, **kwargs: None\n")
+    for name in ("fig4-n50", "fig1"):
+        assert run_cli(capsys, "solve", "--preset", name, "--iters", "3",
+                       "--out", str(out_dir))[0] == 0
+    assert (out_dir / "gt.csv").exists()
+    log = tmp_path / "labels.txt"
+    env = {**os.environ, "PYTHONPATH": str(fake.parent), "PLOT_LOG": str(log)}
+    proc = subprocess.run([sys.executable, "plot.py"], cwd=out_dir,
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert log.read_text() == "nt\n"
+
+
 def test_solve_config_file(capsys, tmp_path):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(tiny_config_doc()))

@@ -1091,6 +1091,51 @@ def test_run_checks_pass_with_fewer_samples_than_features():
             "remainder_bound"} <= set(report["checks"])
 
 
+@pytest.mark.parametrize("name, operator, check", [
+    ("nt", "disagreement", "equivalence"),
+    ("gt", "w", "tracker_mean"),
+])
+def test_replay_checks_replay_the_methods_as_wired(monkeypatch, name, operator, check):
+    # A METHODS entry whose exchange is off by 5% runs a method the paper
+    # does not define.  The replay starts and exchanges as METHODS wires
+    # the run, so the re-run and the record agree (determinism passes),
+    # and the replay fails the identity that the true operator keeps.
+    method = harness.METHODS[name]
+    monkeypatch.setitem(harness.METHODS, name, method._replace(
+        exchange=lambda net: 1.05 * getattr(net.mix, operator)))
+    config = preset("fig4-n50")
+    record = run_experiment(dataclasses.replace(config, iters=60, algorithms=tuple(
+        a for a in config.algorithms if a.name == name)))
+    report = run_checks(record, window=50)
+    assert report["checks"]["determinism"]["passed"]
+    assert [c for c, entry in report["checks"].items() if not entry["passed"]] == [check]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 8), tau=st.floats(0.5, 1.0), m=st.integers(1, 8),
+       p=st.integers(1, 8), quadratic=st.booleans(), nt_alpha=st.floats(0.05, 1.0),
+       nt_eps=st.floats(1.0, 3.0), gt_alpha=st.floats(0.01, 0.1),
+       extra_alpha=st.floats(0.01, 0.1), dlm_alpha=st.floats(0.01, 0.1),
+       dlm_eps=st.floats(1.0, 3.0), seed=st.integers(0, 2 ** 16))
+def test_run_checks_pass_on_random_instances(n, tau, m, p, quadratic, nt_alpha, nt_eps,
+                                             gt_alpha, extra_alpha, dlm_alpha, dlm_eps,
+                                             seed):
+    # Every method on a random graph, logistic data on either side of
+    # m < p or quadratic data, and random steps: every check passes.
+    data = DataSpec(family="quadratic", p=p, seed=seed) if quadratic \
+        else DataSpec(family="logistic", p=p, m=m, rho=1e-3, seed=seed)
+    config = RunConfig(name="prop",
+                       topology=TopologySpec(kind="random", n=n, tau=tau, seed=seed),
+                       data=data,
+                       algorithms=(AlgorithmSpec("nt", nt_alpha, nt_eps),
+                                   AlgorithmSpec("gt", gt_alpha),
+                                   AlgorithmSpec("extra", extra_alpha),
+                                   AlgorithmSpec("dlm", dlm_alpha, dlm_eps)),
+                       iters=30)
+    report = run_checks(run_experiment(config), window=20)
+    assert report["passed"], report["checks"]
+
+
 def test_remainder_worst_skips_rounding_level_steps():
     # tiny's nt reaches x* within 100 rounds; its late steps' kappa ||dx||
     # sink to 1e-16, where ||e|| / (kappa ||dx||) is a ratio of rounding
