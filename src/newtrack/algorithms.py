@@ -281,23 +281,33 @@ def gt_step(state: GradientTrackingState, family,
                                  t=state.t + 1)
 
 
+def total_grad_curvature(family, x: np.ndarray):
+    """sum_i grad f_i(x) at a shared point x, summed in node order, and each
+    node's curvature weights there: grad_curvature at x broadcast to all."""
+    g, curve = family.grad_curvature(np.broadcast_to(x, (family.n, family.p)))
+    return np.add.reduce(g, axis=0), curve
+
+
 def centralized_reference(family, tol: float = 1e-12) -> np.ndarray:
     """High-accuracy minimizer of sum_i f_i via damped Newton.
 
     Backtracks on the gradient norm; returns x with
-    ||sum_i grad f_i(x)|| <= tol within 200 Newton steps.  Each point's gradient comes with its
-    curvature weights, which the Hessian at an accepted point reuses.
-    Each Newton system is factored and solved by LAPACK directly (dpotrf,
-    dpotrs: what cho_factor and cho_solve call, without their argument
-    checks); a Hessian that is not positive definite raises LinAlgError.
+    ||sum_i grad f_i(x)|| <= tol within 200 Newton steps.  It sums node
+    oracles only, which round alike at any BLAS thread count: each point's
+    gradient comes with its curvature weights, whose hess_blocks the
+    Hessian at an accepted point sums.  Each Newton system is factored and
+    solved by LAPACK directly (dpotrf, dpotrs: what cho_factor and
+    cho_solve call, without their argument checks); a Hessian that is not
+    positive definite raises LinAlgError.
     """
     x = np.zeros(family.p)
-    g, curve = family.grad_curvature_total(x)
+    g, curve = total_grad_curvature(family, x)
     for _ in range(200):
         gn = norm(g)
         if gn <= tol:
             return x
-        c, info = dpotrf(family.hess_total(x, curve), lower=0, clean=0)
+        hess = np.add.reduce(family.hess_blocks(curve), axis=0)
+        c, info = dpotrf(hess, lower=0, clean=0)
         if info:
             raise np.linalg.LinAlgError(f"{info}-th leading minor of the total "
                                         "Hessian is not positive definite")
@@ -305,7 +315,7 @@ def centralized_reference(family, tol: float = 1e-12) -> np.ndarray:
         step = 1.0
         while step > 1e-12:  # runs at least once, so xn and gxn are set
             xn = x - step * d
-            gxn, cn = family.grad_curvature_total(xn)
+            gxn, cn = total_grad_curvature(family, xn)
             if norm(gxn) <= (1.0 - 0.25 * step) * gn:
                 break
             step *= 0.5

@@ -529,7 +529,7 @@ class Objective:
 
     @functools.cached_property
     def ref_residual(self) -> float:
-        return float(np.linalg.norm(self.family.grad_curvature_total(self.x_star)[0]))
+        return alg.norm(alg.total_grad_curvature(self.family, self.x_star)[0])
 
 
 def build_network(topo: TopologySpec) -> Network:

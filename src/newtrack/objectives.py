@@ -2,8 +2,8 @@
 
 Each family is one class that holds and validates its own data and is
 built by its generator.  It exposes stacked operations over all nodes at
-once, one local point per node (used by the iteration loops), and totals
-at a shared point (used by the centralized reference solver).
+once, one local point per node; the centralized reference solver sums
+the same oracles at a shared point broadcast to every node.
 """
 
 from __future__ import annotations
@@ -155,21 +155,6 @@ class LogisticFamily:
         """gram in lower band layout, for the m < p local solve."""
         return lower_band(self.gram)
 
-    def grad_curvature_total(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The total gradient at x and the weights c = s (1 - s), of one
-        sigmoid pass."""
-        s = expit(self._nyf @ x)
-        g = self.reg * x + np.einsum("nm,nmp->p", s, self._nyf)
-        return g, s * (1.0 - s)
-
-    def hess_total(self, x: np.ndarray, curve: np.ndarray) -> np.ndarray:
-        """The total Hessian at x from its weights curve, which
-        grad_curvature_total(x) returns."""
-        # One GEMM over all n m samples: F' (c * F), F of shape (n m, p).
-        f = self.features.reshape(-1, self.p)
-        h = f.T @ (f * curve.reshape(-1, 1))
-        return h + self.reg * np.eye(self.p)
-
 
 class QuadraticFamily:
     """Stacked operations for per-node quadratics x'A_i x / 2 + b_i'x, A_i SPD."""
@@ -219,12 +204,6 @@ class QuadraticFamily:
         band = self._band.copy()
         band[:, :, 0] += eps
         return band
-
-    def grad_curvature_total(self, x: np.ndarray) -> tuple[np.ndarray, None]:
-        return self.a.sum(axis=0) @ x + self.b.sum(axis=0), None
-
-    def hess_total(self, x: np.ndarray, curve: None) -> np.ndarray:
-        return self.a.sum(axis=0)
 
 
 def generate_quadratic_set(n: int, p: int, seed: int) -> QuadraticFamily:

@@ -279,7 +279,8 @@ def spectral_stats(mix: MixingMatrix) -> SpectralStats:
     # of I - W.  Zeroing it keeps the consensus direction in the kernel of
     # the root instead of an inverted sqrt(rounding noise) value ~1e-8.
     lam_root = np.where(lam < ZERO_EIG_TOL, 0.0, lam)
-    root = (vec * np.sqrt(lam_root)) @ vec.T
+    # One dot per entry, not a GEMM, whose rounding varies with BLAS threads.
+    root = np.vecdot((vec * np.sqrt(lam_root))[:, None], vec)
     root = 0.5 * (root + root.T)
     return SpectralStats(lambda_max=float(lam[-1]),
                          lambda_min_nz=float(lam[1]),

@@ -27,7 +27,8 @@ from newtrack.algorithms import (GradientTrackingState, NewtonTrackingState,
                                  centralized_reference, conservation_residuals,
                                  dlm_init, dlm_step, extra_init, extra_step,
                                  gt_init, gt_step, norm, nt_init, nt_step,
-                                 pd_init, pd_step, reg_solve, solve_spd_blocks)
+                                 pd_init, pd_step, reg_solve, solve_spd_blocks,
+                                 total_grad_curvature)
 from newtrack.harness import (AlgorithmSpec, DataSpec, RunConfig,
                               TopologySpec, run_experiment)
 from newtrack.objectives import (LogisticFamily, QuadraticFamily,
@@ -815,8 +816,8 @@ def test_centralized_reference_evaluates_each_point_once(family, monkeypatch):
     # One gradient pass per point, whose curvature weights the Hessian at an
     # accepted point reuses: no point is evaluated twice.
     points = []
-    real = family.grad_curvature_total
-    monkeypatch.setattr(family, "grad_curvature_total",
+    real = family.grad_curvature
+    monkeypatch.setattr(family, "grad_curvature",
                         lambda x: points.append(x.tobytes()) or real(x))
     centralized_reference(family)
     assert len(points) == len(set(points)) > 1
@@ -832,26 +833,31 @@ def test_centralized_reference_quadratic_and_symmetry():
                              reg=ds.reg)
     a = centralized_reference(ds)
     b = centralized_reference(flipped)
-    assert np.linalg.norm(ds.grad_curvature_total(a)[0]) <= 1e-12
+    assert np.linalg.norm(total_grad_curvature(ds, a)[0]) <= 1e-12
     assert_allclose(a, b, atol=1e-12)
 
 
 def checked_reference(family, tol=1e-12, max_iter=200):
     """The damped Newton loop of centralized_reference through scipy's
-    checked wrappers (cho_factor, cho_solve) and np.linalg.norm: an oracle
-    for its direct LAPACK calls, which must match it bit for bit."""
+    checked wrappers (cho_factor, cho_solve), np.linalg.norm and the node
+    oracles at x tiled to every node, summed over nodes: an oracle for its
+    direct LAPACK calls and broadcast point, which must match it bit for bit."""
+    def total(x):
+        g, curve = family.grad_curvature(np.tile(x, (family.n, 1)))
+        return g.sum(axis=0), curve
+
     x = np.zeros(family.p)
-    g = family.grad_curvature_total(x)[0]
+    g = total(x)[0]
     for _ in range(max_iter):
         gn = np.linalg.norm(g)
         if gn <= tol:
             return x
-        curve = family.grad_curvature_total(x)[1]
-        d = cho_solve(cho_factor(family.hess_total(x, curve)), g)
+        curve = total(x)[1]
+        d = cho_solve(cho_factor(family.hess_blocks(curve).sum(axis=0)), g)
         step = 1.0
         while step > 1e-12:
             xn = x - step * d
-            gxn = family.grad_curvature_total(xn)[0]
+            gxn = total(xn)[0]
             if np.linalg.norm(gxn) <= (1.0 - 0.25 * step) * gn:
                 break
             step *= 0.5
@@ -881,18 +887,18 @@ def test_centralized_reference_is_the_checked_loop_on_random_data(n, m, p, reg,
 
 
 def test_centralized_reference_rejects_a_singular_hessian():
-    # grad = x - 1 at a constant Hessian [[1, 1], [1, 1]]: rank one, and
-    # its second pivot is exactly 0, so the factorization must fail.
+    # grad = x - 1 at a constant Hessian [[1, 1], [1, 1]] on one node: rank
+    # one, and its second pivot is exactly 0, so the factorization must fail.
     class Singular:
-        p = 2
+        n, p = 1, 2
 
         @staticmethod
-        def grad_curvature_total(x):
+        def grad_curvature(x):
             return x - 1.0, None
 
         @staticmethod
-        def hess_total(x, curve):
-            return np.ones((2, 2))
+        def hess_blocks(curve):
+            return np.ones((1, 2, 2))
 
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         centralized_reference(Singular())

@@ -35,12 +35,6 @@ def frozen_grad(fam, x, s):
     return fam.ridge * x - (s[:, None, :] @ yf)[:, 0, :]
 
 
-def frozen_grad_curvature_total(fam, x):
-    yf = fam.labels[:, :, None] * fam.features
-    s = expit(-(yf @ x))
-    return fam.reg * x - np.einsum("nm,nmp->p", s, yf), s * (1.0 - s)
-
-
 def frozen_hess_blocks(fam, curve):
     h = fam._ft @ (fam.features * curve[:, :, None])
     h.reshape(fam.n, -1)[:, ::fam.p + 1] += fam.ridge
@@ -102,9 +96,6 @@ def test_rewritten_forms_match_frozen_forms(n, m, p, over_budget, scale, log_eps
     same("_sigmoid", s, frozen_sigmoid(fam, x))
     same("_grad", fam._grad(x, s), frozen_grad(fam, x, s))
     curve = s * (1.0 - s)
-    for got, frozen in zip(fam.grad_curvature_total(x[0]),
-                           frozen_grad_curvature_total(fam, x[0])):
-        same("grad_curvature_total", got, frozen)
     same("hess_blocks", fam.hess_blocks(curve), frozen_hess_blocks(fam, curve))
     same("hess_band", fam.hess_band(curve, eps), frozen_hess_band(fam, curve, eps))
     same("reg_solve", alg.reg_solve(fam, curve, eps, rhs),

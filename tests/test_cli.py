@@ -563,6 +563,23 @@ def test_diverging_run_keeps_stderr_json(tmp_path):
     assert json.loads(proc.stderr)["error"] == "check_failed"
 
 
+@pytest.mark.parametrize("solve_threads, check_threads", [("1", "2"), ("2", "1")])
+def test_record_checks_at_another_blas_thread_count(tmp_path, solve_threads,
+                                                    check_threads):
+    # Solve on one host, check on another: x*, ref_residual and the root of
+    # I - W come from products whose rounding does not follow the OpenBLAS
+    # thread count, so fig5-n100's record (n 100) re-runs bit for bit.
+    out = tmp_path / "out"
+    for argv, threads in (
+            (["solve", "--preset", "fig5-n100", "--iters", "30", "--out", str(out)],
+             solve_threads),
+            (["check", "--record", str(out / "record.json")], check_threads)):
+        proc = subprocess.run([sys.executable, "-m", "newtrack.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**module_env(), "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, (threads, proc.stderr)
+
+
 def test_diverging_low_rank_run_writes_one_json_line(capsys, monkeypatch, tmp_path):
     # fig4-n50's data (m 10 < p 20) on 10 nodes, nt at alpha=50, eps=0.01:
     # from the third solve on every curvature weight is exactly 0, so the

@@ -1201,11 +1201,12 @@ def test_replay_checks_evaluate_each_iterate_once(monkeypatch):
     # the replayed nt and 13 for its primal-dual form, whose states carry
     # it, so the stationarity check, which built its own for x^0..x^12,
     # calls none and builds one Hessian per step from the states' weights
-    # (the remainder check reads the re-run's columns).  Two gradients sit
+    # (the remainder check reads the re-run's columns).  The reference
+    # solve sums the node oracles: 6 points (5 full Newton steps, one
+    # Hessian each) and one more at x* for ref_residual.  Two gradients sit
     # at consensus (v* and the identity's grad at x*).  Nothing calls
-    # hess_stack, and the re-run's nt steps and the reference solve call
-    # neither grad_stack nor hess_blocks (fig1's band is one product with
-    # the cached pairs).
+    # hess_stack, and the re-run's nt steps call neither grad_stack nor
+    # hess_blocks (fig1's band is one product with the cached pairs).
     rec = run_experiment(dataclasses.replace(preset("fig1"), iters=20))
     calls = {}
     for name in ("grad_stack", "grad_curvature", "hess_stack", "hess_blocks"):
@@ -1213,7 +1214,8 @@ def test_replay_checks_evaluate_each_iterate_once(monkeypatch):
                             counting(calls, name, getattr(LogisticFamily, name)))
     report = run_checks(rec, window=12)
     assert report["passed"]
-    assert calls == {"grad_stack": 2, "grad_curvature": 21 + 13 + 13, "hess_blocks": 12}
+    assert calls == {"grad_stack": 2, "grad_curvature": 21 + 13 + 13 + 6 + 1,
+                     "hess_blocks": 12 + 5}
 
 
 def test_run_checks_read_the_certificate_of_the_rerun(monkeypatch):
@@ -1244,7 +1246,7 @@ def test_objective_solves_x_star_on_first_read(monkeypatch):
     obj = harness.build_objective(cfg)
     assert calls == {"bounds": 1}
     x_star = obj.x_star
-    grad = obj.family.grad_curvature_total(x_star)[0]
+    grad = alg.total_grad_curvature(obj.family, x_star)[0]
     assert obj.ref_residual == float(np.linalg.norm(grad))
     assert obj.x_star is x_star and calls == {"bounds": 1, "reference": 1}
 
