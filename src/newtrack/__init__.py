@@ -2,17 +2,17 @@
 
 Implements a curvature-tracked second-order method ("Newton tracking")
 in its q-form, with a primal-dual form as an independent oracle, and
-first-order baselines: gradient tracking, and extra and dlm as q-form
-instances with a constant curvature per node.  Also synthetic network
+first-order baselines: gradient tracking, extra and dlm as q-form
+instances with a constant curvature.  Also synthetic network
 topologies with Metropolis mixing, logistic and quadratic objective
 families, a numerical linear-rate certificate, and an experiment harness
 with CLI entry points.
 """
 
-from .algorithms import (GradientTrackingState, NewtonTrackingState,
-                         PrimalDualState, centralized_reference, dlm_init,
-                         dlm_step, extra_init, extra_step, gt_init, gt_step,
-                         nt_init, nt_step, pd_init, pd_step, reg_solve)
+from .algorithms import (NewtonTrackingState, PrimalDualState,
+                         centralized_reference, dlm_init, dlm_step, extra_init,
+                         extra_step, gt_init, gt_step, nt_init, nt_step,
+                         pd_init, pd_step, reg_solve)
 from .analysis import (consensus_penalty_matrix, contraction_check,
                        dual_optimum, g_norm_metric, lemma_remainder_check,
                        rate_certificate, stationarity_identity_check)

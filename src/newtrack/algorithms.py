@@ -9,18 +9,21 @@ fresh state, so runs replay and formulations compare trajectory for
 trajectory.  Every init starts at x = 0; every step is one round.
 
 One q-form, x1 = x - M^{-1} q and q1 = q + g1 - g + alpha (2 dx1 - dx) from
-q = grad(0), with dx = D x carried so that D x1 is a round's one exchange,
-serves three methods; M is a local curvature plus eps I:
+q = grad(0), with dx = D x carried so that a round computes D x1 once,
+serves all four methods; M is a local curvature plus eps I:
 
     method  curvature     eps   alpha    D
     nt      hess_i(x)     eps   alpha    I - W   (solved by reg_solve)
     extra   0             1/a   1/(2a)   I - W   (a: EXTRA's step)
     dlm     2 alpha d_i   eps   alpha    L       (d_i: degree, L: Laplacian)
+    gt      0             1/a   1/a      I - W   (a: gt's step; q = y + D x / a)
 
-A primal-dual form of nt (pd_*) needs the global root of I - W and takes
-W, so it serves as an independent analysis oracle.  Gradient tracking
-mixes with W.  The paper's two-recursion form of nt and the two-step
-forms of extra and dlm live on as plain-loop oracles in the tests.
+Gradient tracking's push is alpha (2 dx1 - 2 dx + D dx): D dx is its
+second exchange, the tracker y's.  A primal-dual form of nt (pd_*) needs
+the global root of I - W and takes W, so it serves as an independent
+analysis oracle.  The paper's two-recursion form of nt, the two-step
+forms of extra and dlm and the two-recursion gradient tracking live on
+as plain-loop oracles in the tests.
 """
 
 from __future__ import annotations
@@ -93,9 +96,11 @@ def reg_solve(family, curve, eps: float, rhs: np.ndarray) -> np.ndarray:
 
 class NewtonTrackingState(NamedTuple):
     """Iterate x, tracked direction q, its step u = M^{-1} q, the gradient
-    at x, the exchange dx = D x of the iterate, and scale: None where M is
-    hess(x) + eps I (nt), else the constant 1 / (c_i + eps) of a fixed
-    curvature c_i per node.
+    at x, the exchange dx = D x of the iterate, scale: None where M is
+    hess(x) + eps I (nt), else the constant 1 / (c + eps) of a fixed
+    curvature c (a float, or an (n, 1) column of one per node), and
+    second_exchange: True for gradient tracking, whose push also takes
+    D dx - dx.
 
     q sums gradient increments and disagreement corrections, so
     sum_i q_i = sum_i grad_i at every iteration.  Fields cannot be
@@ -111,7 +116,8 @@ class NewtonTrackingState(NamedTuple):
     alpha: float
     eps: float
     t: int = 0
-    scale: np.ndarray | None = None
+    scale: float | np.ndarray | None = None
+    second_exchange: bool = False
 
 
 def _oracle(family, scale, x: np.ndarray):
@@ -120,11 +126,11 @@ def _oracle(family, scale, x: np.ndarray):
 
 
 def _direction(family, curve, eps: float, scale, q: np.ndarray) -> np.ndarray:
-    return reg_solve(family, curve, eps, q) if scale is None else scale[:, None] * q
+    return reg_solve(family, curve, eps, q) if scale is None else scale * q
 
 
 def _start(family, alpha: float, eps: float, fixed=None) -> NewtonTrackingState:
-    """x = 0 = D x, q = grad(0), u = M^{-1} q; fixed: a curvature per node."""
+    """x = 0 = D x, q = grad(0), u = M^{-1} q; fixed: a constant curvature."""
     scale = None if fixed is None else 1.0 / (fixed + eps)
     x = np.zeros((family.n, family.p))
     g, curve = _oracle(family, scale, x)
@@ -143,39 +149,52 @@ def extra_init(family, alpha: float) -> NewtonTrackingState:
     """EXTRA with step a = alpha; its first step is x^1 = -a grad(0)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return _start(family, 0.5 / alpha, 1.0 / alpha, np.zeros(family.n))
+    return _start(family, 0.5 / alpha, 1.0 / alpha, 0.0)
 
 
 def dlm_init(family, graph: Graph, alpha: float, eps: float) -> NewtonTrackingState:
     """DLM; its first step is x^1 = -grad_i(0) / (2 alpha d_i + eps)."""
     if alpha <= 0 or eps <= 0:
         raise ValueError("alpha and eps must be positive")
-    return _start(family, alpha, eps, 2.0 * alpha * graph.degrees)
+    return _start(family, alpha, eps, 2.0 * alpha * graph.degrees[:, None])
+
+
+def gt_init(family, alpha: float) -> NewtonTrackingState:
+    """Gradient tracking with step a = alpha: q = y + D x / a for its
+    tracker y, seeded at grad(0); its first step is x^1 = -a grad(0)."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    return _start(family, 1.0 / alpha, 1.0 / alpha, 0.0)._replace(second_exchange=True)
 
 
 def nt_step(state: NewtonTrackingState, family, d: np.ndarray) -> NewtonTrackingState:
-    """One round: x advances by -u; its one exchange is dx1 = D x1, with
+    """One round: x advances by -u; its exchange is dx1 = D x1, with
     D = d as harness.Method names it; q takes the gradient increment and
-    alpha (2 dx1 - dx); u becomes M^{-1} q at x1."""
+    alpha (2 dx1 - dx), for gradient tracking alpha (2 dx1 - 2 dx + D dx);
+    u becomes M^{-1} q at x1."""
     x1 = state.x - state.u
     g1, curve = _oracle(family, state.scale, x1)
     dx1 = d @ x1
-    # q + (g1 - g) + alpha (2 dx1 - dx) in place: the same sums, bit for bit.
+    # q + (g1 - g) + alpha (2 dx1 - dx [- dx + D dx]) in place: the same
+    # sums, bit for bit.
     q1 = g1 - state.grad
     q1 += state.q
     push = 2.0 * dx1
     push -= state.dx
+    if state.second_exchange:
+        push -= state.dx
+        push += d @ state.dx
     push *= state.alpha
     q1 += push
     u1 = _direction(family, curve, state.eps, state.scale, q1)
     return NewtonTrackingState(x1, q1, u1, g1, dx1, state.alpha, state.eps,
-                               state.t + 1, state.scale)
+                               state.t + 1, state.scale, state.second_exchange)
 
 
 # The benchmark's tracer wraps algorithms.<method>_init and <method>_step by
 # name and times each method's steps apart, so the names stay as bindings
 # of the one q-form recursion.
-extra_step = dlm_step = sq_step = nt_step
+extra_step = dlm_step = gt_step = sq_step = nt_step
 sq_init = nt_init
 
 
@@ -238,47 +257,6 @@ def pd_step(state: PrimalDualState, family, w: np.ndarray) -> PrimalDualState:
     v1 = state.v + state.alpha * (state.root @ x1)
     return PrimalDualState(x1, v1, state.root, *family.grad_curvature(x1),
                            state.alpha, state.eps, state.t + 1)
-
-
-# ---------------------------------------------------------------------------
-# First-order baselines.
-# ---------------------------------------------------------------------------
-
-class GradientTrackingState(NamedTuple):
-    """Iterate x, tracker y of the average gradient, and the gradient at x."""
-
-    x: np.ndarray
-    y: np.ndarray
-    grad: np.ndarray
-    alpha: float
-    t: int = 0
-
-
-def gt_init(family, alpha: float) -> GradientTrackingState:
-    """Gradient tracking from x = 0 with the tracker seeded at grad(0)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    x = np.zeros((family.n, family.p))
-    g = family.grad_stack(x)
-    return GradientTrackingState(x=x, y=g, grad=g, alpha=alpha, t=0)
-
-
-def gt_step(state: GradientTrackingState, family,
-            w: np.ndarray) -> GradientTrackingState:
-    """Mix-and-descend along the tracker, then refresh the tracker.
-
-    Each round exchanges both x and y, so the payload is twice that of
-    the single-vector methods.  The tracker average stays equal to the
-    network-average gradient at the current iterates.
-    """
-    x1 = w @ state.x
-    x1 -= state.alpha * state.y
-    g1 = family.grad_stack(x1)
-    y1 = w @ state.y
-    y1 += g1
-    y1 -= state.grad
-    return GradientTrackingState(x=x1, y=y1, grad=g1, alpha=state.alpha,
-                                 t=state.t + 1)
 
 
 def total_grad_curvature(family, x: np.ndarray):

@@ -43,8 +43,8 @@ class Method(NamedTuple):
 
     `init(family, graph, spec)` returns the state at t = 0 (only dlm's
     reads the graph: its degrees); the step is
-    `algorithms.<name>_step(state, family, exchange(net))`: W for gt,
-    I - W for nt and extra, the Laplacian for dlm (the q-form's D).  Both
+    `algorithms.<name>_step(state, family, exchange(net))`: I - W for nt,
+    gt and extra, the Laplacian for dlm (the q-form's D).  Both
     are looked up on the algorithms module at call time, so wrappers
     installed there (a tracer's) see every call, each method's apart.
     """
@@ -59,7 +59,7 @@ METHODS = {
     "nt": Method(lambda fam, graph, s: alg.nt_init(fam, s.alpha, s.eps),
                  lambda net: net.mix.disagreement, 1, True),
     "gt": Method(lambda fam, graph, s: alg.gt_init(fam, s.alpha),
-                 lambda net: net.mix.w, 2, False),
+                 lambda net: net.mix.disagreement, 2, False),
     "extra": Method(lambda fam, graph, s: alg.extra_init(fam, s.alpha),
                     lambda net: net.mix.disagreement, 1, False),
     "dlm": Method(lambda fam, graph, s: alg.dlm_init(fam, graph, s.alpha, s.eps),
@@ -203,6 +203,8 @@ class TopologySpec:
         _one_of("topology.kind", self.kind, KINDS)
         _at_least("topology.n", self.n, 2)  # I - W needs a nonzero eigenvalue
         _number("topology.tau", self.tau)
+        if self.tau is not None and not math.isfinite(self.tau):  # a record cannot hold it
+            raise ValueError(f"topology.tau: must be a finite number, got {self.tau!r}")
         if self.seed is not None:
             _at_least("topology.seed", self.seed, 0)
         if self.kind == "random" and self.file is None:
@@ -830,10 +832,11 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
     tracking_residual, remainder_norm / remainder_bound and gnorm_error,
     which determinism compares with the record's.  Equivalence and the
     stationarity identity replay nt and its primal-dual form, tracker_mean
-    replays gt, each over the iterates the trace holds: a diverged run's
-    overflow shows as failed checks, not as warnings.  nt and gt start and
-    exchange as their METHODS entries wire the run.  nt's certificate
-    is the re-run's, and v* is derived again from net and obj.
+    gt and textbook gradient tracking (x1 = W x - a y, y1 = W y + g1 - g),
+    each over the iterates the trace holds: a diverged run's overflow
+    shows as failed checks, not as warnings.  nt and gt start and exchange
+    as their METHODS entries wire the run.  nt's certificate is the
+    re-run's, and v* is derived again from net and obj.
     """
     checks = {}
     mix, spectra, family = net.mix, net.spectra, obj.family
@@ -865,14 +868,16 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
                 trace.gnorm_error[:steps + 1], cert)
 
     if "gt" in specs:
-        method = METHODS["gt"]
-        state, op = method.init(family, net.graph, specs["gt"]), method.exchange(net)
-        ys, grads = [state.y], [state.grad]
+        spec, method = specs["gt"], METHODS["gt"]
+        state, op = method.init(family, net.graph, spec), method.exchange(net)
+        x, y = state.x, state.grad
+        g, worst = y, 0.0
         for _ in range(min(len(rerun.traces["gt"]) - 1, window)):
             state = alg.gt_step(state, family, op)
-            ys.append(state.y)
-            grads.append(state.grad)
-        worst = max(alg.conservation_residuals(np.array(ys), np.array(grads)))
+            x = mix.w @ x - spec.alpha * y
+            g1 = family.grad_stack(x)
+            y, g = mix.w @ y + g1 - g, g1
+            worst = max(worst, float(np.max(np.abs(state.x - x))))
         checks["tracker_mean"] = {"passed": worst < 1e-9,
                                   "detail": {"worst": worst}}
     return checks

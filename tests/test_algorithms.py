@@ -6,11 +6,13 @@ np.linalg.solve so that they share no vectorized code path with the
 module under test.  The curvature-tracked oracle is the paper's canonical
 two-recursion form, which rebuilds the tracked direction from the
 previous Hessian, and the EXTRA and DLM oracles are their published
-two-step recursions; the module under test carries all three as q-forms.
-A q-form step takes the operator D of its method: I - W for nt and EXTRA,
-the graph Laplacian for DLM.
+two-step recursions, and the gradient-tracking oracle is its textbook
+two-recursion form; the module under test carries all four as q-forms.
+A q-form step takes the operator D of its method: I - W for nt, EXTRA and
+gradient tracking, the graph Laplacian for DLM.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -23,7 +25,7 @@ from scipy.linalg.lapack import dpbsv
 from scipy.special import expit
 
 from newtrack import harness, objectives
-from newtrack.algorithms import (GradientTrackingState, NewtonTrackingState,
+from newtrack.algorithms import (NewtonTrackingState,
                                  centralized_reference, conservation_residuals,
                                  dlm_init, dlm_step, extra_init, extra_step,
                                  gt_init, gt_step, norm, nt_init, nt_step,
@@ -176,6 +178,8 @@ def qform_start(method, fam, graph, mix, alpha, eps):
         return nt_init(fam, alpha, eps), mix.disagreement
     if method == "extra":
         return extra_init(fam, alpha), mix.disagreement
+    if method == "gt":
+        return gt_init(fam, alpha), mix.disagreement
     return dlm_init(fam, graph, alpha, eps), laplacian(graph)
 
 
@@ -297,13 +301,18 @@ def test_tracked_direction_matches_initial_direction():
 
 def test_gradient_tracking_scalar_trace():
     fam = scalar_family(b=-1.0)
-    w = np.array([[1.0]])
+    d = np.zeros((1, 1))  # I - W of a single node
     st = gt_init(fam, alpha=0.5)
     seen = [st.x[0, 0]]
     for _ in range(2):
-        st = gt_step(st, fam, w)
+        st = gt_step(st, fam, d)
         seen.append(st.x[0, 0])
     assert_allclose(seen, [0.0, 0.5, 0.75], atol=1e-15)
+
+
+def tracker(st):
+    # Gradient tracking's y, from its q-form: q = y + D x / a, alpha = 1 / a.
+    return st.q - st.alpha * st.dx
 
 
 def test_gradient_tracking_matches_plain_loop():
@@ -319,19 +328,30 @@ def test_gradient_tracking_matches_plain_loop():
         g1 = np.array([node(fam, i).grad(x[i]) for i in range(n)])
         y = slow_mix(w, y) + g1 - g
         g = g1
-        st = gt_step(st, fam, w)
+        st = gt_step(st, fam, mix.disagreement)
         assert np.max(np.abs(st.x - x)) < 1e-12
-        assert np.max(np.abs(st.y - y)) < 1e-12
+        assert np.max(np.abs(tracker(st) - y)) < 1e-12
 
 
 def test_tracker_mean_equals_gradient_mean():
     fam = generate_logistic_data(n=6, m=8, p=4, reg=1e-3, seed=4)
-    w = metropolis_weights(build_topology("cycle", 6)).w
+    d = metropolis_weights(build_topology("cycle", 6)).disagreement
     st = gt_init(fam, 0.1)
     for _ in range(30):
-        st = gt_step(st, fam, w)
+        st = gt_step(st, fam, d)
         grads = fam.grad_stack(st.x)
-        assert np.max(np.abs(st.y.mean(axis=0) - grads.mean(axis=0))) < 1e-10
+        assert np.max(np.abs(tracker(st).mean(axis=0) - grads.mean(axis=0))) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["fig4-n50", "fig5-n100"])
+def test_gradient_tracking_floor_stays_flat(name):
+    # Once at its floor, gt stays there: over 5000 rounds its last error is
+    # within 3x of its least.  The textbook two-recursion form drifts off
+    # sum y = sum g in rounding and climbs 12x (fig4-n50) and 46x (fig5-n100).
+    config = harness.preset(name)
+    errors = run_experiment(dataclasses.replace(config, iters=5000, algorithms=tuple(
+        a for a in config.algorithms if a.name == "gt"))).traces["gt"].rel_error
+    assert errors[-1] <= 3.0 * min(errors), (min(errors), errors[-1])
 
 
 def test_extra_scalar_trace():
@@ -440,13 +460,8 @@ def test_baseline_fixed_points():
     g_star = fam.grad_stack(tile)
     zero = np.zeros_like(tile)
 
-    gt = GradientTrackingState(x=tile, y=zero, grad=g_star, alpha=0.05)
-    gt = gt_step(gt, fam, mix.w)
-    assert np.max(np.abs(gt.x - tile)) < 1e-12
-    assert np.max(np.abs(gt.y)) < 1e-12
-
     # The q-form fixed point: x = x*, q = u = 0, grad = g*.
-    for method in ("extra", "dlm"):
+    for method in ("gt", "extra", "dlm"):
         st, d = qform_start(method, fam, graph, mix, 0.1, 0.4)
         st = st._replace(x=tile, q=zero, u=zero, grad=g_star, t=1)
         st = nt_step(st, fam, d)
@@ -470,7 +485,7 @@ def test_all_methods_reach_the_same_consensus():
     dl = dlm_init(fam, graph, 0.3, 0.3)
     for _ in range(800):
         nt = nt_step(nt, fam, mix.disagreement)
-        gt = gt_step(gt, fam, mix.w)
+        gt = gt_step(gt, fam, mix.disagreement)
         ex = extra_step(ex, fam, mix.disagreement)
         dl = dlm_step(dl, fam, laplacian(graph))
     for st in (nt, gt, ex, dl):

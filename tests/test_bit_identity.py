@@ -116,8 +116,9 @@ def test_rewritten_forms_match_frozen_forms(n, m, p, over_budget, scale, log_eps
 @given(n=st.integers(1, 12), m=st.integers(1, 12), p=st.integers(1, 12),
        alpha=st.floats(0.01, 5.0), seed=st.integers(0, 2 ** 16))
 def test_round_updates_match_frozen_forms(n, m, p, alpha, seed):
-    # nt_step's and gt_step's sums in place against their expressions, on
-    # a random symmetric exchange (any matrix serves for rounding).
+    # nt_step's sums in place against their expressions, and those of its
+    # gradient-tracking branch, on a random symmetric exchange (any matrix
+    # serves for rounding).
     fam = generate_logistic_data(n, m, p, reg=1e-2, seed=seed)
     rng = np.random.default_rng(seed)
     d = rng.standard_normal((n, n))
@@ -130,7 +131,8 @@ def test_round_updates_match_frozen_forms(n, m, p, alpha, seed):
          + state.alpha * (2.0 * nxt.dx - state.dx))
 
     state = alg.gt_init(fam, alpha)
-    state = alg.gt_step(state, fam, d)
+    for _ in range(2):  # past x = dx = 0
+        state = alg.gt_step(state, fam, d)
     nxt = alg.gt_step(state, fam, d)
-    same("gt_step x", nxt.x, d @ state.x - state.alpha * state.y)
-    same("gt_step y", nxt.y, d @ state.y + nxt.grad - state.grad)
+    same("gt_step", nxt.q, state.q + (nxt.grad - state.grad)
+         + state.alpha * (2.0 * nxt.dx - state.dx - state.dx + d @ state.dx))

@@ -344,6 +344,11 @@ DOC_ONLY = [({"topology": {"kind": "cycle", "n": 5, "file": 5}}, "topology.file"
     ({"data": {"family": "quadratic", "p": 3, "seed": 1.5}}, "data.seed"),
     ({"data": {"family": "logistic", "p": 8, "m": 12.5, "rho": 1e-3}}, "data.m"),
     ({"data": {"family": "logistic", "p": 8, "m": 12, "rho": True}}, "data.rho"),
+    # Whatever the kind reads of it: a record cannot hold a non-finite tau,
+    # so solve would run every round, then fail to write naming no field.
+    ({"topology": {"kind": "line", "n": 10, "tau": float("nan")}}, "topology.tau"),
+    ({"topology": {"kind": "cycle", "n": 5, "tau": float("inf")}}, "topology.tau"),
+    ({"topology": {"kind": "complete", "n": 5, "tau": -float("inf")}}, "topology.tau"),
 ])
 def test_config_validation_names_the_field(change, field):
     # Nested changes are spec fields as keywords; the constructor gets the
@@ -659,8 +664,8 @@ METRIC_COLUMNS = ("rel_error", "gnorm_error", "tracking_residual", "kkt_primal",
 
 def per_round_trace(config, spec):
     """One method's trace columns but wall_ms, and its status, computed
-    round by round on each iterate alone: a plain loop of nt_step or
-    gt_step with root @ x, alg.norm, the remainder identity and the
+    round by round on each iterate alone: a plain loop of nt_step (every
+    method's step) with root @ x, alg.norm, the remainder identity and the
     conservation defect ||sum q - sum grad|| / (||sum grad|| + 1), which
     conservation_residuals must equal."""
     net, obj = harness.build_network(config.topology), harness.build_objective(config)
@@ -668,7 +673,6 @@ def per_round_trace(config, spec):
     n, p = family.n, family.p
     method = harness.METHODS[spec.name]
     op = method.exchange(net)
-    step = alg.gt_step if spec.name == "gt" else alg.nt_step
     target = np.tile(obj.x_star, (n, 1))
     denom = max(alg.norm(target), 1e-300)
     is_nt = spec.name == "nt"
@@ -690,7 +694,7 @@ def per_round_trace(config, spec):
                         cols["rel_error"][-1] <= config.stop_tol:
                     status = "tol"
                     break
-                prev, state = state, step(state, family, op)
+                prev, state = state, alg.nt_step(state, family, op)
             rel = alg.norm(state.x - target) / denom
             if not math.isfinite(rel):
                 status = "diverged"
@@ -1093,7 +1097,7 @@ def test_run_checks_pass_with_fewer_samples_than_features():
 
 @pytest.mark.parametrize("name, operator, check", [
     ("nt", "disagreement", "equivalence"),
-    ("gt", "w", "tracker_mean"),
+    ("gt", "disagreement", "tracker_mean"),
 ])
 def test_replay_checks_replay_the_methods_as_wired(monkeypatch, name, operator, check):
     # A METHODS entry whose exchange is off by 5% runs a method the paper
