@@ -260,14 +260,16 @@ def pd_step(state: PrimalDualState, family, w: np.ndarray) -> PrimalDualState:
 
 
 def total_grad_curvature(family, x: np.ndarray):
-    """sum_i grad f_i(x) at a shared point x, summed in node order, and each
-    node's curvature weights there: grad_curvature at x broadcast to all."""
+    """sum_i grad f_i(x) at a shared point x, summed in node order, with
+    grad_curvature at x broadcast to all nodes: each node's gradient and
+    curvature weights there."""
     g, curve = family.grad_curvature(np.broadcast_to(x, (family.n, family.p)))
-    return np.add.reduce(g, axis=0), curve
+    return np.add.reduce(g, axis=0), g, curve
 
 
-def centralized_reference(family, tol: float = 1e-12) -> np.ndarray:
-    """High-accuracy minimizer of sum_i f_i via damped Newton.
+def centralized_reference(family, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """High-accuracy minimizer x* of sum_i f_i via damped Newton, with the
+    (n, p) node gradients grad f_i(x*) it was accepted on.
 
     Backtracks on the gradient norm; returns x with
     ||sum_i grad f_i(x)|| <= tol within 200 Newton steps.  It sums node
@@ -279,11 +281,11 @@ def centralized_reference(family, tol: float = 1e-12) -> np.ndarray:
     positive definite raises LinAlgError.
     """
     x = np.zeros(family.p)
-    g, curve = total_grad_curvature(family, x)
+    g, nodes, curve = total_grad_curvature(family, x)
     for _ in range(200):
         gn = norm(g)
         if gn <= tol:
-            return x
+            return x, nodes
         hess = np.add.reduce(family.hess_blocks(curve), axis=0)
         c, info = dpotrf(hess, lower=0, clean=0)
         if info:
@@ -291,13 +293,13 @@ def centralized_reference(family, tol: float = 1e-12) -> np.ndarray:
                                         "Hessian is not positive definite")
         d, _ = dpotrs(c, g, lower=0)
         step = 1.0
-        while step > 1e-12:  # runs at least once, so xn and gxn are set
+        while step > 1e-12:  # runs at least once, so xn and its oracles are set
             xn = x - step * d
-            gxn, cn = total_grad_curvature(family, xn)
+            gxn, nn, cn = total_grad_curvature(family, xn)
             if norm(gxn) <= (1.0 - 0.25 * step) * gn:
                 break
             step *= 0.5
-        x, g, curve = xn, gxn, cn  # the last point tried, with its gradient
+        x, g, nodes, curve = xn, gxn, nn, cn  # the last point tried, with its oracles
     if norm(g) > tol:
         raise RuntimeError(f"reference solve stalled above tolerance {tol}")
-    return x
+    return x, nodes

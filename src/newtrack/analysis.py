@@ -85,15 +85,14 @@ def consensus_penalty_matrix(w: np.ndarray, alpha: float, eps: float) -> np.ndar
     return eps * np.eye(n) - alpha * (np.eye(n) - w)
 
 
-def dual_optimum(family, x_star: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """Optimal dual from stationarity: root @ v* = -grad at consensus.
+def dual_optimum(g_star: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """Optimal dual from stationarity: root @ v* = -g*, with g* the (n, p)
+    node gradients at x* that algorithms.centralized_reference returns.
 
     Solved by least squares, which lands v* in the range of the root
     (the component along the consensus direction stays zero).
     """
-    tiled = np.tile(x_star, (family.n, 1))
-    g = family.grad_stack(tiled)
-    v_star, *_ = np.linalg.lstsq(root, -g, rcond=None)
+    v_star, *_ = np.linalg.lstsq(root, -g_star, rcond=None)
     return v_star
 
 
@@ -147,12 +146,12 @@ def lemma_remainder_check(norms, bounds) -> dict:
 
 
 def stationarity_identity_check(states, family, w: np.ndarray,
-                                x_star: np.ndarray, v_star: np.ndarray) -> dict:
+                                g_star: np.ndarray, v_star: np.ndarray) -> dict:
     """Exact per-step identity of the primal-dual recursion along states,
     a trajectory of algorithms.PrimalDualState.
 
-    grad(x^{t+1}) - grad at consensus + root (v^{t+1} - v*)
-    + eps (x^{t+1} - x^t) + e^t must vanish, with e^t the step's
+    grad(x^{t+1}) - g* + root (v^{t+1} - v*) + eps (x^{t+1} - x^t) + e^t
+    must vanish, with g* the node gradients at x* and e^t the step's
     second-order remainder grad(x^t) - grad(x^{t+1}) + hess(x^t) dx
     - alpha (I - W) dx: each iterate's gradient and curvature weights
     are its state's, and one Hessian per step comes from the weights.
@@ -160,7 +159,6 @@ def stationarity_identity_check(states, family, w: np.ndarray,
     largest gradient magnitude seen, and must stay within 1e-8.
     """
     root, alpha, eps = states[0].root, states[0].alpha, states[0].eps
-    g_star = family.grad_stack(np.tile(x_star, (family.n, 1)))
     scale = 1.0
     worst = 0.0
     for s0, s1 in zip(states, states[1:]):

@@ -103,7 +103,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_certify(args) -> int:
     alpha, eps = args.alpha, args.eps
+    explicit = {"--mu": args.mu, "--lip": args.lip, "--lambda-max": args.lambda_max,
+                "--lambda-min-nz": args.lambda_min_nz}
     if args.config or args.preset:
+        if given := [flag for flag, value in explicit.items() if value is not None]:
+            # the config's bounds and spectra would silently win over these
+            raise ValueError(f"{', '.join(given)}: explicit mode only, not with "
+                             "--config or --preset")
         config = _load_config(args)
         net, obj = build_network(config.topology), build_objective(config)
         nt = [a for a in config.algorithms if a.name == "nt"]
@@ -113,12 +119,8 @@ def _cmd_certify(args) -> int:
         eps = nt[0].eps if eps is None else eps
         bounds, spectra = obj.bounds, net.spectra
     else:
-        needed = (args.mu, args.lip, args.lambda_max, args.lambda_min_nz,
-                  args.alpha, args.eps)
-        if any(v is None for v in needed):
-            raise ValueError(
-                "explicit mode needs --mu --lip --lambda-max --lambda-min-nz "
-                "--alpha --eps")
+        if None in (*explicit.values(), alpha, eps):
+            raise ValueError(f"explicit mode needs {' '.join(explicit)} --alpha --eps")
         bounds = ObjectiveBounds(mu=args.mu, lip=args.lip)
         spectra = SimpleNamespace(lambda_max=args.lambda_max,
                                   lambda_min_nz=args.lambda_min_nz)

@@ -518,20 +518,16 @@ class Network(NamedTuple):
 
 @dataclass(frozen=True)
 class Objective:
-    """Local objectives with their digest, (mu, L) bounds and minimizer x*,
-    solved on first read: certify, which never reads it, never solves."""
+    """Local objectives with their digest, (mu, L) bounds and optimum (x* and
+    the node gradients g* at it), solved on first read: certify never solves."""
 
     family: object  # LogisticFamily or QuadraticFamily
     digest: str
     bounds: ObjectiveBounds
 
     @functools.cached_property
-    def x_star(self) -> np.ndarray:
+    def optimum(self) -> tuple[np.ndarray, np.ndarray]:
         return alg.centralized_reference(self.family)
-
-    @functools.cached_property
-    def ref_residual(self) -> float:
-        return alg.norm(alg.total_grad_curvature(self.family, self.x_star)[0])
 
 
 def build_network(topo: TopologySpec) -> Network:
@@ -546,7 +542,7 @@ def build_network(topo: TopologySpec) -> Network:
 
 def build_objective(config: RunConfig) -> Objective:
     """Generate the config's local objectives over config.topology.n nodes
-    and bound them; x* waits for its first read."""
+    and bound them; the optimum waits for its first read."""
     family = FAMILIES[config.data.family](config.topology.n, config.data)
     return Objective(family, family.digest(), convexity_bounds(family))
 
@@ -567,8 +563,8 @@ def _run(config: RunConfig, net: Network, obj: Objective) -> RunRecord:
             cert = certificates[spec.name] = analysis.rate_certificate(
                 obj.bounds, net.spectra, spec.alpha, spec.eps)
         traces[spec.name] = _run_algorithm(spec, net, obj, cert, config)
-    return RunRecord(config=config, dataset_digest=obj.digest, x_star=obj.x_star,
-                     ref_residual=obj.ref_residual,
+    return RunRecord(config=config, dataset_digest=obj.digest, x_star=obj.optimum[0],
+                     ref_residual=alg.norm(np.add.reduce(obj.optimum[1], axis=0)),
                      spectra=Spectra(lambda_max=net.spectra.lambda_max,
                                      lambda_min_nz=net.spectra.lambda_min_nz),
                      certificates=certificates, traces=traces,
@@ -613,7 +609,8 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
     method = METHODS[spec.name]
     step = getattr(alg, f"{spec.name}_step")
     op = method.exchange(net)
-    target = np.tile(obj.x_star, (n, 1))
+    x_star, g_star = obj.optimum
+    target = np.tile(x_star, (n, 1))
     denom = max(alg.norm(target), 1e-300)
     per_round = method.vectors * n * p  # scalars a round sends
     trace = ConvergenceTrace(algorithm=spec.name, alpha=spec.alpha, eps=spec.eps)
@@ -628,7 +625,7 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
     if feasible:
         energy = analysis.g_norm_metric(
             analysis.consensus_penalty_matrix(net.mix.w, spec.alpha, spec.eps),
-            obj.x_star, analysis.dual_optimum(family, obj.x_star, root), spec.alpha)
+            x_star, analysis.dual_optimum(g_star, root), spec.alpha)
         v = np.zeros((n, p))
     fields = ("x", "grad", "q", "u", "dx") if is_nt else ("x",)
     size = max(1, BLOCK_BYTES // (len(fields) * n * p * 8))
@@ -836,7 +833,7 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
     each over the iterates the trace holds: a diverged run's overflow
     shows as failed checks, not as warnings.  nt and gt start and exchange
     as their METHODS entries wire the run.  nt's certificate is the
-    re-run's, and v* is derived again from net and obj.
+    re-run's, and v* is derived again from obj's g* and net's root.
     """
     checks = {}
     mix, spectra, family = net.mix, net.spectra, obj.family
@@ -859,9 +856,9 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
                                             "steps": steps}}
         checks["remainder_bound"] = analysis.lemma_remainder_check(
             trace.remainder_norm[1:steps + 1], trace.remainder_bound[1:steps + 1])
+        g_star = obj.optimum[1]
         checks["stationarity_identity"] = analysis.stationarity_identity_check(
-            pds, family, mix.w, obj.x_star,
-            analysis.dual_optimum(family, obj.x_star, spectra.root))
+            pds, family, mix.w, g_star, analysis.dual_optimum(g_star, spectra.root))
         cert = rerun.certificates["nt"]
         if cert["feasible"]:
             checks["contraction"] = analysis.contraction_check(

@@ -117,6 +117,13 @@ def optimum(family) -> np.ndarray:
     return -np.linalg.solve(family.a.sum(axis=0), family.b.sum(axis=0))
 
 
+def consensus_grads(family, x: np.ndarray) -> np.ndarray:
+    """Each node's gradient at one shared point x, tiled to every node: the
+    g* that analysis.dual_optimum takes, at an x* found outside the
+    reference solve."""
+    return family.grad_stack(np.tile(x, (family.n, 1)))
+
+
 # Finite-difference agreement for one objective at one point.
 DerivativeReport = namedtuple("DerivativeReport",
                               "grad_error hess_error grad_ok hess_ok")

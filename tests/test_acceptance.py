@@ -21,8 +21,9 @@ from newtrack.objectives import (QuadraticFamily, convexity_bounds,
                                  generate_logistic_data, generate_quadratic_set)
 from newtrack.topology import (build_topology, metropolis_weights,
                                spectral_stats)
-from oracles import (approximation_error, decay_window, derivative_check,
-                     fit_linear_rate, make_logistic, optimum, remainder_report)
+from oracles import (approximation_error, consensus_grads, decay_window,
+                     derivative_check, fit_linear_rate, make_logistic, optimum,
+                     remainder_report)
 
 
 def criterion(num: int, ok: bool, desc: str) -> None:
@@ -110,7 +111,7 @@ def test_criterion_03_certified_contraction():
         xs.append(st.x)
         vs.append(st.v)
     x_star = optimum(fam)
-    v_star = dual_optimum(fam, x_star, stats.root)
+    v_star = dual_optimum(consensus_grads(fam, x_star), stats.root)
     energy = g_norm_metric(consensus_penalty_matrix(mix.w, alpha, eps),
                            x_star, v_star, alpha)
     rep = contraction_check([energy(x, v) for x, v in zip(xs, vs)], cert)

@@ -21,8 +21,8 @@ from newtrack.objectives import (LogisticFamily, ObjectiveBounds, QuadraticFamil
                                  convexity_bounds, generate_logistic_data)
 from newtrack.topology import (build_topology, metropolis_weights,
                                spectral_stats)
-from oracles import (approximation_error, decay_window, fit_linear_rate, optimum,
-                     remainder_report)
+from oracles import (approximation_error, consensus_grads, decay_window,
+                     fit_linear_rate, optimum, remainder_report)
 
 UNIT_BOUNDS = ObjectiveBounds(mu=1.0, lip=1.0)
 
@@ -196,7 +196,7 @@ def test_kkt_residual_at_optimum():
     fam = identity_family()
     mix, stats = complete10()
     x_star = optimum(fam)
-    v_star = dual_optimum(fam, x_star, stats.root)
+    v_star = dual_optimum(consensus_grads(fam, x_star), stats.root)
     assert np.max(np.abs(v_star.sum(axis=0))) < 1e-10
     tile = np.tile(x_star, (10, 1))
     # primal = ||root @ x||, dual = ||grad(x) + root @ v||, as the harness
@@ -284,8 +284,9 @@ def test_stationarity_identity_on_run():
     alpha, eps = 0.1, 5.0
     states = pd_states(fam, mix, stats, alpha, eps, iters=80)
     x_star = optimum(fam)
-    v_star = dual_optimum(fam, x_star, stats.root)
-    rep = stationarity_identity_check(states, fam, mix.w, x_star, v_star)
+    g_star = consensus_grads(fam, x_star)
+    v_star = dual_optimum(g_star, stats.root)
+    rep = stationarity_identity_check(states, fam, mix.w, g_star, v_star)
     assert rep["passed"]
     assert rep["detail"]["worst"] < 1e-8
 
@@ -294,7 +295,7 @@ def test_stationarity_identity_on_run():
     shift = np.zeros_like(states[0].v)
     shift[0] = 0.1
     bad = [s._replace(v=s.v + shift) for s in states]
-    rep_bad = stationarity_identity_check(bad, fam, mix.w, x_star, v_star)
+    rep_bad = stationarity_identity_check(bad, fam, mix.w, g_star, v_star)
     assert not rep_bad["passed"]
 
 
@@ -302,18 +303,18 @@ def test_stationarity_identity_on_run():
 def test_stationarity_identity_takes_one_sigmoid_pass_per_iterate(monkeypatch, m, p):
     # Each primal-dual state carries grad_curvature at its iterate, one
     # sigmoid pass that its step and the check both read, and the check
-    # adds one pass for the gradient at x*: len(states) + 1 over the
-    # trajectory and the check, where evaluating each iterate again in the
-    # check made 2 len(states).  The worst residual is bit for bit that of
-    # the grad_stack and hess_stack form.
+    # takes the gradients at x* from the reference solve, so it adds no
+    # pass: len(states) over the trajectory and the check.  That g* is bit
+    # for bit grad_stack at x* tiled, and the worst residual that of the
+    # grad_stack and hess_stack form.
     fam = generate_logistic_data(n=10, m=m, p=p, reg=1e-2, seed=1)
     mix, stats = complete10()
     alpha, eps = 0.5, 2.0
     xs, vs = pd_trajectory(fam, mix, stats, alpha, eps, iters=15)
-    x_star = centralized_reference(fam)
-    v_star = dual_optimum(fam, x_star, stats.root)
+    x_star, g_star = centralized_reference(fam)
+    assert g_star.tobytes() == consensus_grads(fam, x_star).tobytes()
+    v_star = dual_optimum(g_star, stats.root)
 
-    g_star = fam.grad_stack(np.tile(x_star, (fam.n, 1)))
     scale, worst = 1.0, 0.0
     for t in range(len(xs) - 1):
         g1 = fam.grad_stack(xs[t + 1])
@@ -329,8 +330,8 @@ def test_stationarity_identity_takes_one_sigmoid_pass_per_iterate(monkeypatch, m
                         lambda self, x: calls.append(x) or real(self, x))
     states = pd_states(fam, mix, stats, alpha, eps, iters=15)
     assert len(calls) == len(states)
-    rep = stationarity_identity_check(states, fam, mix.w, x_star, v_star)
-    assert len(calls) == len(states) + 1
+    rep = stationarity_identity_check(states, fam, mix.w, g_star, v_star)
+    assert len(calls) == len(states)
     assert rep == {"passed": True, "detail": {"worst": worst}}
 
 
@@ -344,7 +345,7 @@ def test_contraction_certified_on_reference_problem():
     alpha, eps = 0.1, 5.0
     xs, vs = pd_trajectory(fam, mix, stats, alpha, eps, iters=200)
     x_star = optimum(fam)
-    v_star = dual_optimum(fam, x_star, stats.root)
+    v_star = dual_optimum(consensus_grads(fam, x_star), stats.root)
 
     cert = reference_certificate()
     energies = energies_along(xs, vs, metric(mix, cert, x_star, v_star))
@@ -363,7 +364,7 @@ def test_contraction_check_validates_metric_once(monkeypatch):
     mix, stats = complete10()
     xs, vs = pd_trajectory(fam, mix, stats, alpha=0.1, eps=5.0, iters=30)
     x_star = optimum(fam)
-    v_star = dual_optimum(fam, x_star, stats.root)
+    v_star = dual_optimum(consensus_grads(fam, x_star), stats.root)
     cert = reference_certificate()
     # Q's eigvalsh runs once, where the metric is built, not per energy.
     calls = []
@@ -388,7 +389,7 @@ def test_contraction_check_rejects_infeasible_and_flags_growth():
     infeasible = rate_certificate(UNIT_BOUNDS, bad_stats, alpha=1.0, eps=0.5)
     cert = reference_certificate()
     energy = metric(mix, cert, optimum(fam),
-                    dual_optimum(fam, optimum(fam), stats.root))
+                    dual_optimum(consensus_grads(fam, optimum(fam)), stats.root))
     with pytest.raises(ValueError):
         contraction_check(energies_along(xs, vs, energy), infeasible)
 

@@ -334,6 +334,45 @@ def test_certify_beta_and_phi_apply_in_every_mode(capsys, tmp_path, mode):
     assert json.loads(err)["message"] == "beta and phi must be greater than 1"
 
 
+@pytest.mark.parametrize("source", [["--preset", "fig1"], ["--config"]],
+                         ids=["preset", "config"])
+@pytest.mark.parametrize("flags, given", [
+    (["--mu", "5", "--lip", "7"], "--mu, --lip"),
+    (["--lambda-max", "1.5", "--alpha", "0.1"], "--lambda-max"),
+    (["--lambda-min-nz", "0.1", "--mu", "5"], "--mu, --lambda-min-nz"),
+], ids=["bounds", "lambda-max", "lambda-min-and-mu"])
+def test_certify_refuses_explicit_flags_with_a_config(capsys, tmp_path, source,
+                                                      flags, given):
+    # A config or preset brings its own bounds and spectra, so explicit-mode
+    # numbers beside it would be dropped unread: they are refused, each
+    # named in the order certify declares them.  --alpha, --eps, --beta and
+    # --phi still apply in every mode.
+    if source == ["--config"]:
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(tiny_config_doc()))
+        source = ["--config", str(path)]
+    rc, out, err = run_cli(capsys, "certify", *source, *flags)
+    assert (rc, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": f"{given}: explicit mode only, not with --config or --preset"}
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig4-n50", "fig5-n100", "topo-n10"])
+def test_certify_modes_agree(capsys, name):
+    # A preset's own certificate inputs, each passed by repr in explicit
+    # mode, print the preset's certificate byte for byte.
+    rc, out, _ = run_cli(capsys, "certify", "--preset", name)
+    assert rc == 0
+    doc = json.loads(out)
+    flags = {"--mu": "mu", "--lip": "lip", "--lambda-max": "lam_max",
+             "--lambda-min-nz": "lam_min_nz", "--alpha": "alpha", "--eps": "eps"}
+    rc, explicit, _ = run_cli(capsys, "certify", *(
+        s for flag, key in flags.items() for s in (flag, repr(doc[key]))))
+    assert rc == 0
+    assert explicit == out
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from newtrack.harness import (CSV_COLUMNS, PRESET_NAMES, AlgorithmSpec,
                               write_outputs)
 from newtrack.objectives import LogisticFamily, generate_logistic_data
 from newtrack.topology import KINDS, build_topology, metropolis_weights
-from oracles import approximation_error
+from oracles import approximation_error, consensus_grads
 
 
 def tiny_config(iters=200):
@@ -177,7 +177,7 @@ def test_feasible_run_validates_metric_once(monkeypatch):
     family = harness.build_objective(cfg).family
     mix, root = net.mix, net.spectra.root
     q_mat = analysis.consensus_penalty_matrix(mix.w, spec.alpha, spec.eps)
-    v_star = analysis.dual_optimum(family, rec.x_star, root)
+    v_star = analysis.dual_optimum(consensus_grads(family, rec.x_star), root)
     state = alg.nt_init(family, spec.alpha, spec.eps)
     v = np.zeros_like(state.x)
     expected = [real(q_mat, rec.x_star, v_star, spec.alpha)(state.x, v)]
@@ -673,7 +673,8 @@ def per_round_trace(config, spec):
     n, p = family.n, family.p
     method = harness.METHODS[spec.name]
     op = method.exchange(net)
-    target = np.tile(obj.x_star, (n, 1))
+    x_star = obj.optimum[0]
+    target = np.tile(x_star, (n, 1))
     denom = max(alg.norm(target), 1e-300)
     is_nt = spec.name == "nt"
     cert = analysis.rate_certificate(obj.bounds, net.spectra, spec.alpha,
@@ -682,7 +683,8 @@ def per_round_trace(config, spec):
     if feasible:
         energy = analysis.g_norm_metric(
             analysis.consensus_penalty_matrix(w, spec.alpha, spec.eps),
-            obj.x_star, analysis.dual_optimum(family, obj.x_star, root), spec.alpha)
+            x_star, analysis.dual_optimum(consensus_grads(family, x_star), root),
+            spec.alpha)
         v = np.zeros((n, p))
     cols = {c: [] for c in METRIC_COLUMNS}
     status = "budget"
@@ -1207,10 +1209,11 @@ def test_replay_checks_evaluate_each_iterate_once(monkeypatch):
     # calls none and builds one Hessian per step from the states' weights
     # (the remainder check reads the re-run's columns).  The reference
     # solve sums the node oracles: 6 points (5 full Newton steps, one
-    # Hessian each) and one more at x* for ref_residual.  Two gradients sit
-    # at consensus (v* and the identity's grad at x*).  Nothing calls
-    # hess_stack, and the re-run's nt steps call neither grad_stack nor
-    # hess_blocks (fig1's band is one product with the cached pairs).
+    # Hessian each).  Its last point's node gradients are g*, which
+    # ref_residual, v* and the identity read, so no oracle runs at x*
+    # again and nothing calls grad_stack.  Nothing calls hess_stack, and
+    # the re-run's nt steps call no hess_blocks (fig1's band is one
+    # product with the cached pairs).
     rec = run_experiment(dataclasses.replace(preset("fig1"), iters=20))
     calls = {}
     for name in ("grad_stack", "grad_curvature", "hess_stack", "hess_blocks"):
@@ -1218,8 +1221,7 @@ def test_replay_checks_evaluate_each_iterate_once(monkeypatch):
                             counting(calls, name, getattr(LogisticFamily, name)))
     report = run_checks(rec, window=12)
     assert report["passed"]
-    assert calls == {"grad_stack": 2, "grad_curvature": 21 + 13 + 13 + 6 + 1,
-                     "hess_blocks": 12 + 5}
+    assert calls == {"grad_curvature": 21 + 13 + 13 + 6, "hess_blocks": 12 + 5}
 
 
 def test_run_checks_read_the_certificate_of_the_rerun(monkeypatch):
@@ -1249,10 +1251,12 @@ def test_objective_solves_x_star_on_first_read(monkeypatch):
     cfg = preset("fig1")
     obj = harness.build_objective(cfg)
     assert calls == {"bounds": 1}
-    x_star = obj.x_star
-    grad = alg.total_grad_curvature(obj.family, x_star)[0]
-    assert obj.ref_residual == float(np.linalg.norm(grad))
-    assert obj.x_star is x_star and calls == {"bounds": 1, "reference": 1}
+    optimum = obj.optimum
+    x_star, g_star = optimum
+    # g* is the node gradients at x*, each node's oracle at the shared point.
+    nodes = alg.total_grad_curvature(obj.family, x_star)[1]
+    assert g_star.tobytes() == nodes.tobytes()
+    assert obj.optimum is optimum and calls == {"bounds": 1, "reference": 1}
 
 
 def test_run_decomposes_the_mixing_matrix_once(monkeypatch):

@@ -128,8 +128,9 @@ def test_totals_are_sums_of_nodes():
     x = np.full(fam.p, 0.3)
     g = sum(node(fam, i).grad(x) for i in range(fam.n))
     h = sum(node(fam, i).hess(x) for i in range(fam.n))
-    total, curve = total_grad_curvature(fam, x)
+    total, nodes, curve = total_grad_curvature(fam, x)
     assert_allclose(total, g, atol=1e-13)
+    assert_allclose(nodes, [node(fam, i).grad(x) for i in range(fam.n)], atol=1e-13)
     assert_allclose(np.add.reduce(fam.hess_blocks(curve), axis=0), h, atol=1e-13)
 
 
@@ -206,9 +207,9 @@ def test_quadratic_family_optimum_matches_reference():
     fam = generate_quadratic_set(n=3, p=4, seed=3)
     x_star = optimum(fam)
     assert_allclose(total_grad_curvature(fam, x_star)[0], np.zeros(4), atol=1e-12)
-    ref = centralized_reference(fam, tol=1e-13)
+    ref, g_star = centralized_reference(fam, tol=1e-13)
     assert np.max(np.abs(ref - x_star)) < 1e-10
-    assert np.linalg.norm(total_grad_curvature(fam, ref)[0]) <= 1e-13
+    assert np.linalg.norm(g_star.sum(axis=0)) <= 1e-13
 
 
 def test_generate_quadratic_set_eig_range():
