@@ -105,11 +105,14 @@ def _cmd_certify(args) -> int:
     alpha, eps = args.alpha, args.eps
     explicit = {"--mu": args.mu, "--lip": args.lip, "--lambda-max": args.lambda_max,
                 "--lambda-min-nz": args.lambda_min_nz}
-    if args.config or args.preset:
-        if given := [flag for flag, value in explicit.items() if value is not None]:
-            # the config's bounds and spectra would silently win over these
-            raise ValueError(f"{', '.join(given)}: explicit mode only, not with "
-                             "--config or --preset")
+    seeds = {"--seed-topology": args.seed_topology, "--seed-data": args.seed_data}
+    from_config = bool(args.config or args.preset)
+    # a flag that only the other mode reads would be dropped unread
+    unread, mode = (explicit, "explicit mode only, not with --config or --preset") \
+        if from_config else (seeds, "with --config or --preset only, not in explicit mode")
+    if given := [flag for flag, value in unread.items() if value is not None]:
+        raise ValueError(f"{', '.join(given)}: {mode}")
+    if from_config:
         config = _load_config(args)
         net, obj = build_network(config.topology), build_objective(config)
         nt = [a for a in config.algorithms if a.name == "nt"]

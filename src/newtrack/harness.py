@@ -25,8 +25,8 @@ from . import analysis
 from .objectives import (ObjectiveBounds, convexity_bounds,
                          generate_logistic_data, generate_quadratic_set)
 from .topology import (KINDS, Graph, MixingMatrix, SpectralStats,
-                       build_topology, edge_budget, laplacian,
-                       metropolis_weights, spectral_stats)
+                       build_topology, laplacian, metropolis_weights,
+                       random_budget, spectral_stats)
 
 
 # Data family -> (n, DataSpec) -> its local objectives.  The generators are
@@ -208,16 +208,10 @@ class TopologySpec:
         if self.seed is not None:
             _at_least("topology.seed", self.seed, 0)
         if self.kind == "random" and self.file is None:
-            if self.tau is None or not 0.0 < self.tau <= 1.0:
-                raise ValueError("topology.tau: a random topology needs tau in "
-                                 f"(0, 1], got {self.tau!r}")
-            budget = edge_budget(self.n, self.tau)
-            if budget < self.n - 1:
-                raise ValueError(f"topology.tau: {self.tau!r} gives an edge budget "
-                                 f"of {budget}, which cannot connect {self.n} "
-                                 f"nodes (need >= {self.n - 1})")
-            if self.seed is None:
-                raise ValueError("topology.seed: a random topology needs a seed")
+            try:
+                random_budget(self.n, self.tau, self.seed)
+            except ValueError as err:
+                raise ValueError(f"topology.{err}") from None
 
 
 @dataclass(frozen=True)
@@ -372,20 +366,27 @@ def topology_from_doc(doc: dict, n: int | None = None) -> tuple[Graph, MixingMat
     doc = {k: doc[k] for k in _hints(PinnedTopology) if k in _shaped("document", doc, dict)}
     if n is not None and (size := _decode(int, doc.get("n", n), "n")) != n:
         raise ValueError(f"topology.n: {n} but the pinned file has {size} nodes")
-    doc = _decode(PinnedTopology, doc, "")
-    graph = Graph(n=doc["n"], edges=tuple(sorted(map(tuple, doc["edges"]))))
-    if list(map(len, doc["weights"])) != [graph.n] * graph.n:
-        raise ValueError(f"weights: must be {graph.n} rows of {graph.n} numbers")
-    w = np.array(doc["weights"])
-    # Each node mixes with its neighbours alone: off the diagonal, w is
-    # nonzero exactly on the edges, where the Laplacian exchanges.
-    stray = (w != 0) != (graph.adjacency() != 0)
-    np.fill_diagonal(stray, False)
-    if stray.any():
-        i, j = np.argwhere(stray)[0]
-        raise ValueError(f"weights: w[{i}, {j}] = {float(w[i, j])!r} but ({i}, {j}) "
-                         f"is {'not ' if w[i, j] else ''}an edge")
-    return graph, MixingMatrix(w=w)
+    return _pinned_network(_decode(PinnedTopology, doc, ""))
+
+
+def _pinned_network(doc: PinnedTopology, prefix: str = "") -> tuple[Graph, MixingMatrix]:
+    """A decoded pinned topology's graph and W by their rules, errors under prefix."""
+    try:
+        graph = Graph(n=doc["n"], edges=tuple(sorted(map(tuple, doc["edges"]))))
+        if list(map(len, doc["weights"])) != [graph.n] * graph.n:
+            raise ValueError(f"weights: must be {graph.n} rows of {graph.n} numbers")
+        w = np.array(doc["weights"])
+        # Each node mixes with its neighbours alone: off the diagonal, w is
+        # nonzero exactly on the edges, where the Laplacian exchanges.
+        stray = (w != 0) != (graph.adjacency() != 0)
+        np.fill_diagonal(stray, False)
+        if stray.any():
+            i, j = np.argwhere(stray)[0]
+            raise ValueError(f"weights: w[{i}, {j}] = {float(w[i, j])!r} but ({i}, {j}) "
+                             f"is {'not ' if w[i, j] else ''}an edge")
+        return graph, MixingMatrix(w=w)
+    except ValueError as err:
+        raise ValueError(f"{prefix}{err}") from None
 
 
 @dataclass
@@ -406,13 +407,12 @@ class RunRecord:
 
     @staticmethod
     def from_doc(doc: dict) -> "RunRecord":
-        """doc by the loader's rules, its topology then as a pinned file's."""
+        """doc by the loader's rules, its topology's size and network then
+        by a pinned file's."""
         record = _decode(RunRecord, doc, "")
-        try:
-            topology_from_doc(record.topology, record.config.topology.n)
-        except ValueError as err:  # a size message names the config's field
-            owner = "config" if str(err).startswith("topology.") else "topology"
-            raise ValueError(f"{owner}.{err}") from None
+        if (size := record.topology["n"]) != (n := record.config.topology.n):
+            raise ValueError(f"config.topology.n: {n} but the pinned file has {size} nodes")
+        _pinned_network(record.topology, "topology.")
         return record
 
 

@@ -192,9 +192,6 @@ class QuadraticFamily:
     def hess_blocks(self, curve: None) -> np.ndarray:
         return self.a.copy()
 
-    def hess_stack(self, x: np.ndarray) -> np.ndarray:
-        return self.hess_blocks(None)
-
     @functools.cached_property
     def _band(self) -> np.ndarray:
         return lower_band(self.a)

@@ -189,10 +189,17 @@ def _random_spanning_tree(n: int, rng: np.random.Generator) -> list[tuple[int, i
     return edges
 
 
-def edge_budget(n: int, tau: float) -> int:
-    """Edges of a random topology: round(tau * n(n-1)/2), half up; a
-    connected one needs at least n - 1."""
-    return int(math.floor(tau * (n * (n - 1) // 2) + 0.5))
+def random_budget(n: int, tau: float | None, seed: int | None) -> int:
+    """Edges of a random topology, round(tau n(n-1)/2) half up, after its
+    rules in order: tau in (0, 1], at least the n - 1 that connect, a seed."""
+    if tau is None or not 0.0 < tau <= 1.0:
+        raise ValueError(f"tau: a random topology needs tau in (0, 1], got {tau!r}")
+    if (budget := int(math.floor(tau * (n * (n - 1) // 2) + 0.5))) < n - 1:
+        raise ValueError(f"tau: {tau!r} gives an edge budget of {budget}, which "
+                         f"cannot connect {n} nodes (need >= {n - 1})")
+    if seed is None:
+        raise ValueError("seed: a random topology needs a seed")
+    return budget
 
 
 def build_topology(kind: str, n: int, tau: float | None = None,
@@ -203,12 +210,11 @@ def build_topology(kind: str, n: int, tau: float | None = None,
     ----------
     kind : one of KINDS
         Topology family.  "random" draws a uniformly random spanning tree
-        and then adds distinct random non-tree edges until the edge count
-        reaches round(tau * n(n-1)/2) (half up).
+        and then adds distinct random non-tree edges up to random_budget.
     n : int
         Number of nodes, n >= 1.
     tau : float, optional
-        Edge density in (0, 1]; required for kind="random".
+        Edge density; required for kind="random", checked by random_budget.
     seed : int, optional
         Seed for the random topology; required for kind="random".
         The same (kind, n, tau, seed) always yields the same edge set.
@@ -227,14 +233,7 @@ def build_topology(kind: str, n: int, tau: float | None = None,
     elif kind == "complete":
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     else:  # "random"
-        if tau is None or not (0.0 < tau <= 1.0):
-            raise ValueError("random topology needs tau in (0, 1]")
-        if seed is None:
-            raise ValueError("random topology needs a seed")
-        target = edge_budget(n, tau)
-        if target < n - 1:
-            raise ValueError(
-                f"edge budget {target} cannot connect {n} nodes (need >= {n - 1})")
+        target = random_budget(n, tau, seed)
         rng = np.random.default_rng(seed)
         tree = _random_spanning_tree(n, rng)
         tree_i, tree_j = np.array(tree, dtype=np.int64).reshape(-1, 2).T

@@ -94,8 +94,9 @@ def approximation_error(x0: np.ndarray, x1: np.ndarray, family,
     e = grad(x0) - grad(x1) + hess(x0)(x1 - x0) - alpha (I - W)(x1 - x0).
     """
     d = x1 - x0
+    hess = family.hess_blocks(family.grad_curvature(x0)[1])
     return family.grad_stack(x0) - family.grad_stack(x1) \
-        + np.einsum("npq,nq->np", family.hess_stack(x0), d) - alpha * (d - w @ d)
+        + np.einsum("npq,nq->np", hess, d) - alpha * (d - w @ d)
 
 
 def remainder_report(xs, family, w: np.ndarray, alpha: float, bounds):

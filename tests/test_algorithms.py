@@ -265,9 +265,9 @@ def test_first_primal_dual_step_is_regularized_newton():
     root = spectral_stats(mix).root
     eps = 2.0
     pd = pd_step(pd_init(fam, root, 0.5, eps), fam, mix.w)
-    h = fam.hess_stack(np.zeros((fam.n, fam.p))) + eps * np.eye(fam.p)
-    expected = -solve_spd_blocks(lower_band(h),
-                                 fam.grad_stack(np.zeros((fam.n, fam.p))))
+    zero = np.zeros((fam.n, fam.p))
+    h = fam.hess_blocks(fam.grad_curvature(zero)[1]) + eps * np.eye(fam.p)
+    expected = -solve_spd_blocks(lower_band(h), fam.grad_stack(zero))
     assert_allclose(pd.x, expected, atol=1e-13)
     nt = nt_step(nt_init(fam, 0.5, eps), fam, mix.disagreement)
     assert_allclose(pd.x, nt.x, atol=1e-13)
@@ -290,7 +290,7 @@ def test_tracked_direction_matches_initial_direction():
     nt = nt_init(fam, 0.9, 1.3)
     zero = np.zeros((fam.n, fam.p))
     assert np.array_equal(nt.q, fam.grad_stack(zero))
-    h = fam.hess_stack(zero) + 1.3 * np.eye(fam.p)
+    h = fam.hess_blocks(fam.grad_curvature(zero)[1]) + 1.3 * np.eye(fam.p)
     for i in range(fam.n):
         assert_allclose(nt.u[i], np.linalg.solve(h[i], nt.q[i]), atol=1e-14)
 

@@ -306,7 +306,7 @@ def test_stationarity_identity_takes_one_sigmoid_pass_per_iterate(monkeypatch, m
     # takes the gradients at x* from the reference solve, so it adds no
     # pass: len(states) over the trajectory and the check.  That g* is bit
     # for bit grad_stack at x* tiled, and the worst residual that of the
-    # grad_stack and hess_stack form.
+    # oracles' grad_stack and hess_blocks form.
     fam = generate_logistic_data(n=10, m=m, p=p, reg=1e-2, seed=1)
     mix, stats = complete10()
     alpha, eps = 0.5, 2.0

@@ -358,6 +358,24 @@ def test_certify_refuses_explicit_flags_with_a_config(capsys, tmp_path, source,
         "message": f"{given}: explicit mode only, not with --config or --preset"}
 
 
+@pytest.mark.parametrize("flags, given", [
+    (["--seed-topology", "3"], "--seed-topology"),
+    (["--seed-data", "9"], "--seed-data"),
+    (["--seed-data", "9", "--seed-topology", "3"], "--seed-topology, --seed-data"),
+], ids=["topology", "data", "both"])
+def test_certify_refuses_seeds_in_explicit_mode(capsys, flags, given):
+    # The seeds pick a config's instance; explicit numbers have none, so
+    # the seeds would be dropped unread: they are refused, named in the
+    # order certify declares them.
+    rc, out, err = run_cli(capsys, "certify", "--mu", "1", "--lip", "1",
+                           "--lambda-max", "1.0", "--lambda-min-nz", "1.0",
+                           "--alpha", "0.1", "--eps", "5", *flags)
+    assert (rc, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": f"{given}: with --config or --preset only, not in explicit mode"}
+
+
 @pytest.mark.parametrize("name", ["fig1", "fig4-n50", "fig5-n100", "topo-n10"])
 def test_certify_modes_agree(capsys, name):
     # A preset's own certificate inputs, each passed by repr in explicit
@@ -494,10 +512,11 @@ DELETE = object()
     ("traces.nt.rel_error.1", True, "traces.nt.rel_error[1]: not a number: True"),
     ("traces.nt.kkt_dual.2", "abc", "traces.nt.kkt_dual[2]: not a number: 'abc'"),
     ("topology.edges.0", [0], "topology.edges must be pairs (i, j)"),
+    ("topology.n", 9, "config.topology.n: 5 but the pinned file has 9 nodes"),
 ], ids=["missing", "unknown", "traces-list", "trace-key", "trace-column", "x-star",
         "bool-array", "null-array", "bool-float", "config-range", "spec-range", "needs-eps",
         "no-method", "bool-certificate", "int-feasible", "null-spectrum", "bool-weight",
-        "bool-trace-entry", "string-trace-entry", "edge-no-pair"])
+        "bool-trace-entry", "string-trace-entry", "edge-no-pair", "pinned-size"])
 def test_malformed_record_fails_at_load_naming_the_path(capsys, tmp_path, key,
                                                         value, message):
     # A record is read like a config: a bad key, or a config value out of

@@ -488,16 +488,21 @@ def test_nested_value_that_is_no_object_is_named(key, value, message):
 
 
 def test_random_topology_budget_is_checked_at_load():
-    # The spec and the generator share one budget rule; the spec names the
-    # field, the generator keeps its own message.
-    from newtrack import topology
-    assert topology.edge_budget(10, 0.01) == 0
-    assert topology.edge_budget(10, 0.2) == 9  # n - 1: the fewest that connect
-    with pytest.raises(ValueError, match=r"^topology\.tau: 0\.01 gives an edge "
-                       r"budget of 0, which cannot connect 10 nodes"):
-        TopologySpec(kind="random", n=10, tau=0.01, seed=7)
-    with pytest.raises(ValueError, match="edge budget 0 cannot connect 10 nodes"):
-        build_topology("random", 10, tau=0.01, seed=7)
+    # The spec and the generator share one rule with one message: tau, the
+    # budget against n - 1, then the seed, each named as the generator's
+    # argument, and by the spec under its field, topology.tau or .seed.
+    budget = "tau: 0.01 gives an edge budget of 0, which cannot connect 10 nodes (need >= 9)"
+    for tau, seed, message in (
+            (0.01, 7, budget),
+            (0.01, None, budget),
+            (1.5, None, "tau: a random topology needs tau in (0, 1], got 1.5"),
+            (None, 7, "tau: a random topology needs tau in (0, 1], got None"),
+            (0.2, None, "seed: a random topology needs a seed")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_topology("random", 10, tau=tau, seed=seed)
+        with pytest.raises(ValueError, match=f"^topology\\.{re.escape(message)}$"):
+            TopologySpec(kind="random", n=10, tau=tau, seed=seed)
+    assert topology.random_budget(10, 0.2, 7) == 9  # n - 1: the fewest that connect
     assert len(build_topology("random", 10, tau=0.2, seed=7).edges) == 9
     TopologySpec(kind="random", n=10, tau=0.2, seed=7)
 
@@ -948,6 +953,18 @@ def test_record_doc_round_trip():
         assert harness.RunRecord.from_doc(json.loads(json.dumps(doc))).to_doc() == doc
 
 
+def test_load_record_decodes_the_pinned_topology_once(monkeypatch, tmp_path):
+    # The record's topology is read by the loader's rules with the record,
+    # and its network is built from that document, not decoded again.
+    write_outputs(run_experiment(tiny_config(iters=3)), tmp_path)
+    kinds = []
+    real = harness._decode
+    monkeypatch.setattr(harness, "_decode",
+                        lambda kind, *args: kinds.append(kind) or real(kind, *args))
+    load_record(tmp_path / "record.json")
+    assert kinds.count(harness.PinnedTopology) == 1
+
+
 def csv_by_repr(trace) -> str:
     """A trace's CSV as it was written row by row: counts and metrics by
     repr, an undefined metric as an empty cell."""
@@ -1087,7 +1104,7 @@ def test_check_report_shape(capsys, tmp_path, config, names):
 
 def test_run_checks_pass_with_fewer_samples_than_features():
     # fig5 shape (m = 10 < p = 40): the solve takes the Woodbury path, while
-    # the stationarity identity and remainder bound use hess_stack.
+    # the stationarity identity and remainder bound use hess_blocks.
     cfg = preset("fig5-n100")
     cfg = dataclasses.replace(cfg, iters=40, algorithms=tuple(
         a for a in cfg.algorithms if a.name == "nt"))

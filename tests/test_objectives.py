@@ -102,7 +102,7 @@ def test_hess_band_is_the_banded_shifted_hessian(n, p, extra, log_eps,
     assert got.shape == (n, p, p)
     assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
     quad = generate_quadratic_set(n=n, p=p, seed=seed)
-    expected = lower_band(quad.hess_stack(None))
+    expected = lower_band(quad.hess_blocks(None))
     expected[:, :, 0] += eps
     assert np.array_equal(quad.hess_band(None, eps), expected)
     # The cached band stays as built: each call shifts a copy.
