@@ -3,24 +3,24 @@
 All methods minimize sum_i f_i(x) over a connected network where node i
 only evaluates f_i and exchanges vectors with its neighbors.  Stacked
 iterates live in arrays of shape (n, p), one row per node, so a
-synchronous exchange is one product with an n x n operator.  Step
-functions are pure: they read (state, family, operator) and return a
-fresh state, so runs replay and formulations compare trajectory for
-trajectory.  Every init starts at x = 0; every step is one round.
+synchronous exchange is one product with an n x n operator D, which a
+method's init fixes and its state carries.  Step functions are pure: they
+read (state, family) and return a fresh state, so runs replay and forms
+compare trajectory for trajectory.  Inits start at x = 0; steps are rounds.
 
 One q-form, x1 = x - M^{-1} q and q1 = q + g1 - g + alpha (2 dx1 - dx) from
 q = grad(0), with dx = D x carried so that a round computes D x1 once,
 serves all four methods; M is a local curvature plus eps I:
 
-    method  curvature     eps   alpha    D
-    nt      hess_i(x)     eps   alpha    I - W   (solved by reg_solve)
-    extra   0             1/a   1/(2a)   I - W   (a: EXTRA's step)
-    dlm     2 alpha d_i   eps   alpha    L       (d_i: degree, L: Laplacian)
-    gt      0             1/a   1/a      I - W   (a: gt's step; q = y + D x / a)
+    method  curvature     eps   alpha    D      vectors per round
+    nt      hess_i(x)     eps   alpha    I - W  1  (solved by reg_solve)
+    extra   0             1/a   1/(2a)   I - W  1  (a: EXTRA's step)
+    dlm     2 alpha d_i   eps   alpha    L      1  (d_i: degree, L: Laplacian)
+    gt      0             1/a   1/a      I - W  2  (a: gt's step; q = y + D x / a)
 
 Gradient tracking's push is alpha (2 dx1 - 2 dx + D dx): D dx is its
 second exchange, the tracker y's.  A primal-dual form of nt (pd_*) needs
-the global root of I - W and takes W, so it serves as an independent
+the global root of I - W and keeps W, so it serves as an independent
 analysis oracle.  The paper's two-recursion form of nt, the two-step
 forms of extra and dlm and the two-recursion gradient tracking live on
 as plain-loop oracles in the tests.
@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv, dpotrf, dpotrs
 
 from .objectives import LogisticFamily
-from .topology import Graph
+from .topology import Graph, MixingMatrix, laplacian
 
 
 def solve_spd_blocks(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -96,11 +96,11 @@ def reg_solve(family, curve, eps: float, rhs: np.ndarray) -> np.ndarray:
 
 class NewtonTrackingState(NamedTuple):
     """Iterate x, tracked direction q, its step u = M^{-1} q, the gradient
-    at x, the exchange dx = D x of the iterate, scale: None where M is
-    hess(x) + eps I (nt), else the constant 1 / (c + eps) of a fixed
+    at x, the exchange dx = D x with the operator d = D, scale: None where
+    M is hess(x) + eps I (nt), else the constant 1 / (c + eps) of a fixed
     curvature c (a float, or an (n, 1) column of one per node), and
     second_exchange: True for gradient tracking, whose push also takes
-    D dx - dx.
+    D dx - dx, so that its rounds send two vectors.
 
     q sums gradient increments and disagreement corrections, so
     sum_i q_i = sum_i grad_i at every iteration.  Fields cannot be
@@ -113,6 +113,7 @@ class NewtonTrackingState(NamedTuple):
     u: np.ndarray
     grad: np.ndarray
     dx: np.ndarray
+    d: np.ndarray
     alpha: float
     eps: float
     t: int = 0
@@ -129,52 +130,52 @@ def _direction(family, curve, eps: float, scale, q: np.ndarray) -> np.ndarray:
     return reg_solve(family, curve, eps, q) if scale is None else scale * q
 
 
-def _start(family, alpha: float, eps: float, fixed=None) -> NewtonTrackingState:
+def _start(family, d, alpha, eps, fixed=None, second_exchange=False) -> NewtonTrackingState:
     """x = 0 = D x, q = grad(0), u = M^{-1} q; fixed: a constant curvature."""
     scale = None if fixed is None else 1.0 / (fixed + eps)
     x = np.zeros((family.n, family.p))
     g, curve = _oracle(family, scale, x)
     return NewtonTrackingState(x, g, _direction(family, curve, eps, scale, g), g,
-                               x, alpha, eps, 0, scale)
+                               x, d, alpha, eps, 0, scale, second_exchange)
 
 
-def nt_init(family, alpha: float, eps: float) -> NewtonTrackingState:
-    """Newton tracking: u solves (hess_i(0) + eps I) u_i = q_i = grad_i(0)."""
+def nt_init(family, mix: MixingMatrix, alpha: float, eps: float) -> NewtonTrackingState:
+    """Newton tracking over I - W: u solves (hess_i(0) + eps I) u_i = grad_i(0)."""
     if alpha <= 0 or eps <= 0:
         raise ValueError("alpha and eps must be positive")
-    return _start(family, alpha, eps)
+    return _start(family, mix.disagreement, alpha, eps)
 
 
-def extra_init(family, alpha: float) -> NewtonTrackingState:
-    """EXTRA with step a = alpha; its first step is x^1 = -a grad(0)."""
+def extra_init(family, mix: MixingMatrix, alpha: float) -> NewtonTrackingState:
+    """EXTRA over I - W, step a = alpha; its first step is x^1 = -a grad(0)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return _start(family, 0.5 / alpha, 1.0 / alpha, 0.0)
+    return _start(family, mix.disagreement, 0.5 / alpha, 1.0 / alpha, 0.0)
 
 
 def dlm_init(family, graph: Graph, alpha: float, eps: float) -> NewtonTrackingState:
-    """DLM; its first step is x^1 = -grad_i(0) / (2 alpha d_i + eps)."""
+    """DLM over the Laplacian; its first step is x^1 = -grad_i(0) / (2 alpha d_i + eps)."""
     if alpha <= 0 or eps <= 0:
         raise ValueError("alpha and eps must be positive")
-    return _start(family, alpha, eps, 2.0 * alpha * graph.degrees[:, None])
+    return _start(family, laplacian(graph), alpha, eps,
+                  2.0 * alpha * graph.degrees[:, None])
 
 
-def gt_init(family, alpha: float) -> NewtonTrackingState:
-    """Gradient tracking with step a = alpha: q = y + D x / a for its
-    tracker y, seeded at grad(0); its first step is x^1 = -a grad(0)."""
+def gt_init(family, mix: MixingMatrix, alpha: float) -> NewtonTrackingState:
+    """Gradient tracking over D = I - W, step a = alpha: q = y + D x / a for
+    its tracker y, seeded at grad(0); its first step is x^1 = -a grad(0)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return _start(family, 1.0 / alpha, 1.0 / alpha, 0.0)._replace(second_exchange=True)
+    return _start(family, mix.disagreement, 1.0 / alpha, 1.0 / alpha, 0.0, True)
 
 
-def nt_step(state: NewtonTrackingState, family, d: np.ndarray) -> NewtonTrackingState:
-    """One round: x advances by -u; its exchange is dx1 = D x1, with
-    D = d as harness.Method names it; q takes the gradient increment and
-    alpha (2 dx1 - dx), for gradient tracking alpha (2 dx1 - 2 dx + D dx);
-    u becomes M^{-1} q at x1."""
+def nt_step(state: NewtonTrackingState, family) -> NewtonTrackingState:
+    """One round: x advances by -u; its exchange is dx1 = D x1 with the
+    state's D; q takes the gradient increment and alpha (2 dx1 - dx), for
+    gradient tracking alpha (2 dx1 - 2 dx + D dx); u becomes M^{-1} q at x1."""
     x1 = state.x - state.u
     g1, curve = _oracle(family, state.scale, x1)
-    dx1 = d @ x1
+    dx1 = state.d @ x1
     # q + (g1 - g) + alpha (2 dx1 - dx [- dx + D dx]) in place: the same
     # sums, bit for bit.
     q1 = g1 - state.grad
@@ -183,11 +184,11 @@ def nt_step(state: NewtonTrackingState, family, d: np.ndarray) -> NewtonTracking
     push -= state.dx
     if state.second_exchange:
         push -= state.dx
-        push += d @ state.dx
+        push += state.d @ state.dx
     push *= state.alpha
     q1 += push
     u1 = _direction(family, curve, state.eps, state.scale, q1)
-    return NewtonTrackingState(x1, q1, u1, g1, dx1, state.alpha, state.eps,
+    return NewtonTrackingState(x1, q1, u1, g1, dx1, state.d, state.alpha, state.eps,
                                state.t + 1, state.scale, state.second_exchange)
 
 
@@ -228,11 +229,12 @@ def conservation_residuals(q: np.ndarray, grad: np.ndarray) -> list:
 # ---------------------------------------------------------------------------
 
 class PrimalDualState(NamedTuple):
-    """Primal iterate x, dual iterate v, the cached root of I - W, and the
-    gradient at x with its curvature weights, grad_curvature's."""
+    """Primal iterate x, dual iterate v, the weights W, the cached root of
+    I - W, and the gradient at x with its weights, grad_curvature's."""
 
     x: np.ndarray
     v: np.ndarray
+    w: np.ndarray
     root: np.ndarray
     grad: np.ndarray
     curve: np.ndarray | None
@@ -241,21 +243,22 @@ class PrimalDualState(NamedTuple):
     t: int = 0
 
 
-def pd_init(family, root: np.ndarray, alpha: float, eps: float) -> PrimalDualState:
+def pd_init(family, mix: MixingMatrix, root: np.ndarray, alpha: float,
+            eps: float) -> PrimalDualState:
     if alpha <= 0 or eps <= 0:
         raise ValueError("alpha and eps must be positive")
     x = np.zeros((family.n, family.p))
-    return PrimalDualState(x, np.zeros_like(x), root, *family.grad_curvature(x),
-                           alpha, eps)
+    return PrimalDualState(x, np.zeros_like(x), mix.w, root,
+                           *family.grad_curvature(x), alpha, eps)
 
 
-def pd_step(state: PrimalDualState, family, w: np.ndarray) -> PrimalDualState:
+def pd_step(state: PrimalDualState, family) -> PrimalDualState:
     """Regularized Newton descent on the augmented Lagrangian, then a dual
     ascent step along the root of I - W."""
-    rhs = state.grad + state.root @ state.v + state.alpha * (state.x - w @ state.x)
+    rhs = state.grad + state.root @ state.v + state.alpha * (state.x - state.w @ state.x)
     x1 = state.x - reg_solve(family, state.curve, state.eps, rhs)
     v1 = state.v + state.alpha * (state.root @ x1)
-    return PrimalDualState(x1, v1, state.root, *family.grad_curvature(x1),
+    return PrimalDualState(x1, v1, state.w, state.root, *family.grad_curvature(x1),
                            state.alpha, state.eps, state.t + 1)
 
 

@@ -145,20 +145,21 @@ def lemma_remainder_check(norms, bounds) -> dict:
             "detail": {"violations": violations, "worst": worst}}
 
 
-def stationarity_identity_check(states, family, w: np.ndarray,
-                                g_star: np.ndarray, v_star: np.ndarray) -> dict:
+def stationarity_identity_check(states, family, g_star: np.ndarray,
+                                v_star: np.ndarray) -> dict:
     """Exact per-step identity of the primal-dual recursion along states,
     a trajectory of algorithms.PrimalDualState.
 
     grad(x^{t+1}) - g* + root (v^{t+1} - v*) + eps (x^{t+1} - x^t) + e^t
     must vanish, with g* the node gradients at x* and e^t the step's
     second-order remainder grad(x^t) - grad(x^{t+1}) + hess(x^t) dx
-    - alpha (I - W) dx: each iterate's gradient and curvature weights
-    are its state's, and one Hessian per step comes from the weights.
+    - alpha (I - W) dx: W, the root and the steps are the first state's,
+    each iterate's gradient and curvature weights its own state's, and
+    one Hessian per step comes from the weights.
     Returns the report entry; `worst` is the residual relative to the
     largest gradient magnitude seen, and must stay within 1e-8.
     """
-    root, alpha, eps = states[0].root, states[0].alpha, states[0].eps
+    w, root, alpha, eps = states[0].w, states[0].root, states[0].alpha, states[0].eps
     scale = 1.0
     worst = 0.0
     for s0, s1 in zip(states, states[1:]):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from .harness import (PRESET_NAMES, RunConfig, TopologySpec, build_network,
                       run_experiment, topology_sweep, topology_to_doc,
                       write_outputs)
 from .objectives import ObjectiveBounds
+from .topology import KINDS
 
 
 def _load_config(args) -> RunConfig:
@@ -155,8 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectra", help="spectral report for a topology")
-    sp.add_argument("--kind", required=True,
-                    help="line, cycle, complete, or random")
+    sp.add_argument("--kind", required=True, help=f"one of {', '.join(KINDS)}")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--tau", type=float, default=None)
     sp.add_argument("--seed-topology", type=int, default=None)
@@ -179,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "certify":  # a certificate depends on no iteration
             sp.add_argument("--iters", type=int, default=None)
         if name == "sweep":
-            sp.add_argument("--kinds", default="line,cycle,complete")
+            kinds = inspect.signature(topology_sweep).parameters["kinds"].default
+            sp.add_argument("--kinds", default=",".join(kinds))
         if name == "certify":  # explicit mode: bounds and spectra by hand
             for flag in ("--mu", "--lip", "--lambda-max", "--lambda-min-nz",
                          "--alpha", "--eps"):

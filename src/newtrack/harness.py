@@ -24,9 +24,9 @@ from . import algorithms as alg
 from . import analysis
 from .objectives import (ObjectiveBounds, convexity_bounds,
                          generate_logistic_data, generate_quadratic_set)
-from .topology import (KINDS, Graph, MixingMatrix, SpectralStats,
-                       build_topology, laplacian, metropolis_weights,
-                       random_budget, spectral_stats)
+from .topology import (Graph, MixingMatrix, SpectralStats, build_topology,
+                       known_kind, metropolis_weights, random_budget,
+                       spectral_stats)
 
 
 # Data family -> (n, DataSpec) -> its local objectives.  The generators are
@@ -39,31 +39,22 @@ FAMILIES = {
 
 
 class Method(NamedTuple):
-    """How a run starts a method, what its rounds exchange and send.
-
-    `init(family, graph, spec)` returns the state at t = 0 (only dlm's
-    reads the graph: its degrees); the step is
-    `algorithms.<name>_step(state, family, exchange(net))`: I - W for nt,
-    gt and extra, the Laplacian for dlm (the q-form's D).  Both
+    """How a run starts a method: `init(family, net, spec)` returns the
+    state at t = 0, which carries the exchange operator and the vectors a
+    round sends; the step is `algorithms.<name>_step(state, family)`.  Both
     are looked up on the algorithms module at call time, so wrappers
     installed there (a tracer's) see every call, each method's apart.
     """
 
     init: Callable
-    exchange: Callable  # Network -> the n x n operator a step is handed
-    vectors: int  # (n, p) arrays exchanged per round
     needs_eps: bool
 
 
 METHODS = {
-    "nt": Method(lambda fam, graph, s: alg.nt_init(fam, s.alpha, s.eps),
-                 lambda net: net.mix.disagreement, 1, True),
-    "gt": Method(lambda fam, graph, s: alg.gt_init(fam, s.alpha),
-                 lambda net: net.mix.disagreement, 2, False),
-    "extra": Method(lambda fam, graph, s: alg.extra_init(fam, s.alpha),
-                    lambda net: net.mix.disagreement, 1, False),
-    "dlm": Method(lambda fam, graph, s: alg.dlm_init(fam, graph, s.alpha, s.eps),
-                  lambda net: laplacian(net.graph), 1, True),
+    "nt": Method(lambda fam, net, s: alg.nt_init(fam, net.mix, s.alpha, s.eps), True),
+    "gt": Method(lambda fam, net, s: alg.gt_init(fam, net.mix, s.alpha), False),
+    "extra": Method(lambda fam, net, s: alg.extra_init(fam, net.mix, s.alpha), False),
+    "dlm": Method(lambda fam, net, s: alg.dlm_init(fam, net.graph, s.alpha, s.eps), True),
 }
 
 
@@ -190,8 +181,9 @@ def _one_of(name: str, value, allowed) -> None:
 
 @dataclass(frozen=True)
 class TopologySpec:
-    """Construction checks the fields build_network reads; a pinned file
-    replaces the generator, and with it tau and seed."""
+    """Construction checks the fields build_network reads, the generator's
+    by topology's rules; a pinned file replaces the generator, and with it
+    tau and seed."""
 
     kind: str  # one of topology.KINDS
     n: int
@@ -200,18 +192,18 @@ class TopologySpec:
     file: str | None = None  # pinned topology JSON overrides the generator
 
     def __post_init__(self):
-        _one_of("topology.kind", self.kind, KINDS)
-        _at_least("topology.n", self.n, 2)  # I - W needs a nonzero eigenvalue
-        _number("topology.tau", self.tau)
-        if self.tau is not None and not math.isfinite(self.tau):  # a record cannot hold it
-            raise ValueError(f"topology.tau: must be a finite number, got {self.tau!r}")
-        if self.seed is not None:
-            _at_least("topology.seed", self.seed, 0)
-        if self.kind == "random" and self.file is None:
-            try:
+        try:
+            known_kind(self.kind)
+            _at_least("n", self.n, 2)  # I - W needs a nonzero eigenvalue
+            _number("tau", self.tau)
+            if self.tau is not None and not math.isfinite(self.tau):  # a record cannot hold it
+                raise ValueError(f"tau: must be a finite number, got {self.tau!r}")
+            if self.seed is not None:
+                _at_least("seed", self.seed, 0)
+            if self.kind == "random" and self.file is None:
                 random_budget(self.n, self.tau, self.seed)
-            except ValueError as err:
-                raise ValueError(f"topology.{err}") from None
+        except ValueError as err:
+            raise ValueError(f"topology.{err}") from None
 
 
 @dataclass(frozen=True)
@@ -606,13 +598,10 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
     """
     family, root = obj.family, net.spectra.root
     n, p = family.n, family.p
-    method = METHODS[spec.name]
     step = getattr(alg, f"{spec.name}_step")
-    op = method.exchange(net)
     x_star, g_star = obj.optimum
     target = np.tile(x_star, (n, 1))
     denom = max(alg.norm(target), 1e-300)
-    per_round = method.vectors * n * p  # scalars a round sends
     trace = ConvergenceTrace(algorithm=spec.name, alpha=spec.alpha, eps=spec.eps)
 
     # Only nt's trace records kkt_dual = ||q - alpha (I - W) x|| (the
@@ -670,7 +659,8 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
     def reached() -> bool:
         return stop_tol is not None and rel_error[-1] <= stop_tol
 
-    state = method.init(family, net.graph, spec)
+    state = METHODS[spec.name].init(family, net, spec)
+    per_round = (1 + state.second_exchange) * n * p  # scalars a round sends
     rel_error.append(alg.norm(state.x - target) / denom)
     wall_ms.append(0.0)
     block = []
@@ -682,7 +672,7 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
             if reached():
                 break
             tic = time.perf_counter_ns()
-            state = step(state, family, op)
+            state = step(state, family)
             wall = (time.perf_counter_ns() - tic) / 1e6
             rel = alg.norm(state.x - target) / denom
             if not math.isfinite(rel):
@@ -831,9 +821,9 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
     stationarity identity replay nt and its primal-dual form, tracker_mean
     gt and textbook gradient tracking (x1 = W x - a y, y1 = W y + g1 - g),
     each over the iterates the trace holds: a diverged run's overflow
-    shows as failed checks, not as warnings.  nt and gt start and exchange
-    as their METHODS entries wire the run.  nt's certificate is the
-    re-run's, and v* is derived again from obj's g* and net's root.
+    shows as failed checks, not as warnings.  nt and gt start as their
+    METHODS entries start the run.  nt's certificate is the re-run's, and
+    v* is derived again from obj's g* and net's root.
     """
     checks = {}
     mix, spectra, family = net.mix, net.spectra, obj.family
@@ -843,13 +833,12 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
         steps = min(len(trace) - 1, window)
         cons = max(trace.tracking_residual[:steps + 1])
         checks["conservation"] = {"passed": cons < 1e-9, "detail": {"worst": cons}}
-        method = METHODS["nt"]
-        state, op = method.init(family, net.graph, spec), method.exchange(net)
-        pds = [alg.pd_init(family, spectra.root, spec.alpha, spec.eps)]
+        state = METHODS["nt"].init(family, net, spec)
+        pds = [alg.pd_init(family, mix, spectra.root, spec.alpha, spec.eps)]
         equiv_worst = 0.0
         for _ in range(steps):
-            state = alg.nt_step(state, family, op)
-            pds.append(pd := alg.pd_step(pds[-1], family, mix.w))
+            state = alg.nt_step(state, family)
+            pds.append(pd := alg.pd_step(pds[-1], family))
             equiv_worst = max(equiv_worst, float(np.max(np.abs(state.x - pd.x))))
         checks["equivalence"] = {"passed": equiv_worst < 1e-8,
                                  "detail": {"worst": equiv_worst,
@@ -858,19 +847,19 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
             trace.remainder_norm[1:steps + 1], trace.remainder_bound[1:steps + 1])
         g_star = obj.optimum[1]
         checks["stationarity_identity"] = analysis.stationarity_identity_check(
-            pds, family, mix.w, g_star, analysis.dual_optimum(g_star, spectra.root))
+            pds, family, g_star, analysis.dual_optimum(g_star, spectra.root))
         cert = rerun.certificates["nt"]
         if cert["feasible"]:
             checks["contraction"] = analysis.contraction_check(
                 trace.gnorm_error[:steps + 1], cert)
 
     if "gt" in specs:
-        spec, method = specs["gt"], METHODS["gt"]
-        state, op = method.init(family, net.graph, spec), method.exchange(net)
+        spec = specs["gt"]
+        state = METHODS["gt"].init(family, net, spec)
         x, y = state.x, state.grad
         g, worst = y, 0.0
         for _ in range(min(len(rerun.traces["gt"]) - 1, window)):
-            state = alg.gt_step(state, family, op)
+            state = alg.gt_step(state, family)
             x = mix.w @ x - spec.alpha * y
             g1 = family.grad_stack(x)
             y, g = mix.w @ y + g1 - g, g1

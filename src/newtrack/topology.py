@@ -189,6 +189,13 @@ def _random_spanning_tree(n: int, rng: np.random.Generator) -> list[tuple[int, i
     return edges
 
 
+def known_kind(kind: str) -> str:
+    """kind if build_topology generates it; the error names the argument."""
+    if kind not in KINDS:
+        raise ValueError(f"kind: unknown {kind!r}; expected one of {list(KINDS)}")
+    return kind
+
+
 def random_budget(n: int, tau: float | None, seed: int | None) -> int:
     """Edges of a random topology, round(tau n(n-1)/2) half up, after its
     rules in order: tau in (0, 1], at least the n - 1 that connect, a seed."""
@@ -208,23 +215,18 @@ def build_topology(kind: str, n: int, tau: float | None = None,
 
     Parameters
     ----------
-    kind : one of KINDS
+    kind : one of KINDS, checked by known_kind
         Topology family.  "random" draws a uniformly random spanning tree
         and then adds distinct random non-tree edges up to random_budget.
     n : int
-        Number of nodes, n >= 1.
+        Number of nodes, n >= 1, checked by Graph.
     tau : float, optional
         Edge density; required for kind="random", checked by random_budget.
     seed : int, optional
         Seed for the random topology; required for kind="random".
         The same (kind, n, tau, seed) always yields the same edge set.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown topology kind {kind!r}; expected one of "
-                         f"{list(KINDS)}")
-    if n < 1:
-        raise ValueError(f"need at least one node, got n={n}")
-    if kind == "line":
+    if known_kind(kind) == "line":
         edges = [(i, i + 1) for i in range(n - 1)]
     elif kind == "cycle":
         edges = [(i, i + 1) for i in range(n - 1)]
@@ -232,6 +234,8 @@ def build_topology(kind: str, n: int, tau: float | None = None,
             edges = sorted(edges + [(0, n - 1)])
     elif kind == "complete":
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    elif n < 1:  # no random draw on no nodes: Graph refuses n < 1
+        edges = ()
     else:  # "random"
         target = random_budget(n, tau, seed)
         rng = np.random.default_rng(seed)

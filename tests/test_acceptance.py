@@ -63,12 +63,12 @@ def test_criterion_01_formulation_equivalence():
 
     def worst_gap(fam, mix, alpha, eps):
         root = spectral_stats(mix).root
-        nt = nt_init(fam, alpha, eps)
-        pd = pd_init(fam, root, alpha, eps)
+        nt = nt_init(fam, mix, alpha, eps)
+        pd = pd_init(fam, mix, root, alpha, eps)
         gap = 0.0
         for _ in range(100):
-            nt = nt_step(nt, fam, mix.disagreement)
-            pd = pd_step(pd, fam, mix.w)
+            nt = nt_step(nt, fam)
+            pd = pd_step(pd, fam)
             gap = max(gap, float(np.max(np.abs(nt.x - pd.x))))
         return gap
 
@@ -104,10 +104,10 @@ def test_criterion_03_certified_contraction():
     cert = rate_certificate(convexity_bounds(fam), stats, alpha, eps,
                             beta=2.0, phi=2.0)
 
-    st = pd_init(fam, stats.root, alpha, eps)
+    st = pd_init(fam, mix, stats.root, alpha, eps)
     xs, vs = [st.x], [st.v]
     for _ in range(200):
-        st = pd_step(st, fam, mix.w)
+        st = pd_step(st, fam)
         xs.append(st.x)
         vs.append(st.v)
     x_star = optimum(fam)
@@ -129,10 +129,10 @@ def test_criterion_04_remainder_bound():
         # The q-form's iterates and the worst gap between its remainder,
         # eps u0 - (q1 - alpha (I - W) x1), and the Hessian-based one.
         d = mix.disagreement
-        st = nt_init(fam, alpha, eps)
+        st = nt_init(fam, mix, alpha, eps)
         xs, gap = [st.x], 0.0
         for _ in range(iters):
-            nxt = nt_step(st, fam, mix.disagreement)
+            nxt = nt_step(st, fam)
             e = eps * st.u - (nxt.q - alpha * (d @ nxt.x))
             ref = approximation_error(st.x, nxt.x, fam, mix.w, alpha)
             gap = max(gap, float(np.max(np.abs(e - ref))))
@@ -243,11 +243,11 @@ def test_criterion_10_scalar_recursion():
     # Single node, f(x) = (x - 1)^2 / 2, eps = 1: the iterates halve the
     # distance to 1 every step.
     fam = QuadraticFamily(np.ones((1, 1, 1)), np.array([[-1.0]]))
-    d = np.zeros((1, 1))  # I - W of a single node
-    st = nt_init(fam, alpha=1.0, eps=1.0)
+    single = metropolis_weights(build_topology("complete", 1))  # I - W = 0
+    st = nt_init(fam, single, alpha=1.0, eps=1.0)
     iterates = [st.x[0, 0]]
     for _ in range(20):
-        st = nt_step(st, fam, d)
+        st = nt_step(st, fam)
         iterates.append(st.x[0, 0])
     head_ok = np.allclose(iterates[:4], [0.0, 0.5, 0.75, 0.875], atol=1e-12)
     errors = np.abs(np.asarray(iterates) - 1.0)

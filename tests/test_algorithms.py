@@ -8,8 +8,8 @@ two-recursion form, which rebuilds the tracked direction from the
 previous Hessian, and the EXTRA and DLM oracles are their published
 two-step recursions, and the gradient-tracking oracle is its textbook
 two-recursion form; the module under test carries all four as q-forms.
-A q-form step takes the operator D of its method: I - W for nt, EXTRA and
-gradient tracking, the graph Laplacian for DLM.
+A q-form method's init fixes its operator D, which its state carries: I - W
+for nt, EXTRA and gradient tracking, the graph Laplacian for DLM.
 """
 
 import dataclasses
@@ -36,7 +36,7 @@ from newtrack.harness import (AlgorithmSpec, DataSpec, RunConfig,
 from newtrack.objectives import (LogisticFamily, QuadraticFamily,
                                  generate_logistic_data,
                                  generate_quadratic_set, lower_band)
-from newtrack.topology import (build_topology, laplacian, metropolis_weights,
+from newtrack.topology import (build_topology, metropolis_weights,
                                spectral_stats)
 from oracles import node, optimum
 
@@ -44,6 +44,10 @@ from oracles import node, optimum
 def scalar_family(b=-1.0):
     # Single node, f(x) = x^2 / 2 + b x, optimum at -b.
     return QuadraticFamily(np.ones((1, 1, 1)), np.array([[b]]))
+
+
+# The mixing matrix of a single node: W = 1, so I - W = 0.
+SINGLE = metropolis_weights(build_topology("complete", 1))
 
 
 def cycle_setup(n=5, p=3, seed=0):
@@ -89,21 +93,20 @@ def test_scalar_halving_trace():
     # With A = 1, eps = 1, single node: H = 2 and the error halves each
     # step, so the iterates are 0, 0.5, 0.75, 0.875 toward x* = 1.
     fam = scalar_family(b=-1.0)
-    d = np.zeros((1, 1))  # I - W of a single node
-    st = nt_init(fam, alpha=1.0, eps=1.0)
+    st = nt_init(fam, SINGLE, alpha=1.0, eps=1.0)
     assert st.u[0, 0] == pytest.approx(-0.5, abs=1e-15)
     seen = [st.x[0, 0]]
     for _ in range(3):
-        st = nt_step(st, fam, d)
+        st = nt_step(st, fam)
         seen.append(st.x[0, 0])
     assert_allclose(seen, [0.0, 0.5, 0.75, 0.875], atol=1e-12)
 
 
 def test_zero_gradient_start_stays_put():
     fam = scalar_family(b=0.0)
-    st = nt_init(fam, alpha=1.0, eps=1.0)
+    st = nt_init(fam, SINGLE, alpha=1.0, eps=1.0)
     assert st.u[0, 0] == 0.0
-    st = nt_step(st, fam, np.zeros((1, 1)))
+    st = nt_step(st, fam)
     assert st.x[0, 0] == 0.0
 
 
@@ -115,7 +118,7 @@ def assert_nt_matches_plain_loop(fam, mix, alpha, eps):
     h = np.array([node(fam, i).hess(x[i]) + eps * np.eye(p) for i in range(n)])
     u = np.array([np.linalg.solve(h[i], g[i]) for i in range(n)])
 
-    st = nt_init(fam, alpha, eps)
+    st = nt_init(fam, mix, alpha, eps)
     assert_allclose(st.u, u, atol=1e-13)
     for _ in range(50):
         x1 = x - u
@@ -127,7 +130,7 @@ def assert_nt_matches_plain_loop(fam, mix, alpha, eps):
         u = np.array([np.linalg.solve(h1[i], h[i] @ u[i] + g1[i] - g[i] + dis[i])
                       for i in range(n)])
         x, g, h = x1, g1, h1
-        st = nt_step(st, fam, mix.disagreement)
+        st = nt_step(st, fam)
         assert np.max(np.abs(st.x - x)) < 1e-12
         assert np.max(np.abs(st.u - u)) < 1e-12
 
@@ -149,12 +152,12 @@ def conservation_residual(state):
 
 
 def assert_conservation_along_run(fam):
-    d = metropolis_weights(build_topology("cycle", fam.n)).disagreement
+    mix = metropolis_weights(build_topology("cycle", fam.n))
     eps = 1.0
-    st = nt_init(fam, alpha=1.0, eps=eps)
+    st = nt_init(fam, mix, alpha=1.0, eps=eps)
     assert conservation_residual(st) < 1e-12
     for _ in range(50):
-        st = nt_step(st, fam, d)
+        st = nt_step(st, fam)
         assert conservation_residual(st) < 1e-9
         # sum_i q_i = sum_i grad_i carries over to the solved direction:
         # sum_i (hess_i + eps I) u_i = sum_i grad_i.
@@ -173,14 +176,14 @@ def test_conservation_holds_along_run_with_fewer_samples_than_features():
 
 
 def qform_start(method, fam, graph, mix, alpha, eps):
-    """(state at t = 0, operator D) of a q-form method."""
+    """The state at t = 0 of a q-form method, which carries its operator D."""
     if method == "nt":
-        return nt_init(fam, alpha, eps), mix.disagreement
+        return nt_init(fam, mix, alpha, eps)
     if method == "extra":
-        return extra_init(fam, alpha), mix.disagreement
+        return extra_init(fam, mix, alpha)
     if method == "gt":
-        return gt_init(fam, alpha), mix.disagreement
-    return dlm_init(fam, graph, alpha, eps), laplacian(graph)
+        return gt_init(fam, mix, alpha)
+    return dlm_init(fam, graph, alpha, eps)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -198,10 +201,10 @@ def test_conservation_on_random_instances(n, tau, m, p, quadratic, alpha, eps,
     fam = generate_quadratic_set(n=n, p=p, seed=seed) if quadratic \
         else wide_logistic(n=n, m=m, p=p, seed=seed)
     for method in ("nt", "extra", "dlm"):
-        st_, d = qform_start(method, fam, graph, mix, alpha, eps)
+        st_ = qform_start(method, fam, graph, mix, alpha, eps)
         assert conservation_residual(st_) == 0.0
         for _ in range(30):
-            st_ = nt_step(st_, fam, d)
+            st_ = nt_step(st_, fam)
             assert conservation_residual(st_) <= 1e-9, method
 
 
@@ -212,9 +215,10 @@ def test_nt_fixed_point():
     tile = np.tile(x_star, (fam.n, 1))
     st = NewtonTrackingState(x=tile, q=np.zeros_like(tile),
                              u=np.zeros_like(tile), grad=fam.grad_stack(tile),
-                             dx=mix.disagreement @ tile, alpha=0.7, eps=eps, t=0)
+                             dx=mix.disagreement @ tile, d=mix.disagreement,
+                             alpha=0.7, eps=eps, t=0)
     assert conservation_residual(st) < 1e-12
-    nxt = nt_step(st, fam, mix.disagreement)
+    nxt = nt_step(st, fam)
     assert np.max(np.abs(nxt.x - tile)) < 1e-12
     assert np.max(np.abs(nxt.u)) < 1e-12
 
@@ -224,12 +228,12 @@ def test_nt_fixed_point():
 # ---------------------------------------------------------------------------
 
 def run_both_ways(fam, mix, alpha, eps, iters):
-    nt = nt_init(fam, alpha, eps)
-    pd = pd_init(fam, spectral_stats(mix).root, alpha, eps)
+    nt = nt_init(fam, mix, alpha, eps)
+    pd = pd_init(fam, mix, spectral_stats(mix).root, alpha, eps)
     gaps = []
     for _ in range(iters):
-        nt = nt_step(nt, fam, mix.disagreement)
-        pd = pd_step(pd, fam, mix.w)
+        nt = nt_step(nt, fam)
+        pd = pd_step(pd, fam)
         gaps.append(np.max(np.abs(nt.x - pd.x)))
     return max(gaps)
 
@@ -264,12 +268,12 @@ def test_first_primal_dual_step_is_regularized_newton():
     fam, _, mix = cycle_setup(seed=4)
     root = spectral_stats(mix).root
     eps = 2.0
-    pd = pd_step(pd_init(fam, root, 0.5, eps), fam, mix.w)
+    pd = pd_step(pd_init(fam, mix, root, 0.5, eps), fam)
     zero = np.zeros((fam.n, fam.p))
     h = fam.hess_blocks(fam.grad_curvature(zero)[1]) + eps * np.eye(fam.p)
     expected = -solve_spd_blocks(lower_band(h), fam.grad_stack(zero))
     assert_allclose(pd.x, expected, atol=1e-13)
-    nt = nt_step(nt_init(fam, 0.5, eps), fam, mix.disagreement)
+    nt = nt_step(nt_init(fam, mix, 0.5, eps), fam)
     assert_allclose(pd.x, nt.x, atol=1e-13)
 
 
@@ -278,16 +282,16 @@ def test_dual_iterate_stays_in_root_range():
     # so the dual variable sums to zero across nodes forever.
     fam, _, mix = cycle_setup(seed=5)
     root = spectral_stats(mix).root
-    pd = pd_init(fam, root, 0.8, 1.0)
+    pd = pd_init(fam, mix, root, 0.8, 1.0)
     for _ in range(40):
-        pd = pd_step(pd, fam, mix.w)
+        pd = pd_step(pd, fam)
         assert np.max(np.abs(pd.v.sum(axis=0))) < 1e-10
 
 
 def test_tracked_direction_matches_initial_direction():
     # q starts at grad(0) and u solves the regularized system against it.
-    fam, _, _ = cycle_setup(seed=6)
-    nt = nt_init(fam, 0.9, 1.3)
+    fam, _, mix = cycle_setup(seed=6)
+    nt = nt_init(fam, mix, 0.9, 1.3)
     zero = np.zeros((fam.n, fam.p))
     assert np.array_equal(nt.q, fam.grad_stack(zero))
     h = fam.hess_blocks(fam.grad_curvature(zero)[1]) + 1.3 * np.eye(fam.p)
@@ -301,11 +305,10 @@ def test_tracked_direction_matches_initial_direction():
 
 def test_gradient_tracking_scalar_trace():
     fam = scalar_family(b=-1.0)
-    d = np.zeros((1, 1))  # I - W of a single node
-    st = gt_init(fam, alpha=0.5)
+    st = gt_init(fam, SINGLE, alpha=0.5)
     seen = [st.x[0, 0]]
     for _ in range(2):
-        st = gt_step(st, fam, d)
+        st = gt_step(st, fam)
         seen.append(st.x[0, 0])
     assert_allclose(seen, [0.0, 0.5, 0.75], atol=1e-15)
 
@@ -322,23 +325,22 @@ def test_gradient_tracking_matches_plain_loop():
     x = np.zeros((n, fam.p))
     g = np.array([node(fam, i).grad(x[i]) for i in range(n)])
     y = g.copy()
-    st = gt_init(fam, alpha)
+    st = gt_init(fam, mix, alpha)
     for _ in range(50):
         x = slow_mix(w, x) - alpha * y
         g1 = np.array([node(fam, i).grad(x[i]) for i in range(n)])
         y = slow_mix(w, y) + g1 - g
         g = g1
-        st = gt_step(st, fam, mix.disagreement)
+        st = gt_step(st, fam)
         assert np.max(np.abs(st.x - x)) < 1e-12
         assert np.max(np.abs(tracker(st) - y)) < 1e-12
 
 
 def test_tracker_mean_equals_gradient_mean():
     fam = generate_logistic_data(n=6, m=8, p=4, reg=1e-3, seed=4)
-    d = metropolis_weights(build_topology("cycle", 6)).disagreement
-    st = gt_init(fam, 0.1)
+    st = gt_init(fam, metropolis_weights(build_topology("cycle", 6)), 0.1)
     for _ in range(30):
-        st = gt_step(st, fam, d)
+        st = gt_step(st, fam)
         grads = fam.grad_stack(st.x)
         assert np.max(np.abs(tracker(st).mean(axis=0) - grads.mean(axis=0))) < 1e-10
 
@@ -356,13 +358,12 @@ def test_gradient_tracking_floor_stays_flat(name):
 
 def test_extra_scalar_trace():
     fam = scalar_family(b=-1.0)
-    d = np.zeros((1, 1))  # I - W of a single node
-    st = extra_init(fam, alpha=0.5)
+    st = extra_init(fam, SINGLE, alpha=0.5)
     assert st.t == 0 and st.x[0, 0] == 0.0
-    st = extra_step(st, fam, d)
+    st = extra_step(st, fam)
     assert st.t == 1
     assert st.x[0, 0] == pytest.approx(0.5, abs=1e-15)
-    st = extra_step(st, fam, d)
+    st = extra_step(st, fam)
     assert st.x[0, 0] == pytest.approx(0.75, abs=1e-15)
 
 
@@ -387,14 +388,14 @@ def test_extra_matches_plain_loop():
         x0 = np.zeros((fam.n, fam.p))
         g0 = local_grads(fam, x0)
         x1 = slow_mix(w, x0) - alpha * g0
-        st = extra_step(extra_init(fam, alpha), fam, mix.disagreement)
+        st = extra_step(extra_init(fam, mix, alpha), fam)
         assert_allclose(st.x, x1, atol=1e-14)
         for _ in range(50):
             g1 = local_grads(fam, x1)
             x2 = x1 + slow_mix(w, x1) - 0.5 * (x0 + slow_mix(w, x0)) \
                 - alpha * (g1 - g0)
             x0, x1, g0 = x1, x2, g1
-            st = extra_step(st, fam, mix.disagreement)
+            st = extra_step(st, fam)
             assert np.max(np.abs(st.x - x1)) < 1e-12
 
 
@@ -402,7 +403,7 @@ def test_dlm_single_node_recursion():
     fam = scalar_family(b=-1.0)
     g = build_topology("complete", 1)
     eps, alpha = 2.0, 0.5
-    st = dlm_step(dlm_init(fam, g, alpha=alpha, eps=eps), fam, laplacian(g))
+    st = dlm_step(dlm_init(fam, g, alpha=alpha, eps=eps), fam)
     # degree 0: D = 1/eps and the Laplacian vanishes
     grad0 = -1.0
     x0, x1 = 0.0, -grad0 / eps
@@ -411,7 +412,7 @@ def test_dlm_single_node_recursion():
         g1 = x1 - 1.0
         x2 = 2.0 * x1 - x0 - (g1 - grad0) / eps
         x0, x1, grad0 = x1, x2, g1
-        st = dlm_step(st, fam, laplacian(g))
+        st = dlm_step(st, fam)
         assert st.x[0, 0] == pytest.approx(x1, abs=1e-13)
 
 
@@ -424,7 +425,7 @@ def test_dlm_matches_plain_loop():
         x0 = np.zeros((fam.n, fam.p))
         g0 = local_grads(fam, x0)
         x1 = x0 - alpha * dscale[:, None] * (lap @ x0) - dscale[:, None] * g0
-        st = dlm_step(dlm_init(fam, graph, alpha, eps), fam, laplacian(graph))
+        st = dlm_step(dlm_init(fam, graph, alpha, eps), fam)
         assert_allclose(st.x, x1, atol=1e-14)
         for _ in range(50):
             g1 = local_grads(fam, x1)
@@ -432,7 +433,7 @@ def test_dlm_matches_plain_loop():
             x2 = z - alpha * dscale[:, None] * (lap @ z) \
                 - dscale[:, None] * (g1 - g0)
             x0, x1, g0 = x1, x2, g1
-            st = dlm_step(st, fam, laplacian(graph))
+            st = dlm_step(st, fam)
             assert np.max(np.abs(st.x - x1)) < 1e-12
 
 
@@ -442,9 +443,9 @@ def test_dlm_matches_plain_loop():
 
 def test_states_cannot_be_assigned():
     fam, graph, mix = cycle_setup(seed=10)
-    states = [nt_init(fam, 1.0, 1.5), extra_init(fam, 0.1),
-              dlm_init(fam, graph, 0.1, 0.4), gt_init(fam, 0.05),
-              pd_init(fam, spectral_stats(mix).root, 1.0, 1.5)]
+    states = [nt_init(fam, mix, 1.0, 1.5), extra_init(fam, mix, 0.1),
+              dlm_init(fam, graph, 0.1, 0.4), gt_init(fam, mix, 0.05),
+              pd_init(fam, mix, spectral_stats(mix).root, 1.0, 1.5)]
     for state in states:
         with pytest.raises(AttributeError):
             state.x = np.ones_like(state.x)
@@ -462,9 +463,9 @@ def test_baseline_fixed_points():
 
     # The q-form fixed point: x = x*, q = u = 0, grad = g*.
     for method in ("gt", "extra", "dlm"):
-        st, d = qform_start(method, fam, graph, mix, 0.1, 0.4)
+        st = qform_start(method, fam, graph, mix, 0.1, 0.4)
         st = st._replace(x=tile, q=zero, u=zero, grad=g_star, t=1)
-        st = nt_step(st, fam, d)
+        st = nt_step(st, fam)
         assert np.max(np.abs(st.x - tile)) < 1e-12, method
         assert np.max(np.abs(st.u)) < 1e-12, method
 
@@ -479,15 +480,15 @@ def test_all_methods_reach_the_same_consensus():
     mix = metropolis_weights(graph)
     tile = np.tile(centralized_reference(fam, tol=1e-13)[0], (6, 1))
 
-    nt = nt_init(fam, 1.0, 1.0)
-    gt = gt_init(fam, 0.15)
-    ex = extra_init(fam, 0.3)
+    nt = nt_init(fam, mix, 1.0, 1.0)
+    gt = gt_init(fam, mix, 0.15)
+    ex = extra_init(fam, mix, 0.3)
     dl = dlm_init(fam, graph, 0.3, 0.3)
     for _ in range(800):
-        nt = nt_step(nt, fam, mix.disagreement)
-        gt = gt_step(gt, fam, mix.disagreement)
-        ex = extra_step(ex, fam, mix.disagreement)
-        dl = dlm_step(dl, fam, laplacian(graph))
+        nt = nt_step(nt, fam)
+        gt = gt_step(gt, fam)
+        ex = extra_step(ex, fam)
+        dl = dlm_step(dl, fam)
     for st in (nt, gt, ex, dl):
         assert np.max(np.abs(st.x - tile)) < 1e-6
 
@@ -744,14 +745,14 @@ def test_one_sigmoid_pass_per_round(monkeypatch, n, m, p):
     # call, on the dense path (fig1) and the m < p path (fig5 shape).
     fam = generate_logistic_data(n=n, m=m, p=p, reg=1e-3, seed=1)
     mix = metropolis_weights(build_topology("cycle", n))
-    nt = nt_init(fam, 0.5, 1.0)
-    pd = pd_init(fam, spectral_stats(mix).root, 0.5, 1.0)
+    nt = nt_init(fam, mix, 0.5, 1.0)
+    pd = pd_init(fam, mix, spectral_stats(mix).root, 0.5, 1.0)
     calls = []
     real = objectives.expit
     monkeypatch.setattr(objectives, "expit", lambda z: calls.append(z) or real(z))
-    nt_step(nt, fam, mix.disagreement)
+    nt_step(nt, fam)
     assert len(calls) == 1
-    pd_step(pd, fam, mix.w)
+    pd_step(pd, fam)
     assert len(calls) == 2
 
 
@@ -764,13 +765,13 @@ def test_pd_states_carry_the_oracle_at_their_iterate(monkeypatch):
     calls = []
     real = fam.grad_curvature
     monkeypatch.setattr(fam, "grad_curvature", lambda x: calls.append(x) or real(x))
-    state = pd_init(fam, spectral_stats(mix).root, 0.5, 1.0)
+    state = pd_init(fam, mix, spectral_stats(mix).root, 0.5, 1.0)
     for t in range(4):
         assert len(calls) == t + 1 and calls[-1] is state.x
         g, curve = real(state.x)
         assert_array_equal(state.grad, g)
         assert_array_equal(state.curve, curve)
-        state = pd_step(state, fam, mix.w)
+        state = pd_step(state, fam)
 
 
 @pytest.mark.parametrize("method", ["nt", "extra", "dlm"])
@@ -784,9 +785,9 @@ def test_only_nt_rounds_form_curvature_weights(monkeypatch, method):
         real = getattr(fam, name)
         monkeypatch.setattr(fam, name, lambda x, real=real, name=name:
                             calls.append(name) or real(x))
-    state, d = qform_start(method, fam, graph, metropolis_weights(graph), 0.5, 1.0)
+    state = qform_start(method, fam, graph, metropolis_weights(graph), 0.5, 1.0)
     for _ in range(3):
-        state = nt_step(state, fam, d)
+        state = nt_step(state, fam)
     assert calls == ["grad_curvature" if method == "nt" else "grad_stack"] * 4
 
 
@@ -804,21 +805,21 @@ def test_norm_is_linalg_norm_bit_for_bit(n, p, log_scale, seed):
 
 def test_init_validation():
     fam = scalar_family()
-    w = np.array([[1.0]])
+    root = np.array([[0.0]])
     g = build_topology("complete", 1)
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError):
-            nt_init(fam, bad, 1.0)
+            nt_init(fam, SINGLE, bad, 1.0)
         with pytest.raises(ValueError):
-            nt_init(fam, 1.0, bad)
+            nt_init(fam, SINGLE, 1.0, bad)
         with pytest.raises(ValueError):
-            pd_init(fam, w, bad, 1.0)
+            pd_init(fam, SINGLE, root, bad, 1.0)
         with pytest.raises(ValueError):
-            pd_init(fam, w, 1.0, bad)
+            pd_init(fam, SINGLE, root, 1.0, bad)
         with pytest.raises(ValueError):
-            gt_init(fam, bad)
+            gt_init(fam, SINGLE, bad)
         with pytest.raises(ValueError):
-            extra_init(fam, bad)
+            extra_init(fam, SINGLE, bad)
         with pytest.raises(ValueError):
             dlm_init(fam, g, bad, 1.0)
 

@@ -215,9 +215,9 @@ def test_kkt_residual_at_optimum():
 # ---------------------------------------------------------------------------
 
 def pd_states(fam, mix, stats, alpha, eps, iters):
-    states = [pd_init(fam, stats.root, alpha, eps)]
+    states = [pd_init(fam, mix, stats.root, alpha, eps)]
     for _ in range(iters):
-        states.append(pd_step(states[-1], fam, mix.w))
+        states.append(pd_step(states[-1], fam))
     return states
 
 
@@ -286,7 +286,7 @@ def test_stationarity_identity_on_run():
     x_star = optimum(fam)
     g_star = consensus_grads(fam, x_star)
     v_star = dual_optimum(g_star, stats.root)
-    rep = stationarity_identity_check(states, fam, mix.w, g_star, v_star)
+    rep = stationarity_identity_check(states, fam, g_star, v_star)
     assert rep["passed"]
     assert rep["detail"]["worst"] < 1e-8
 
@@ -295,7 +295,7 @@ def test_stationarity_identity_on_run():
     shift = np.zeros_like(states[0].v)
     shift[0] = 0.1
     bad = [s._replace(v=s.v + shift) for s in states]
-    rep_bad = stationarity_identity_check(bad, fam, mix.w, g_star, v_star)
+    rep_bad = stationarity_identity_check(bad, fam, g_star, v_star)
     assert not rep_bad["passed"]
 
 
@@ -330,7 +330,7 @@ def test_stationarity_identity_takes_one_sigmoid_pass_per_iterate(monkeypatch, m
                         lambda self, x: calls.append(x) or real(self, x))
     states = pd_states(fam, mix, stats, alpha, eps, iters=15)
     assert len(calls) == len(states)
-    rep = stationarity_identity_check(states, fam, mix.w, g_star, v_star)
+    rep = stationarity_identity_check(states, fam, g_star, v_star)
     assert len(calls) == len(states)
     assert rep == {"passed": True, "detail": {"worst": worst}}
 

@@ -106,11 +106,11 @@ def test_local_solves_go_through_solve_spd_blocks(monkeypatch, family, b):
                         lambda *args: calls.append("reg_solve") or real_reg(*args))
     monkeypatch.setattr(algorithms, "solve_spd_blocks", lambda blocks, rhs:
                         calls.append(blocks.shape) or real_blocks(blocks, rhs))
-    state = algorithms.nt_init(family, 0.5, 1.0)
-    pd = algorithms.pd_init(family, spectral_stats(mix).root, 0.5, 1.0)
+    state = algorithms.nt_init(family, mix, 0.5, 1.0)
+    pd = algorithms.pd_init(family, mix, spectral_stats(mix).root, 0.5, 1.0)
     for _ in range(2):
-        state = algorithms.nt_step(state, family, mix.disagreement)
-        pd = algorithms.pd_step(pd, family, mix.w)
+        state = algorithms.nt_step(state, family)
+        pd = algorithms.pd_step(pd, family)
     assert calls == ["reg_solve", (n, b, b)] * 5
 
 

@@ -20,6 +20,7 @@ from scipy.special import expit
 from newtrack import algorithms as alg
 from newtrack import harness, objectives
 from newtrack.objectives import generate_logistic_data, lower_band
+from newtrack.topology import build_topology, metropolis_weights
 
 
 def same(name, got, frozen):
@@ -117,22 +118,23 @@ def test_rewritten_forms_match_frozen_forms(n, m, p, over_budget, scale, log_eps
        alpha=st.floats(0.01, 5.0), seed=st.integers(0, 2 ** 16))
 def test_round_updates_match_frozen_forms(n, m, p, alpha, seed):
     # nt_step's sums in place against their expressions, and those of its
-    # gradient-tracking branch, on a random symmetric exchange (any matrix
-    # serves for rounding).
+    # gradient-tracking branch, on a random symmetric exchange put into each
+    # start state (any matrix serves for rounding).
     fam = generate_logistic_data(n, m, p, reg=1e-2, seed=seed)
     rng = np.random.default_rng(seed)
     d = rng.standard_normal((n, n))
     d = d + d.T
-    state = alg.nt_init(fam, alpha, 1.0)
+    mix = metropolis_weights(build_topology("complete", n))
+    state = alg.nt_init(fam, mix, alpha, 1.0)._replace(d=d)
     for _ in range(2):  # past x = dx = 0
-        state = alg.nt_step(state, fam, d)
-    nxt = alg.nt_step(state, fam, d)
+        state = alg.nt_step(state, fam)
+    nxt = alg.nt_step(state, fam)
     same("nt_step", nxt.q, state.q + (nxt.grad - state.grad)
          + state.alpha * (2.0 * nxt.dx - state.dx))
 
-    state = alg.gt_init(fam, alpha)
+    state = alg.gt_init(fam, mix, alpha)._replace(d=d)
     for _ in range(2):  # past x = dx = 0
-        state = alg.gt_step(state, fam, d)
-    nxt = alg.gt_step(state, fam, d)
+        state = alg.gt_step(state, fam)
+    nxt = alg.gt_step(state, fam)
     same("gt_step", nxt.q, state.q + (nxt.grad - state.grad)
          + state.alpha * (2.0 * nxt.dx - state.dx - state.dx + d @ state.dx))

@@ -124,6 +124,41 @@ def test_tiny_run_traces():
     assert rec.ref_residual <= 1e-12  # centralized_reference's default tol
 
 
+class CountingOperator:
+    """An exchange operator D that counts its products D @ x."""
+
+    def __init__(self, d):
+        self.d, self.products = d, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.d @ x
+
+
+def test_scalars_sent_matches_the_products_each_round_makes():
+    # An oracle for the paper's communication cost that reads no
+    # declaration: each method starts as the run starts it, its operator is
+    # swapped for one that counts its products, and each round's count must
+    # be the vectors the trace says that round sent, (n, p) scalars each.
+    config = tiny_config(iters=6)
+    record = run_experiment(config)
+    net, obj = harness.build_network(config.topology), harness.build_objective(config)
+    n, p = obj.family.n, obj.family.p
+    counts = {}
+    for spec in config.algorithms:
+        state = harness.METHODS[spec.name].init(obj.family, net, spec)
+        state = state._replace(d=CountingOperator(state.d))
+        sent = record.traces[spec.name].scalars_sent
+        step = getattr(alg, f"{spec.name}_step")
+        for t in range(config.iters):
+            before = state.d.products
+            state = step(state, obj.family)
+            assert state.d.products - before == (sent[t + 1] - sent[t]) / (n * p), \
+                (spec.name, t)
+        counts[spec.name] = state.d.products
+    assert counts == {"nt": 6, "gt": 12, "extra": 6, "dlm": 6}
+
+
 def test_dual_metrics_only_for_curvature_tracked():
     rec = run_experiment(tiny_config(iters=5))
     nt, gt = rec.traces["nt"], rec.traces["gt"]
@@ -178,11 +213,11 @@ def test_feasible_run_validates_metric_once(monkeypatch):
     mix, root = net.mix, net.spectra.root
     q_mat = analysis.consensus_penalty_matrix(mix.w, spec.alpha, spec.eps)
     v_star = analysis.dual_optimum(consensus_grads(family, rec.x_star), root)
-    state = alg.nt_init(family, spec.alpha, spec.eps)
+    state = alg.nt_init(family, mix, spec.alpha, spec.eps)
     v = np.zeros_like(state.x)
     expected = [real(q_mat, rec.x_star, v_star, spec.alpha)(state.x, v)]
     for _ in range(cfg.iters):
-        state = alg.nt_step(state, family, mix.disagreement)
+        state = alg.nt_step(state, family)
         v = v + spec.alpha * (root @ state.x)
         expected.append(real(q_mat, rec.x_star, v_star, spec.alpha)(state.x, v))
     assert rec.traces["nt"].gnorm_error == expected
@@ -605,10 +640,10 @@ def test_qform_remainder_matches_hessian_reference():
     mix = metropolis_weights(build_topology("random", 10, tau=0.5, seed=7))
     family = generate_logistic_data(n=10, m=12, p=8, reg=1e-3, seed=1)
     spec = cfg.algorithms[0]
-    state = alg.nt_init(family, spec.alpha, spec.eps)
+    state = alg.nt_init(family, mix, spec.alpha, spec.eps)
     worst = 0.0
     for t in range(cfg.iters):
-        nxt = alg.nt_step(state, family, mix.disagreement)
+        nxt = alg.nt_step(state, family)
         ref = np.linalg.norm(approximation_error(state.x, nxt.x, family,
                                                  mix.w, spec.alpha))
         worst = max(worst, abs(rec.traces["nt"].remainder_norm[t + 1] - ref))
@@ -626,16 +661,16 @@ def assert_kkt_dual_matches_replays(record, pd_rounds):
     net, obj = harness.build_network(config.topology), harness.build_objective(config)
     family, d, root = obj.family, net.mix.disagreement, net.spectra.root
     spec = next(a for a in config.algorithms if a.name == "nt")
-    qf = alg.nt_init(family, spec.alpha, spec.eps)
-    pd = alg.pd_init(family, root, spec.alpha, spec.eps)
+    qf = alg.nt_init(family, net.mix, spec.alpha, spec.eps)
+    pd = alg.pd_init(family, net.mix, root, spec.alpha, spec.eps)
     for t, value in enumerate(kkt):
         if t:
-            qf = alg.nt_step(qf, family, d)
+            qf = alg.nt_step(qf, family)
         qform = np.linalg.norm(qf.q - spec.alpha * (d @ qf.x))
         assert abs(value - qform) <= 1e-12 * max(qform, kkt[0]), t
         if t <= pd_rounds:
             if t:
-                pd = alg.pd_step(pd, family, net.mix.w)
+                pd = alg.pd_step(pd, family)
             dual = np.linalg.norm(family.grad_stack(pd.x) + root @ pd.v)
             assert abs(value - dual) <= 1e-8 * max(dual, kkt[0]), t
 
@@ -672,12 +707,17 @@ def per_round_trace(config, spec):
     round by round on each iterate alone: a plain loop of nt_step (every
     method's step) with root @ x, alg.norm, the remainder identity and the
     conservation defect ||sum q - sum grad|| / (||sum grad|| + 1), which
-    conservation_residuals must equal."""
+    conservation_residuals must equal.  The operator D and the vectors a
+    round sends are written out here: the Laplacian and 1 for dlm, I - W
+    and 2 for gt, I - W and 1 for the others; the start state must carry
+    that D."""
     net, obj = harness.build_network(config.topology), harness.build_objective(config)
     family, root, w = obj.family, net.spectra.root, net.mix.w
     n, p = family.n, family.p
-    method = harness.METHODS[spec.name]
-    op = method.exchange(net)
+    graph = net.graph
+    op = np.diag(graph.degrees.astype(float)) - graph.adjacency() \
+        if spec.name == "dlm" else np.eye(n) - w
+    vectors = 2 if spec.name == "gt" else 1
     x_star = obj.optimum[0]
     target = np.tile(x_star, (n, 1))
     denom = max(alg.norm(target), 1e-300)
@@ -693,7 +733,8 @@ def per_round_trace(config, spec):
         v = np.zeros((n, p))
     cols = {c: [] for c in METRIC_COLUMNS}
     status = "budget"
-    state, prev = method.init(family, net.graph, spec), None
+    state, prev = harness.METHODS[spec.name].init(family, net, spec), None
+    assert np.array_equal(state.d, op)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(config.iters + 1):
             if t:
@@ -701,7 +742,7 @@ def per_round_trace(config, spec):
                         cols["rel_error"][-1] <= config.stop_tol:
                     status = "tol"
                     break
-                prev, state = state, alg.nt_step(state, family, op)
+                prev, state = state, alg.nt_step(state, family)
             rel = alg.norm(state.x - target) / denom
             if not math.isfinite(rel):
                 status = "diverged"
@@ -724,7 +765,7 @@ def per_round_trace(config, spec):
                                                   state.grad[None]) == [tracking]
             for column, value in zip(METRIC_COLUMNS, (
                     rel, gnorm, tracking, alg.norm(root_x), dual, rem, bound,
-                    t, t * method.vectors * n * p)):
+                    t, t * vectors * n * p)):
                 cols[column].append(value)
     if status == "budget" and config.stop_tol is not None \
             and cols["rel_error"][-1] <= config.stop_tol:
@@ -1119,13 +1160,14 @@ def test_run_checks_pass_with_fewer_samples_than_features():
     ("gt", "disagreement", "tracker_mean"),
 ])
 def test_replay_checks_replay_the_methods_as_wired(monkeypatch, name, operator, check):
-    # A METHODS entry whose exchange is off by 5% runs a method the paper
-    # does not define.  The replay starts and exchanges as METHODS wires
-    # the run, so the re-run and the record agree (determinism passes),
-    # and the replay fails the identity that the true operator keeps.
+    # A METHODS entry whose start state carries an operator off by 5% runs
+    # a method the paper does not define.  The replay starts as METHODS
+    # starts the run, so the re-run and the record agree (determinism
+    # passes), and the replay fails the identity that the true operator keeps.
     method = harness.METHODS[name]
     monkeypatch.setitem(harness.METHODS, name, method._replace(
-        exchange=lambda net: 1.05 * getattr(net.mix, operator)))
+        init=lambda fam, net, spec: method.init(fam, net, spec)._replace(
+            d=1.05 * getattr(net.mix, operator))))
     config = preset("fig4-n50")
     record = run_experiment(dataclasses.replace(config, iters=60, algorithms=tuple(
         a for a in config.algorithms if a.name == name)))

@@ -20,8 +20,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from newtrack.harness import (PRESET_NAMES, build_network, preset,
-                              topology_from_doc, topology_to_doc)
+from newtrack.harness import (PRESET_NAMES, TopologySpec, build_network,
+                              preset, topology_from_doc, topology_to_doc)
 from newtrack.topology import (KINDS, Graph, MixingMatrix, ZERO_EIG_TOL,
                                _random_spanning_tree, build_topology,
                                laplacian, metropolis_weights, spectral_stats)
@@ -222,8 +222,25 @@ def test_random_determinism_and_seed_sensitivity():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
+    # The generator and the spec name an unknown kind with one message,
+    # the spec's under its field, topology.kind.
+    message = "kind: unknown 'star'; expected one of ['line', 'cycle', 'complete', 'random']"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_topology("star", 5)
+    with pytest.raises(ValueError, match=f"^topology\\.{re.escape(message)}$"):
+        TopologySpec(kind="star", n=5)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [0, -1])
+def test_fewer_than_one_node_is_graphs_rule(kind, n):
+    # Every kind refuses n < 1 by Graph's one rule and message; the random
+    # kind draws nothing first (a draw on no nodes would fail in numpy).
+    message = f"^{re.escape(f'need at least one node, got n={n}')}$"
+    with pytest.raises(ValueError, match=message):
+        Graph(n=n, edges=())
+    with pytest.raises(ValueError, match=message):
+        build_topology(kind, n, tau=0.5, seed=1)
 
 
 # ---------------------------------------------------------------------------
