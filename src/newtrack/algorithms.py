@@ -13,7 +13,7 @@ q = grad(0), with dx = D x carried so that a round computes D x1 once,
 serves all four methods; M is a local curvature plus eps I:
 
     method  curvature     eps   alpha    D      vectors per round
-    nt      hess_i(x)     eps   alpha    I - W  1  (solved by reg_solve)
+    nt      hess_i(x)     eps   alpha    I - W  1  (reg_solve: local_solve)
     extra   0             1/a   1/(2a)   I - W  1  (a: EXTRA's step)
     dlm     2 alpha d_i   eps   alpha    L      1  (d_i: degree, L: Laplacian)
     gt      0             1/a   1/a      I - W  2  (a: gt's step; q = y + D x / a)
@@ -34,7 +34,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dpbsv, dpotrf, dpotrs
 
-from .objectives import LogisticFamily
 from .topology import Graph, MixingMatrix, laplacian
 
 
@@ -57,37 +56,10 @@ def solve_spd_blocks(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def reg_solve(family, curve, eps: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (hess_i + eps I) u_i = rhs_i, hess_i where grad_curvature gave curve.
-
-    The data shape picks the path.  A logistic node with fewer samples than
-    features (m < p) has hess_i = ridge I + F_i' C_i F_i with C_i =
-    diag(curve_i) of rank at most m.  With a = ridge + eps, the Woodbury
-    identity gives
-
-        u_i = (r_i - F_i' w_i) / a,   (F_i F_i' + a C_i^{-1}) w_i = F_i r_i,
-
-    an m x m system on the cached Gram band, so the p x p Hessian is never
-    formed.  A weight of 0 (a margin past about 36, where s rounds to 1) or
-    below about 1e-308 puts an infinite entry on the diagonal; the banded
-    Cholesky then sets that w entry to exactly 0, the c -> 0 limit.  A NaN
-    weight gives a NaN u without raising.  Every other family solves its
-    hess_band: the banded hess_i + eps I, which a logistic family sums from
-    cached sample products in one matmul.  Both factor through
-    solve_spd_blocks.
-    """
-    if isinstance(family, LogisticFamily) and family.m < family.p:
-        f = family.features
-        a = family.ridge + eps
-        k = family.gram_band.copy()
-        diag = k[:, :, 0]
-        with np.errstate(divide="ignore", over="ignore"):
-            diag += a / curve
-        w = solve_spd_blocks(k, np.matvec(f, rhs))
-        u = np.vecmat(w, f)
-        np.subtract(rhs, u, out=u)
-        u /= a
-        return u
-    return solve_spd_blocks(family.hess_band(curve, eps), rhs)
+    """Solve (hess_i + eps I) u_i = rhs_i, hess_i where grad_curvature gave
+    curve, by the family's local_solve through solve_spd_blocks (looked up
+    here at call time, so a wrapper installed on this module sees it)."""
+    return family.local_solve(curve, eps, rhs, solve_spd_blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -513,7 +513,7 @@ class Objective:
     """Local objectives with their digest, (mu, L) bounds and optimum (x* and
     the node gradients g* at it), solved on first read: certify never solves."""
 
-    family: object  # LogisticFamily or QuadraticFamily
+    family: object  # one of FAMILIES, read through the objectives protocol
     digest: str
     bounds: ObjectiveBounds
 

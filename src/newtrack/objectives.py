@@ -1,9 +1,12 @@
 """Per-node objective families: regularized logistic loss and quadratics.
 
 Each family is one class that holds and validates its own data and is
-built by its generator.  It exposes stacked operations over all nodes at
-once, one local point per node; the centralized reference solver sums
-the same oracles at a shared point broadcast to every node.
+built by its generator.  The algorithms see a family only through n, p,
+digest() and stacked operations over all nodes, one local point per
+node: grad_stack(x), grad_curvature(x) (the gradient and its Hessian's
+weights, None if constant), hess_blocks(curve) and local_solve(curve,
+eps, rhs, solve_blocks), which solves (hess_i + eps I) u_i = rhs_i with
+solve_blocks.  The reference solver sums them at a shared point.
 """
 
 from __future__ import annotations
@@ -155,6 +158,27 @@ class LogisticFamily:
         """gram in lower band layout, for the m < p local solve."""
         return lower_band(self.gram)
 
+    def local_solve(self, curve: np.ndarray, eps: float, rhs: np.ndarray,
+                    solve_blocks) -> np.ndarray:
+        """Solve (hess_i + eps I) u_i = rhs_i through solve_blocks(band, rhs):
+        for m < p by Woodbury, u_i = (r_i - F_i' w_i) / a with a = ridge + eps
+        and (F_i F_i' + a diag(curve_i)^-1) w_i = F_i r_i on the cached Gram
+        band (a zero weight sets its w entry to exactly 0, the c -> 0 limit;
+        a NaN weight gives a NaN u without raising), else on hess_band."""
+        if self.m < self.p:
+            f = self.features
+            a = self.ridge + eps
+            k = self.gram_band.copy()
+            diag = k[:, :, 0]
+            with np.errstate(divide="ignore", over="ignore"):
+                diag += a / curve
+            w = solve_blocks(k, np.matvec(f, rhs))
+            u = np.vecmat(w, f)
+            np.subtract(rhs, u, out=u)
+            u /= a
+            return u
+        return solve_blocks(self.hess_band(curve, eps), rhs)
+
 
 class QuadraticFamily:
     """Stacked operations for per-node quadratics x'A_i x / 2 + b_i'x, A_i SPD."""
@@ -196,11 +220,13 @@ class QuadraticFamily:
     def _band(self) -> np.ndarray:
         return lower_band(self.a)
 
-    def hess_band(self, curve: None, eps: float) -> np.ndarray:
-        """A + eps I in lower_band layout."""
+    def local_solve(self, curve: None, eps: float, rhs: np.ndarray,
+                    solve_blocks) -> np.ndarray:
+        """Solve (A_i + eps I) u_i = rhs_i: A + eps I in lower_band layout,
+        a shifted copy of the cached band, through solve_blocks."""
         band = self._band.copy()
         band[:, :, 0] += eps
-        return band
+        return solve_blocks(band, rhs)
 
 
 def generate_quadratic_set(n: int, p: int, seed: int) -> QuadraticFamily:
