@@ -12,6 +12,9 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import pickle
+import signal
 import time
 import typing
 from dataclasses import dataclass, field
@@ -545,22 +548,115 @@ def run_experiment(config: RunConfig) -> RunRecord:
 
 
 def _run(config: RunConfig, net: Network, obj: Objective) -> RunRecord:
-    """Run every algorithm of config on net and obj; nt's trace reads its
-    rate certificate, which the record keeps."""
-    certificates = {}
-    traces = {}
-    for spec in config.algorithms:
-        cert = None
-        if spec.name == "nt":
-            cert = certificates[spec.name] = analysis.rate_certificate(
-                obj.bounds, net.spectra, spec.alpha, spec.eps)
-        traces[spec.name] = _run_algorithm(spec, net, obj, cert, config)
-    return RunRecord(config=config, dataset_digest=obj.digest, x_star=obj.optimum[0],
-                     ref_residual=alg.norm(np.add.reduce(obj.optimum[1], axis=0)),
+    """Run every algorithm of config on net and obj, side by side in forked
+    workers when _workers allows; nt's trace reads its rate certificate,
+    which the record keeps.  The optimum and the certificates are solved
+    first, so that no worker solves them again."""
+    certificates = {spec.name: analysis.rate_certificate(obj.bounds, net.spectra,
+                                                         spec.alpha, spec.eps)
+                    for spec in config.algorithms if spec.name == "nt"}
+    x_star, g_star = obj.optimum
+    traces = _side_by_side({spec.name: functools.partial(
+        _run_algorithm, spec, net, obj, certificates.get(spec.name), config)
+        for spec in config.algorithms}, _workers(config))
+    return RunRecord(config=config, dataset_digest=obj.digest, x_star=x_star,
+                     ref_residual=alg.norm(np.add.reduce(g_star, axis=0)),
                      spectra=Spectra(lambda_max=net.spectra.lambda_max,
                                      lambda_min_nz=net.spectra.lambda_min_nz),
                      certificates=certificates, traces=traces,
                      topology=topology_to_doc(net.graph, net.mix))
+
+
+# Rounds from which _run spreads a config's methods over forked workers.  A
+# run side by side costs about 4-6 ms more on a 2-CPU x86-64 VM, with
+# fig5-n100's objects in memory: the fork, pinning each process to its
+# CPUs, reaping the worker, and the first writes of both processes to pages
+# they now share.  At 300 rounds fig4-n50 gains (64 -> 55 ms) and CI's
+# four-method quadratic config (n 12, p 4) about breaks even (19 ms serial,
+# 16-21 ms side by side); two methods on 5 nodes, at 9 us a round, need
+# about 800.
+FORK_ITERS = 300
+
+
+def _workers(config: RunConfig) -> int:
+    """Processes that run config's methods: one per usable CPU, at most one
+    per method, and one alone (no fork) below FORK_ITERS rounds or where the
+    platform cannot tell which CPUs the process may use."""
+    if config.iters < FORK_ITERS or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(config.algorithms), len(os.sched_getaffinity(0)))
+
+
+def _side_by_side(tasks: dict, workers: int) -> dict:
+    """name -> tasks[name](), in the order of tasks.
+
+    With one worker the tasks run here, one after another.  Otherwise this
+    process and workers - 1 forked children each take the next task in
+    order as they free up (its index, one byte, read from a shared pipe),
+    and each child sends back its results pickled before it exits.  Each
+    child is pinned to a usable CPU of its own and this process to the
+    rest until the call returns, since the scheduler may leave a child on
+    its parent's CPU for tenths of a second.  A failure raises as the
+    serial loop would: the error of the first task in order that failed,
+    or a RuntimeError naming a task whose worker exited without its result.
+    No child outlives the call.
+    """
+    if workers == 1:
+        return {name: task() for name, task in tasks.items()}
+    names = list(tasks)
+    usable = os.sched_getaffinity(0)
+    own = sorted(usable)[1:workers]  # each child's CPU
+    queue, put = os.pipe()
+    os.write(put, bytes(range(len(names))))
+    os.close(put)
+
+    def take() -> dict:
+        done = {}
+        while index := os.read(queue, 1):
+            try:
+                done[index[0]] = True, tasks[names[index[0]]]()
+            except Exception as err:  # noqa: BLE001 - raised below, in task order
+                done[index[0]] = False, err
+        return done
+
+    children = {}  # pid -> the read end of its result pipe
+    try:
+        os.sched_setaffinity(0, usable - set(own))
+        for cpu in own:
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    os.sched_setaffinity(0, {cpu})
+                    os.close(r)
+                    with open(w, "wb") as out:
+                        pickle.dump(take(), out, pickle.HIGHEST_PROTOCOL)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children[pid] = open(r, "rb")
+        done = take()
+        for pid, results in list(children.items()):
+            with results:
+                data = results.read()
+            if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0:
+                done.update(pickle.loads(data))
+            del children[pid]
+    finally:
+        os.close(queue)
+        for pid, results in children.items():
+            results.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.sched_setaffinity(0, usable)
+    out = {}
+    for i, name in enumerate(names):
+        ok, value = done.get(i, (False, None))
+        if not ok:
+            raise value or RuntimeError(f"algorithms: {name!r} ran in a worker process "
+                                        "that exited without its result")
+        out[name] = value
+    return out
 
 
 # Bytes of the iterates one block of trace metrics stacks: x, grad, q, u and
