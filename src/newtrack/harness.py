@@ -285,7 +285,8 @@ class RunConfig:
 
 @dataclass
 class ConvergenceTrace:
-    """Per-iteration metrics for one algorithm; entry t is iterate x^t.
+    """Per-iteration metrics for one algorithm; entry t is iterate x^t,
+    after t communication rounds of scalars_per_round scalars each.
 
     kkt_primal is ||root x||, with root the square root of I - W: zero at
     consensus.  kkt_dual is ||q - alpha (I - W) x||, which equals the
@@ -302,9 +303,6 @@ class ConvergenceTrace:
     computed from its iterate alone (see _run_algorithm).
     """
 
-    algorithm: str
-    alpha: float
-    eps: float | None
     status: str = "budget"
     rel_error: list[float] = field(default_factory=list)
     gnorm_error: list[float | None] = field(default_factory=list)
@@ -313,12 +311,16 @@ class ConvergenceTrace:
     kkt_dual: list[float | None] = field(default_factory=list)
     remainder_norm: list[float | None] = field(default_factory=list)
     remainder_bound: list[float | None] = field(default_factory=list)
-    comm_rounds: list[int] = field(default_factory=list)
-    scalars_sent: list[int] = field(default_factory=list)
     wall_ms: list[float] = field(default_factory=list)
+    scalars_per_round: int = field(kw_only=True)
 
     def __len__(self) -> int:
         return len(self.rel_error)
+
+    @property
+    def scalars_sent(self) -> range:
+        """Scalars sent up to each iterate: t scalars_per_round at t."""
+        return range(0, len(self) * self.scalars_per_round, self.scalars_per_round)
 
     def first_below(self, tol: float) -> int | None:
         """Smallest t with rel_error[t] <= tol, or None."""
@@ -525,9 +527,12 @@ class Objective:
         return alg.centralized_reference(self.family)
 
 
-def build_network(topo: TopologySpec) -> Network:
-    """Build, or load from a pinned file, the network a topology spec names."""
-    if topo.file is not None:
+def build_network(topo: TopologySpec, carried: PinnedTopology | None = None) -> Network:
+    """Build, or load from a pinned file, the network a topology spec names;
+    a pinned file that does not exist is read from carried, when given."""
+    if topo.file is not None and carried is not None and not Path(topo.file).exists():
+        graph, mix = _pinned_network(carried)
+    elif topo.file is not None:
         graph, mix = topology_from_doc(json.loads(Path(topo.file).read_text()), topo.n)
     else:
         graph = build_topology(topo.kind, topo.n, tau=topo.tau, seed=topo.seed)
@@ -698,7 +703,8 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
     x_star, g_star = obj.optimum
     target = np.tile(x_star, (n, 1))
     denom = max(alg.norm(target), 1e-300)
-    trace = ConvergenceTrace(algorithm=spec.name, alpha=spec.alpha, eps=spec.eps)
+    state = METHODS[spec.name].init(family, net, spec)
+    trace = ConvergenceTrace(scalars_per_round=(1 + state.second_exchange) * n * p)
 
     # Only nt's trace records kkt_dual = ||q - alpha (I - W) x|| (the
     # primal-dual ||grad + root v|| in exact arithmetic), the conservation
@@ -718,7 +724,6 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
 
     def record(states: list) -> None:
         nonlocal prev, v
-        t0, t1, last = states[0].t, states[-1].t + 1, states[-1]
         (x0, x), *nt_pairs = _shift(prev, states, fields)
         root_x = root @ x
         gnorm = tracking = dual = rem = bound = [None] * len(states)
@@ -746,17 +751,13 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
         trace.kkt_dual += dual
         trace.remainder_norm += rem
         trace.remainder_bound += bound
-        trace.comm_rounds += range(t0, t1)
-        trace.scalars_sent += range(t0 * per_round, t1 * per_round, per_round)
-        prev = last
+        prev = states[-1]
 
     stop_tol, rel_error, wall_ms = config.stop_tol, trace.rel_error, trace.wall_ms
 
     def reached() -> bool:
         return stop_tol is not None and rel_error[-1] <= stop_tol
 
-    state = METHODS[spec.name].init(family, net, spec)
-    per_round = (1 + state.second_exchange) * n * p  # scalars a round sends
     rel_error.append(alg.norm(state.x - target) / denom)
     wall_ms.append(0.0)
     block = []
@@ -846,11 +847,11 @@ def write_outputs(record: RunRecord, out_dir) -> dict:
     """record.json + per-algorithm CSVs + a plot stub under out_dir, from
     one formatting pass over the traces; a NaN fails before out_dir is made.
 
-    Each CSV has the fixed column set: counts print as integers, metrics by
-    repr, their shortest round-trip decimal form, and undefined metrics
-    leave the cell empty.  Each cell is cut from its column's JSON text,
-    whose numbers json.dumps spells as repr does: split on ", ", null as
-    empty.
+    Each CSV has the fixed column set: iter, comm_rounds (both row t) and
+    scalars_sent (t scalars_per_round) as integers, metrics by repr, their
+    shortest round-trip decimal form, cut from their column's JSON text,
+    whose numbers json.dumps spells as repr does (split on ", "), and
+    undefined metrics (null there) as empty cells.
     """
     columns = _columns(record)
     out_dir = Path(out_dir)
@@ -859,9 +860,9 @@ def write_outputs(record: RunRecord, out_dir) -> dict:
     record_path.write_text(_record_text(record, columns))
     csv_paths = []
     for name, trace in record.traces.items():
-        texts = columns[name]
-        cells = [map(str, range(len(trace)))] + [
-            texts[c][1:-1].replace("null", "").split(", ") for c in CSV_COLUMNS[1:]]
+        texts, rounds = columns[name], list(map(str, range(len(trace))))
+        cells = [rounds, rounds, map(str, trace.scalars_sent)] + [
+            texts[c][1:-1].replace("null", "").split(", ") for c in CSV_COLUMNS[3:]]
         lines = [",".join(CSV_COLUMNS)] + [",".join(row) for row in zip(*cells)]
         path = out_dir / f"{name}.csv"
         path.write_text("\n".join(lines) + "\n")
@@ -880,29 +881,27 @@ def run_checks(record: RunRecord, window: int = 100) -> dict:
 
     Re-runs the config and compares every record field but the wall-clock
     column, a trace for each configured method included (determinism);
-    the other checks read that re-run (see _replay_checks).  Returns the
-    report document {"passed", "checks"}, each check an entry
-    {"passed", "detail"}.
+    the other checks read that re-run (see _replay_checks).  A missing
+    pinned topology file is read from the record's topology, so a record
+    checks from itself alone.  Returns the report document {"passed",
+    "checks"}, each check an entry {"passed", "detail"}.
     """
     if window < 0:
         raise ValueError(f"window: must be >= 0, got {window}")
-    checks = {}
     config = record.config
-    net, obj = build_network(config.topology), build_objective(config)
+    net, obj = build_network(config.topology, record.topology), build_objective(config)
     rerun = _run(config, net, obj)
     doc, again = record.to_doc(), rerun.to_doc()
     fields = [key for key in doc if key != "traces" and doc[key] != again[key]]
     columns = [name for name in again["traces"] if name not in doc["traces"]] + [
-        f"{name}.{column}"
-        for name, trace in doc["traces"].items()
+        f"{name}.{column}" for name, trace in doc["traces"].items()
         for column, values in trace.items()
-        if column != "wall_ms"
-        and again["traces"].get(name, {}).get(column) != values]
-    checks["determinism"] = {
+        if column != "wall_ms" and again["traces"].get(name, {}).get(column) != values]
+    checks = {"determinism": {
         "passed": not (fields or columns),
         "detail": {"digest_match": "dataset_digest" not in fields,
-                   "trace_match": not columns, "mismatched": fields + columns}}
-    checks.update(_replay_checks(rerun, net, obj, window))
+                   "trace_match": not columns, "mismatched": fields + columns}},
+        **_replay_checks(rerun, net, obj, window)}
     return {"passed": all(c["passed"] for c in checks.values()), "checks": checks}
 
 

@@ -6,7 +6,8 @@ digest() and stacked operations over all nodes, one local point per
 node: grad_stack(x), grad_curvature(x) (the gradient and its Hessian's
 weights, None if constant), hess_blocks(curve) and local_solve(curve,
 eps, rhs, solve_blocks), which solves (hess_i + eps I) u_i = rhs_i with
-solve_blocks.  The reference solver sums them at a shared point.
+solve_blocks.  The reference solver sums them at a shared point.  The
+run's certificate reads bounds(), the family's (mu, L) over every node.
 """
 
 from __future__ import annotations
@@ -148,6 +149,14 @@ class LogisticFamily:
         diag += eps
         return band
 
+    def bounds(self) -> ObjectiveBounds:
+        """mu = ridge; lip = ridge + max_i lambda_max(sum_j o_ij o_ij') / 4."""
+        # F_i' F_i and F_i F_i' share their nonzero eigenvalues: take the
+        # smaller Gram, for m < p the one the Woodbury solve caches.
+        gram = self.gram if self.m < self.p else self._ft @ self.features
+        gram_max = float(np.max(np.linalg.eigvalsh(gram)[:, -1]))
+        return ObjectiveBounds(mu=self.ridge, lip=self.ridge + 0.25 * gram_max)
+
     @functools.cached_property
     def gram(self) -> np.ndarray:
         """Per-node sample Gram matrices F_i F_i', shape (n, m, m)."""
@@ -216,6 +225,11 @@ class QuadraticFamily:
     def hess_blocks(self, curve: None) -> np.ndarray:
         return self.a.copy()
 
+    def bounds(self) -> ObjectiveBounds:
+        """mu = min_i lambda_min(A_i); lip = max_i lambda_max(A_i)."""
+        lam = np.linalg.eigvalsh(self.a)
+        return ObjectiveBounds(mu=float(np.min(lam[:, 0])), lip=float(np.max(lam[:, -1])))
+
     @functools.cached_property
     def _band(self) -> np.ndarray:
         return lower_band(self.a)
@@ -255,19 +269,5 @@ class ObjectiveBounds:
 
 
 def convexity_bounds(family) -> ObjectiveBounds:
-    """Valid (mu, lip) for every node of a known family.
-
-    Logistic: mu = reg/n; lip = reg/n + max_i lambda_max(sum_j o_ij o_ij')/4.
-    Quadratic: mu = min_i lambda_min(A_i); lip = max_i lambda_max(A_i).
-    """
-    if isinstance(family, LogisticFamily):
-        # F_i' F_i and F_i F_i' share their nonzero eigenvalues: take the
-        # smaller Gram, for m < p the one the Woodbury solve caches.
-        gram = family.gram if family.m < family.p else family._ft @ family.features
-        gram_max = float(np.max(np.linalg.eigvalsh(gram)[:, -1]))
-        return ObjectiveBounds(mu=family.ridge, lip=family.ridge + 0.25 * gram_max)
-    if isinstance(family, QuadraticFamily):
-        lam = np.linalg.eigvalsh(family.a)
-        return ObjectiveBounds(mu=float(np.min(lam[:, 0])),
-                               lip=float(np.max(lam[:, -1])))
-    raise TypeError(f"no convexity bounds known for {type(family).__name__}")
+    """Valid (mu, lip) for every node of family: its bounds()."""
+    return family.bounds()

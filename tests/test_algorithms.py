@@ -498,7 +498,8 @@ def test_all_methods_reach_the_same_consensus():
 # ---------------------------------------------------------------------------
 
 def test_comm_cost_table():
-    # One round per iteration; gradient tracking ships x and y together.
+    # One round per iteration, the trace's row; gradient tracking ships x
+    # and y together.
     cfg = RunConfig(
         name="cost", topology=TopologySpec(kind="cycle", n=10),
         data=DataSpec(family="quadratic", p=8, seed=0),
@@ -507,10 +508,10 @@ def test_comm_cost_table():
                     AlgorithmSpec("extra", alpha=0.1),
                     AlgorithmSpec("dlm", alpha=0.4, eps=0.4)),
         iters=3)
-    per_round = {name: (tr.comm_rounds[1], tr.scalars_sent[1])
+    per_round = {name: (tr.scalars_per_round, tr.scalars_sent[1])
                  for name, tr in run_experiment(cfg).traces.items()}
-    assert per_round == {"gt": (1, 160), "nt": (1, 80), "extra": (1, 80),
-                         "dlm": (1, 80)}
+    assert per_round == {"gt": (160, 160), "nt": (80, 80), "extra": (80, 80),
+                         "dlm": (80, 80)}
     with pytest.raises(ValueError, match="admm"):
         RunConfig(name="cost", topology=cfg.topology, data=cfg.data,
                   algorithms=(AlgorithmSpec("admm", alpha=0.1),), iters=3)

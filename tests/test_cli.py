@@ -180,6 +180,41 @@ def test_solve_rejects_pinned_topology_of_another_size(capsys, tmp_path):
         "message": "topology.n: 9 but the pinned file has 5 nodes"}
 
 
+def test_a_pinned_record_checks_without_its_file(capsys, tmp_path):
+    # CI's quadratic config on a topology that spectra --out pinned.  The
+    # record carries that topology, so check re-runs on it once the file is
+    # gone and reports as it did with the file.  A file that is present is
+    # read: edited to another connected graph, it fails determinism.
+    pin = tmp_path / "pin.json"
+    spectra = ["spectra", "--kind", "random", "--n", "12", "--tau", "0.4",
+               "--seed-topology", "3", "--out", str(pin)]
+    assert run_cli(capsys, *spectra)[0] == 0
+    config = tmp_path / "quad.json"
+    config.write_text(json.dumps({
+        "name": "quad-pinned",
+        "topology": {"kind": "random", "n": 12, "file": str(pin)},
+        "data": {"family": "quadratic", "p": 4, "seed": 2},
+        "algorithms": [{"name": "nt", "alpha": 1.0, "eps": 2.0},
+                       {"name": "gt", "alpha": 0.1}, {"name": "extra", "alpha": 0.1},
+                       {"name": "dlm", "alpha": 0.1, "eps": 1.0}],
+        "iters": 60}))
+    run = tmp_path / "quad"
+    assert run_cli(capsys, "solve", "--config", str(config), "--out", str(run))[0] == 0
+    check = ["check", "--record", str(run / "record.json")]
+    with_file = run_cli(capsys, *check)
+    pin.rename(tmp_path / "moved.json")
+    rc, out, err = run_cli(capsys, *check)
+    assert (rc, err) == (0, "")
+    assert (rc, out, err) == with_file
+    assert all(entry["passed"] for entry in json.loads(out)["checks"].values())
+
+    assert run_cli(capsys, "spectra", "--kind", "cycle", "--n", "12", "--out", str(pin))[0] == 0
+    rc, out, err = run_cli(capsys, *check)
+    assert rc == 2
+    assert json.loads(out)["checks"]["determinism"]["passed"] is False
+    assert "determinism" in json.loads(err)["failed"]
+
+
 def test_solve_needs_config_or_preset(capsys):
     rc, _, err = run_cli(capsys, "solve")
     assert rc == 1
@@ -500,7 +535,7 @@ DELETE = object()
     ("x_star", "abc", "x_star: not a number"),
     ("x_star", [1.0, True, 0.5], "x_star: not a number: True"),
     ("x_star", [1.0, None, 0.5], "x_star: not a number: None"),
-    ("traces.nt.alpha", True, "traces.nt.alpha: not a number: True"),
+    ("ref_residual", True, "ref_residual: not a number: True"),
     ("config.iters", -1, "config.iters: must be >= 0"),
     ("config.topology.n", 1, "config.topology.n: must be >= 2"),
     ("config.algorithms.0.eps", DELETE, "config.algorithms[0].eps: 'nt' needs eps"),
@@ -546,7 +581,7 @@ def test_malformed_record_fails_at_load_naming_the_path(capsys, tmp_path, key,
 
 
 COLUMNS = ("rel_error", "gnorm_error", "tracking_residual", "kkt_primal", "kkt_dual",
-           "remainder_norm", "remainder_bound", "comm_rounds", "scalars_sent", "wall_ms")
+           "remainder_norm", "remainder_bound", "wall_ms")
 
 
 @functools.cache
@@ -560,8 +595,8 @@ def fig1_record_text() -> str:
 def test_a_planted_entry_fails_at_load_naming_its_path(capsys, tmp_path, data):
     # One bad entry anywhere in a short fig1 record: a boolean or a string
     # in any trace column, a null where a column holds numbers only, a
-    # fraction in a count, an edge that is no pair, or a weight off the
-    # edges.  load_record names its path, and check exits 1 with that
+    # fraction in the per-round scalar count, an edge that is no pair, or a
+    # weight off the edges.  load_record names its path, and check exits 1 with that
     # message as its one line on stderr, before any re-run.
     doc = json.loads(fig1_record_text())
     trace = doc["traces"]["nt"]
@@ -578,14 +613,17 @@ def test_a_planted_entry_fails_at_load_naming_its_path(capsys, tmp_path, data):
             i, j = data.draw(st.sampled_from(pairs))
             topo["weights"][i][j] = topo["weights"][j][i] = 0.01
             message = "topology.weights: w["
+    elif bad == "fraction":
+        trace["scalars_per_round"] = data.draw(st.sampled_from([0.5, 1.25, 7.000001]))
+        message = "traces.nt.scalars_per_round: not an integer: "
     else:
         column = data.draw(st.sampled_from(
-            {"bool": COLUMNS, "string": COLUMNS, "null": ("rel_error", "kkt_primal", "wall_ms"),
-             "fraction": ("comm_rounds", "scalars_sent")}[bad]))
+            {"bool": COLUMNS, "string": COLUMNS,
+             "null": ("rel_error", "kkt_primal", "wall_ms")}[bad]))
         t = data.draw(st.integers(0, len(trace[column]) - 1))
         trace[column][t] = data.draw({
             "bool": st.booleans(), "string": st.sampled_from(["abc", "", "1.5.2"]),
-            "null": st.none(), "fraction": st.sampled_from([0.5, 1.25, 7.000001])}[bad])
+            "null": st.none()}[bad])
         message = f"traces.nt.{column}[{t}]: not "
     record = tmp_path / "record.json"
     record.write_text(json.dumps(doc))

@@ -1,11 +1,11 @@
 """The algorithms read a family through its protocol alone: n, p, digest,
-grad_stack, grad_curvature, hess_blocks and local_solve.
+grad_stack, grad_curvature, hess_blocks, local_solve and bounds.
 
 DiagonalFamily below implements that protocol and nothing more, for
 per-node diagonal quadratics whose local systems it solves as n p blocks
-of size 1.  Every method, the primal-dual form and the reference solve
-run on it unchanged and follow a QuadraticFamily built on the same
-diagonal Hessians.
+of size 1.  Every method, the primal-dual form, the reference solve and
+the harness's run and replay checks run on it unchanged and follow a
+QuadraticFamily built on the same diagonal Hessians.
 """
 
 import hashlib
@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from newtrack import algorithms as alg
-from newtrack.objectives import QuadraticFamily
+from newtrack import harness
+from newtrack.harness import AlgorithmSpec, DataSpec, RunConfig, TopologySpec
+from newtrack.objectives import ObjectiveBounds, QuadraticFamily, convexity_bounds
 from newtrack.topology import (build_topology, metropolis_weights,
                                spectral_stats)
 
@@ -44,9 +46,12 @@ class DiagonalFamily:
         band = (self.a + eps).reshape(-1, 1, 1)
         return solve_blocks(band, rhs.reshape(-1, 1)).reshape(self.n, self.p)
 
+    def bounds(self):
+        return ObjectiveBounds(mu=float(self.a.min()), lip=float(self.a.max()))
+
 
 PROTOCOL = {"n", "p", "digest", "grad_stack", "grad_curvature", "hess_blocks",
-            "local_solve"}
+            "local_solve", "bounds"}
 
 
 def diagonal_pair(n=6, p=3, seed=0):
@@ -95,3 +100,32 @@ def test_primal_dual_form_and_reference_run_on_the_protocol_alone():
     assert np.max(np.abs(g_got - g_want)) <= 1e-12
     # The diagonal optimum in closed form: -sum b / sum a, per coordinate.
     assert np.max(np.abs(x_got + diag.b.sum(0) / diag.a.sum(0))) <= 1e-12
+
+
+def test_a_run_and_its_replay_checks_read_the_protocol_alone():
+    # The run's certificate reads the family's own bounds, so a family the
+    # library does not know runs every method, and passes every replay
+    # check (nt's certificate feasible at eps 35), beside its
+    # QuadraticFamily twin.  The config's data spec is not read: the
+    # objective is given.
+    diag, quad = diagonal_pair()
+    config = RunConfig(
+        name="diag", topology=TopologySpec(kind="cycle", n=diag.n),
+        data=DataSpec(family="quadratic", p=diag.p),
+        algorithms=(AlgorithmSpec("nt", alpha=0.1, eps=35.0), AlgorithmSpec("gt", alpha=0.1),
+                    AlgorithmSpec("extra", alpha=0.1),
+                    AlgorithmSpec("dlm", alpha=0.1, eps=1.0)),
+        iters=60)
+    net = harness.build_network(config.topology)
+    got, want = (harness.Objective(fam, fam.digest(), convexity_bounds(fam))
+                 for fam in (diag, quad))
+    assert got.bounds.mu == pytest.approx(want.bounds.mu, rel=1e-12)
+    assert got.bounds.lip == pytest.approx(want.bounds.lip, rel=1e-12)
+    records = [harness._run(config, net, obj) for obj in (got, want)]
+    for name in records[0].traces:
+        assert np.allclose(records[0].traces[name].rel_error,
+                           records[1].traces[name].rel_error, rtol=0, atol=1e-12), name
+    checks = harness._replay_checks(records[0], net, got, window=100)
+    assert set(checks) == {"conservation", "equivalence", "remainder_bound",
+                           "stationarity_identity", "contraction", "tracker_mean"}
+    assert all(entry["passed"] for entry in checks.values()), checks

@@ -116,9 +116,9 @@ def test_tiny_run_traces():
         assert len(tr) == tiny_config().iters + 1
         assert tr.status == "budget"
         assert tr.rel_error[0] == 1.0
-        assert tr.comm_rounds == list(range(len(tr)))
         per_round = 2 * n * p if name == "gt" else n * p
-        assert tr.scalars_sent == [per_round * t for t in range(len(tr))]
+        assert tr.scalars_per_round == per_round
+        assert list(tr.scalars_sent) == [per_round * t for t in range(len(tr))]
         assert tr.rel_error[-1] < 1e-4
     assert rec.traces["nt"].rel_error[-1] < 1e-12
     assert rec.ref_residual <= 1e-12  # centralized_reference's default tol
@@ -139,7 +139,7 @@ def test_scalars_sent_matches_the_products_each_round_makes():
     # An oracle for the paper's communication cost that reads no
     # declaration: each method starts as the run starts it, its operator is
     # swapped for one that counts its products, and each round's count must
-    # be the vectors the trace says that round sent, (n, p) scalars each.
+    # be the vectors the trace says each round sends, (n, p) scalars each.
     config = tiny_config(iters=6)
     record = run_experiment(config)
     net, obj = harness.build_network(config.topology), harness.build_objective(config)
@@ -148,13 +148,12 @@ def test_scalars_sent_matches_the_products_each_round_makes():
     for spec in config.algorithms:
         state = harness.METHODS[spec.name].init(obj.family, net, spec)
         state = state._replace(d=CountingOperator(state.d))
-        sent = record.traces[spec.name].scalars_sent
+        per_round = record.traces[spec.name].scalars_per_round
         step = getattr(alg, f"{spec.name}_step")
         for t in range(config.iters):
             before = state.d.products
             state = step(state, obj.family)
-            assert state.d.products - before == (sent[t + 1] - sent[t]) / (n * p), \
-                (spec.name, t)
+            assert state.d.products - before == per_round / (n * p), (spec.name, t)
         counts[spec.name] = state.d.products
     assert counts == {"nt": 6, "gt": 12, "extra": 6, "dlm": 6}
 
@@ -698,8 +697,7 @@ def test_kkt_dual_is_the_qform_residual_on_random_instances(n, tau, m, p, quadra
 
 
 METRIC_COLUMNS = ("rel_error", "gnorm_error", "tracking_residual", "kkt_primal",
-                  "kkt_dual", "remainder_norm", "remainder_bound", "comm_rounds",
-                  "scalars_sent")
+                  "kkt_dual", "remainder_norm", "remainder_bound", "scalars_sent")
 
 
 def per_round_trace(config, spec):
@@ -765,7 +763,7 @@ def per_round_trace(config, spec):
                                                   state.grad[None]) == [tracking]
             for column, value in zip(METRIC_COLUMNS, (
                     rel, gnorm, tracking, alg.norm(root_x), dual, rem, bound,
-                    t, t * vectors * n * p)):
+                    t * vectors * n * p)):
                 cols[column].append(value)
     if status == "budget" and config.stop_tol is not None \
             and cols["rel_error"][-1] <= config.stop_tol:
@@ -810,7 +808,7 @@ def test_block_metrics_equal_per_round_metrics(config, expect):
         assert (trace.status, len(trace)) == (status, len(cols["rel_error"])) \
             == expect[spec.name]
         for column in METRIC_COLUMNS:
-            assert getattr(trace, column) == cols[column], (spec.name, column)
+            assert list(getattr(trace, column)) == cols[column], (spec.name, column)
         assert len(trace.wall_ms) == len(trace)
         if config.name == "feas":
             assert all(isinstance(g, float) for g in trace.gnorm_error)
@@ -838,8 +836,7 @@ def test_block_metrics_equal_per_round_metrics_on_random_instances(n, tau, m, p,
 
 
 def test_first_below():
-    tr = ConvergenceTrace(algorithm="nt", alpha=1.0, eps=1.0,
-                          rel_error=[1.0, 0.5, 0.2])
+    tr = ConvergenceTrace(rel_error=[1.0, 0.5, 0.2], scalars_per_round=1)
     assert tr.first_below(0.5) == 1
     assert tr.first_below(1.0) == 0
     assert tr.first_below(0.1) is None
@@ -994,6 +991,41 @@ def test_record_doc_round_trip():
         assert harness.RunRecord.from_doc(json.loads(json.dumps(doc))).to_doc() == doc
 
 
+TRACE_KEYS = ["status", "rel_error", "gnorm_error", "tracking_residual", "kkt_primal",
+              "kkt_dual", "remainder_norm", "remainder_bound", "wall_ms",
+              "scalars_per_round"]
+
+
+def test_a_trace_keeps_its_status_columns_and_one_per_round_count():
+    # A trace states each fact once: its method, alpha and eps are the
+    # config's, round t is row t, and the scalars sent by then are t times
+    # one count.
+    for record in sample_records():
+        for name, trace in record.to_doc()["traces"].items():
+            assert list(trace) == TRACE_KEYS, (record.config.name, name)
+            assert type(trace["scalars_per_round"]) is int
+
+
+def test_a_record_whose_traces_restate_facts_fails_at_load(tmp_path):
+    # The earlier format repeated the method, alpha and eps in each trace
+    # and kept comm_rounds and scalars_sent as lists.  Such a record no
+    # longer loads, and the message names its first restated key.
+    record = run_experiment(tiny_config(iters=3))
+    doc = json.loads(json.dumps(record.to_doc()))
+    for spec in record.config.algorithms:
+        trace = doc["traces"][spec.name]
+        per_round, wall_ms = trace.pop("scalars_per_round"), trace.pop("wall_ms")
+        rounds = range(len(trace["rel_error"]))
+        doc["traces"][spec.name] = {
+            "algorithm": spec.name, "alpha": spec.alpha, "eps": spec.eps, **trace,
+            "comm_rounds": list(rounds), "scalars_sent": [t * per_round for t in rounds],
+            "wall_ms": wall_ms}
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"^traces\.nt\.algorithm: unknown key"):
+        load_record(path)
+
+
 def test_load_record_decodes_the_pinned_topology_once(monkeypatch, tmp_path):
     # The record's topology is read by the loader's rules with the record,
     # and its network is built from that document, not decoded again.
@@ -1007,9 +1039,12 @@ def test_load_record_decodes_the_pinned_topology_once(monkeypatch, tmp_path):
 
 
 def csv_by_repr(trace) -> str:
-    """A trace's CSV as it was written row by row: counts and metrics by
-    repr, an undefined metric as an empty cell."""
-    columns = [range(len(trace))] + [getattr(trace, c) for c in CSV_COLUMNS[1:]]
+    """A trace's CSV as it was written row by row: the round t twice and
+    t scalars_per_round, and metrics by repr, an undefined metric as an
+    empty cell."""
+    rounds = range(len(trace))
+    columns = [rounds, rounds, [t * trace.scalars_per_round for t in rounds]] + [
+        getattr(trace, c) for c in CSV_COLUMNS[3:]]
     lines = [",".join(CSV_COLUMNS)]
     lines += [",".join("" if v is None else repr(v) for v in row)
               for row in zip(*columns)]

@@ -284,7 +284,8 @@ def test_bounds_validation_and_unknown_family():
         ObjectiveBounds(mu=0.0, lip=1.0)
     with pytest.raises(ValueError):
         ObjectiveBounds(mu=2.0, lip=1.0)
-    with pytest.raises(TypeError):
+    # A family owns its bounds: one without bounds() has none to give.
+    with pytest.raises(AttributeError, match="bounds"):
         convexity_bounds(object())
 
 
