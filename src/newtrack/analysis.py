@@ -135,8 +135,8 @@ def lemma_remainder_check(norms, bounds) -> dict:
     """Check ||e^t|| <= kappa ||x^{t+1} - x^t|| along a trajectory.
 
     norms are the steps' ||e^t|| and bounds their kappa ||x^{t+1} - x^t||,
-    with kappa = 2 lip + alpha lam_max(I - W), the certificate's: a trace's
-    remainder_norm and remainder_bound past t = 0.  Returns the report
+    with kappa = 2 lip + alpha lam_max(I - W), the certificate's, as
+    check's replay of nt derives them step by step.  Returns the report
     entry; `worst` is the largest ratio ||e|| / (kappa ||dx||) over the
     steps whose bound stays above rounding noise.
     """

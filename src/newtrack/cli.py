@@ -28,6 +28,8 @@ from .topology import KINDS
 
 
 def _load_config(args) -> RunConfig:
+    if args.config and args.preset:
+        raise ValueError("--config and --preset: give one, not both")
     if args.config:
         config = RunConfig.from_doc(json.loads(Path(args.config).read_text()))
     elif args.preset:

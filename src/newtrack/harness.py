@@ -90,8 +90,9 @@ def _decode(kind, value, path: str, root: str = ""):
     string may spell (no bool or null, in an array neither; an int no
     fraction); a scalar of exactly a declared type, or a list of them
     (one scan of types), as it stands.  A ValueError names the path.  A
-    range check of construction names its field from the config's root,
-    so its message gains root, the path of the enclosing RunConfig.
+    range check of construction names its field from the root of a
+    RunConfig or ConvergenceTrace, so its message gains root, the path of
+    the enclosing one.
     """
     origin, args, exact = _form(kind)
     if type(value) in exact:
@@ -113,7 +114,7 @@ def _decode(kind, value, path: str, root: str = ""):
         for key in doc:
             if key not in hints:
                 raise ValueError(f"{prefix}{key}: unknown key; expected one of {list(hints)}")
-        if kind is RunConfig:
+        if kind in (RunConfig, ConvergenceTrace):
             root = prefix
         values = {}
         for name, hint in hints.items():
@@ -300,7 +301,8 @@ class ConvergenceTrace:
     "diverged" (the next iterate had a non-finite rel_error; not recorded).
     rel_error and wall_ms are recorded as each round ends; the other
     columns once per block of rounds, each entry bit for bit the value
-    computed from its iterate alone (see _run_algorithm).
+    computed from its iterate alone (see _run_algorithm).  The step's
+    second-order remainder is no column: check replays it (_replay_checks).
     """
 
     status: str = "budget"
@@ -309,10 +311,11 @@ class ConvergenceTrace:
     tracking_residual: list[float | None] = field(default_factory=list)
     kkt_primal: list[float] = field(default_factory=list)
     kkt_dual: list[float | None] = field(default_factory=list)
-    remainder_norm: list[float | None] = field(default_factory=list)
-    remainder_bound: list[float | None] = field(default_factory=list)
     wall_ms: list[float] = field(default_factory=list)
     scalars_per_round: int = field(kw_only=True)
+
+    def __post_init__(self):
+        _at_least("scalars_per_round", self.scalars_per_round, 1)
 
     def __len__(self) -> int:
         return len(self.rel_error)
@@ -664,24 +667,21 @@ def _side_by_side(tasks: dict, workers: int) -> dict:
     return out
 
 
-# Bytes of the iterates one block of trace metrics stacks: x, grad, q, u and
-# dx for nt, x for the others.  That is 18 nt rounds at n p = 80 (fig1,
+# Bytes of the iterates one block of trace metrics stacks: x, grad, q and dx
+# for nt, x for the others.  That is 23 nt rounds at n p = 80 (fig1,
 # topo-n10) and one round of any method at n p = 4000 (fig5-n100).
 BLOCK_BYTES = 60_000
 
 
-def _shift(prev, states: list, names: tuple) -> list:
-    """For each field name: that field of each state's predecessor and of
-    each state, as (T, n, p) stacks: views of a state's own arrays when it
-    is alone in its block (with no predecessor at t = 0), else of one
-    stacked copy."""
+def _stack(states: list, names: tuple) -> list:
+    """For each field name: that field of each state as a (T, n, p) stack,
+    a view of the state's own array when it is alone in its block, else
+    one stacked copy."""
     if len(states) == 1:
-        return [(None if prev is None else getattr(prev, name)[None],
-                 getattr(states[0], name)[None]) for name in names]
-    shape = (len(states) + 1, *prev.x.shape)
-    stacks = (np.concatenate([getattr(s, name) for s in (prev, *states)]).reshape(shape)
-              for name in names)
-    return [(both[:-1], both[1:]) for both in stacks]
+        return [getattr(states[0], name)[None] for name in names]
+    shape = (len(states), *states[0].x.shape)
+    return [np.concatenate([getattr(s, name) for s in states]).reshape(shape)
+            for name in names]
 
 
 def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
@@ -707,8 +707,8 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
     trace = ConvergenceTrace(scalars_per_round=(1 + state.second_exchange) * n * p)
 
     # Only nt's trace records kkt_dual = ||q - alpha (I - W) x|| (the
-    # primal-dual ||grad + root v|| in exact arithmetic), the conservation
-    # identity and a remainder; the others record None.  The dual iterate v
+    # primal-dual ||grad + root v|| in exact arithmetic) and the
+    # conservation identity; the others record None.  The dual iterate v
     # and the metric, with its optimum v*, are kept only under a feasible
     # certificate.
     is_nt = spec.name == "nt"
@@ -718,27 +718,20 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
             analysis.consensus_penalty_matrix(net.mix.w, spec.alpha, spec.eps),
             x_star, analysis.dual_optimum(g_star, root), spec.alpha)
         v = np.zeros((n, p))
-    fields = ("x", "grad", "q", "u", "dx") if is_nt else ("x",)
+    fields = ("x", "grad", "q", "dx") if is_nt else ("x",)
     size = max(1, BLOCK_BYTES // (len(fields) * n * p * 8))
-    prev = None  # the iterate before the block
 
     def record(states: list) -> None:
-        nonlocal prev, v
-        (x0, x), *nt_pairs = _shift(prev, states, fields)
+        nonlocal v
+        x, *nt_stacks = _stack(states, fields)
         root_x = root @ x
-        gnorm = tracking = dual = rem = bound = [None] * len(states)
+        gnorm = tracking = dual = [None] * len(states)
         if is_nt:
-            (_, g), (_, q), (u0, _), (_, dx) = nt_pairs
+            g, q, dx = nt_stacks
             tracking = alg.conservation_residuals(q, g)
             r = spec.alpha * dx
             r -= q
             dual = alg.norms(r)
-            if prev is not None:
-                # r = g0 - g1 - q0 + alpha D u0 and q0 = (H + eps I) u0, so
-                # r + eps u0 is the second-order remainder of the step.
-                r += spec.eps * u0
-                rem = alg.norms(r)
-                bound = [cert["kappa"] * d for d in alg.norms(x - x0)]
             if feasible:
                 gnorm = []
                 for state, rx in zip(states, root_x):
@@ -749,9 +742,6 @@ def _run_algorithm(spec: AlgorithmSpec, net: Network, obj: Objective,
         trace.tracking_residual += tracking
         trace.kkt_primal += alg.norms(root_x)
         trace.kkt_dual += dual
-        trace.remainder_norm += rem
-        trace.remainder_bound += bound
-        prev = states[-1]
 
     stop_tol, rel_error, wall_ms = config.stop_tol, trace.rel_error, trace.wall_ms
 
@@ -910,10 +900,10 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
                    window: int) -> dict:
     """Identity and bound checks over up to `window` steps of the re-run.
 
-    nt's conservation, remainder and contraction checks bound its trace's
-    tracking_residual, remainder_norm / remainder_bound and gnorm_error,
-    which determinism compares with the record's.  Equivalence and the
-    stationarity identity replay nt and its primal-dual form, tracker_mean
+    nt's conservation and contraction checks bound its trace's
+    tracking_residual and gnorm_error, which determinism compares with the
+    record's.  Equivalence and the remainder bound replay nt beside its
+    primal-dual form, which the stationarity identity reads; tracker_mean
     gt and textbook gradient tracking (x1 = W x - a y, y1 = W y + g1 - g),
     each over the iterates the trace holds: a diverged run's overflow
     shows as failed checks, not as warnings.  nt and gt start as their
@@ -928,22 +918,28 @@ def _replay_checks(rerun: RunRecord, net: Network, obj: Objective,
         steps = min(len(trace) - 1, window)
         cons = max(trace.tracking_residual[:steps + 1])
         checks["conservation"] = {"passed": cons < 1e-9, "detail": {"worst": cons}}
-        state = METHODS["nt"].init(family, net, spec)
+        s1 = METHODS["nt"].init(family, net, spec)
         pds = [alg.pd_init(family, mix, spectra.root, spec.alpha, spec.eps)]
-        equiv_worst = 0.0
+        cert = rerun.certificates["nt"]
+        equiv_worst, rems, bounds = 0.0, [], []
         for _ in range(steps):
-            state = alg.nt_step(state, family)
+            s0, s1 = s1, alg.nt_step(s1, family)
             pds.append(pd := alg.pd_step(pds[-1], family))
-            equiv_worst = max(equiv_worst, float(np.max(np.abs(state.x - pd.x))))
+            equiv_worst = max(equiv_worst, float(np.max(np.abs(s1.x - pd.x))))
+            # r = g0 - g1 - q0 + alpha D u0 and q0 = (H + eps I) u0, so
+            # r + eps u0 is the second-order remainder of the step.
+            r = spec.alpha * s1.dx
+            r -= s1.q
+            r += spec.eps * s0.u
+            rems.append(alg.norm(r))
+            bounds.append(cert["kappa"] * alg.norm(s1.x - s0.x))
         checks["equivalence"] = {"passed": equiv_worst < 1e-8,
                                  "detail": {"worst": equiv_worst,
                                             "steps": steps}}
-        checks["remainder_bound"] = analysis.lemma_remainder_check(
-            trace.remainder_norm[1:steps + 1], trace.remainder_bound[1:steps + 1])
+        checks["remainder_bound"] = analysis.lemma_remainder_check(rems, bounds)
         g_star = obj.optimum[1]
         checks["stationarity_identity"] = analysis.stationarity_identity_check(
             pds, family, g_star, analysis.dual_optimum(g_star, spectra.root))
-        cert = rerun.certificates["nt"]
         if cert["feasible"]:
             checks["contraction"] = analysis.contraction_check(
                 trace.gnorm_error[:steps + 1], cert)

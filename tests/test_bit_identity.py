@@ -2,11 +2,12 @@
 
 The oracles, the band and Woodbury solves, the block trace metrics and
 the round updates are written as np.matvec/np.vecmat products, in-place
-sums and shifts through one view, each equal bit for bit to the batched
-matmul, sum and slice expressions they replaced.  Those expressions are
-kept here, frozen, and compared with np.array_equal on random logistic
-families, so a NumPy or BLAS whose dispatch rounds the two forms apart
-fails here under the function's name rather than as a moved crossing.
+sums and stacks made by one concatenate, each equal bit for bit to the
+batched matmul, sum and array expressions they replaced.  Those
+expressions are kept here, frozen, and compared with np.array_equal on
+random logistic families, so a NumPy or BLAS whose dispatch rounds the
+two forms apart fails here under the function's name rather than as a
+moved crossing.
 """
 
 from types import SimpleNamespace
@@ -70,9 +71,8 @@ def frozen_conservation_residuals(q, grad):
             for a, b in zip(alg.norms(q.sum(axis=-2) - rhs), alg.norms(rhs))]
 
 
-def frozen_shift(prev, states, names):
-    stacks = (np.array([getattr(s, name) for s in (prev, *states)]) for name in names)
-    return [(both[:-1], both[1:]) for both in stacks]
+def frozen_stack(states, names):
+    return [np.array([getattr(s, name) for s in states]) for name in names]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -107,10 +107,9 @@ def test_rewritten_forms_match_frozen_forms(n, m, p, over_budget, scale, log_eps
 
     names = ("x", "grad")
     states = [SimpleNamespace(x=a, grad=b) for a, b in zip(q, g)]
-    for got, frozen in zip(harness._shift(states[0], states[1:], names),
-                           frozen_shift(states[0], states[1:], names)):
-        for name, a, b in zip(("_shift before", "_shift after"), got, frozen):
-            same(name, a, b)
+    for block in (states, states[:1]):
+        for got, frozen in zip(harness._stack(block, names), frozen_stack(block, names)):
+            same("_stack", got, frozen)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -221,6 +221,20 @@ def test_solve_needs_config_or_preset(capsys):
     assert "preset" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep", "certify"])
+def test_config_and_preset_together_are_refused(capsys, tmp_path, command):
+    # Either flag names the whole config, so the other would be dropped
+    # unread: both together exit 1 before anything runs.
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(tiny_config_doc()))
+    rc, out, err = run_cli(capsys, command, "--config", str(cfg), "--preset", "fig1",
+                           "--out", str(tmp_path / "out"))
+    assert (rc, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "--config and --preset: give one, not both"}
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_unknown_preset(capsys):
     rc, _, err = run_cli(capsys, "solve", "--preset", "fig9")
     assert rc == 1
@@ -499,6 +513,22 @@ def test_check_rejects_a_negative_window(capsys, tmp_path):
                                "message": "window: must be >= 0, got -3"}
 
 
+def test_check_at_window_zero_replays_no_step(capsys, tmp_path):
+    # A window of 0 compares the whole re-run (determinism) but replays no
+    # step: no equivalence steps, no remainder to bound, and the record
+    # passes.
+    out_dir = tmp_path / "run"
+    run_cli(capsys, "solve", "--preset", "fig1", "--iters", "30", "--out", str(out_dir))
+    rc, out, err = run_cli(capsys, "check", "--record", str(out_dir / "record.json"),
+                           "--window", "0")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert doc["checks"]["equivalence"]["detail"]["steps"] == 0
+    assert doc["checks"]["remainder_bound"] == {
+        "passed": True, "detail": {"violations": 0, "worst": 0.0}}
+
+
 def test_check_missing_record(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "check", "--record",
                          str(tmp_path / "absent.json"))
@@ -548,15 +578,23 @@ DELETE = object()
     ("traces.nt.kkt_dual.2", "abc", "traces.nt.kkt_dual[2]: not a number: 'abc'"),
     ("topology.edges.0", [0], "topology.edges must be pairs (i, j)"),
     ("topology.n", 9, "config.topology.n: 5 but the pinned file has 9 nodes"),
+    # A record written while nt's traces kept the step remainder, which
+    # check now replays.
+    ("traces.nt.remainder_norm", [None, 0.5, 0.25, 0.125],
+     "traces.nt.remainder_norm: unknown key"),
+    ("traces.nt.scalars_per_round", 0, "traces.nt.scalars_per_round: must be >= 1, got 0"),
+    ("traces.gt.scalars_per_round", -80,
+     "traces.gt.scalars_per_round: must be >= 1, got -80"),
 ], ids=["missing", "unknown", "traces-list", "trace-key", "trace-column", "x-star",
         "bool-array", "null-array", "bool-float", "config-range", "spec-range", "needs-eps",
         "no-method", "bool-certificate", "int-feasible", "null-spectrum", "bool-weight",
-        "bool-trace-entry", "string-trace-entry", "edge-no-pair", "pinned-size"])
+        "bool-trace-entry", "string-trace-entry", "edge-no-pair", "pinned-size",
+        "remainder-column", "zero-count", "negative-count"])
 def test_malformed_record_fails_at_load_naming_the_path(capsys, tmp_path, key,
                                                         value, message):
-    # A record is read like a config: a bad key, or a config value out of
-    # range, fails at load, through the library and through check, with a
-    # ValueError naming its path in the record.
+    # A record is read like a config: a bad key, or a config value or a
+    # trace's scalar count out of range, fails at load, through the library
+    # and through check, with a ValueError naming its path in the record.
     cfg = tmp_path / "tiny.json"
     cfg.write_text(json.dumps(tiny_config_doc(iters=3)))
     run_cli(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path / "run"))
@@ -581,7 +619,7 @@ def test_malformed_record_fails_at_load_naming_the_path(capsys, tmp_path, key,
 
 
 COLUMNS = ("rel_error", "gnorm_error", "tracking_residual", "kkt_primal", "kkt_dual",
-           "remainder_norm", "remainder_bound", "wall_ms")
+           "wall_ms")
 
 
 @functools.cache

@@ -633,19 +633,29 @@ def test_divergence_stops_and_record_is_strict_json(tmp_path):
     json.dumps(rep, allow_nan=False)
 
 
-def test_qform_remainder_matches_hessian_reference():
+def test_qform_remainder_matches_hessian_reference(monkeypatch):
+    # The remainders that check's replay hands the lemma, one per step,
+    # match grad(x) - grad(x1) + hess(x) dx - alpha (I - W) dx written out.
     cfg = dataclasses.replace(preset("fig1"), iters=100)
     rec = run_experiment(cfg)
+    handed = []
+    real = analysis.lemma_remainder_check
+    monkeypatch.setattr(analysis, "lemma_remainder_check",
+                        lambda norms, bounds: handed.append(norms) or real(norms, bounds))
+    net, obj = harness.build_network(cfg.topology), harness.build_objective(cfg)
+    assert harness._replay_checks(rec, net, obj, cfg.iters)["remainder_bound"]["passed"]
     mix = metropolis_weights(build_topology("random", 10, tau=0.5, seed=7))
     family = generate_logistic_data(n=10, m=12, p=8, reg=1e-3, seed=1)
     spec = cfg.algorithms[0]
     state = alg.nt_init(family, mix, spec.alpha, spec.eps)
+    [norms] = handed
+    assert len(norms) == cfg.iters
     worst = 0.0
     for t in range(cfg.iters):
         nxt = alg.nt_step(state, family)
         ref = np.linalg.norm(approximation_error(state.x, nxt.x, family,
                                                  mix.w, spec.alpha))
-        worst = max(worst, abs(rec.traces["nt"].remainder_norm[t + 1] - ref))
+        worst = max(worst, abs(norms[t] - ref))
         state = nxt
     assert worst < 1e-11
 
@@ -697,14 +707,14 @@ def test_kkt_dual_is_the_qform_residual_on_random_instances(n, tau, m, p, quadra
 
 
 METRIC_COLUMNS = ("rel_error", "gnorm_error", "tracking_residual", "kkt_primal",
-                  "kkt_dual", "remainder_norm", "remainder_bound", "scalars_sent")
+                  "kkt_dual", "scalars_sent")
 
 
 def per_round_trace(config, spec):
     """One method's trace columns but wall_ms, and its status, computed
     round by round on each iterate alone: a plain loop of nt_step (every
-    method's step) with root @ x, alg.norm, the remainder identity and the
-    conservation defect ||sum q - sum grad|| / (||sum grad|| + 1), which
+    method's step) with root @ x, alg.norm and the conservation defect
+    ||sum q - sum grad|| / (||sum grad|| + 1), which
     conservation_residuals must equal.  The operator D and the vectors a
     round sends are written out here: the Laplacian and 1 for dlm, I - W
     and 2 for gt, I - W and 1 for the others; the start state must carry
@@ -731,7 +741,7 @@ def per_round_trace(config, spec):
         v = np.zeros((n, p))
     cols = {c: [] for c in METRIC_COLUMNS}
     status = "budget"
-    state, prev = harness.METHODS[spec.name].init(family, net, spec), None
+    state = harness.METHODS[spec.name].init(family, net, spec)
     assert np.array_equal(state.d, op)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(config.iters + 1):
@@ -740,19 +750,15 @@ def per_round_trace(config, spec):
                         cols["rel_error"][-1] <= config.stop_tol:
                     status = "tol"
                     break
-                prev, state = state, alg.nt_step(state, family)
+                state = alg.nt_step(state, family)
             rel = alg.norm(state.x - target) / denom
             if not math.isfinite(rel):
                 status = "diverged"
                 break
             root_x = root @ state.x
-            dual = rem = bound = gnorm = tracking = None
+            dual = gnorm = tracking = None
             if is_nt:
-                r = spec.alpha * (op @ state.x) - state.q
-                dual = alg.norm(r)
-                if prev is not None:
-                    rem = alg.norm(r + spec.eps * prev.u)
-                    bound = cert["kappa"] * alg.norm(state.x - prev.x)
+                dual = alg.norm(spec.alpha * (op @ state.x) - state.q)
                 if feasible:
                     if t:
                         v = v + spec.alpha * root_x
@@ -762,7 +768,7 @@ def per_round_trace(config, spec):
                 assert alg.conservation_residuals(state.q[None],
                                                   state.grad[None]) == [tracking]
             for column, value in zip(METRIC_COLUMNS, (
-                    rel, gnorm, tracking, alg.norm(root_x), dual, rem, bound,
+                    rel, gnorm, tracking, alg.norm(root_x), dual,
                     t * vectors * n * p)):
                 cols[column].append(value)
     if status == "budget" and config.stop_tol is not None \
@@ -775,17 +781,17 @@ def per_round_trace(config, spec):
 
 
 @pytest.mark.parametrize("config, expect", [
-    # 100 rounds: five full blocks of 18 and a partial one of 10.
+    # 100 rounds: four full blocks of 23 and a partial one of 8.
     (dataclasses.replace(preset("fig1"), iters=100), {"nt": ("budget", 101)}),
     # 10 nodes, p = 8: blocks of 93 rounds, the last of 14.
     (dataclasses.replace(preset("fig1"), iters=200, algorithms=(
         AlgorithmSpec("gt", alpha=0.16), AlgorithmSpec("extra", alpha=0.07),
         AlgorithmSpec("dlm", alpha=0.1, eps=0.1))),
      {"gt": ("budget", 201), "extra": ("budget", 201), "dlm": ("budget", 201)}),
-    # Stops at t = 211, thirteen rounds into the twelfth block.
+    # Stops at t = 211, four rounds into the tenth block.
     (dataclasses.replace(preset("fig1"), iters=400, stop_tol=1e-6),
      {"nt": ("tol", 212)}),
-    # Diverges 2 rounds into the third block.
+    # Diverges 15 rounds into the second block.
     (dataclasses.replace(preset("fig1"), algorithms=(
         AlgorithmSpec("nt", alpha=50.0, eps=0.01),)), {"nt": ("diverged", 39)}),
     (feasible_config(), {"nt": ("budget", 61)}),
@@ -830,8 +836,7 @@ def test_block_metrics_equal_per_round_metrics_on_random_instances(n, tau, m, p,
     trace = run_experiment(config).traces["nt"]
     cols, status = per_round_trace(config, config.algorithms[0])
     assert (trace.status, len(trace)) == (status, len(cols["rel_error"]))
-    for column in ("rel_error", "kkt_primal", "kkt_dual", "remainder_norm",
-                   "remainder_bound", "tracking_residual"):
+    for column in ("rel_error", "kkt_primal", "kkt_dual", "tracking_residual"):
         assert getattr(trace, column) == cols[column], column
 
 
@@ -992,8 +997,7 @@ def test_record_doc_round_trip():
 
 
 TRACE_KEYS = ["status", "rel_error", "gnorm_error", "tracking_residual", "kkt_primal",
-              "kkt_dual", "remainder_norm", "remainder_bound", "wall_ms",
-              "scalars_per_round"]
+              "kkt_dual", "wall_ms", "scalars_per_round"]
 
 
 def test_a_trace_keeps_its_status_columns_and_one_per_round_count():
@@ -1267,33 +1271,42 @@ def test_run_checks_build_the_problem_once(monkeypatch):
                      "centralized_reference": 1}
 
 
-@pytest.mark.parametrize("column, check, bad", [
-    ("tracking_residual", "conservation", lambda trace, k: 1e-6),
-    ("remainder_norm", "remainder_bound",
-     lambda trace, k: 2.0 * trace.remainder_bound[k] + 1.0),
-    ("gnorm_error", "contraction", lambda trace, k: 2.0 * trace.gnorm_error[k - 1] + 1.0),
+def scale_kappa(rerun, k):
+    rerun.certificates["nt"]["kappa"] *= 1e-3
+
+
+@pytest.mark.parametrize("field, check, corrupt, first", [
+    ("nt.tracking_residual", "conservation",
+     lambda rerun, k: rerun.traces["nt"].tracking_residual.__setitem__(k, 1e-6), 10),
+    # feas's remainders sit at 0.014-0.021 of kappa ||dx||: a thousandth of
+    # kappa falls below every step's remainder.
+    ("certificates", "remainder_bound", scale_kappa, 1),
+    ("nt.gnorm_error", "contraction",
+     lambda rerun, k: rerun.traces["nt"].gnorm_error.__setitem__(
+         k, 2.0 * rerun.traces["nt"].gnorm_error[k - 1] + 1.0), 10),
 ], ids=["conservation", "remainder_bound", "contraction"])
-def test_replay_checks_bound_the_reruns_columns(monkeypatch, column, check, bad):
-    # conservation, remainder_bound and contraction read the re-run's nt
-    # columns up to the window: a value past its bound at step k fails the
-    # check once the window reaches k, and determinism, as the record holds
-    # the true value; every other check still passes.
+def test_replay_checks_bound_the_reruns_columns(monkeypatch, field, check, corrupt,
+                                                first):
+    # conservation and contraction read the re-run's nt columns up to the
+    # window, and remainder_bound the replay's remainders against the
+    # re-run's kappa: a value past its bound from step `first` on fails the
+    # check at each step once the window reaches it, and determinism, as the
+    # record holds the true value; every other check still passes.
     rec = run_experiment(feasible_config())
     k, real = 10, harness._run
 
     def corrupted(*args):
         rerun = real(*args)
-        trace = rerun.traces["nt"]
-        getattr(trace, column)[k] = bad(trace, k)
+        corrupt(rerun, k)
         return rerun
 
     monkeypatch.setattr(harness, "_run", corrupted)
     report = run_checks(rec, window=k)
     assert [name for name, c in report["checks"].items() if not c["passed"]] == \
         ["determinism", check]
-    assert report["checks"]["determinism"]["detail"]["mismatched"] == [f"nt.{column}"]
-    assert report["checks"][check]["detail"].get("violations") in (None, 1)
-    assert run_checks(rec, window=k - 1)["checks"][check]["passed"]
+    assert report["checks"]["determinism"]["detail"]["mismatched"] == [field]
+    assert report["checks"][check]["detail"].get("violations") in (None, k - first + 1)
+    assert run_checks(rec, window=first - 1)["checks"][check]["passed"]
 
 
 def test_replay_checks_evaluate_each_iterate_once(monkeypatch):
@@ -1301,7 +1314,7 @@ def test_replay_checks_evaluate_each_iterate_once(monkeypatch):
     # the replayed nt and 13 for its primal-dual form, whose states carry
     # it, so the stationarity check, which built its own for x^0..x^12,
     # calls none and builds one Hessian per step from the states' weights
-    # (the remainder check reads the re-run's columns).  The reference
+    # (the remainder check reads the replayed nt states).  The reference
     # solve sums the node oracles: 6 points (5 full Newton steps, one
     # Hessian each).  Its last point's node gradients are g*, which
     # ref_residual, v* and the identity read, so no oracle runs at x*
